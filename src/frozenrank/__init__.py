@@ -27,7 +27,6 @@ from .randgraph import (
     WeightTemplate,
     karp_sipser,
     nullity_invariance_check,
-    sample_A,
     sample_T,
     sample_graph,
 )

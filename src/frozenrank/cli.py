@@ -20,9 +20,15 @@ from . import analytic
 from .errors import ResourceCapError
 from .exactla import classify_variable, frozen_set, parse_matrix, type_census
 from .field import FieldSpec
-from .harness import CSV_SCHEMA_TAG, ExperimentConfig, records_to_csv, run_census, run_experiment
-from .prf import TAG_EDGES, TAG_TRIAL, TAG_WEIGHTS, derive_seed
-from .randgraph import CouplingSource, WeightTemplate, karp_sipser, parse_graph, sample_graph
+from .harness import (
+    CSV_SCHEMA_TAG,
+    ExperimentConfig,
+    _trial_streams,
+    records_to_csv,
+    run_census,
+    run_experiment,
+)
+from .randgraph import WeightTemplate, karp_sipser, parse_graph, sample_graph
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -141,10 +147,8 @@ def _cmd_ks(args) -> int:
                      "ks_isolated", "ks_core_size", "removed_pair_count"])
     field = FieldSpec.parse_label(args.field)
     for index in range(args.trials):
-        trial_seed = derive_seed(args.seed, index, TAG_TRIAL)
-        coupling = CouplingSource(derive_seed(trial_seed, 0, TAG_EDGES))
-        template = WeightTemplate(field, args.n, args.template,
-                                  derive_seed(trial_seed, 0, TAG_WEIGHTS))
+        trial_seed, coupling, weight_seed = _trial_streams(args.seed, index)
+        template = WeightTemplate(field, args.n, args.template, weight_seed)
         ks = karp_sipser(sample_graph(args.n, args.d / args.n, template, coupling))
         writer.writerow([index, trial_seed, args.n, args.d,
                          ks.isolated_count, len(ks.core_vertices),

@@ -37,6 +37,10 @@ from .field import FieldElement, FieldSpec
 
 DEFAULT_RATIONAL_CAP = 64
 
+# Largest dimension of a dense matrix built from a sampled graph: an int64
+# 4096 x 4096 array takes 128 MB; larger runs stop before they sample.
+DENSE_CAP = 4096
+
 # Guards for row-space enumeration (exponential in rank).
 DEFAULT_ENUM_MAX_N = 24
 DEFAULT_ENUM_MAX_RANK = 14

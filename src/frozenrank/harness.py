@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic
-from .exactla import DEFAULT_RATIONAL_CAP, TypeProfile, type_census
+from .errors import ResourceCapError
+from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, TypeProfile, type_census
 from .field import FieldSpec
 from .perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from .prf import (
@@ -81,6 +82,8 @@ class ExperimentConfig:
         if self.template not in _TEMPLATE_KINDS:
             raise ValueError(f"template must be one of {_TEMPLATE_KINDS}")
         FieldSpec.parse_label(self.field)  # raises on bad label
+        if self.n > DENSE_CAP:
+            raise ResourceCapError(f"n={self.n} exceeds the dense-matrix cap {DENSE_CAP}")
         if self.census:
             if self.pert_P is None:
                 raise ValueError("census runs require pert_P")
@@ -259,8 +262,9 @@ def summarize(records: list[TrialRecord], d: float) -> SummaryReport:
 # ------------------------------------------------------------------- trials
 
 
-def _trial_streams(cfg: ExperimentConfig, index: int):
-    trial_seed = derive_seed(cfg.master_seed, index, TAG_TRIAL)
+def _trial_streams(master_seed: int, index: int):
+    """(trial seed, edge coupling, weight-template seed) of one trial."""
+    trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
     coupling = CouplingSource(derive_seed(trial_seed, 0, TAG_EDGES))
     weight_seed = derive_seed(trial_seed, 0, TAG_WEIGHTS)
     return trial_seed, coupling, weight_seed
@@ -287,7 +291,7 @@ def _rank_of_graph(cfg: ExperimentConfig, G: Graph) -> int:
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     start = time.perf_counter()
-    trial_seed, coupling, weight_seed = _trial_streams(cfg, index)
+    trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
     spec = cfg.field_spec
     template = WeightTemplate(spec, cfg.n, cfg.template, weight_seed)
     G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
@@ -311,7 +315,7 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
 
 def _run_census_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     start = time.perf_counter()
-    trial_seed, coupling, weight_seed = _trial_streams(cfg, index)
+    trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
     spec = cfg.field_spec
     template = WeightTemplate(spec, cfg.n, cfg.template, weight_seed)
     perm_seed = derive_seed(trial_seed, 0, TAG_PERM)
@@ -319,13 +323,14 @@ def _run_census_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         derive_seed(cfg.pert_seed, index, TAG_TRIAL)
     theta = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
     fams = CoupledFamilies.from_seed(pert_base)
-    T = sample_T(cfg.n, cfg.n, cfg.d / cfg.n, template, coupling, perm_seed=perm_seed)
+    G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
+    T = sample_T(G, cfg.n, perm_seed=perm_seed)
     perturbed = canonical_perturb(T, theta, fams)
     profile = type_census(perturbed, census_size=cfg.n)
     rank = T.rank()
-    # leaf-removal statistics are relabelling-invariant, so the unpermuted
-    # graph with the same coupling gives the statistics of T's support
-    ks = karp_sipser(sample_graph(cfg.n, cfg.d / cfg.n, template, coupling))
+    # T's support is G relabelled, and leaf-removal statistics are
+    # relabelling-invariant, so G gives the statistics of T's support
+    ks = karp_sipser(G)
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,

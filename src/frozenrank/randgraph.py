@@ -1,12 +1,16 @@
 """Coupled sampling of sparse weighted symmetric adjacency matrices, and
 Karp-Sipser leaf removal.
 
-The edge support of every sampled object is driven by a
-:class:`CouplingSource`: a lazily evaluated array of uniforms ``q(i, j)``
-that is a pure function of ``(seed, i, j)``.  An edge ``{i, j}`` is present
-iff ``q(i, j) < p``, so raising ``p`` with a fixed source only adds edges,
-and matrices of different sizes share the support of their common block.
-Weights come from a symmetric :class:`WeightTemplate` with nonzero entries.
+Every random matrix here is a view of one sample.  :func:`sample_edges` is
+the only place that evaluates the edge coupling: a :class:`CouplingSource`
+gives each unordered pair a uniform ``q(i, j)`` that is a pure function of
+``(seed, i, j)``, and ``{i, j}`` is an edge iff ``q(i, j) < p``.  So raising
+``p`` with a fixed source only adds edges, and samples of different sizes
+share the support of their common block.  :func:`sample_graph` weights the
+sampled edges from a symmetric :class:`WeightTemplate` with nonzero entries;
+the weights and the field decorate the support and never change it.  The
+dense adjacency (:meth:`Graph.adjacency`) and the relabelled principal block
+(:func:`sample_T`) are then built from that :class:`Graph`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactla import DEFAULT_RATIONAL_CAP, Matrix
+from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, Matrix
 from .field import RATIONAL_POOL, FieldElement, FieldSpec
 from .prf import Stream, prf, prf_array
 
@@ -36,10 +40,6 @@ class CouplingSource:
             raise ValueError("q is defined for distinct vertices only")
         lo, hi = (i, j) if i < j else (j, i)
         return prf(self.seed, lo, hi) / _TWO64
-
-    def _q_row(self, i: int, jj: np.ndarray) -> np.ndarray:
-        ii = np.full(jj.shape, i, dtype=np.uint64)
-        return prf_array(self.seed, ii, jj.astype(np.uint64)).astype(np.float64) / _TWO64
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,13 @@ class WeightTemplate:
             return 1 + h % (self.field.p - 1)
         return RATIONAL_POOL[h % len(RATIONAL_POOL)]
 
-    def _raw_row(self, i: int, jj: np.ndarray) -> np.ndarray:
-        """Vector of residues against a fixed row index (prime fields)."""
-        lo = np.minimum(jj, i)
-        hi = np.maximum(jj, i)
-        return self._raw_row_pairs(lo, hi)
-
-    def _raw_row_pairs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vector weights for explicit (lo, hi) index pairs (prime fields)."""
+    def weights(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Raw weights of the pairs ``(lo[k], hi[k])`` with ``lo < hi``: int64
+        residues for prime fields, computed as one vector, and the scalar
+        :meth:`_raw` of each pair (an object array of Fractions) for Q."""
         if self.field.kind != "prime":
-            raise ValueError("vector weights are for prime fields")
+            return np.array([self._raw(a, b) for a, b in zip(lo.tolist(), hi.tolist())],
+                            dtype=object)
         if self.kind == "allones" or self.field.p == 2:
             return np.ones(lo.shape, dtype=np.int64)
         h = prf_array(self.seed, lo.astype(np.uint64), hi.astype(np.uint64))
@@ -126,6 +123,10 @@ class Graph:
 
     def adjacency(self) -> Matrix:
         """Weighted adjacency matrix (symmetric, zero diagonal)."""
+        if self.n > DENSE_CAP:
+            raise ResourceCapError(
+                f"dense adjacency of size {self.n} above the cap {DENSE_CAP}"
+            )
         if self.field.kind == "prime":
             arr = np.zeros((self.n, self.n), dtype=np.int64)
             for i, j, w in self.edges:
@@ -155,9 +156,9 @@ def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray
     """Edge support under the monotone coupling: pairs with q(i, j) < p."""
     ii_out, jj_out = [], []
     for i in range(n - 1):
-        jj = np.arange(i + 1, n, dtype=np.int64)
-        mask = coupling._q_row(i, jj) < p
-        hit = jj[mask]
+        jj = np.arange(i + 1, n, dtype=np.uint64)
+        q = prf_array(coupling.seed, np.full(jj.shape, i, dtype=np.uint64), jj)
+        hit = jj[q.astype(np.float64) / _TWO64 < p].astype(np.int64)
         if hit.size:
             ii_out.append(np.full(hit.shape, i, dtype=np.int64))
             jj_out.append(hit)
@@ -172,32 +173,9 @@ def sample_graph(
     """Weighted graph with independent edges at probability ``p``."""
     _validate_sample_args(n, p, template)
     ii, jj = sample_edges(n, p, coupling)
-    if template.field.kind == "prime":
-        ww = template._raw_row_pairs(ii, jj)
-        edges = tuple((int(a), int(b), int(w)) for a, b, w in zip(ii, jj, ww))
-    else:
-        edges = tuple(
-            (int(a), int(b), template._raw(int(a), int(b))) for a, b in zip(ii, jj)
-        )
+    ww = template.weights(ii, jj)
+    edges = tuple(zip(ii.tolist(), jj.tolist(), ww.tolist()))
     return Graph(n=n, field=template.field, edges=edges)
-
-
-def sample_A(
-    n: int, p: float, template: WeightTemplate, coupling: CouplingSource
-) -> Matrix:
-    """Adjacency matrix of :func:`sample_graph`, built without the edge list."""
-    _validate_sample_args(n, p, template)
-    if template.field.kind != "prime":
-        return sample_graph(n, p, template, coupling).adjacency()
-    arr = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        jj = np.arange(i + 1, n, dtype=np.int64)
-        hit = jj[coupling._q_row(i, jj) < p]
-        if hit.size:
-            ww = template._raw_row(i, hit)
-            arr[i, hit] = ww
-            arr[hit, i] = ww
-    return Matrix._from_array(template.field, arr, symmetric=True)
 
 
 def uniform_permutation(N: int, perm_seed: int) -> list[int]:
@@ -207,53 +185,29 @@ def uniform_permutation(N: int, perm_seed: int) -> list[int]:
     return perm
 
 
-def sample_T(
-    n: int,
-    N: int,
-    p: float,
-    template: WeightTemplate,
-    coupling: CouplingSource,
-    perm_seed: int = 0,
-    perm=None,
-) -> Matrix:
-    """Principal ``n x n`` block of the size-``N`` sample after a uniform
-    relabelling of its vertices.
+def sample_T(G: Graph, n: int, perm_seed: int = 0, perm=None) -> Matrix:
+    """Principal ``n x n`` block of the adjacency of ``G`` after a uniform
+    relabelling ``u`` of its vertices: vertex ``u[k]`` of ``G`` becomes ``k``.
 
-    With the same seeds, the result for ``n`` is the leading principal
-    submatrix of the result for ``n + 1``, and for ``n = N`` it has the
-    same rank as the unpermuted sample.  ``perm`` overrides the seeded
-    permutation (e.g. ``range(N)`` for the identity).
+    With the same ``G`` and seed, the result for ``n`` is the leading
+    principal submatrix of the result for ``n + 1``, and for ``n = G.n`` it
+    has the rank of ``G.adjacency()``.  ``perm`` overrides the seeded
+    permutation (e.g. ``range(G.n)`` for the identity).
     """
-    if n > N:
-        raise ValueError(f"n={n} exceeds N={N}")
-    _validate_sample_args(N, p, template)
-    u = list(perm) if perm is not None else uniform_permutation(N, perm_seed)
-    if sorted(u) != list(range(N)):
-        raise ValueError("perm must be a permutation of range(N)")
-    if template.field.kind == "prime":
-        arr = np.zeros((n, n), dtype=np.int64)
-        uu = np.asarray(u, dtype=np.int64)
-        for i in range(n - 1):
-            jj = np.arange(i + 1, n, dtype=np.int64)
-            lo = np.minimum(uu[i], uu[jj]).astype(np.uint64)
-            hi = np.maximum(uu[i], uu[jj]).astype(np.uint64)
-            q = prf_array(coupling.seed, lo, hi).astype(np.float64) / _TWO64
-            mask = q < p
-            hit = jj[mask]
-            if hit.size:
-                ww = template._raw_row_pairs(lo[mask].astype(np.int64), hi[mask].astype(np.int64))
-                arr[i, hit] = ww
-                arr[hit, i] = ww
-        return Matrix._from_array(template.field, arr, symmetric=True)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = u[i], u[j]
-            if coupling.q(a, b) < p:
-                w = template._raw(min(a, b), max(a, b))
-                rows[i][j] = w
-                rows[j][i] = w
-    return Matrix.from_rows(template.field, rows, symmetric=True)
+    if n > G.n:
+        raise ValueError(f"n={n} exceeds the graph size {G.n}")
+    u = list(perm) if perm is not None else uniform_permutation(G.n, perm_seed)
+    if sorted(u) != list(range(G.n)):
+        raise ValueError("perm must be a permutation of range(G.n)")
+    label = [0] * G.n
+    for k, v in enumerate(u):
+        label[v] = k
+    edges = []
+    for i, j, w in G.edges:
+        a, b = sorted((label[i], label[j]))
+        if b < n:
+            edges.append((a, b, w))
+    return Graph(n, G.field, tuple(edges)).adjacency()
 
 
 # ------------------------------------------------------------- leaf removal
@@ -345,7 +299,7 @@ def karp_sipser(G: Graph, order_seed: int | None = None) -> KSResult:
     )
 
 
-def nullity_invariance_check(G: Graph, *, cap: int = 4096) -> bool:
+def nullity_invariance_check(G: Graph, *, cap: int = DENSE_CAP) -> bool:
     """Exact check that leaf removal preserves the adjacency nullity:
     ``nul(A(G)) == isolated_count + nul(A(core))`` over the graph's field.
     """

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -83,6 +85,19 @@ def test_ks_sampled(capsys):
     assert len(lines) == 4
 
 
+def test_ks_matches_simulate(capsys):
+    # both subcommands derive a trial's edge support from (seed, index) alike
+    args = ["--n", "300", "--d", "2.5", "--trials", "3", "--seed", "4"]
+
+    def rows(cmd):
+        assert main([cmd] + args) == 0
+        text = capsys.readouterr().out.split("\n", 1)[1]
+        return [(r["trial_index"], r["ks_isolated"], r["ks_core_size"])
+                for r in csv.DictReader(io.StringIO(text))]
+
+    assert rows("ks") == rows("simulate")
+
+
 def test_ks_from_graph_file(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     gfile.write_text("3 2 F2\n0 1 1\n1 2 1\n")
@@ -111,6 +126,12 @@ def test_classify_resource_cap(tmp_path):
     mfile = tmp_path / "big.mat"
     mfile.write_text(format_matrix(Matrix.zeros(Q, 70, 70)))
     assert main(["classify", "--matrix", str(mfile)]) == 3
+
+
+def test_simulate_dense_cap():
+    # refused at validation, before any sampling or n x n allocation
+    assert main(["simulate", "--n", "50000", "--d", "3", "--trials", "1"]) == 3
+    assert main(["census", "--n", "50000", "--d", "3", "--P", "8", "--trials", "1"]) == 3
 
 
 def test_verify_suite(capsys):

@@ -5,15 +5,20 @@ import json
 import pytest
 
 from frozenrank import analytic
+from frozenrank.errors import ResourceCapError
+from frozenrank.exactla import DENSE_CAP
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
+    _trial_streams,
     records_to_csv,
     run_census,
     run_experiment,
     summarize,
     write_csv_file,
 )
+from frozenrank.prf import TAG_PERM, derive_seed
+from frozenrank.randgraph import Graph, WeightTemplate, karp_sipser, sample_T, sample_graph
 
 
 def small_cfg(**overrides):
@@ -38,6 +43,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(census=True, pert_P=8, field="Q")  # exact rational cap
     assert small_cfg(census=True, pert_P=8, n=56, field="Q").census  # fits the cap
+    with pytest.raises(ResourceCapError):
+        small_cfg(n=DENSE_CAP + 1)
+    with pytest.raises(ResourceCapError):
+        small_cfg(n=DENSE_CAP + 1, census=True, pert_P=8)
 
 
 def test_config_json_roundtrip():
@@ -147,6 +156,24 @@ def test_census_records_and_identities():
     for value in (cs.mean_residual_y, cs.mean_residual_u, cs.mean_residual_v,
                   cs.max_deficit_z):
         assert 0.0 <= value <= 1.0
+
+
+def test_census_ks_stats_are_those_of_T():
+    # the census reads leaf-removal statistics off the unrelabelled graph;
+    # they must equal those of the support of the relabelled T itself
+    cfg = ExperimentConfig(n=60, d=2.0, field="Fp:5", template="random", trials=3,
+                           master_seed=21, census=True, pert_P=8)
+    records, _ = run_census(cfg)
+    for r in records:
+        trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, r.trial_index)
+        template = WeightTemplate(cfg.field_spec, cfg.n, cfg.template, weight_seed)
+        G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
+        T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
+        assert T.rank() == r.rank
+        support = tuple((i, j, T.entry(i, j).value) for i in range(cfg.n)
+                        for j in range(i + 1, cfg.n) if not T.entry(i, j).is_zero())
+        ks = karp_sipser(Graph(cfg.n, cfg.field_spec, support))
+        assert (ks.isolated_count, len(ks.core_vertices)) == (r.ks_isolated, r.ks_core_size)
 
 
 def test_census_via_run_experiment_flag():

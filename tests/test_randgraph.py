@@ -3,7 +3,7 @@
 import pytest
 
 from frozenrank.errors import ResourceCapError
-from frozenrank.exactla import Matrix
+from frozenrank.exactla import DENSE_CAP, Matrix
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
 from frozenrank.randgraph import (
@@ -14,7 +14,6 @@ from frozenrank.randgraph import (
     karp_sipser,
     nullity_invariance_check,
     parse_graph,
-    sample_A,
     sample_T,
     sample_graph,
 )
@@ -37,12 +36,12 @@ def path3(field=F2, w=1):
 
 
 def test_p_zero_gives_zero_matrix():
-    A = sample_A(8, 0.0, WeightTemplate(F2, 8), CouplingSource(1))
+    A = sample_graph(8, 0.0, WeightTemplate(F2, 8), CouplingSource(1)).adjacency()
     assert A == Matrix.zeros(F2, 8, 8)
 
 
 def test_p_one_gives_complete_graph():
-    A = sample_A(5, 1.0, WeightTemplate(F2, 5), CouplingSource(1))
+    A = sample_graph(5, 1.0, WeightTemplate(F2, 5), CouplingSource(1)).adjacency()
     vals = A.to_values()
     assert all(vals[i][j] == (i != j) for i in range(5) for j in range(5))
 
@@ -50,14 +49,23 @@ def test_p_one_gives_complete_graph():
 def test_sampling_deterministic():
     tpl = WeightTemplate(F5, 50, "random", seed=3)
     cpl = CouplingSource(17)
-    assert sample_A(50, 0.1, tpl, cpl) == sample_A(50, 0.1, tpl, cpl)
     assert sample_graph(50, 0.1, tpl, cpl) == sample_graph(50, 0.1, tpl, cpl)
 
 
-def test_matrix_matches_graph_adjacency():
-    tpl = WeightTemplate(F3, 40, "random", seed=5)
-    cpl = CouplingSource(23)
-    assert sample_A(40, 0.12, tpl, cpl) == sample_graph(40, 0.12, tpl, cpl).adjacency()
+@pytest.mark.parametrize("tpl", [
+    WeightTemplate(F2, 25),
+    WeightTemplate(F5, 25, "random", seed=8),
+    WeightTemplate(Q, 25, "random", seed=8),
+], ids=["F2-allones", "F5-random", "Q-random"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_sample_matches_literal_coupling(tpl, p):
+    # the vectorised sampler against the scalar definition, pair by pair
+    cpl = CouplingSource(41)
+    G = sample_graph(25, p, tpl, cpl)
+    literal = {(i, j) for i in range(25) for j in range(i + 1, 25) if cpl.q(i, j) < p}
+    assert {(i, j) for i, j, _ in G.edges} == literal
+    for i, j, w in G.edges:
+        assert w == tpl.entry(i, j).value
 
 
 def test_monotone_coupling():
@@ -82,9 +90,9 @@ def test_support_independent_of_field_and_weights():
 def test_sample_validation():
     tpl = WeightTemplate(F2, 5)
     with pytest.raises(ValueError):
-        sample_A(6, 0.5, tpl, CouplingSource(0))  # template too small
+        sample_graph(6, 0.5, tpl, CouplingSource(0))  # template too small
     with pytest.raises(ValueError):
-        sample_A(5, 1.5, tpl, CouplingSource(0))
+        sample_graph(5, 1.5, tpl, CouplingSource(0))
     with pytest.raises(ValueError):
         WeightTemplate(F2, 5, "weird")
 
@@ -107,40 +115,50 @@ def test_template_entries_nonzero_and_symmetric():
 def test_T_identity_permutation_equals_A():
     tpl = WeightTemplate(F5, 30, "random", seed=2)
     cpl = CouplingSource(8)
-    T = sample_T(30, 30, 0.1, tpl, cpl, perm=range(30))
-    assert T == sample_A(30, 0.1, tpl, cpl)
+    G = sample_graph(30, 0.1, tpl, cpl)
+    assert sample_T(G, 30, perm=range(30)) == G.adjacency()
+
+
+def test_T_relabels_vertex_u_k_to_k():
+    G = sample_graph(20, 0.3, WeightTemplate(F5, 20, "random", seed=3), CouplingSource(9))
+    u = list(range(20))
+    Stream(4).shuffle(u)
+    A, T = G.adjacency(), sample_T(G, 12, perm=u)
+    assert all(T.entry(k, l) == A.entry(u[k], u[l]) for k in range(12) for l in range(12))
 
 
 def test_T_nested_in_n():
     tpl = WeightTemplate(F3, 25, "random", seed=4)
-    cpl = CouplingSource(12)
+    G = sample_graph(25, 0.15, tpl, CouplingSource(12))
     for n in (3, 9, 17):
-        small = sample_T(n, 25, 0.15, tpl, cpl, perm_seed=6)
-        bigger = sample_T(n + 1, 25, 0.15, tpl, cpl, perm_seed=6)
+        small = sample_T(G, n, perm_seed=6)
+        bigger = sample_T(G, n + 1, perm_seed=6)
         assert bigger.remove(rows=[n], cols=[n]) == small
 
 
 def test_T_full_size_rank_equals_A_rank():
     tpl = WeightTemplate(F2, 30)
     cpl = CouplingSource(3)
-    A = sample_A(30, 0.1, tpl, cpl)
+    G = sample_graph(30, 0.1, tpl, cpl)
+    A = G.adjacency()
     for seed in range(20):
-        T = sample_T(30, 30, 0.1, tpl, cpl, perm_seed=seed)
+        T = sample_T(G, 30, perm_seed=seed)
         assert T.rank() == A.rank()
 
 
 def test_T_validation():
-    tpl = WeightTemplate(F2, 10)
+    G = sample_graph(10, 0.5, WeightTemplate(F2, 10), CouplingSource(0))
     with pytest.raises(ValueError):
-        sample_T(11, 10, 0.5, tpl, CouplingSource(0))
+        sample_T(G, 11)
     with pytest.raises(ValueError):
-        sample_T(3, 10, 0.5, tpl, CouplingSource(0), perm=[0, 1])
+        sample_T(G, 3, perm=[0, 1])
 
 
 def test_T_rational_matches_prime_support():
     cpl = CouplingSource(31)
-    TQ = sample_T(12, 12, 0.3, WeightTemplate(Q, 12, "random", 5), cpl, perm_seed=2)
-    T2 = sample_T(12, 12, 0.3, WeightTemplate(F2, 12), cpl, perm_seed=2)
+    TQ = sample_T(sample_graph(12, 0.3, WeightTemplate(Q, 12, "random", 5), cpl), 12,
+                  perm_seed=2)
+    T2 = sample_T(sample_graph(12, 0.3, WeightTemplate(F2, 12), cpl), 12, perm_seed=2)
     for i in range(12):
         for j in range(12):
             assert TQ.entry(i, j).is_zero() == T2.entry(i, j).is_zero()
@@ -226,6 +244,14 @@ def test_leaf_removal_upper_bound():
 def test_nullity_invariance_cap():
     with pytest.raises(ResourceCapError):
         nullity_invariance_check(Graph(10, F2, ()), cap=5)
+
+
+def test_dense_adjacency_cap():
+    # refused before the n x n array is allocated
+    with pytest.raises(ResourceCapError):
+        Graph(DENSE_CAP + 1, F2, ()).adjacency()
+    with pytest.raises(ResourceCapError):
+        nullity_invariance_check(Graph(DENSE_CAP + 1, F2, ()))
 
 
 # ------------------------------------------------------------- text format
