@@ -16,6 +16,7 @@ from .exactla import (
     row_in_span,
     symmetric_removal_rank_drop,
     type_census,
+    variable_types,
 )
 from .field import FieldElement, FieldSpec, sample_nonzero
 from .harness import ExperimentConfig, SummaryReport, TrialRecord, run_census, run_experiment

@@ -18,7 +18,7 @@ import sys
 
 from . import analytic
 from .errors import ResourceCapError
-from .exactla import classify_variable, frozen_set, parse_matrix, type_census
+from .exactla import TypeProfile, frozen_set, parse_matrix, variable_types
 from .field import FieldSpec
 from .harness import (
     CSV_SCHEMA_TAG,
@@ -160,7 +160,7 @@ def _cmd_ks(args) -> int:
 def _cmd_classify(args) -> int:
     with open(args.matrix, encoding="utf-8") as fp:
         A = parse_matrix(fp.read())
-    profile = type_census(A) if min(A.m, A.n) > 0 else None
+    types = variable_types(A)
     payload = {
         "m": A.m,
         "n": A.n,
@@ -168,9 +168,10 @@ def _cmd_classify(args) -> int:
         "rank": A.rank(),
         "nullity": A.nullity(),
         "frozen_columns": list(frozen_set(A).frozen),
-        "types": {str(i): classify_variable(A, i) for i in range(min(A.m, A.n))},
+        "types": {str(i): t for i, t in enumerate(types)},
     }
-    if profile is not None:
+    if types:
+        profile = TypeProfile.tally(types)
         payload["census"] = {
             "x": profile.x, "y": profile.y, "z": profile.z,
             "u": profile.u, "v": profile.v,

@@ -17,6 +17,13 @@ Terminology used throughout (0-based column indices everywhere):
   - ``U``: not frozen in the matrix, firmly frozen in the transpose,
   - ``V``: firmly frozen in the matrix, not frozen in the transpose.
 
+  When ``i`` is frozen in both ``A`` and ``A^T``, the system
+  ``y^T A = e_i^T`` has solutions and they all share one ``y_i``: two
+  differ by a left-kernel vector, which is 0 at ``i`` because ``i`` is
+  frozen in ``A^T``.  Deleting row ``i`` keeps ``i`` frozen exactly when
+  some solution has ``y_i = 0``, so ``i`` is ``Y`` when ``y_i = 0`` and
+  ``X`` otherwise.
+
 Matrices are immutable after construction; all operations are pure and
 safe to call from concurrent workers.  Prime-field matrices are numpy
 arrays of canonical residues (bit-packed words during elimination when
@@ -228,28 +235,40 @@ class Matrix:
     def kernel_support(self) -> frozenset[int]:
         """Columns carrying a nonzero coordinate in some kernel vector.
 
-        The frozen columns are exactly the complement within ``range(n)``.
+        Read off the RREF: the free columns, plus the pivot column of every
+        reduced row that is nonzero on a free column.  The frozen columns
+        are exactly the complement within ``range(n)``.
         """
         if self._ksup is None:
-            rank, pivots, rref_rows = self._rref()
+            self._check_rational_cap(None)
+            if self.field.is_gf2:
+                rank, pivots, R = _rref_gf2(self._a, self.n)
+            elif self._a is not None:
+                rank, pivots, R = _rref_modp(self._a, self.field.p)
+            else:
+                R = [list(r) for r in self._rows]
+                rank, pivots = _rref_fraction(R, self.n)
             self._rank = rank
             pivset = set(pivots)
             free = [j for j in range(self.n) if j not in pivset]
-            support = set(free)
-            if free:
-                for i, pcol in enumerate(pivots):
-                    row = rref_rows[i]
-                    if any(row[f] for f in free):
-                        support.add(pcol)
-            self._ksup = frozenset(support)
+            if not free:
+                hit = ()
+            elif self.field.is_gf2:
+                mask = sum(1 << j for j in free).to_bytes(8 * R.shape[1], "little")
+                hit = (R & np.frombuffer(mask, dtype=np.uint64)).any(axis=1).tolist()
+            elif self._a is not None:
+                hit = R[:rank][:, free].any(axis=1).tolist()
+            else:
+                hit = [any(R[i][f] for f in free) for i in range(rank)]
+            self._ksup = frozenset(free + [c for c, h in zip(pivots, hit) if h])
         return self._ksup
 
     def _rref(self):
         """(rank, pivot columns, reduced rows as plain lists of values)."""
         self._check_rational_cap(None)
         if self.field.is_gf2:
-            rank, pivots, dense = _rref_gf2(self._a, self.n)
-            return rank, pivots, [list(map(int, r)) for r in dense[:rank]]
+            rank, pivots, W = _rref_gf2(self._a, self.n)
+            return rank, pivots, [list(map(int, r)) for r in _unpack_gf2(W, self.n)]
         if self._a is not None:
             rank, pivots, arr = _rref_modp(self._a, self.field.p)
             return rank, pivots, [list(map(int, r)) for r in arr[:rank]]
@@ -361,6 +380,7 @@ def _rank_gf2(arr: np.ndarray, n: int) -> int:
 
 
 def _rref_gf2(arr: np.ndarray, n: int):
+    """(rank, pivots, reduced rows as packed words)."""
     W = _pack_gf2(arr, n)
     r, pivots = _forward_gf2(W, n)
     for i in range(r - 1, -1, -1):
@@ -370,7 +390,7 @@ def _rref_gf2(arr: np.ndarray, n: int):
         above = np.nonzero((W[:i, w] & mask) != 0)[0]
         if above.size:
             W[above] ^= W[i]
-    return r, pivots, _unpack_gf2(W[:r], n)
+    return r, pivots, W[:r]
 
 
 # ------------------------------------------------------------ mod-p kernels
@@ -693,54 +713,108 @@ class TypeProfile:
     def zeta(self) -> tuple[float, float, float, float, float]:
         return (self.x, self.y, self.z, self.u, self.v)
 
+    @staticmethod
+    def tally(types) -> "TypeProfile":
+        """Census of a nonempty sequence of type letters."""
+        c = dict.fromkeys(TYPES, 0)
+        for t in types:
+            c[t] += 1
+        return TypeProfile(
+            n=len(types),
+            count_x=c["X"],
+            count_y=c["Y"],
+            count_z=c["Z"],
+            count_u=c["U"],
+            count_v=c["V"],
+            frozen_count=c["X"] + c["Y"] + c["V"],
+            frozen_count_t=c["X"] + c["Y"] + c["U"],
+        )
+
+
+def variable_types(A: Matrix, census_size: int | None = None) -> tuple[str, ...]:
+    """Types of variables ``0..census_size-1``, as :func:`classify_variable`
+    gives them; ``census_size`` defaults to ``min(m, n)``.
+
+    Cost: three eliminations, whatever the census size.  The kernel
+    supports of ``A`` and ``A^T`` give the frozen memberships.  A variable
+    frozen on neither side is ``Z``; one frozen on one side only is firmly
+    frozen there (frailness is transpose-symmetric), so ``V`` or ``U``.
+    The set ``S`` of variables frozen on both sides is typed by the
+    ``y_i`` of the module docstring, from one RREF of ``[A^T | E_S]``.
+    """
+    k = min(A.m, A.n) if census_size is None else census_size
+    if not 0 <= k <= min(A.m, A.n):
+        raise ValueError(f"census size {k} outside [0, min(m, n) = {min(A.m, A.n)}]")
+    sup_a = A.kernel_support()
+    sup_at = A.transpose().kernel_support()
+    types = []
+    for i in range(k):
+        fa = i not in sup_a
+        fat = i not in sup_at
+        types.append(("Y" if fat else "V") if fa else ("U" if fat else "Z"))
+    # frozen on both sides: Y unless the solve finds it frail
+    both = [i for i in range(k) if types[i] == "Y"]
+    for i, frail in zip(both, _frail_flags(A, both)):
+        if frail:
+            types[i] = "X"
+    return tuple(types)
+
+
+def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
+    """``y_i != 0`` for each ``i`` of ``S`` (frozen in ``A`` and in ``A^T``):
+    whether ``i`` is frail, by the identity in the module docstring.
+
+    One RREF of the augmented system ``[A^T | E_S]`` solves
+    ``A^T y = e_i`` for every ``i`` at once; ``y_i`` sits in the row
+    pivoting on column ``i``, in the column of ``e_i``.  The system is
+    consistent, so no pivot may fall inside the ``E_S`` block.
+    """
+    if not S:
+        return []
+    m, n, s = A.m, A.n, len(S)
+    if A._a is not None:
+        E = np.zeros((n, s), dtype=A._a.dtype)
+        E[S, np.arange(s)] = 1
+        aug = np.hstack([A._a.T, E])
+        if A.field.is_gf2:
+            _, pivots, W = _rref_gf2(aug, m + s)
+
+            def entry(r, c):
+                return int(W[r, c >> 6]) >> (c & 63) & 1
+        else:
+            _, pivots, M = _rref_modp(aug, A.field.p)
+
+            def entry(r, c):
+                return M[r, c]
+    else:
+        one, zero = Fraction(1), Fraction(0)
+        rows = [[A._rows[r][c] for r in range(m)] + [one if c == i else zero for i in S]
+                for c in range(n)]
+        _, pivots = _rref_fraction(rows, m + s)
+
+        def entry(r, c):
+            return rows[r][c]
+    if pivots and pivots[-1] >= m:
+        raise AssertionError("[A^T | E_S] is inconsistent; exact arithmetic bug")
+    row_of = {c: r for r, c in enumerate(pivots)}
+    # a free column i would mean y_i = 0; frozen in A^T, i is always a pivot
+    return [i in row_of and bool(entry(row_of[i], m + t)) for t, i in enumerate(S)]
+
 
 def type_census(A: Matrix, census_size: int | None = None) -> TypeProfile:
-    """Classify variables ``0..census_size-1`` and tally the five types.
+    """Tally the five types of variables ``0..census_size-1``.
 
     ``census_size`` defaults to ``min(m, n)``; pass the unpadded dimension
     explicitly when ``A`` carries perturbation rows/columns so the
     artificial unit rows and columns stay outside the census.
 
-    Cost: two eliminations for the frozen sets of ``A`` and its transpose,
-    plus one per variable frozen on both sides (variables frozen on one
-    side only are typed by transpose symmetry of frail freezing, and
-    variables frozen on neither side are ``Z`` by definition).
+    Cost: the three eliminations of :func:`variable_types`, whatever
+    the census size.
     """
     k = min(A.m, A.n) if census_size is None else census_size
     if k <= 0:
         raise ValueError("census range is empty")
-    if k > min(A.m, A.n):
-        raise ValueError(f"census size {k} exceeds min(m, n) = {min(A.m, A.n)}")
-    AT = A.transpose()
-    sup_a = A.kernel_support()
-    sup_at = AT.kernel_support()
-    counts = dict.fromkeys(TYPES, 0)
-    frozen_count = 0
-    frozen_count_t = 0
-    for i in range(k):
-        fa = i not in sup_a
-        fat = i not in sup_at
-        frozen_count += fa
-        frozen_count_t += fat
-        if not fa and not fat:
-            counts["Z"] += 1
-        elif fa and not fat:
-            counts["V"] += 1  # frailness would force freezing on both sides
-        elif fat and not fa:
-            counts["U"] += 1
-        else:
-            firm_a = is_frozen(A.remove(rows=[i]), i)
-            counts["Y" if firm_a else "X"] += 1
-    return TypeProfile(
-        n=k,
-        count_x=counts["X"],
-        count_y=counts["Y"],
-        count_z=counts["Z"],
-        count_u=counts["U"],
-        count_v=counts["V"],
-        frozen_count=frozen_count,
-        frozen_count_t=frozen_count_t,
-    )
+    return TypeProfile.tally(variable_types(A, k))
 
 
 def symmetric_removal_rank_drop(A: Matrix, i: int) -> int:

@@ -35,7 +35,6 @@ from .prf import (
 from .randgraph import CouplingSource, Graph, WeightTemplate, karp_sipser, sample_T, sample_graph
 
 CSV_SCHEMA_TAG = "#frozenrank-v1"
-CENSUS_CAP = 400
 
 #: Largest primes below 2^31; rational ranks above the exact cap are
 #: certified from below by the maximum rank over these reductions.
@@ -82,21 +81,18 @@ class ExperimentConfig:
         if self.template not in _TEMPLATE_KINDS:
             raise ValueError(f"template must be one of {_TEMPLATE_KINDS}")
         FieldSpec.parse_label(self.field)  # raises on bad label
-        if self.n > DENSE_CAP:
-            raise ResourceCapError(f"n={self.n} exceeds the dense-matrix cap {DENSE_CAP}")
-        if self.census:
-            if self.pert_P is None:
-                raise ValueError("census runs require pert_P")
-            if self.n > CENSUS_CAP:
-                raise ValueError(f"census n={self.n} exceeds the census cap {CENSUS_CAP}")
-            if (self.field_spec.kind == "rationals"
-                    and self.n + self.pert_P > DEFAULT_RATIONAL_CAP):
-                raise ValueError(
-                    f"rational census needs n + pert_P <= {DEFAULT_RATIONAL_CAP} "
-                    "for exact elimination of the perturbed matrix"
-                )
         if self.pert_P is not None and self.pert_P < 1:
             raise ValueError("pert_P must be >= 1")
+        if self.census and self.pert_P is None:
+            raise ValueError("census runs require pert_P")
+        if self.n > DENSE_CAP:
+            raise ResourceCapError(f"n={self.n} exceeds the dense-matrix cap {DENSE_CAP}")
+        if (self.census and self.field_spec.kind == "rationals"
+                and self.n + self.pert_P > DEFAULT_RATIONAL_CAP):
+            raise ResourceCapError(
+                f"rational census needs n + pert_P <= {DEFAULT_RATIONAL_CAP} "
+                "for exact elimination of the perturbed matrix"
+            )
 
     @property
     def field_spec(self) -> FieldSpec:
@@ -371,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryRep
 
 
 def run_census(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryReport]:
-    """Run perturbed-census trials (requires ``pert_P``; ``n`` capped)."""
+    """Run perturbed-census trials (requires ``pert_P``)."""
     if cfg.pert_P is None:
         raise ValueError("census runs require pert_P")
     records = _run_many(cfg, _run_census_trial)

@@ -134,6 +134,17 @@ def test_simulate_dense_cap():
     assert main(["census", "--n", "50000", "--d", "3", "--P", "8", "--trials", "1"]) == 3
 
 
+def test_census_caps(capsys):
+    # the exact rational census needs n + P <= 64: a resource cap, exit 3
+    assert main(["census", "--n", "70", "--d", "2", "--field", "Q", "--P", "8",
+                 "--trials", "1"]) == 3
+    assert main(["census", "--n", "70", "--d", "2", "--field", "Q", "--P", "0",
+                 "--trials", "1"]) == 2  # a bad P is a usage error first
+    # a prime-field census is bounded by the dense cap alone
+    assert main(["census", "--n", "500", "--d", "2", "--P", "8", "--trials", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_verify_suite(capsys):
     assert main(["verify", "--suite", "analytic"]) == 0
     payload = json.loads(capsys.readouterr().out)

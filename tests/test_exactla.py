@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frozenrank import exactla
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
     Matrix,
@@ -26,6 +27,7 @@ from frozenrank.exactla import (
     row_in_span,
     symmetric_removal_rank_drop,
     type_census,
+    variable_types,
 )
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
@@ -243,6 +245,48 @@ def test_census_identities_are_exact_counts():
         assert prof.count_x + prof.count_y + prof.count_z + prof.count_u + prof.count_v == prof.n
         assert prof.frozen_count == prof.count_x + prof.count_y + prof.count_v
         assert prof.frozen_count_t == prof.count_x + prof.count_y + prof.count_u
+
+
+def test_census_of_rectangular_matrix():
+    # only row 0 spans e_0, so deleting it unfreezes column 0 (frail, X);
+    # column 1 is not frozen in A but frozen in A^T, whose columns are independent (U)
+    A = Matrix.from_rows(F2, [[1, 0, 0], [0, 1, 1]])
+    assert variable_types(A) == ("X", "U")
+    for A in (A, A.transpose(), Matrix.from_rows(F5, [[1, 2, 0, 1], [0, 1, 4, 0]])):
+        assert variable_types(A) == tuple(classify_variable(A, i) for i in range(min(A.m, A.n)))
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+    for name in ("_rref_gf2", "_rref_modp", "_rref_fraction"):
+        kernel = getattr(exactla, name)
+
+        def counted(*args, _kernel=kernel):
+            calls.append(_kernel)
+            return _kernel(*args)
+
+        monkeypatch.setattr(exactla, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q])
+def test_census_runs_at_most_three_eliminations(monkeypatch, field):
+    calls = _count_eliminations(monkeypatch)
+    # every variable is frozen on both sides: I's are frail, the edge's complete
+    prof = type_census(Matrix.identity(field, 40))
+    assert prof.count_x == 40 and len(calls) == 3
+    calls.clear()
+    prof = type_census(block([[edge2(field), Matrix.zeros(field, 2, 38)],
+                              [Matrix.zeros(field, 38, 2), Matrix.identity(field, 38)]]))
+    assert (prof.count_y, prof.count_x) == (2, 38) and len(calls) == 3
+
+
+def test_census_without_doubly_frozen_variables_skips_the_solve(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    A = Matrix.from_rows(F3, [[1, 1, 0], [0, 0, 0]])  # nothing frozen in A
+    assert variable_types(A) == ("U", "Z")
+    assert len(calls) == 2
+    assert variable_types(A) == tuple(classify_variable(A, i) for i in range(2))
 
 
 def test_type_profile_validates():

@@ -6,7 +6,13 @@ import pytest
 
 from frozenrank import analytic
 from frozenrank.errors import ResourceCapError
-from frozenrank.exactla import DENSE_CAP
+from frozenrank.exactla import (
+    DENSE_CAP,
+    TypeProfile,
+    classify_variable,
+    type_census,
+    variable_types,
+)
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
@@ -17,7 +23,8 @@ from frozenrank.harness import (
     summarize,
     write_csv_file,
 )
-from frozenrank.prf import TAG_PERM, derive_seed
+from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
+from frozenrank.prf import TAG_PERM, TAG_THETA, derive_seed
 from frozenrank.randgraph import Graph, WeightTemplate, karp_sipser, sample_T, sample_graph
 
 
@@ -38,9 +45,8 @@ def test_config_validation():
         small_cfg(template="fancy")
     with pytest.raises(ValueError):
         small_cfg(census=True)  # pert_P missing
-    with pytest.raises(ValueError):
-        small_cfg(census=True, pert_P=8, n=401)  # census cap
-    with pytest.raises(ValueError):
+    assert small_cfg(census=True, pert_P=8, n=401).census  # no census cap below DENSE_CAP
+    with pytest.raises(ResourceCapError):
         small_cfg(census=True, pert_P=8, field="Q")  # exact rational cap
     assert small_cfg(census=True, pert_P=8, n=56, field="Q").census  # fits the cap
     with pytest.raises(ResourceCapError):
@@ -244,3 +250,26 @@ def test_write_csv_failure_names_path(tmp_path):
     with pytest.raises(OSError) as err:
         write_csv_file(records, str(target))
     assert "out.csv" in str(err.value)
+
+
+def _census_matrix(cfg: ExperimentConfig, index: int):
+    """The perturbed matrix that ``_run_census_trial`` types, built the same way."""
+    trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
+    template = WeightTemplate(cfg.field_spec, cfg.n, cfg.template, weight_seed)
+    G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
+    T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
+    theta = PerturbationSpec.draw(cfg.pert_P, derive_seed(trial_seed, 0, TAG_THETA))
+    return canonical_perturb(T, theta, CoupledFamilies.from_seed(trial_seed))
+
+
+@pytest.mark.parametrize("field,n", [("F2", 20), ("F2", 60), ("Fp:3", 20), ("Fp:3", 60),
+                                     ("Fp:2147483647", 20), ("Fp:2147483647", 60),
+                                     ("Q", 20)])
+def test_census_matches_per_variable_classification(field, n):
+    cfg = ExperimentConfig(n=n, d=2.718, field=field, template="random", trials=1,
+                           master_seed=5, census=True, pert_P=8)
+    M = _census_matrix(cfg, 0)
+    types = variable_types(M, n)
+    assert types == tuple(classify_variable(M, i) for i in range(n))
+    assert run_census(cfg)[0][0].census == type_census(M, census_size=n) \
+        == TypeProfile.tally(types)
