@@ -244,7 +244,7 @@ class Matrix:
             if self.field.is_gf2:
                 rank, pivots, R = _rref_gf2(self._a, self.n)
             elif self._a is not None:
-                rank, pivots, R = _rref_modp(self._a, self.field.p)
+                rank, pivots, R = _rref_modp(self._a.copy(), self.field.p)
             else:
                 R = [list(r) for r in self._rows]
                 rank, pivots = _rref_fraction(R, self.n)
@@ -270,7 +270,7 @@ class Matrix:
             rank, pivots, W = _rref_gf2(self._a, self.n)
             return rank, pivots, [list(map(int, r)) for r in _unpack_gf2(W, self.n)]
         if self._a is not None:
-            rank, pivots, arr = _rref_modp(self._a, self.field.p)
+            rank, pivots, arr = _rref_modp(self._a.copy(), self.field.p)
             return rank, pivots, [list(map(int, r)) for r in arr[:rank]]
         rows = [list(r) for r in self._rows]
         rank, pivots = _rref_fraction(rows, self.n)
@@ -427,8 +427,8 @@ def _rank_modp(arr: np.ndarray, p: int) -> int:
     return _forward_modp(arr.copy(), p)[0]
 
 
-def _rref_modp(arr: np.ndarray, p: int):
-    M = arr.copy()
+def _rref_modp(M: np.ndarray, p: int):
+    """In-place RREF; returns (rank, pivots, M)."""
     r, pivots = _forward_modp(M, p)
     for i in range(r - 1, -1, -1):
         c = pivots[i]
@@ -773,9 +773,10 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
         return []
     m, n, s = A.m, A.n, len(S)
     if A._a is not None:
-        E = np.zeros((n, s), dtype=A._a.dtype)
-        E[S, np.arange(s)] = 1
-        aug = np.hstack([A._a.T, E])
+        # built once and reduced in place: the largest array of a census
+        aug = np.zeros((n, m + s), dtype=A._a.dtype)
+        aug[:, :m] = A._a.T
+        aug[S, m + np.arange(s)] = 1
         if A.field.is_gf2:
             _, pivots, W = _rref_gf2(aug, m + s)
 

@@ -32,7 +32,15 @@ from .prf import (
     TAG_WEIGHTS,
     derive_seed,
 )
-from .randgraph import CouplingSource, Graph, WeightTemplate, karp_sipser, sample_T, sample_graph
+from .randgraph import (
+    CouplingSource,
+    Graph,
+    KSResult,
+    WeightTemplate,
+    karp_sipser,
+    sample_T,
+    sample_graph,
+)
 
 CSV_SCHEMA_TAG = "#frozenrank-v1"
 
@@ -266,23 +274,29 @@ def _trial_streams(master_seed: int, index: int):
     return trial_seed, coupling, weight_seed
 
 
-def _rank_of_graph(cfg: ExperimentConfig, G: Graph) -> int:
-    """Exact rank; rationals above the exact cap use the documented proxy:
-    the maximum rank over three large-prime reductions (a lower-bound
-    certificate for the rational rank, equal to it with high probability)."""
-    spec = cfg.field_spec
-    if spec.kind != "rationals" or cfg.n <= DEFAULT_RATIONAL_CAP:
-        return G.adjacency().rank()
+def _rank_of_graph(ks: KSResult) -> int:
+    """Exact rank of the adjacency that ``ks`` reduced, read off its
+    leaf-removal core by the identity in :class:`KSResult`; an empty core
+    builds no matrix.  A rational core above the exact cap uses the
+    documented proxy: the maximum rank over three large-prime reductions of
+    the core (a lower-bound certificate for its rational rank, equal to it
+    with high probability)."""
+    core = ks.core
+    rank = 2 * len(ks.removed_pairs)
+    if core.n == 0:
+        return rank
+    if core.field.kind != "rationals" or core.n <= DEFAULT_RATIONAL_CAP:
+        return rank + core.adjacency().rank()
     best = 0
     for p in RATIONAL_PROXY_PRIMES:
         proxy = FieldSpec.prime(p)
         edges = []
-        for i, j, w in G.edges:
+        for i, j, w in core.edges:
             num = w.numerator % p
             den = w.denominator % p
             edges.append((i, j, num * pow(den, p - 2, p) % p))
-        best = max(best, Graph(n=G.n, field=proxy, edges=tuple(edges)).adjacency().rank())
-    return best
+        best = max(best, Graph(n=core.n, field=proxy, edges=tuple(edges)).adjacency().rank())
+    return rank + best
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
@@ -290,9 +304,8 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
     spec = cfg.field_spec
     template = WeightTemplate(spec, cfg.n, cfg.template, weight_seed)
-    G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
-    rank = _rank_of_graph(cfg, G)
-    ks = karp_sipser(G)
+    ks = karp_sipser(sample_graph(cfg.n, cfg.d / cfg.n, template, coupling))
+    rank = _rank_of_graph(ks)
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,
@@ -323,10 +336,10 @@ def _run_census_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     T = sample_T(G, cfg.n, perm_seed=perm_seed)
     perturbed = canonical_perturb(T, theta, fams)
     profile = type_census(perturbed, census_size=cfg.n)
-    rank = T.rank()
-    # T's support is G relabelled, and leaf-removal statistics are
-    # relabelling-invariant, so G gives the statistics of T's support
+    # T is G relabelled at full size, and rank and leaf-removal statistics
+    # are relabelling-invariant, so G's leaf removal gives both for T
     ks = karp_sipser(G)
+    rank = _rank_of_graph(ks)
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,

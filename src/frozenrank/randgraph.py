@@ -221,6 +221,14 @@ class KSResult:
     which is reindexed compactly in that order); every vertex is accounted
     for: ``isolated_count + len(core_vertices) + 2 * len(removed_pairs)``
     equals ``n``.
+
+    Rank identity: over any field and for any nonzero weights,
+    ``rank(A(G)) = 2 * len(removed_pairs) + rank(A(core))``.  When a leaf
+    ``v`` is removed with its neighbour ``u``, row and column ``v`` are
+    ``w * e_u`` with ``w != 0``, so they clear the rest of column and row
+    ``u`` and deleting both vertices lowers the rank by exactly 2; isolated
+    vertices are zero rows.  Equivalently,
+    ``nul(A(G)) = isolated_count + nul(A(core))``.
     """
 
     isolated_count: int
@@ -300,8 +308,8 @@ def karp_sipser(G: Graph, order_seed: int | None = None) -> KSResult:
 
 
 def nullity_invariance_check(G: Graph, *, cap: int = DENSE_CAP) -> bool:
-    """Exact check that leaf removal preserves the adjacency nullity:
-    ``nul(A(G)) == isolated_count + nul(A(core))`` over the graph's field.
+    """Exact check of the rank identity of :class:`KSResult`, in its
+    nullity form, against a dense elimination of the whole adjacency.
     """
     if G.n > cap:
         raise ResourceCapError(f"graph has {G.n} vertices, above the exact-rank cap {cap}")

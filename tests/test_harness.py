@@ -1,12 +1,14 @@
 """Experiment orchestration: determinism, seeds, censuses, persistence."""
 
 import json
+import math
 
 import pytest
 
-from frozenrank import analytic
+from frozenrank import analytic, randgraph
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
+    DEFAULT_RATIONAL_CAP,
     DENSE_CAP,
     TypeProfile,
     classify_variable,
@@ -16,6 +18,7 @@ from frozenrank.exactla import (
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
+    _run_trial,
     _trial_streams,
     records_to_csv,
     run_census,
@@ -113,8 +116,9 @@ def test_rational_rank_paths():
     # below the exact cap: exact rational elimination
     small, _ = run_experiment(ExperimentConfig(
         n=40, d=2.0, field="Q", trials=2, master_seed=5, template="random"))
-    # above: large-prime proxy; must agree with F2 ranks on the same support
-    # at least as an upper bound (rational rank >= any prime reduction)
+    # above: read off the leaf-removal core (exact while the core fits the
+    # cap, else the large-prime proxy); must agree with F2 ranks on the same
+    # support at least as an upper bound (rational rank >= any prime reduction)
     big, _ = run_experiment(ExperimentConfig(
         n=120, d=2.0, field="Q", trials=2, master_seed=5, template="random"))
     gf2, _ = run_experiment(ExperimentConfig(
@@ -165,21 +169,25 @@ def test_census_records_and_identities():
 
 
 def test_census_ks_stats_are_those_of_T():
-    # the census reads leaf-removal statistics off the unrelabelled graph;
-    # they must equal those of the support of the relabelled T itself
-    cfg = ExperimentConfig(n=60, d=2.0, field="Fp:5", template="random", trials=3,
-                           master_seed=21, census=True, pert_P=8)
-    records, _ = run_census(cfg)
-    for r in records:
-        trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, r.trial_index)
-        template = WeightTemplate(cfg.field_spec, cfg.n, cfg.template, weight_seed)
-        G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
-        T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
-        assert T.rank() == r.rank
-        support = tuple((i, j, T.entry(i, j).value) for i in range(cfg.n)
-                        for j in range(i + 1, cfg.n) if not T.entry(i, j).is_zero())
-        ks = karp_sipser(Graph(cfg.n, cfg.field_spec, support))
-        assert (ks.isolated_count, len(ks.core_vertices)) == (r.ks_isolated, r.ks_core_size)
+    # the census reads its rank and leaf-removal statistics off the
+    # unrelabelled graph's core; they must equal those of the relabelled T
+    # itself, from an empty core (d = 0.5) to one holding most vertices (d = 5)
+    cases = [("Fp:5", "random", 60, 2.0)] + [
+        (field, template, n, d)
+        for field, template, n in (("F2", "allones", 60), ("Fp:3", "random", 60),
+                                   ("Fp:2147483647", "random", 60), ("Q", "random", 40))
+        for d in (0.5, math.e, 5.0)]
+    for field, template, n, d in cases:
+        cfg = ExperimentConfig(n=n, d=d, field=field, template=template, trials=3,
+                               master_seed=21, census=True, pert_P=8)
+        records, _ = run_census(cfg)
+        for r in records:
+            T = _census_T(cfg, r.trial_index)
+            assert T.rank() == r.rank
+            support = tuple((i, j, T.entry(i, j).value) for i in range(n)
+                            for j in range(i + 1, n) if not T.entry(i, j).is_zero())
+            ks = karp_sipser(Graph(n, cfg.field_spec, support))
+            assert (ks.isolated_count, len(ks.core_vertices)) == (r.ks_isolated, r.ks_core_size)
 
 
 def test_census_via_run_experiment_flag():
@@ -252,12 +260,24 @@ def test_write_csv_failure_names_path(tmp_path):
     assert "out.csv" in str(err.value)
 
 
+def _trial_graph(cfg: ExperimentConfig, index: int) -> Graph:
+    """The graph that trial ``index`` samples, built the same way."""
+    _, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
+    template = WeightTemplate(cfg.field_spec, cfg.n, cfg.template, weight_seed)
+    return sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
+
+
+def _census_T(cfg: ExperimentConfig, index: int):
+    """The relabelled matrix T of census trial ``index``."""
+    trial_seed = _trial_streams(cfg.master_seed, index)[0]
+    return sample_T(_trial_graph(cfg, index), cfg.n,
+                    perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
+
+
 def _census_matrix(cfg: ExperimentConfig, index: int):
     """The perturbed matrix that ``_run_census_trial`` types, built the same way."""
-    trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
-    template = WeightTemplate(cfg.field_spec, cfg.n, cfg.template, weight_seed)
-    G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
-    T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
+    trial_seed = _trial_streams(cfg.master_seed, index)[0]
+    T = _census_T(cfg, index)
     theta = PerturbationSpec.draw(cfg.pert_P, derive_seed(trial_seed, 0, TAG_THETA))
     return canonical_perturb(T, theta, CoupledFamilies.from_seed(trial_seed))
 
@@ -273,3 +293,63 @@ def test_census_matches_per_variable_classification(field, n):
     assert types == tuple(classify_variable(M, i) for i in range(n))
     assert run_census(cfg)[0][0].census == type_census(M, census_size=n) \
         == TypeProfile.tally(types)
+
+
+# ------------------------------------------- rank from the leaf-removal core
+
+# d < 1 and d = 1 leave an empty core; at d = 5 the core holds most vertices
+ORACLE_DEGREES = (0.5, 1.0, math.e, 3.0, 5.0)
+ORACLE_FIELDS = (("F2", "allones", 200), ("Fp:3", "random", 200),
+                 ("Fp:2147483647", "allones", 200), ("Fp:2147483647", "random", 200),
+                 ("Q", "random", 70), ("Q", "allones", 40))
+
+
+@pytest.mark.parametrize("field,template,n", ORACLE_FIELDS)
+@pytest.mark.parametrize("d", ORACLE_DEGREES)
+def test_trial_rank_matches_dense_oracle(field, template, n, d):
+    # Q at n > 64 is checked against exact elimination of the whole graph;
+    # the three-prime proxy on a core above the cap is pinned just below
+    cfg = ExperimentConfig(n=n, d=d, field=field, template=template, trials=1,
+                           master_seed=7)
+    G = _trial_graph(cfg, 0)
+    assert _run_trial(cfg, 0).rank == G.adjacency().rank(rational_cap=n)
+
+
+@pytest.mark.parametrize("template", ("random", "allones"))
+def test_rational_proxy_rank_matches_exact_oracle(template):
+    cfg = ExperimentConfig(n=90, d=5.0, field="Q", template=template, trials=2,
+                           master_seed=7)
+    for index in range(cfg.trials):
+        G = _trial_graph(cfg, index)
+        assert len(karp_sipser(G).core_vertices) > DEFAULT_RATIONAL_CAP
+        assert _run_trial(cfg, index).rank == G.adjacency().rank(rational_cap=cfg.n)
+
+
+@pytest.mark.parametrize("field", ("F2", "Fp:3", "Fp:2147483647", "Q"))
+def test_trial_rank_degenerate_graphs(field):
+    one = _run_trial(ExperimentConfig(n=1, d=0.5, field=field, trials=1, master_seed=1), 0)
+    assert (one.rank, one.nullity, one.ks_isolated) == (0, 1, 1)
+    empty = _run_trial(ExperimentConfig(n=90, d=0.0, field=field, trials=1, master_seed=1), 0)
+    assert (empty.rank, empty.ks_isolated, empty.ks_core_size) == (0, 90, 0)
+
+
+@pytest.mark.parametrize("field", ("F2", "Fp:2147483647", "Q"))
+def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
+    built = []
+    adjacency = randgraph.Graph.adjacency
+
+    def recorded(self):
+        built.append(self.n)
+        return adjacency(self)
+
+    monkeypatch.setattr(randgraph.Graph, "adjacency", recorded)
+    for d in (0.5, 3.0, 5.0):
+        cfg = ExperimentConfig(n=150, d=d, field=field, template="random", trials=1,
+                               master_seed=3)
+        built.clear()
+        record = _run_trial(cfg, 0)
+        core = len(karp_sipser(_trial_graph(cfg, 0)).core_vertices)
+        assert record.ks_core_size == core
+        # no matrix at all for an empty core; one per proxy prime for a big Q core
+        assert all(size == core for size in built)
+        assert len(built) == (0 if core == 0 else 3 if field == "Q" and core > 64 else 1)
