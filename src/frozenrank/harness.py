@@ -288,14 +288,13 @@ def _rank_of_graph(ks: KSResult) -> int:
     if core.field.kind != "rationals" or core.n <= DEFAULT_RATIONAL_CAP:
         return rank + core.adjacency().rank()
     best = 0
+    denominators = {w.denominator for _, _, w in core.edges}
     for p in RATIONAL_PROXY_PRIMES:
         proxy = FieldSpec.prime(p)
-        edges = []
-        for i, j, w in core.edges:
-            num = w.numerator % p
-            den = w.denominator % p
-            edges.append((i, j, num * pow(den, p - 2, p) % p))
-        best = max(best, Graph(n=core.n, field=proxy, edges=tuple(edges)).adjacency().rank())
+        inverse = {den: pow(den, p - 2, p) for den in denominators}
+        edges = tuple((i, j, w.numerator * inverse[w.denominator] % p)
+                      for i, j, w in core.edges)
+        best = max(best, Graph(n=core.n, field=proxy, edges=edges).adjacency().rank())
     return rank + best
 
 

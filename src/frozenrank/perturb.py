@@ -74,7 +74,7 @@ def indices_over_seeds(family_seeds: np.ndarray, k: int, n1: int) -> np.ndarray:
     seeds = np.asarray(family_seeds, dtype=np.uint64)
     best = np.zeros(seeds.shape, dtype=np.int64)  # level 1 record, 0-based
     with np.errstate(over="ignore"):
-        base = _mix64_array(seeds.copy())
+        base = _mix64_array(seeds)
         for level in range(2, n1 + 1):
             h = _mix64_array(_mix64_array(base ^ np.uint64(k)) ^ np.uint64(level))
             u = 1 + (h % np.uint64(level)).astype(np.int64)

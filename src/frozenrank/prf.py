@@ -6,7 +6,10 @@ gives O(1) memory, exact reproducibility, and coupling of samples across
 matrix sizes and edge probabilities for free: querying ``(seed, i, j)``
 twice, or from two differently sized matrices, returns the same value.
 
-Scalar and numpy-vectorized paths implement the identical function.
+Scalar and numpy-vectorized paths implement the identical function.  The
+vectorized :func:`prf_array` broadcasts its two words against each other and
+mixes the first word over its own shape only, so a block of rows against a
+run of columns costs one mixing round per pair.
 """
 
 from __future__ import annotations
@@ -45,22 +48,33 @@ def prf(seed: int, *words: int) -> int:
 
 
 def prf_array(seed: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized ``prf(seed, a[k], b[k])`` over uint64 arrays.
+    """Vectorized ``prf(seed, a, b)`` over uint64 arrays that broadcast
+    against each other: element ``k`` of the broadcast shape is
+    ``prf(seed, a[k], b[k])``.
 
-    numpy integer overflow wraps (mod 2^64), matching the scalar path.
+    The first round, ``mix64(mix64(seed) ^ a)``, runs over ``a``'s shape
+    only; the second runs over the broadcast shape.  numpy integer overflow
+    wraps (mod 2^64), matching the scalar path.  ``a`` and ``b`` are never
+    modified.
     """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = np.full_like(np.asarray(a, dtype=np.uint64), mix64(seed & _M64))
-        for w in (a, b):
-            h = _mix64_array(h ^ np.asarray(w, dtype=np.uint64))
-    return h
+        h = _mix64_array(a ^ np.uint64(mix64(seed & _M64)))
+        return _mix64_array(h ^ b)
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x + np.uint64(_C1)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_C2)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_C3)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer, elementwise, on a new array; ``x`` is left as
+    it is.  The rounds run in place on that copy, with one scratch array
+    for the shifts."""
+    x = np.add(x, np.uint64(_C1), dtype=np.uint64)
+    t = np.empty_like(x)
+    for shift, mul in ((30, _C2), (27, _C3)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= np.uint64(mul)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def derive_seed(seed: int, index: int, tag: int) -> int:

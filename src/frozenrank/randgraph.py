@@ -97,16 +97,18 @@ class Graph:
     edges: tuple  # ((i, j, raw_weight), ...) with i < j
 
     def __post_init__(self):
+        n = self.n
         seen = set()
+        add = seen.add
         for i, j, w in self.edges:
             if i == j:
                 raise ValueError("self-loops are not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("edge endpoint out of range")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            add(key)
             if w == 0:
                 raise ValueError("edge weights must be nonzero")
 
@@ -143,35 +145,66 @@ class Graph:
 # ------------------------------------------------------------------ sampling
 
 
-def _validate_sample_args(n: int, p: float, template: WeightTemplate):
+def _validate_sample_args(n: int, template: WeightTemplate):
+    # p is checked by edge_cut, before any pair is evaluated
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     if template.n < n:
         raise ValueError(f"template size {template.n} smaller than n={n}")
 
 
+# rows of the pair grid that sample_edges evaluates per prf_array call: enough
+# to amortise numpy's per-call cost, few enough that a block's temporaries
+# (rows x n uint64 words, 0.5 MB at n = 2000) stay small
+_BLOCK_ROWS = 32
+
+
+def edge_cut(p: float) -> int:
+    """Least integer ``q`` with ``q / 2**64 >= p`` in float arithmetic, for
+    ``0 <= p <= 1``: a pair is an edge iff its 64-bit PRF value is below it.
+
+    This is the test ``CouplingSource.q(i, j) < p`` on integers, found by an
+    exact binary search on that same predicate (the conversion of ``q`` to
+    float rounds, so for ``p = 1`` the values that round up to ``2**64`` are
+    not edges).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    lo, hi = 0, (1 << 64) - 1  # the predicate holds at hi: q / 2**64 == 1.0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / _TWO64 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray, np.ndarray]:
-    """Edge support under the monotone coupling: pairs with q(i, j) < p."""
-    ii_out, jj_out = [], []
-    for i in range(n - 1):
-        jj = np.arange(i + 1, n, dtype=np.uint64)
-        q = prf_array(coupling.seed, np.full(jj.shape, i, dtype=np.uint64), jj)
-        hit = jj[q.astype(np.float64) / _TWO64 < p].astype(np.int64)
-        if hit.size:
-            ii_out.append(np.full(hit.shape, i, dtype=np.int64))
-            jj_out.append(hit)
-    if not ii_out:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(ii_out), np.concatenate(jj_out)
+    """Edge support under the monotone coupling: pairs with q(i, j) < p,
+    as int64 arrays ``(i, j)`` with ``i < j``, in row-major order."""
+    cut = np.uint64(edge_cut(p))
+    vertices = np.arange(n, dtype=np.uint64)
+    empty = np.zeros(0, dtype=np.int64)
+    ii_out, jj_out = [empty], [empty]
+    for r0 in range(0, n - 1, _BLOCK_ROWS):
+        rows = vertices[r0:r0 + _BLOCK_ROWS]
+        q = prf_array(coupling.seed, rows[:, None], vertices[None, r0 + 1:])
+        # divmod of the flat hits: np.nonzero of a 2-D mask is ~5x slower
+        ii, jj = np.divmod(np.flatnonzero(q < cut), q.shape[1])
+        ii += r0
+        jj += r0 + 1
+        upper = jj > ii
+        ii_out.append(ii[upper])
+        jj_out.append(jj[upper])
+    return np.concatenate(ii_out, dtype=np.int64), np.concatenate(jj_out, dtype=np.int64)
 
 
 def sample_graph(
     n: int, p: float, template: WeightTemplate, coupling: CouplingSource
 ) -> Graph:
     """Weighted graph with independent edges at probability ``p``."""
-    _validate_sample_args(n, p, template)
+    _validate_sample_args(n, template)
     ii, jj = sample_edges(n, p, coupling)
     ww = template.weights(ii, jj)
     edges = tuple(zip(ii.tolist(), jj.tolist(), ww.tolist()))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,11 @@ from frozenrank.exactla import (
     type_census,
     variable_types,
 )
+from frozenrank.field import FieldSpec
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
+    _rank_of_graph,
     _run_trial,
     _trial_streams,
     records_to_csv,
@@ -323,6 +326,21 @@ def test_rational_proxy_rank_matches_exact_oracle(template):
         G = _trial_graph(cfg, index)
         assert len(karp_sipser(G).core_vertices) > DEFAULT_RATIONAL_CAP
         assert _run_trial(cfg, index).rank == G.adjacency().rank(rational_cap=cfg.n)
+
+
+def test_rational_proxy_reduces_fractions_exactly():
+    # a cycle of length 4m has determinant (a - b)^2, where a and b are the
+    # weight products of its two perfect matchings, so it loses rank 2 exactly
+    # when they agree; here both are 1 over Q, and they stay equal modulo a
+    # prime only if 1/2 is reduced to the true inverse of 2
+    n = 68  # a cycle is its own leaf-removal core, above the exact cap
+    weights = [Fraction(1)] * n
+    weights[0], weights[2] = Fraction(1, 2), Fraction(2)
+    G = Graph(n, FieldSpec.rationals(),
+              tuple((k, k + 1, weights[k]) for k in range(n - 1)) + ((0, n - 1, weights[-1]),))
+    ks = karp_sipser(G)
+    assert len(ks.core_vertices) == n > DEFAULT_RATIONAL_CAP
+    assert _rank_of_graph(ks) == G.adjacency().rank(rational_cap=n) == n - 2
 
 
 @pytest.mark.parametrize("field", ("F2", "Fp:3", "Fp:2147483647", "Q"))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frozenrank.prf import Stream, derive_seed, mix64, prf, prf_array
+from frozenrank.prf import Stream, _mix64_array, derive_seed, mix64, prf, prf_array
 
 
 def test_prf_is_pure():
@@ -19,6 +19,34 @@ def test_scalar_vector_agreement():
     vec = prf_array(123456789, a, b)
     for k in (0, 1, 50, 142):
         assert int(vec[k]) == prf(123456789, int(a[k]), int(b[k]))
+
+
+def test_prf_array_broadcasts():
+    # (R, 1) x (1, C): each element is the scalar prf, the same values as on
+    # full-size arrays, and neither input is modified
+    seed = 2**63 + 12345
+    rows = np.array([0, 1, 7, 2**32, 2**64 - 1], dtype=np.uint64)[:, None]
+    cols = np.arange(3, 14, dtype=np.uint64)[None, :]
+    rows_before, cols_before = rows.copy(), cols.copy()
+    grid = prf_array(seed, rows, cols)
+    assert grid.shape == (5, 11)
+    for (r, c), v in np.ndenumerate(grid):
+        assert int(v) == prf(seed, int(rows[r, 0]), int(cols[0, c]))
+    full_rows = np.repeat(rows, 11, axis=1)
+    full_cols = np.repeat(cols, 5, axis=0)
+    full_before = full_rows.copy(), full_cols.copy()
+    assert np.array_equal(prf_array(seed, full_rows, full_cols), grid)
+    assert np.array_equal(rows, rows_before) and np.array_equal(cols, cols_before)
+    assert np.array_equal(full_rows, full_before[0]) and np.array_equal(full_cols, full_before[1])
+
+
+def test_mix64_array_leaves_its_input():
+    x = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    before = x.copy()
+    with np.errstate(over="ignore"):
+        mixed = _mix64_array(x)
+    assert [int(v) for v in mixed] == [mix64(int(v)) for v in before]
+    assert np.array_equal(x, before)
 
 
 def test_derive_seed_separates_domains():

@@ -1,5 +1,8 @@
 """Samplers, the monotone edge coupling, and leaf removal."""
 
+import math
+
+import numpy as np
 import pytest
 
 from frozenrank.errors import ResourceCapError
@@ -10,6 +13,7 @@ from frozenrank.randgraph import (
     CouplingSource,
     Graph,
     WeightTemplate,
+    edge_cut,
     format_graph,
     karp_sipser,
     nullity_invariance_check,
@@ -53,19 +57,55 @@ def test_sampling_deterministic():
 
 
 @pytest.mark.parametrize("tpl", [
-    WeightTemplate(F2, 25),
-    WeightTemplate(F5, 25, "random", seed=8),
-    WeightTemplate(Q, 25, "random", seed=8),
+    WeightTemplate(F2, 100),
+    WeightTemplate(F5, 100, "random", seed=8),
+    WeightTemplate(Q, 100, "random", seed=8),
 ], ids=["F2-allones", "F5-random", "Q-random"])
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0, "3/n"])
 def test_sample_matches_literal_coupling(tpl, p):
-    # the vectorised sampler against the scalar definition, pair by pair
+    # the blocked sampler against the scalar definition, pair by pair and in
+    # row-major order: within one block of rows (n=25) and across the block
+    # boundaries at 32 and 64 rows
     cpl = CouplingSource(41)
-    G = sample_graph(25, p, tpl, cpl)
-    literal = {(i, j) for i in range(25) for j in range(i + 1, 25) if cpl.q(i, j) < p}
-    assert {(i, j) for i, j, _ in G.edges} == literal
-    for i, j, w in G.edges:
-        assert w == tpl.entry(i, j).value
+    for n in (25, 31, 32, 33, 65, 100):
+        pn = 3 / n if p == "3/n" else p
+        G = sample_graph(n, pn, tpl, cpl)
+        literal = [(i, j) for i in range(n) for j in range(i + 1, n) if cpl.q(i, j) < pn]
+        assert [(i, j) for i, j, _ in G.edges] == literal
+        for i, j, w in G.edges:
+            assert w == tpl.entry(i, j).value
+
+
+_CUT_PROBABILITIES = sorted(
+    {0.0, 5e-324, 2.0**-70, 0.5, 1 - 2.0**-53, 1.0}
+    | {d / n for d in (0.5, 1, math.e, 3, 5) for n in (2, 300, 2000, 4096) if d <= n}
+)
+
+
+@pytest.mark.parametrize("p", _CUT_PROBABILITIES)
+def test_edge_cut_is_the_float_predicate(p):
+    # q is an edge iff q < cut iff q / 2**64 < p in float64, the test the
+    # scalar CouplingSource.q and numpy's uint64 -> float64 conversion make
+    def is_edge(q):
+        return q / 2.0**64 < p
+
+    cut = edge_cut(p)
+    assert 0 <= cut < 2**64
+    assert not is_edge(cut)
+    assert cut == 0 or is_edge(cut - 1)
+    q = np.array([max(cut - 1, 0), cut], dtype=np.uint64)
+    assert list(q.astype(np.float64) / 2.0**64 < p) == [cut > 0, False]
+
+
+def test_edge_cut_rounding_at_p_one():
+    # q rounds to 2**64 from the halfway point 2**64 - 1024 upwards (ties to
+    # even), so q / 2**64 < 1.0 fails there: those pairs are not edges at p=1
+    assert edge_cut(1.0) == 2**64 - 1024
+    assert not (2**64 - 1) < edge_cut(1.0)
+    assert edge_cut(0.0) == 0
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            edge_cut(p)
 
 
 def test_monotone_coupling():
