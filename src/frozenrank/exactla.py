@@ -25,10 +25,11 @@ Terminology used throughout (0-based column indices everywhere):
   ``X`` otherwise.
 
 Matrices are immutable after construction; all operations are pure and
-safe to call from concurrent workers.  Prime-field matrices are numpy
-arrays of canonical residues (bit-packed words during elimination when
-p = 2); rational matrices hold ``fractions.Fraction`` grids and are capped
-in size because elimination suffers coefficient blow-up.
+safe to call from concurrent workers.  Every matrix is one numpy array
+(:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
+a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
+Q alike; p = 2 runs on bit-packed words instead.  Rational matrices are
+capped in size because elimination suffers coefficient blow-up.
 """
 
 from __future__ import annotations
@@ -54,11 +55,20 @@ DEFAULT_ENUM_MAX_RANK = 14
 DEFAULT_ENUM_MAX_VECTORS = 1 << 20
 
 
-def _int_dtype(p: int):
-    # products of residues must fit the dtype: (p-1)^2 < 2^31 for int32
-    if p == 2:
-        return np.uint8  # elimination runs on packed words, never on residues
-    return np.int32 if p <= 46340 else np.int64
+def field_array(field: FieldSpec, values) -> np.ndarray:
+    """``values`` (an array, or rows, of canonical values) as a new array in
+    the storage of every :class:`Matrix` over ``field``.
+
+    Prime fields hold residues in ``[0, p)``, in an integer dtype that holds
+    the product of two of them (uint8 for p = 2, whose elimination runs on
+    packed words).  Q holds a ``dtype=object`` array whose entries are all
+    ``Fraction`` objects: the kernels divide by pivots, and ``1 / 1`` between
+    stray ints would be the float ``1.0``.
+    """
+    if field.kind == "rationals":
+        return np.frompyfunc(Fraction, 1, 1)(np.array(values, dtype=object))
+    p = field.p
+    return np.array(values, dtype=np.uint8 if p == 2 else np.int32 if p <= 46340 else np.int64)
 
 
 class Matrix:
@@ -68,15 +78,13 @@ class Matrix:
     trusted array fast path used by the samplers.
     """
 
-    __slots__ = ("field", "m", "n", "symmetric", "_a", "_rows", "_rank", "_ksup")
+    __slots__ = ("field", "m", "n", "symmetric", "_a", "_rank", "_ksup")
 
-    def __init__(self, field: FieldSpec, m: int, n: int, symmetric: bool, a, rows):
+    def __init__(self, field: FieldSpec, a: np.ndarray, symmetric: bool):
         self.field = field
-        self.m = m
-        self.n = n
+        self.m, self.n = a.shape
         self.symmetric = symmetric
-        self._a = a          # numpy residue array for prime fields, else None
-        self._rows = rows    # tuple of tuples of Fraction for Q, else None
+        self._a = a          # read-only, in the storage of field_array
         self._rank: int | None = None
         self._ksup: frozenset | None = None
 
@@ -90,66 +98,45 @@ class Matrix:
         n = len(data[0]) if m else 0
         if any(len(r) != n for r in data):
             raise ValueError("ragged rows")
-        if field.kind == "prime":
-            arr = np.array(data, dtype=_int_dtype(field.p)).reshape(m, n) % field.p
-            return Matrix._from_array(field, arr, symmetric)
-        grid = tuple(tuple(row) for row in data)
-        if symmetric:
-            _check_symmetric_grid(grid, m, n)
-        return Matrix(field, m, n, symmetric, None, grid)
+        return Matrix._from_array(field, field_array(field, data).reshape(m, n), symmetric)
 
     @staticmethod
     def _from_array(field: FieldSpec, arr: np.ndarray, symmetric: bool = False) -> "Matrix":
-        """Trusted fast path: ``arr`` must already hold canonical residues."""
-        if field.kind != "prime":
-            raise ValueError("array construction requires a prime field")
-        arr = np.ascontiguousarray(arr, dtype=_int_dtype(field.p))
+        """Trusted fast path: ``arr`` must already be in the storage of
+        :func:`field_array`."""
+        arr = np.ascontiguousarray(arr)
         m, n = arr.shape
         if symmetric and (m != n or not np.array_equal(arr, arr.T)):
             raise ValueError("symmetric flag set but matrix is not symmetric")
         arr.setflags(write=False)
-        return Matrix(field, m, n, symmetric, arr, None)
+        return Matrix(field, arr, symmetric)
 
     @staticmethod
     def zeros(field: FieldSpec, m: int, n: int) -> "Matrix":
-        if field.kind == "prime":
-            return Matrix._from_array(field, np.zeros((m, n), dtype=_int_dtype(field.p)))
-        zero = Fraction(0)
-        return Matrix(field, m, n, False, None, tuple(tuple([zero] * n) for _ in range(m)))
+        return Matrix._from_array(field, field_array(field, np.zeros((m, n), dtype=np.uint8)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        if field.kind == "prime":
-            return Matrix._from_array(field, np.eye(n, dtype=_int_dtype(field.p)),
-                                      symmetric=True)
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        return Matrix(field, n, n, True, None, rows)
+        return Matrix._from_array(field, field_array(field, np.eye(n, dtype=np.uint8)),
+                                  symmetric=True)
 
     # ---------------------------------------------------------------- access
 
     def entry(self, i: int, j: int) -> FieldElement:
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise ValueError(f"entry ({i},{j}) out of range for {self.m}x{self.n}")
-        if self._a is not None:
-            return FieldElement(self.field, int(self._a[i, j]))
-        return FieldElement(self.field, self._rows[i][j])
+        return self.field.element(self._a[i, j])
 
     def to_values(self) -> list[list]:
         """Raw canonical values (ints for F_p, Fractions for Q), row-major."""
-        if self._a is not None:
-            return [[int(v) for v in row] for row in self._a]
-        return [list(row) for row in self._rows]
+        return self._a.tolist()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix) or other.field != self.field:
             return False
         if (other.m, other.n) != (self.m, self.n):
             return False
-        if self._a is not None:
-            return bool(np.array_equal(self._a, other._a))
-        return self._rows == other._rows
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):  # pragma: no cover - matrices are not dict keys in hot paths
         return hash((self.field, self.m, self.n))
@@ -160,10 +147,7 @@ class Matrix:
     # ------------------------------------------------------------- reshaping
 
     def transpose(self) -> "Matrix":
-        if self._a is not None:
-            return Matrix._from_array(self.field, self._a.T.copy(), self.symmetric)
-        rows = tuple(tuple(self._rows[i][j] for i in range(self.m)) for j in range(self.n))
-        return Matrix(self.field, self.n, self.m, self.symmetric, None, rows)
+        return Matrix._from_array(self.field, self._a.T, self.symmetric)
 
     def remove(self, rows=(), cols=()) -> "Matrix":
         """Matrix with the given row/column index sets deleted."""
@@ -171,28 +155,17 @@ class Matrix:
         cset = _index_set(cols, self.n, "column")
         keep_r = [i for i in range(self.m) if i not in rset]
         keep_c = [j for j in range(self.n) if j not in cset]
-        if self._a is not None:
-            sub = self._a[np.ix_(keep_r, keep_c)] if keep_r and keep_c else \
-                np.zeros((len(keep_r), len(keep_c)), dtype=self._a.dtype)
-            return Matrix._from_array(self.field, sub)
-        rows_out = tuple(tuple(self._rows[i][j] for j in keep_c) for i in keep_r)
-        return Matrix(self.field, len(keep_r), len(keep_c), False, None, rows_out)
+        return Matrix._from_array(self.field, self._a[np.ix_(keep_r, keep_c)])
 
     def append_row(self, vec) -> "Matrix":
         vals = _vector_values(self.field, vec, self.n)
-        if self._a is not None:
-            arr = np.vstack([self._a, np.asarray(vals, dtype=self._a.dtype)[None, :]])
-            return Matrix._from_array(self.field, arr)
-        return Matrix(self.field, self.m + 1, self.n, False, None,
-                      self._rows + (tuple(vals),))
+        arr = np.vstack([self._a, np.asarray(vals, dtype=self._a.dtype)[None, :]])
+        return Matrix._from_array(self.field, arr)
 
     def append_col(self, vec) -> "Matrix":
         vals = _vector_values(self.field, vec, self.m)
-        if self._a is not None:
-            arr = np.hstack([self._a, np.asarray(vals, dtype=self._a.dtype)[:, None]])
-            return Matrix._from_array(self.field, arr)
-        rows = tuple(self._rows[i] + (vals[i],) for i in range(self.m))
-        return Matrix(self.field, self.m, self.n + 1, False, None, rows)
+        arr = np.hstack([self._a, np.asarray(vals, dtype=self._a.dtype)[:, None]])
+        return Matrix._from_array(self.field, arr)
 
     # ------------------------------------------------------------------ rank
 
@@ -202,10 +175,8 @@ class Matrix:
             self._check_rational_cap(rational_cap)
             if self.field.is_gf2:
                 self._rank = _rank_gf2(self._a, self.n)
-            elif self._a is not None:
-                self._rank = _rank_modp(self._a, self.field.p)
             else:
-                self._rank = _rref_fraction([list(r) for r in self._rows], self.n)[0]
+                self._rank = _forward_dense(self._a.copy(), self.field.p)[0]
         return self._rank
 
     def nullity(self, *, rational_cap: int | None = None) -> int:
@@ -214,22 +185,17 @@ class Matrix:
     def kernel_basis(self, *, rational_cap: int | None = None) -> list[list[FieldElement]]:
         """Basis of the right kernel; length equals the nullity."""
         self._check_rational_cap(rational_cap)
-        rank, pivots, rref_rows = self._rref()
+        rank, pivots, R = self._rref()
         self._rank = rank
-        free = [j for j in range(self.n) if j not in set(pivots)]
+        pivset = set(pivots)
+        zero, one = self.field.zero(), self.field.one()
         basis = []
-        for f in free:
-            if self.field.kind == "prime":
-                v = [0] * self.n
-                v[f] = 1
-                for i, pcol in enumerate(pivots):
-                    v[pcol] = (-rref_rows[i][f]) % self.field.p
-            else:
-                v = [Fraction(0)] * self.n
-                v[f] = Fraction(1)
-                for i, pcol in enumerate(pivots):
-                    v[pcol] = -rref_rows[i][f]
-            basis.append([FieldElement(self.field, x) for x in v])
+        for f in (j for j in range(self.n) if j not in pivset):
+            v = [zero] * self.n
+            v[f] = one
+            for pcol, x in zip(pivots, R[:, f].tolist()):
+                v[pcol] = self.field.element(-x)
+            basis.append(v)
         return basis
 
     def kernel_support(self) -> frozenset[int]:
@@ -240,14 +206,10 @@ class Matrix:
         are exactly the complement within ``range(n)``.
         """
         if self._ksup is None:
-            self._check_rational_cap(None)
             if self.field.is_gf2:
                 rank, pivots, R = _rref_gf2(self._a, self.n)
-            elif self._a is not None:
-                rank, pivots, R = _rref_modp(self._a.copy(), self.field.p)
             else:
-                R = [list(r) for r in self._rows]
-                rank, pivots = _rref_fraction(R, self.n)
+                rank, pivots, R = self._rref()
             self._rank = rank
             pivset = set(pivots)
             free = [j for j in range(self.n) if j not in pivset]
@@ -256,25 +218,19 @@ class Matrix:
             elif self.field.is_gf2:
                 mask = sum(1 << j for j in free).to_bytes(8 * R.shape[1], "little")
                 hit = (R & np.frombuffer(mask, dtype=np.uint64)).any(axis=1).tolist()
-            elif self._a is not None:
-                hit = R[:rank][:, free].any(axis=1).tolist()
             else:
-                hit = [any(R[i][f] for f in free) for i in range(rank)]
+                hit = R[:, free].any(axis=1).tolist()
             self._ksup = frozenset(free + [c for c, h in zip(pivots, hit) if h])
         return self._ksup
 
     def _rref(self):
-        """(rank, pivot columns, reduced rows as plain lists of values)."""
+        """(rank, pivot columns, the ``rank x n`` array of reduced rows)."""
         self._check_rational_cap(None)
         if self.field.is_gf2:
             rank, pivots, W = _rref_gf2(self._a, self.n)
-            return rank, pivots, [list(map(int, r)) for r in _unpack_gf2(W, self.n)]
-        if self._a is not None:
-            rank, pivots, arr = _rref_modp(self._a.copy(), self.field.p)
-            return rank, pivots, [list(map(int, r)) for r in arr[:rank]]
-        rows = [list(r) for r in self._rows]
-        rank, pivots = _rref_fraction(rows, self.n)
-        return rank, pivots, rows[:rank]
+            return rank, pivots, _unpack_gf2(W, self.n)
+        rank, pivots, M = _rref_dense(self._a.copy(), self.field.p)
+        return rank, pivots, M[:rank]
 
     def _check_rational_cap(self, override: int | None) -> None:
         if self.field.kind != "rationals":
@@ -315,15 +271,6 @@ def _index_set(indices, bound: int, what: str) -> set[int]:
             raise ValueError(f"{what} index {i} out of range [0, {bound})")
         out.add(i)
     return out
-
-
-def _check_symmetric_grid(grid, m, n):
-    if m != n:
-        raise ValueError("symmetric flag set but matrix is not square")
-    for i in range(m):
-        for j in range(i + 1, n):
-            if grid[i][j] != grid[j][i]:
-                raise ValueError("symmetric flag set but matrix is not symmetric")
 
 
 # ----------------------------------------------------- GF(2) packed kernels
@@ -393,10 +340,13 @@ def _rref_gf2(arr: np.ndarray, n: int):
     return r, pivots, W[:r]
 
 
-# ------------------------------------------------------------ mod-p kernels
+# ------------------------------------------------- F_p and Q dense kernels
+# ``M`` is a writable array in the storage of field_array, and ``p`` is the
+# field's characteristic, or None for Q.  Only normalising a pivot row and
+# reducing an updated block depend on the field.
 
 
-def _forward_modp(M: np.ndarray, p: int) -> tuple[int, list[int]]:
+def _forward_dense(M: np.ndarray, p: int | None) -> tuple[int, list[int]]:
     """In-place forward elimination with normalized pivot rows."""
     m, n = M.shape
     r = 0
@@ -412,57 +362,32 @@ def _forward_modp(M: np.ndarray, p: int) -> tuple[int, list[int]]:
             tmp = M[piv].copy()
             M[piv] = M[r]
             M[r] = tmp
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r, c:] = (M[r, c:] * M.dtype.type(inv)) % p
-        rows = r + 1 + np.nonzero(M[r + 1:, c])[0]
-        if rows.size:
-            f = M[rows, c][:, None]
-            M[rows, c:] = (M[rows, c:] - f * M[r, c:][None, :]) % p
+        if p is None:
+            M[r, c:] = M[r, c:] / M[r, c]
+        else:
+            inv = pow(int(M[r, c]), p - 2, p)
+            M[r, c:] = (M[r, c:] * M.dtype.type(inv)) % p
+        _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p)
         pivots.append(c)
         r += 1
     return r, pivots
 
 
-def _rank_modp(arr: np.ndarray, p: int) -> int:
-    return _forward_modp(arr.copy(), p)[0]
-
-
-def _rref_modp(M: np.ndarray, p: int):
+def _rref_dense(M: np.ndarray, p: int | None):
     """In-place RREF; returns (rank, pivots, M)."""
-    r, pivots = _forward_modp(M, p)
+    r, pivots = _forward_dense(M, p)
     for i in range(r - 1, -1, -1):
         c = pivots[i]
-        rows = np.nonzero(M[:i, c])[0]
-        if rows.size:
-            f = M[rows, c][:, None]
-            M[rows, c:] = (M[rows, c:] - f * M[i, c:][None, :]) % p
+        _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p)
     return r, pivots, M
 
 
-# --------------------------------------------------------- Fraction kernels
-
-
-def _rref_fraction(rows: list[list[Fraction]], n: int) -> tuple[int, list[int]]:
-    """In-place RREF over Q; returns (rank, pivot columns)."""
-    m = len(rows)
-    r = 0
-    pivots: list[int] = []
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return r, pivots
+def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int | None) -> None:
+    """Clear column ``c`` of ``rows`` with the normalized pivot row ``r``."""
+    if rows.size:
+        f = M[rows, c][:, None]
+        upd = M[rows, c:] - f * M[r, c:][None, :]
+        M[rows, c:] = upd if p is None else upd % p
 
 
 # ------------------------------------------------------- frozen variables
@@ -523,7 +448,8 @@ def _row_space_supports(A: Matrix, max_vectors: int) -> set[frozenset[int]]:
     """Supports of all nonzero row-space vectors (exponential in rank)."""
     if A.field.kind != "prime":
         raise ValueError("row-space enumeration requires a finite field")
-    rank, _, rows = A._rref()
+    rank, _, R = A._rref()
+    rows = R.tolist()
     count = A.field.p ** rank
     if count > max_vectors:
         raise ResourceCapError(
@@ -772,34 +698,20 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
     if not S:
         return []
     m, n, s = A.m, A.n, len(S)
-    if A._a is not None:
-        # built once and reduced in place: the largest array of a census
-        aug = np.zeros((n, m + s), dtype=A._a.dtype)
-        aug[:, :m] = A._a.T
-        aug[S, m + np.arange(s)] = 1
-        if A.field.is_gf2:
-            _, pivots, W = _rref_gf2(aug, m + s)
-
-            def entry(r, c):
-                return int(W[r, c >> 6]) >> (c & 63) & 1
-        else:
-            _, pivots, M = _rref_modp(aug, A.field.p)
-
-            def entry(r, c):
-                return M[r, c]
+    # built once and reduced in place: the largest array of a census
+    aug = field_array(A.field, np.zeros((n, m + s), dtype=np.uint8))
+    aug[:, :m] = A._a.T
+    aug[S, m + np.arange(s)] = A.field.one().value
+    if A.field.is_gf2:
+        _, pivots, W = _rref_gf2(aug, m + s)
+        R = _unpack_gf2(W, m + s)
     else:
-        one, zero = Fraction(1), Fraction(0)
-        rows = [[A._rows[r][c] for r in range(m)] + [one if c == i else zero for i in S]
-                for c in range(n)]
-        _, pivots = _rref_fraction(rows, m + s)
-
-        def entry(r, c):
-            return rows[r][c]
+        _, pivots, R = _rref_dense(aug, A.field.p)
     if pivots and pivots[-1] >= m:
         raise AssertionError("[A^T | E_S] is inconsistent; exact arithmetic bug")
     row_of = {c: r for r, c in enumerate(pivots)}
     # a free column i would mean y_i = 0; frozen in A^T, i is always a pivot
-    return [i in row_of and bool(entry(row_of[i], m + t)) for t, i in enumerate(S)]
+    return [i in row_of and bool(R[row_of[i], m + t]) for t, i in enumerate(S)]
 
 
 def type_census(A: Matrix, census_size: int | None = None) -> TypeProfile:
@@ -841,10 +753,7 @@ def relabelled(A: Matrix, perm) -> Matrix:
     inv = [0] * A.n
     for i, t in enumerate(perm):
         inv[t] = i
-    if A._a is not None:
-        return Matrix._from_array(A.field, A._a[np.ix_(inv, inv)], A.symmetric)
-    rows = tuple(tuple(A._rows[inv[i]][inv[j]] for j in range(A.n)) for i in range(A.n))
-    return Matrix(A.field, A.n, A.n, A.symmetric, None, rows)
+    return Matrix._from_array(A.field, A._a[np.ix_(inv, inv)], A.symmetric)
 
 
 def block(grid: list[list[Matrix]]) -> Matrix:
@@ -852,24 +761,7 @@ def block(grid: list[list[Matrix]]) -> Matrix:
     fields = {B.field for row in grid for B in row}
     if len(fields) != 1:
         raise ValueError("block assembly requires a single field")
-    field = fields.pop()
-    if field.kind == "prime":
-        arr = np.block([[B._a for B in row] for row in grid])
-        return Matrix._from_array(field, arr)
-    rows_out = []
-    for row in grid:
-        height = {B.m for B in row}
-        if len(height) != 1:
-            raise ValueError("inconsistent block heights")
-        for i in range(height.pop()):
-            merged: tuple = ()
-            for B in row:
-                merged = merged + B._rows[i]
-            rows_out.append(merged)
-    n = len(rows_out[0]) if rows_out else 0
-    if any(len(r) != n for r in rows_out):
-        raise ValueError("inconsistent block widths")
-    return Matrix(field, len(rows_out), n, False, None, tuple(rows_out))
+    return Matrix._from_array(fields.pop(), np.block([[B._a for B in row] for row in grid]))
 
 
 # ------------------------------------------------------------- text format
@@ -892,7 +784,8 @@ def parse_matrix(text: str) -> Matrix:
         raise ValueError('matrix header must be "m n field"')
     m, n = int(head[0]), int(head[1])
     field = FieldSpec.parse_label(head[2])
-    if len(lines) != m + 1:
+    # the rows of an m x 0 matrix are blank lines, which are skipped
+    if len(lines) != (m + 1 if n else 1):
         raise ValueError(f"expected {m} entry rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
@@ -900,4 +793,4 @@ def parse_matrix(text: str) -> Matrix:
         if len(toks) != n:
             raise ValueError(f"expected {n} entries per row, found {len(toks)}")
         rows.append([field.parse_entry(t).value for t in toks])
-    return Matrix.from_rows(field, rows)
+    return Matrix._from_array(field, field_array(field, rows).reshape(m, n))

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, Matrix
+from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, Matrix, field_array
 from .field import RATIONAL_POOL, FieldElement, FieldSpec
 from .prf import Stream, prf, prf_array
 
@@ -76,15 +76,16 @@ class WeightTemplate:
         return RATIONAL_POOL[h % len(RATIONAL_POOL)]
 
     def weights(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Raw weights of the pairs ``(lo[k], hi[k])`` with ``lo < hi``: int64
-        residues for prime fields, computed as one vector, and the scalar
-        :meth:`_raw` of each pair (an object array of Fractions) for Q."""
-        if self.field.kind != "prime":
-            return np.array([self._raw(a, b) for a, b in zip(lo.tolist(), hi.tolist())],
-                            dtype=object)
+        """:meth:`_raw` of the pairs ``(lo[k], hi[k])`` with ``lo < hi``,
+        computed as one vector: int64 residues for prime fields, an object
+        array of Fractions for Q."""
+        rational = self.field.kind == "rationals"
         if self.kind == "allones" or self.field.p == 2:
-            return np.ones(lo.shape, dtype=np.int64)
+            return np.full(lo.shape, self.field.one().value,
+                           dtype=object if rational else np.int64)
         h = prf_array(self.seed, lo.astype(np.uint64), hi.astype(np.uint64))
+        if rational:
+            return np.array(RATIONAL_POOL, dtype=object)[h % np.uint64(len(RATIONAL_POOL))]
         return 1 + (h % np.uint64(self.field.p - 1)).astype(np.int64)
 
 
@@ -129,17 +130,11 @@ class Graph:
             raise ResourceCapError(
                 f"dense adjacency of size {self.n} above the cap {DENSE_CAP}"
             )
-        if self.field.kind == "prime":
-            arr = np.zeros((self.n, self.n), dtype=np.int64)
-            for i, j, w in self.edges:
-                arr[i, j] = w
-                arr[j, i] = w
-            return Matrix._from_array(self.field, arr, symmetric=True)
-        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for i, j, w in self.edges:
-            rows[i][j] = w
-            rows[j][i] = w
-        return Matrix.from_rows(self.field, rows, symmetric=True)
+        arr = field_array(self.field, np.zeros((self.n, self.n), dtype=np.uint8))
+        if self.edges:
+            i, j, w = zip(*self.edges)
+            arr[i, j] = arr[j, i] = field_array(self.field, w)
+        return Matrix._from_array(self.field, arr, symmetric=True)
 
 
 # ------------------------------------------------------------------ sampling

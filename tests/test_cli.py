@@ -122,6 +122,16 @@ def test_classify(tmp_path, capsys):
     assert abs(payload["census"]["y"] - 1 / 3) < 1e-15
 
 
+def test_classify_matrix_without_rows(tmp_path, capsys):
+    # a 0 x 3 matrix: every column is free, so the nullity is 3
+    mfile = tmp_path / "empty.mat"
+    mfile.write_text("0 3 F2\n")
+    assert main(["classify", "--matrix", str(mfile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["m"], payload["n"], payload["rank"], payload["nullity"]) == (0, 3, 0, 3)
+    assert payload["frozen_columns"] == [] and payload["types"] == {}
+
+
 def test_classify_resource_cap(tmp_path):
     mfile = tmp_path / "big.mat"
     mfile.write_text(format_matrix(Matrix.zeros(Q, 70, 70)))

@@ -258,7 +258,7 @@ def test_census_of_rectangular_matrix():
 
 def _count_eliminations(monkeypatch):
     calls = []
-    for name in ("_rref_gf2", "_rref_modp", "_rref_fraction"):
+    for name in ("_rref_gf2", "_rref_dense"):
         kernel = getattr(exactla, name)
 
         def counted(*args, _kernel=kernel):
@@ -348,6 +348,15 @@ def test_matrix_format_roundtrip():
         assert parse_matrix(format_matrix(A)) == A
 
 
+@pytest.mark.parametrize("field", [F2, F5, Q])
+@pytest.mark.parametrize("m,n", [(0, 3), (2, 0), (0, 0)])
+def test_matrix_format_roundtrip_empty_dimension(field, m, n):
+    # the header alone fixes the shape: an m x 0 matrix has m blank rows
+    A = parse_matrix(format_matrix(Matrix.zeros(field, m, n)))
+    assert (A.m, A.n) == (m, n) and A == Matrix.zeros(field, m, n)
+    assert A.nullity() == n
+
+
 def test_matrix_format_header():
     text = format_matrix(edge2(F5, 3))
     assert text.splitlines()[0] == "2 2 Fp:5"
@@ -372,7 +381,7 @@ def test_parse_matrix_errors():
 
 
 def test_gf2_packed_rank_matches_generic_modp_at_scale():
-    from frozenrank.exactla import _rank_modp
+    from frozenrank.exactla import _forward_dense
     import numpy as np
 
     stream = Stream(61)
@@ -380,7 +389,7 @@ def test_gf2_packed_rank_matches_generic_modp_at_scale():
         arr = np.array([[stream.randbelow(2) for _ in range(n)] for _ in range(n)],
                        dtype=np.int64)
         A = Matrix.from_rows(F2, arr.tolist())
-        assert A.rank() == _rank_modp(arr, 2)
+        assert A.rank() == _forward_dense(arr.copy(), 2)[0]
 
 
 def test_rank_struct_invariances_at_scale():

@@ -1,0 +1,124 @@
+"""Rational matrices: an oracle for the shared dense kernel over Q, and the
+storage invariant that every entry of a Q matrix is a ``Fraction``.
+
+The oracle does not eliminate over Q.  A kernel basis ``K`` that annihilates
+``A`` exactly and is the identity on its free columns holds ``len(K)``
+independent kernel vectors, so ``rank <= n - len(K)``.  Clearing the
+denominators of each row keeps the rank, and reducing that integer matrix
+modulo a prime cannot raise it, so ``rank >= rank_p``.  Equal bounds pin the
+rank and make ``K`` a basis of the kernel.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from frozenrank.exactla import Matrix, block, field_array, format_matrix, parse_matrix, relabelled
+from frozenrank.field import FieldSpec
+from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
+from frozenrank.prf import Stream
+from frozenrank.randgraph import CouplingSource, Graph, WeightTemplate, karp_sipser, sample_graph
+from frozenrank.verify import random_matrix
+
+Q = FieldSpec.rationals()
+BIG = FieldSpec.prime(2**31 - 1)
+
+
+def _random_q_matrices():
+    stream = Stream(1968)
+    for _ in range(120):
+        m, n = 1 + stream.randbelow(12), 1 + stream.randbelow(12)
+        yield random_matrix(stream, Q, m, n, density_percent=10 + stream.randbelow(80))
+    for _ in range(30):
+        n = 1 + stream.randbelow(12)
+        yield random_matrix(stream, Q, n, n, density_percent=20 + stream.randbelow(60),
+                            symmetric=True)
+
+
+def _q_cores():
+    cores = []
+    seed = 0
+    while len(cores) < 12:
+        seed += 1
+        n = 40 + 10 * (seed % 12)
+        template = WeightTemplate(Q, n, "random" if seed % 4 else "allones", seed)
+        core = karp_sipser(sample_graph(n, 2.9 / n, template, CouplingSource(seed))).core
+        if 0 < core.n <= 64:
+            cores.append(core.adjacency())
+    return cores
+
+
+def _check_against_oracle(A: Matrix):
+    K = [[e.value for e in v] for v in A.kernel_basis()]
+    # A K = 0 exactly, in object arithmetic
+    if K:
+        product = np.array(A.to_values(), dtype=object).reshape(A.m, A.n) @ \
+            np.array(K, dtype=object).T
+        assert all(x == 0 for x in product.flat)
+    # K is the identity on its free columns, so its vectors are independent;
+    # a reduced kernel vector ends at its free column
+    free = [max(j for j in range(A.n) if v[j] != 0) for v in K]
+    assert free == sorted(set(free))
+    for t, f in enumerate(free):
+        assert [v[f] for v in K] == [int(s == t) for s in range(len(K))]
+    assert all(type(x) is Fraction for v in K for x in v)
+    # upper bound: len(K) independent kernel vectors
+    assert A.rank() == A.n - len(K)
+    # lower bound: the rank of the row-scaled integer matrix modulo a prime
+    cleared = []
+    for row in A.to_values():
+        scale = math.lcm(*(x.denominator for x in row)) if row else 1
+        cleared.append([int(x * scale) for x in row])
+    reduced = Matrix.from_rows(BIG, cleared) if cleared else Matrix.zeros(BIG, 0, A.n)
+    assert reduced.rank() == A.rank()
+
+
+def test_rational_kernel_against_independent_bounds():
+    for A in _random_q_matrices():
+        _check_against_oracle(A)
+
+
+def test_rational_graph_cores_against_independent_bounds():
+    for A in _q_cores():
+        assert A.n <= 64
+        _check_against_oracle(A)
+
+
+def _all_fractions(A: Matrix) -> bool:
+    return A._a.dtype == object and all(type(x) is Fraction for x in A._a.flat)
+
+
+def test_every_rational_constructor_stores_fractions():
+    A = Matrix.from_rows(Q, [[0, 1, 2], [3, Fraction(1, 2), 0]])  # ints in, Fractions out
+    fams = CoupledFamilies.from_seed(5)
+    G = Graph(4, Q, ((0, 1, 1), (1, 2, -2), (2, 3, Fraction(1, 3))))
+    built = {
+        "from_rows": A,
+        "zeros": Matrix.zeros(Q, 3, 4),
+        "identity": Matrix.identity(Q, 3),
+        "block": block([[A, Matrix.zeros(Q, 2, 1)], [Matrix.identity(Q, 3), Matrix.zeros(Q, 3, 1)]]),
+        "transpose": A.transpose(),
+        "remove": A.remove(rows=[0], cols=[1]),
+        "append_row": A.append_row([1, 0, -1]),
+        "append_col": A.append_col([4, 0]),
+        "relabelled": relabelled(Matrix.from_rows(Q, [[0, 1], [1, 0]], symmetric=True), [1, 0]),
+        "adjacency": G.adjacency(),
+        "parse_matrix": parse_matrix("2 2 Q\n1 -1/2\n0 3\n"),
+        "canonical_perturb": canonical_perturb(A, PerturbationSpec(2, 3, P=3), fams),
+    }
+    for name, M in built.items():
+        assert _all_fractions(M), name
+    assert built["adjacency"] == parse_matrix(format_matrix(built["adjacency"]))
+    assert all(type(x) is Fraction for x in field_array(Q, np.eye(2, dtype=np.uint8)).flat)
+
+
+@pytest.mark.parametrize("kind", ["allones", "random"])
+def test_rational_template_weights_are_the_scalar_definition(kind):
+    template = WeightTemplate(Q, 300, kind, seed=7)
+    lo, hi = np.triu_indices(300, k=1)
+    weights = template.weights(lo, hi)
+    assert weights.dtype == object
+    assert weights.tolist() == [template._raw(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert all(type(w) is Fraction for w in weights)
