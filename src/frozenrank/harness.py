@@ -17,7 +17,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from . import analytic
 from .errors import ResourceCapError
@@ -50,15 +50,9 @@ RATIONAL_PROXY_PRIMES = (2147483647, 2147483629, 2147483587)
 
 _TEMPLATE_KINDS = ("allones", "random")
 
-_CONFIG_REQUIRED = ("n", "d", "field", "trials", "master_seed")
-_CONFIG_OPTIONAL = {
-    "template": "allones",
-    "pert_P": None,
-    "pert_seed": None,
-    "census": False,
-    "output": None,
-    "workers": 1,
-}
+# value types accepted for each annotation of ExperimentConfig ("X | None"
+# also accepts None); bool is an int subclass, so it is kept apart
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -78,6 +72,14 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if value is None and optional == "None":
+                continue
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(
+                    value, _CONFIG_TYPES[kind]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not self.d >= 0.0:
@@ -116,14 +118,14 @@ class ExperimentConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config JSON must be an object")
-        unknown = set(data) - set(_CONFIG_REQUIRED) - set(_CONFIG_OPTIONAL)
+        keys = fields(ExperimentConfig)
+        unknown = set(data) - {f.name for f in keys}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = [k for k in _CONFIG_REQUIRED if k not in data]
+        missing = [f.name for f in keys if f.default is MISSING and f.name not in data]
         if missing:
             raise ValueError(f"missing config keys: {missing}")
-        kwargs = {**_CONFIG_OPTIONAL, **data}
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**data)
 
 
 @dataclass

@@ -13,39 +13,40 @@ between the restrictions to ``n0`` and ``n1`` columns.
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import Matrix, block
+from .exactla import Matrix, block, field_array
 from .field import FieldSpec
 from .prf import (
     TAG_COL_FAMILY,
     TAG_ROW_FAMILY,
     Stream,
-    _mix64_array,
     derive_seed,
     prf,
+    prf_array,
+    to_uint64,
 )
+
+# seed-by-level cells per prf_array call in indices_over_seeds: enough to
+# amortise numpy's per-call cost, few enough that temporaries stay at 0.5 MB
+_PICK_CELLS = 1 << 16
 
 
 class PerturbationFamily:
-    """Lazily explored array ``u(k, level)``, one independent pick per level.
+    """The array ``u(k, level)`` of one family seed, one independent pick per
+    level.
 
     ``index(k, n1)`` is the 0-based position of the single nonzero entry of
     perturbation row/column ``k`` when restricted to the first ``n1``
-    coordinates; it is uniform on ``range(n1)`` and nondecreasing level
-    records make it monotone under the nesting coupling.  Memoization is
-    lock-protected so families can be shared across threads.
+    coordinates; it is uniform on ``range(n1)`` and, as the last level
+    record up to ``n1``, monotone under the nesting coupling.  Nothing is
+    stored but the seed, so a family can be shared freely.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._records: dict[int, list[int]] = {}
-        self._depth: dict[int, int] = {}
-        self._lock = threading.Lock()
 
     def u(self, k: int, level: int) -> int:
         """Uniform pick in ``1..level`` (always 1 at level 1)."""
@@ -55,31 +56,26 @@ class PerturbationFamily:
 
     def index(self, k: int, n1: int) -> int:
         """0-based nonzero position of row/column ``k`` within ``range(n1)``."""
-        if n1 < 1:
-            raise ValueError("n1 must be >= 1")
-        with self._lock:
-            records = self._records.setdefault(k, [1])
-            depth = self._depth.get(k, 1)
-            if n1 > depth:
-                for level in range(depth + 1, n1 + 1):
-                    if self.u(k, level) == level:
-                        records.append(level)
-                self._depth[k] = n1
-            pos = bisect_right(records, n1)
-            return records[pos - 1] - 1
+        return int(indices_over_seeds(self.seed, k, n1))
 
 
-def indices_over_seeds(family_seeds: np.ndarray, k: int, n1: int) -> np.ndarray:
-    """Vectorized twin of :meth:`PerturbationFamily.index` over many seeds."""
-    seeds = np.asarray(family_seeds, dtype=np.uint64)
-    best = np.zeros(seeds.shape, dtype=np.int64)  # level 1 record, 0-based
-    with np.errstate(over="ignore"):
-        base = _mix64_array(seeds)
-        for level in range(2, n1 + 1):
-            h = _mix64_array(_mix64_array(base ^ np.uint64(k)) ^ np.uint64(level))
-            u = 1 + (h % np.uint64(level)).astype(np.int64)
-            best = np.where(u == level, level - 1, best)
-    return best
+def indices_over_seeds(family_seeds, k: int, n1: int) -> np.ndarray:
+    """:meth:`PerturbationFamily.index` for every seed in ``family_seeds``
+    (an int or an array), as int64 of that shape: the last level ``<= n1``
+    whose pick ``u(k, level)`` is the level itself, minus one.  This is the
+    one implementation of the pick; ``u`` stays the literal definition."""
+    if n1 < 1:
+        raise ValueError("n1 must be >= 1")
+    seeds = to_uint64(family_seeds)
+    flat = seeds.reshape(-1)
+    levels = np.arange(1, n1 + 1, dtype=np.uint64)
+    out = np.empty(flat.shape, dtype=np.int64)
+    step = max(1, _PICK_CELLS // n1)
+    for s0 in range(0, flat.size, step):
+        hit = prf_array(flat[s0:s0 + step, None], k, levels) % levels == levels - 1
+        # level 1 always hits, so argmax over the reversed levels finds the last
+        out[s0:s0 + step] = n1 - 1 - np.argmax(hit[:, ::-1], axis=1)
+    return out.reshape(seeds.shape)
 
 
 @dataclass(frozen=True)
@@ -134,15 +130,9 @@ def theta_r_matrix(
         raise ValueError(f"n1={n1} must not exceed n2={n2}")
     if theta_r < 0:
         raise ValueError("theta_r must be nonnegative")
-    rows = []
-    one = field.one().value
-    for k in range(theta_r):
-        row = [0] * n2
-        row[fam.index(k, n1)] = one
-        rows.append(row)
-    if not rows:
-        return Matrix.zeros(field, 0, n2)
-    return Matrix.from_rows(field, rows)
+    a = np.zeros((theta_r, n2), dtype=np.uint8)
+    a[range(theta_r), [fam.index(k, n1) for k in range(theta_r)]] = 1
+    return Matrix._from_array(field, field_array(field, a))
 
 
 def theta_c_matrix(

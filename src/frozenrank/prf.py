@@ -6,10 +6,11 @@ gives O(1) memory, exact reproducibility, and coupling of samples across
 matrix sizes and edge probabilities for free: querying ``(seed, i, j)``
 twice, or from two differently sized matrices, returns the same value.
 
-Scalar and numpy-vectorized paths implement the identical function.  The
-vectorized :func:`prf_array` broadcasts its two words against each other and
-mixes the first word over its own shape only, so a block of rows against a
-run of columns costs one mixing round per pair.
+Scalar :func:`prf` is the literal definition; :func:`prf_array` is the same
+function mixed over numpy arrays.  It takes a seed and any number of words,
+each a Python int or an array, broadcasts them together, and runs each
+mixing round over the broadcast shape of the arguments mixed so far, so a
+block of rows against a run of columns costs one mixing round per pair.
 """
 
 from __future__ import annotations
@@ -47,28 +48,36 @@ def prf(seed: int, *words: int) -> int:
     return h
 
 
-def prf_array(seed: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized ``prf(seed, a, b)`` over uint64 arrays that broadcast
-    against each other: element ``k`` of the broadcast shape is
-    ``prf(seed, a[k], b[k])``.
+def prf_array(seed, *words) -> np.ndarray:
+    """Vectorized ``prf(seed, *words)`` over arguments that broadcast together.
 
-    The first round, ``mix64(mix64(seed) ^ a)``, runs over ``a``'s shape
-    only; the second runs over the broadcast shape.  numpy integer overflow
-    wraps (mod 2^64), matching the scalar path.  ``a`` and ``b`` are never
-    modified.
+    Each argument is a Python int or an array, read by :func:`to_uint64`.
+    Round ``r`` runs over the broadcast shape of the seed and the first ``r``
+    words; integer overflow wraps (mod 2^64), matching the scalar path.  The
+    result is a new array, 0-d when every argument is an int.
     """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = _mix64_array(a ^ np.uint64(mix64(seed & _M64)))
-        return _mix64_array(h ^ b)
+        h = (np.asarray(mix64(seed & _M64), dtype=np.uint64) if isinstance(seed, int)
+             else _mix64_array(to_uint64(seed)))
+        for w in words:
+            h = _mix64_array(h ^ to_uint64(w))
+    return h
+
+
+def to_uint64(x) -> np.ndarray:
+    """``x`` as uint64, read as :func:`prf` reads a word: an int masked to 64
+    bits, an array converted elementwise (int64 wraps two's complement), so
+    numpy's promotion rules never pick the dtype."""
+    if isinstance(x, int):
+        return np.uint64(x & _M64)
+    return np.asarray(x).astype(np.uint64, copy=False)
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, elementwise, on a new array; ``x`` is left as
     it is.  The rounds run in place on that copy, with one scratch array
     for the shifts."""
-    x = np.add(x, np.uint64(_C1), dtype=np.uint64)
+    x = np.asarray(np.add(x, np.uint64(_C1), dtype=np.uint64))
     t = np.empty_like(x)
     for shift, mul in ((30, _C2), (27, _C3)):
         x ^= np.right_shift(x, np.uint64(shift), out=t)

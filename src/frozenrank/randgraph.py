@@ -83,7 +83,7 @@ class WeightTemplate:
         if self.kind == "allones" or self.field.p == 2:
             return np.full(lo.shape, self.field.one().value,
                            dtype=object if rational else np.int64)
-        h = prf_array(self.seed, lo.astype(np.uint64), hi.astype(np.uint64))
+        h = prf_array(self.seed, lo, hi)
         if rational:
             return np.array(RATIONAL_POOL, dtype=object)[h % np.uint64(len(RATIONAL_POOL))]
         return 1 + (h % np.uint64(self.field.p - 1)).astype(np.int64)

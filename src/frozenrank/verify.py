@@ -36,7 +36,7 @@ from .perturb import (
     indices_over_seeds,
     theta_r_matrix,
 )
-from .prf import TAG_COL_FAMILY, TAG_ROW_FAMILY, Stream, derive_seed, prf
+from .prf import TAG_COL_FAMILY, TAG_ROW_FAMILY, Stream, prf, prf_array
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,7 @@ def run_perturb_suite(seed: int = 99, samples: int = 100_000) -> list[CheckResul
     detail = []
     ok = True
     for n0, n1, theta_r in triples:
-        seeds = np.array([prf(seed, 1, n0, n1, theta_r, s) for s in range(samples)],
-                         dtype=np.uint64)
+        seeds = prf_array(seed, 1, n0, n1, theta_r, np.arange(samples))
         agree = np.ones(samples, dtype=bool)
         for k in range(theta_r):
             agree &= indices_over_seeds(seeds, k, n0) == indices_over_seeds(seeds, k, n1)
@@ -335,7 +334,7 @@ def run_perturb_suite(seed: int = 99, samples: int = 100_000) -> list[CheckResul
     from scipy.stats import chi2
 
     n1 = 7
-    seeds = np.array([prf(seed, 2, s) for s in range(samples)], dtype=np.uint64)
+    seeds = prf_array(seed, 2, np.arange(samples))
     idx = indices_over_seeds(seeds, 0, n1)
     counts = np.bincount(idx, minlength=n1)
     expected = samples / n1
@@ -347,11 +346,10 @@ def run_perturb_suite(seed: int = 99, samples: int = 100_000) -> list[CheckResul
 
     # row family independent of column family (sample correlation)
     n = 16
-    masters = [prf(seed, 3, s) for s in range(samples)]
-    row_seeds = np.array([derive_seed(m, 0, TAG_ROW_FAMILY) for m in masters],
-                         dtype=np.uint64)
-    col_seeds = np.array([derive_seed(m, 0, TAG_COL_FAMILY) for m in masters],
-                         dtype=np.uint64)
+    # derive_seed(master, 0, tag) over every master seed
+    masters = prf_array(seed, 3, np.arange(samples))
+    row_seeds = prf_array(masters, 0, TAG_ROW_FAMILY)
+    col_seeds = prf_array(masters, 0, TAG_COL_FAMILY)
     jr = indices_over_seeds(row_seeds, 0, n).astype(np.float64)
     jc = indices_over_seeds(col_seeds, 0, n).astype(np.float64)
     corr = float(np.corrcoef(jr, jc)[0, 1])

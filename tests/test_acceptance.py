@@ -18,7 +18,7 @@ from frozenrank.exactla import classify_variable, frozen_set, symmetric_removal_
 from frozenrank.field import FieldSpec
 from frozenrank.harness import ExperimentConfig, run_census, run_experiment
 from frozenrank.perturb import indices_over_seeds
-from frozenrank.prf import Stream, prf
+from frozenrank.prf import Stream, prf, prf_array
 from frozenrank.randgraph import CouplingSource, WeightTemplate, karp_sipser, sample_graph
 from frozenrank.verify import random_matrix, rank_by_row_space_enumeration
 
@@ -274,8 +274,8 @@ def test_criterion_13_coupling_agreement_law():
     detail = []
     ok = True
     for n0, n1, theta_r in ((2, 4, 1), (3, 5, 2), (5, 10, 3)):
-        seeds = np.array([prf(8888, n0, n1, theta_r, s) for s in range(samples)],
-                         dtype=np.uint64)
+        seeds = prf_array(8888, n0, n1, theta_r, np.arange(samples))
+        assert seeds[:100].tolist() == [prf(8888, n0, n1, theta_r, s) for s in range(100)]
         agree = np.ones(samples, dtype=bool)
         for k in range(theta_r):
             agree &= indices_over_seeds(seeds, k, n0) == indices_over_seeds(seeds, k, n1)

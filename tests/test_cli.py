@@ -54,6 +54,23 @@ def test_simulate_flags_and_config_agree(tmp_path, capsys):
     assert out_a.read_text() == out_b.read_text()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", "10"),          # string for an int
+    ("trials", 1.5),      # float for an int
+    ("master_seed", True),  # bool for an int
+    ("d", "2"),           # string for a float
+    ("census", 1),        # int for a bool
+    ("pert_P", [8]),      # list for an optional int
+    ("trials", None),     # null for a required int
+])
+def test_simulate_config_wrong_type_is_usage_error(tmp_path, capsys, key, value):
+    config = {"n": 10, "d": 2.0, "field": "F2", "trials": 1, "master_seed": 5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, key: value}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
 def test_simulate_missing_flags():
     assert main(["simulate", "--n", "10"]) == 2
 

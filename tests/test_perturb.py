@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from frozenrank import perturb
 from frozenrank.exactla import Matrix, frozen_set
 from frozenrank.field import FieldSpec
 from frozenrank.perturb import (
@@ -16,7 +17,7 @@ from frozenrank.perturb import (
     theta_c_matrix,
     theta_r_matrix,
 )
-from frozenrank.prf import Stream, prf
+from frozenrank.prf import TAG_COL_FAMILY, TAG_ROW_FAMILY, Stream, prf, prf_array
 
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
@@ -41,13 +42,37 @@ def test_index_is_pure_and_monotone_in_queries():
     assert [fresh.index(2, n1) for n1 in (1, 4, 2, 8, 4)] == first  # order-free
 
 
-def test_scalar_vector_index_agreement():
-    seeds = np.array([prf(1, k) for k in range(300)], dtype=np.uint64)
+def _literal_index(fam: PerturbationFamily, k: int, n1: int) -> int:
+    # the definition: the last level up to n1 whose pick is the level itself
+    return max(level for level in range(1, n1 + 1) if fam.u(k, level) == level) - 1
+
+
+def test_scalar_vector_index_agreement(monkeypatch):
+    seeds = prf_array(1, np.arange(300))
+    assert seeds.tolist() == [prf(1, k) for k in range(300)]
+    fams = [PerturbationFamily(int(s)) for s in seeds]
+    budgets = (perturb._PICK_CELLS, 50)
     for k in (0, 1, 4):
-        for n1 in (1, 2, 5, 12):
-            vec = indices_over_seeds(seeds, k, n1)
-            sca = [PerturbationFamily(int(s)).index(k, n1) for s in seeds]
-            assert vec.tolist() == sca
+        for n1 in (1, 2, 5, 12, 40):
+            literal = [_literal_index(fam, k, n1) for fam in fams]
+            assert [fam.index(k, n1) for fam in fams[:30]] == literal[:30]
+            # a 50-cell budget splits the seeds into blocks of 50 // n1
+            for cells in budgets:
+                monkeypatch.setattr(perturb, "_PICK_CELLS", cells)
+                assert indices_over_seeds(seeds, k, n1).tolist() == literal
+    grid = seeds.reshape(20, 15)
+    assert np.array_equal(indices_over_seeds(grid, 4, 12),
+                          indices_over_seeds(seeds, 4, 12).reshape(20, 15))
+
+
+def test_index_rejects_empty_range():
+    fam = PerturbationFamily(9)
+    seeds = prf_array(1, np.arange(10))
+    for n1 in (0, -3):
+        with pytest.raises(ValueError):
+            indices_over_seeds(seeds, 0, n1)
+        with pytest.raises(ValueError):
+            fam.index(0, n1)
 
 
 def test_theta_r_zero_rows():
@@ -92,8 +117,8 @@ def test_nesting_exact():
 def test_agreement_frequency_matches_coupling_law():
     samples = 100_000
     for n0, n1, theta_r in ((2, 4, 1), (3, 5, 2), (5, 10, 3)):
-        seeds = np.array([prf(42, n0, n1, theta_r, s) for s in range(samples)],
-                         dtype=np.uint64)
+        seeds = prf_array(42, n0, n1, theta_r, np.arange(samples))
+        assert seeds[:100].tolist() == [prf(42, n0, n1, theta_r, s) for s in range(100)]
         agree = np.ones(samples, dtype=bool)
         for k in range(theta_r):
             agree &= indices_over_seeds(seeds, k, n0) == indices_over_seeds(seeds, k, n1)
@@ -106,7 +131,8 @@ def test_agreement_frequency_matches_coupling_law():
 def test_index_uniform():
     samples = 100_000
     n1 = 11
-    seeds = np.array([prf(7, s) for s in range(samples)], dtype=np.uint64)
+    seeds = prf_array(7, np.arange(samples))
+    assert seeds[:100].tolist() == [prf(7, s) for s in range(100)]
     counts = np.bincount(indices_over_seeds(seeds, 0, n1), minlength=n1)
     expected = samples / n1
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -118,10 +144,11 @@ def test_row_col_families_independent():
     samples = 50_000
     fams = [CoupledFamilies.from_seed(prf(13, s)) for s in range(4)]
     assert len({f.rows.seed for f in fams} | {f.cols.seed for f in fams}) == 8
-    row_seeds = np.array([CoupledFamilies.from_seed(prf(13, s)).rows.seed
-                          for s in range(samples)], dtype=np.uint64)
-    col_seeds = np.array([CoupledFamilies.from_seed(prf(13, s)).cols.seed
-                          for s in range(samples)], dtype=np.uint64)
+    masters = prf_array(13, np.arange(samples))
+    row_seeds = prf_array(masters, 0, TAG_ROW_FAMILY)
+    col_seeds = prf_array(masters, 0, TAG_COL_FAMILY)
+    assert row_seeds[:4].tolist() == [f.rows.seed for f in fams]
+    assert col_seeds[:4].tolist() == [f.cols.seed for f in fams]
     jr = indices_over_seeds(row_seeds, 0, 16).astype(float)
     jc = indices_over_seeds(col_seeds, 0, 16).astype(float)
     assert abs(float(np.corrcoef(jr, jc)[0, 1])) < 0.02

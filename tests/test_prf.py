@@ -40,6 +40,43 @@ def test_prf_array_broadcasts():
     assert np.array_equal(full_rows, full_before[0]) and np.array_equal(full_cols, full_before[1])
 
 
+def test_prf_array_takes_any_words():
+    # three to five words, some scalar and some arrays, broadcasting together
+    a = np.arange(4, dtype=np.uint64)[:, None]
+    b = np.arange(10, 13, dtype=np.uint64)[None, :]
+    for words in ((a, 7, b), (3, a, b, 2**40), (a, 1, 2, b, 5)):
+        grid = prf_array(99, *words)
+        assert grid.shape == (4, 3)
+        for (r, c), v in np.ndenumerate(grid):
+            scalar = [w if isinstance(w, int) else int(w[min(r, w.shape[0] - 1),
+                                                         min(c, w.shape[1] - 1)])
+                      for w in words]
+            assert int(v) == prf(99, *scalar)
+
+
+def test_prf_array_array_seed():
+    seeds = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    vec = prf_array(seeds, 3, np.arange(4))
+    assert [int(v) for v in vec] == [prf(int(s), 3, k) for k, s in enumerate(seeds)]
+    assert [int(v) for v in prf_array(seeds)] == [prf(int(s)) for s in seeds]
+
+
+def test_prf_array_int64_arrays_and_wide_ints():
+    # int64 arrays wrap two's complement, as Python ints masked to 64 bits do
+    words = np.array([-1, -2**63, 0, 2**63 - 1], dtype=np.int64)
+    assert [int(v) for v in prf_array(-5, words)] == [prf(-5, int(w)) for w in words]
+    for seed, word in ((2**63, 2**64 - 1), (2**64 + 7, -1), (-2**63, 2**70 + 3)):
+        assert int(prf_array(seed, word, np.array([4]))[0]) == prf(seed, word, 4)
+        assert int(prf_array(np.array([seed & (2**64 - 1)]), word)[0]) == prf(seed, word)
+
+
+def test_prf_array_all_scalar():
+    for args in ((0,), (5, 1), (2**64 - 1, -1, 2**63, 9)):
+        out = prf_array(*args)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert int(out) == prf(*args)
+
+
 def test_mix64_array_leaves_its_input():
     x = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
     before = x.copy()
