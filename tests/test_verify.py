@@ -18,6 +18,22 @@ def test_suite_verdicts_match_recorded_json():
     assert (json.dumps(verdicts, indent=2) + "\n").encode() == recorded
 
 
+def test_oracle_suite_green():
+    results = run_suite("oracle")
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
+
+
+def test_lemmas_suite_green():
+    results = run_suite("lemmas")
+    assert len(results) >= 8
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+
+
+def test_perturb_suite_green():
+    results = run_suite("perturb")
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("everything")
