@@ -28,8 +28,10 @@ Matrices are immutable after construction; all operations are pure and
 safe to call from concurrent workers.  Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
 a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
-Q alike; p = 2 runs on bit-packed words instead.  Rational matrices are
-capped in size because elimination suffers coefficient blow-up.
+Q alike.  Rank, kernel support and the census solve over F2 run on rows
+held as Python ints instead, one bit per column, with XOR as row addition.
+Rational matrices are capped in size because elimination suffers
+coefficient blow-up.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ def field_array(field: FieldSpec, values) -> np.ndarray:
     the storage of every :class:`Matrix` over ``field``.
 
     Prime fields hold residues in ``[0, p)``, in an integer dtype that holds
-    the product of two of them (uint8 for p = 2, whose elimination runs on
-    packed words).  Q holds a ``dtype=object`` array whose entries are all
-    ``Fraction`` objects: the kernels divide by pivots, and ``1 / 1`` between
-    stray ints would be the float ``1.0``.
+    the product of two of them (uint8 for p = 2).  Q holds a ``dtype=object``
+    array whose entries are all ``Fraction`` objects: the kernels divide by
+    pivots, and ``1 / 1`` between stray ints would be the float ``1.0``.
     """
     if field.kind == "rationals":
         return np.frompyfunc(Fraction, 1, 1)(np.array(values, dtype=object))
@@ -174,7 +175,7 @@ class Matrix:
         if self._rank is None:
             self._check_rational_cap(rational_cap)
             if self.field.is_gf2:
-                self._rank = _rank_gf2(self._a, self.n)
+                self._rank = len(_echelon_gf2(_int_rows(self._a), self.n))
             else:
                 self._rank = _forward_dense(self._a.copy(), self.field.p)[0]
         return self._rank
@@ -184,8 +185,7 @@ class Matrix:
 
     def kernel_basis(self, *, rational_cap: int | None = None) -> list[list[FieldElement]]:
         """Basis of the right kernel; length equals the nullity."""
-        self._check_rational_cap(rational_cap)
-        rank, pivots, R = self._rref()
+        rank, pivots, R = self._rref(rational_cap)
         self._rank = rank
         pivset = set(pivots)
         zero, one = self.field.zero(), self.field.one()
@@ -207,28 +207,23 @@ class Matrix:
         """
         if self._ksup is None:
             if self.field.is_gf2:
-                rank, pivots, R = _rref_gf2(self._a, self.n)
+                pivots, R = _rref_gf2(_int_rows(self._a), self.n)
             else:
-                rank, pivots, R = self._rref()
-            self._rank = rank
+                _, pivots, R = self._rref()
+            self._rank = len(pivots)
             pivset = set(pivots)
             free = [j for j in range(self.n) if j not in pivset]
-            if not free:
-                hit = ()
-            elif self.field.is_gf2:
-                mask = sum(1 << j for j in free).to_bytes(8 * R.shape[1], "little")
-                hit = (R & np.frombuffer(mask, dtype=np.uint64)).any(axis=1).tolist()
+            if self.field.is_gf2:
+                mask = sum(1 << (self.n - 1 - j) for j in free)
+                hit = [r & mask for r in R]
             else:
                 hit = R[:, free].any(axis=1).tolist()
             self._ksup = frozenset(free + [c for c, h in zip(pivots, hit) if h])
         return self._ksup
 
-    def _rref(self):
+    def _rref(self, rational_cap: int | None = None):
         """(rank, pivot columns, the ``rank x n`` array of reduced rows)."""
-        self._check_rational_cap(None)
-        if self.field.is_gf2:
-            rank, pivots, W = _rref_gf2(self._a, self.n)
-            return rank, pivots, _unpack_gf2(W, self.n)
+        self._check_rational_cap(rational_cap)
         rank, pivots, M = _rref_dense(self._a.copy(), self.field.p)
         return rank, pivots, M[:rank]
 
@@ -273,71 +268,54 @@ def _index_set(indices, bound: int, what: str) -> set[int]:
     return out
 
 
-# ----------------------------------------------------- GF(2) packed kernels
+# ------------------------------------------------------ F2 kernel on int rows
+# A row of an n-column 0/1 matrix is one Python int holding column j in bit
+# n - 1 - j, so the leading column of a row is its top set bit.
 
 
-def _pack_gf2(arr: np.ndarray, n: int) -> np.ndarray:
-    """Rows of 0/1 uint8 packed into little-endian uint64 words."""
-    m = arr.shape[0]
-    nw = max(1, (n + 63) // 64)
-    pad = nw * 64 - n
-    a = arr.astype(np.uint8)
-    if pad:
-        a = np.concatenate([a, np.zeros((m, pad), np.uint8)], axis=1)
-    if m == 0:
-        return np.zeros((0, nw), dtype=np.uint64)
-    return np.packbits(a, axis=1, bitorder="little").view(np.uint64).copy()
+def _int_rows(arr: np.ndarray) -> list[int]:
+    """Rows of a 0/1 array as ints in the F2 row format."""
+    m, n = arr.shape
+    if n == 0:
+        return [0] * m
+    pad = -n % 8
+    packed = np.packbits(arr, axis=1)
+    w, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[i:i + w], "big") >> pad for i in range(0, len(buf), w)]
 
 
-def _unpack_gf2(W: np.ndarray, n: int) -> np.ndarray:
-    if W.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.uint8)
-    return np.unpackbits(W.view(np.uint8), axis=1, bitorder="little")[:, :n]
+def _echelon_gf2(rows: list[int], n: int) -> dict[int, int]:
+    """Echelon basis of the span of ``rows``: leading column -> row."""
+    basis: dict[int, int] = {}
+    # sparsest rows first: on sparse matrices this keeps the basis rows
+    # sparser, and every later reduction cheaper
+    for x in sorted(rows, key=int.bit_count):
+        while x:
+            c = n - x.bit_length()
+            b = basis.get(c)
+            if b is None:
+                basis[c] = x
+                break
+            x ^= b
+    return basis
 
 
-def _forward_gf2(W: np.ndarray, n: int) -> tuple[int, list[int]]:
-    """In-place forward elimination on packed words; returns (rank, pivots)."""
-    m = W.shape[0]
-    r = 0
-    pivots: list[int] = []
-    for c in range(n):
-        if r == m:
-            break
-        w, b = divmod(c, 64)
-        mask = np.uint64(1 << b)
-        hits = np.nonzero((W[r:, w] & mask) != 0)[0]
-        if hits.size == 0:
-            continue
-        piv = r + int(hits[0])
-        if piv != r:
-            tmp = W[r].copy()
-            W[r] = W[piv]
-            W[piv] = tmp
-        rows = r + hits[1:]
-        if rows.size:
-            W[rows] ^= W[r]
-        pivots.append(c)
-        r += 1
-    return r, pivots
-
-
-def _rank_gf2(arr: np.ndarray, n: int) -> int:
-    W = _pack_gf2(arr, n)
-    return _forward_gf2(W, n)[0]
-
-
-def _rref_gf2(arr: np.ndarray, n: int):
-    """(rank, pivots, reduced rows as packed words)."""
-    W = _pack_gf2(arr, n)
-    r, pivots = _forward_gf2(W, n)
-    for i in range(r - 1, -1, -1):
-        c = pivots[i]
-        w, b = divmod(c, 64)
-        mask = np.uint64(1 << b)
-        above = np.nonzero((W[:i, w] & mask) != 0)[0]
-        if above.size:
-            W[above] ^= W[i]
-    return r, pivots, W[:r]
+def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
+    """(pivot columns ascending, their reduced rows)."""
+    basis = _echelon_gf2(rows, n)
+    pivots = sorted(basis)
+    # from the rightmost pivot, so each XOR clears exactly one pivot bit
+    done = 0
+    for c in reversed(pivots):
+        x = basis[c]
+        t = x & done
+        while t:
+            k = t.bit_length()
+            x ^= basis[n - k]
+            t ^= 1 << (k - 1)
+        basis[c] = x
+        done |= 1 << (n - 1 - c)
+    return pivots, [basis[c] for c in pivots]
 
 
 # ------------------------------------------------- F_p and Q dense kernels
@@ -698,20 +676,26 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
     if not S:
         return []
     m, n, s = A.m, A.n, len(S)
-    # built once and reduced in place: the largest array of a census
+    # built once, the largest array of a census; the dense route reduces it
+    # in place
     aug = field_array(A.field, np.zeros((n, m + s), dtype=np.uint8))
     aug[:, :m] = A._a.T
     aug[S, m + np.arange(s)] = A.field.one().value
     if A.field.is_gf2:
-        _, pivots, W = _rref_gf2(aug, m + s)
-        R = _unpack_gf2(W, m + s)
+        pivots, R = _rref_gf2(_int_rows(aug), m + s)
+
+        def y(r, t):  # column m + t of an int row is its bit s - 1 - t
+            return R[r] >> (s - 1 - t) & 1
     else:
         _, pivots, R = _rref_dense(aug, A.field.p)
+
+        def y(r, t):
+            return R[r, m + t]
     if pivots and pivots[-1] >= m:
         raise AssertionError("[A^T | E_S] is inconsistent; exact arithmetic bug")
     row_of = {c: r for r, c in enumerate(pivots)}
     # a free column i would mean y_i = 0; frozen in A^T, i is always a pivot
-    return [i in row_of and bool(R[row_of[i], m + t]) for t, i in enumerate(S)]
+    return [i in row_of and bool(y(row_of[i], t)) for t, i in enumerate(S)]
 
 
 def type_census(A: Matrix, census_size: int | None = None) -> TypeProfile:

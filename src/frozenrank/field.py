@@ -1,8 +1,8 @@
 """Exact coefficient fields: prime fields F_p and arbitrary-precision rationals.
 
-The two-element field is an ordinary prime field here; matrices give it a
-bit-packed fast path.  Elements are immutable and canonical, so equality of
-values is equality of representations.
+The two-element field is an ordinary prime field here; matrices eliminate
+over it on rows held as Python ints.  Elements are immutable and canonical,
+so equality of values is equality of representations.
 """
 
 from __future__ import annotations

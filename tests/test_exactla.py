@@ -5,6 +5,7 @@ row-space enumeration for ranks, hand-solved kernels for small paths, and
 brute-force membership checks for classifications.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -330,6 +331,14 @@ def test_rational_cap():
     with pytest.raises(ResourceCapError):
         big.rank()
     assert big.rank(rational_cap=70) == 0
+    eye = Matrix.identity(Q, 70)
+    with pytest.raises(ResourceCapError):
+        eye.kernel_basis()
+    assert eye.kernel_basis(rational_cap=70) == []
+    assert eye.rank(rational_cap=70) == 70
+    # kernel_support takes no override, so Q keeps the default cap there
+    with pytest.raises(ResourceCapError):
+        eye.kernel_support()
 
 
 def test_entries_and_fields_validated():
@@ -375,21 +384,38 @@ def test_parse_matrix_errors():
         parse_matrix("1 2 F2\n0\n")
 
 
-# --------------------------------------------- multi-word-scale cross-checks
-# The enumeration oracle only reaches n <= 6; these exercise the bit-packed
-# GF(2) kernels across 64-bit word boundaries against independent routes.
+# ------------------------------------------- F2 kernel at byte boundaries
+# The enumeration oracle only reaches n <= 6; this checks the int-row F2
+# kernel, whose rows are packed a byte at a time, against the dense kernel at
+# p = 2 across byte and 64-bit boundaries, on empty shapes included.
 
 
-def test_gf2_packed_rank_matches_generic_modp_at_scale():
-    from frozenrank.exactla import _forward_dense
+def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     import numpy as np
 
-    stream = Stream(61)
-    for n in (63, 64, 65, 130, 200):
-        arr = np.array([[stream.randbelow(2) for _ in range(n)] for _ in range(n)],
-                       dtype=np.int64)
-        A = Matrix.from_rows(F2, arr.tolist())
+    from frozenrank.exactla import _forward_dense, _frail_flags, _rref_dense
+
+    rng = np.random.default_rng(61)
+    sizes = (0, 1, 7, 8, 9, 63, 64, 65, 130)
+    flags = []
+    for percent, m, n in itertools.product((50, 3), sizes, sizes):
+        arr = (rng.random((m, n)) < percent / 100).astype(np.uint8)
+        A = Matrix._from_array(F2, arr)
         assert A.rank() == _forward_dense(arr.copy(), 2)[0]
+        union = {j for v in A.kernel_basis() for j, x in enumerate(v) if x.value}
+        assert A.kernel_support() == union
+        # y_i read off the dense RREF of the same [A^T | E_S]
+        sup_at = A.transpose().kernel_support()
+        S = [i for i in range(min(m, n)) if i not in union and i not in sup_at]
+        aug = np.zeros((n, m + len(S)), dtype=np.uint8)
+        aug[:, :m] = arr.T
+        aug[S, m + np.arange(len(S))] = 1
+        _, pivots, R = _rref_dense(aug, 2)
+        row_of = {c: r for r, c in enumerate(pivots)}
+        expect = [bool(R[row_of[i], m + t]) for t, i in enumerate(S)]
+        assert _frail_flags(A, S) == expect
+        flags += expect
+    assert True in flags and False in flags
 
 
 def test_rank_struct_invariances_at_scale():
