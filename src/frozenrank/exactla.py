@@ -202,22 +202,20 @@ class Matrix:
         """Columns carrying a nonzero coordinate in some kernel vector.
 
         Read off the RREF: the free columns, plus the pivot column of every
-        reduced row that is nonzero on a free column.  The frozen columns
-        are exactly the complement within ``range(n)``.
+        reduced row that is nonzero on a free column, i.e. has more than its
+        one pivot entry.  The frozen columns are exactly the complement
+        within ``range(n)``.
         """
         if self._ksup is None:
             if self.field.is_gf2:
                 pivots, R = _rref_gf2(_int_rows(self._a), self.n)
+                hit = [r.bit_count() > 1 for r in R]
             else:
                 _, pivots, R = self._rref()
+                hit = (np.count_nonzero(R, axis=1) > 1).tolist()
             self._rank = len(pivots)
             pivset = set(pivots)
             free = [j for j in range(self.n) if j not in pivset]
-            if self.field.is_gf2:
-                mask = sum(1 << (self.n - 1 - j) for j in free)
-                hit = [r & mask for r in R]
-            else:
-                hit = R[:, free].any(axis=1).tolist()
             self._ksup = frozenset(free + [c for c, h in zip(pivots, hit) if h])
         return self._ksup
 
@@ -287,9 +285,7 @@ def _int_rows(arr: np.ndarray) -> list[int]:
 def _echelon_gf2(rows: list[int], n: int) -> dict[int, int]:
     """Echelon basis of the span of ``rows``: leading column -> row."""
     basis: dict[int, int] = {}
-    # sparsest rows first: on sparse matrices this keeps the basis rows
-    # sparser, and every later reduction cheaper
-    for x in sorted(rows, key=int.bit_count):
+    for x in rows:
         while x:
             c = n - x.bit_length()
             b = basis.get(c)
