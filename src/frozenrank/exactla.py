@@ -24,12 +24,18 @@ Terminology used throughout (0-based column indices everywhere):
   some solution has ``y_i = 0``, so ``i`` is ``Y`` when ``y_i = 0`` and
   ``X`` otherwise.
 
+* Let ``K`` be the ``n x nullity`` matrix whose columns are a kernel basis,
+  and ``K_C`` its rows in a column set ``C``.  The row space is the
+  annihilator of the kernel, so deleting the columns ``C`` lowers the rank
+  by ``|C| - rank(K_C)``, over any field.  Hence ``j`` is frozen iff
+  ``K_j = 0``, and ``I`` is a relation iff the rows ``K_I`` are dependent.
+
 Matrices are immutable after construction; all operations are pure and
 safe to call from concurrent workers.  Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
 a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
-Q alike.  Rank, kernel support and the census solve over F2 run on rows
-held as Python ints instead, one bit per column, with XOR as row addition.
+Q alike.  Rank, kernel rows and the census solve over F2 run on rows held
+as Python ints instead, one bit per column, with XOR as row addition.
 Rational matrices are capped in size because elimination suffers
 coefficient blow-up.
 """
@@ -50,11 +56,6 @@ DEFAULT_RATIONAL_CAP = 64
 # Largest dimension of a dense matrix built from a sampled graph: an int64
 # 4096 x 4096 array takes 128 MB; larger runs stop before they sample.
 DENSE_CAP = 4096
-
-# Guards for row-space enumeration (exponential in rank).
-DEFAULT_ENUM_MAX_N = 24
-DEFAULT_ENUM_MAX_RANK = 14
-DEFAULT_ENUM_MAX_VECTORS = 1 << 20
 
 
 def field_array(field: FieldSpec, values) -> np.ndarray:
@@ -185,45 +186,31 @@ class Matrix:
 
     def kernel_basis(self, *, rational_cap: int | None = None) -> list[list[FieldElement]]:
         """Basis of the right kernel; length equals the nullity."""
-        rank, pivots, R = self._rref(rational_cap)
-        self._rank = rank
-        pivset = set(pivots)
-        zero, one = self.field.zero(), self.field.one()
-        basis = []
-        for f in (j for j in range(self.n) if j not in pivset):
-            v = [zero] * self.n
-            v[f] = one
-            for pcol, x in zip(pivots, R[:, f].tolist()):
-                v[pcol] = self.field.element(-x)
-            basis.append(v)
-        return basis
+        return [[self.field.element(x) for x in v]
+                for v in self._kernel(rational_cap).T.tolist()]
 
     def kernel_support(self) -> frozenset[int]:
-        """Columns carrying a nonzero coordinate in some kernel vector.
-
-        Read off the RREF: the free columns, plus the pivot column of every
-        reduced row that is nonzero on a free column, i.e. has more than its
-        one pivot entry.  The frozen columns are exactly the complement
-        within ``range(n)``.
+        """Columns carrying a nonzero coordinate in some kernel vector: the
+        nonzero rows of ``K`` (module docstring), from one elimination.  The
+        frozen columns are exactly the complement within ``range(n)``.
         """
         if self._ksup is None:
-            if self.field.is_gf2:
-                pivots, R = _rref_gf2(_int_rows(self._a), self.n)
-                hit = [r.bit_count() > 1 for r in R]
-            else:
-                _, pivots, R = self._rref()
-                hit = (np.count_nonzero(R, axis=1) > 1).tolist()
-            self._rank = len(pivots)
-            pivset = set(pivots)
-            free = [j for j in range(self.n) if j not in pivset]
-            self._ksup = frozenset(free + [c for c, h in zip(pivots, hit) if h])
+            _kernel_rows(self)
         return self._ksup
 
-    def _rref(self, rational_cap: int | None = None):
-        """(rank, pivot columns, the ``rank x n`` array of reduced rows)."""
+    def _kernel(self, rational_cap: int | None = None) -> np.ndarray:
+        """``K`` of the module docstring as an ``n x nullity`` array, one
+        basis vector per free column of the dense RREF (at every field, p = 2
+        included); sets the rank."""
         self._check_rational_cap(rational_cap)
-        rank, pivots, M = _rref_dense(self._a.copy(), self.field.p)
-        return rank, pivots, M[:rank]
+        rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
+        pivset = set(pivots)
+        free = [j for j in range(self.n) if j not in pivset]
+        K = field_array(self.field, np.zeros((self.n, len(free)), dtype=np.uint8))
+        K[free, range(len(free))] = self.field.one().value
+        K[pivots] = -R[:rank, free] if self.field.p is None else -R[:rank, free] % self.field.p
+        self._rank = rank
+        return K
 
     def _check_rational_cap(self, override: int | None) -> None:
         if self.field.kind != "rationals":
@@ -364,6 +351,38 @@ def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int | None) -
         M[rows, c:] = upd if p is None else upd % p
 
 
+# ----------------------------------------------------------- kernel rows
+
+
+def _kernel_rows(A: Matrix):
+    """The rows of ``K``, from one elimination of ``A``, which also sets its
+    rank and kernel support (the nonzero rows).  Over F2, one int per column
+    in the F2 row format, with bits on the free columns only; over other
+    fields, the array of :meth:`Matrix._kernel`."""
+    if not A.field.is_gf2:
+        K = A._kernel()
+        A._ksup = frozenset(np.flatnonzero(np.count_nonzero(K, axis=1)).tolist())
+        return K
+    n = A.n
+    pivots, R = _rref_gf2(_int_rows(A._a), n)
+    free_mask = (1 << n) - 1
+    for c in pivots:
+        free_mask ^= 1 << (n - 1 - c)
+    K = [1 << (n - 1 - j) for j in range(n)]  # a free column's own bit
+    for c, x in zip(pivots, R):
+        K[c] = x & free_mask
+    A._rank = len(pivots)
+    A._ksup = frozenset(j for j, x in enumerate(K) if x)
+    return K
+
+
+def _rank_of_rows(A: Matrix, K, rows) -> int:
+    """``rank(K_rows)`` for the kernel rows ``K`` of ``A``."""
+    if A.field.is_gf2:
+        return len(_echelon_gf2([K[j] for j in rows], A.n))
+    return _forward_dense(K[list(rows)], A.field.p)[0]
+
+
 # ------------------------------------------------------- frozen variables
 
 
@@ -404,13 +423,13 @@ def is_frozen(A: Matrix, i: int) -> bool:
 def is_relation(A: Matrix, I) -> bool:
     """Whether some row-space vector has nonempty support inside ``I``.
 
-    Decided by a rank comparison: ``I`` is a relation iff deleting the
-    columns ``I`` lowers the rank (the left kernel grows).
+    By the identity in the module docstring: iff the kernel rows ``K_I``
+    are dependent, so that deleting the columns ``I`` lowers the rank.
     """
     iset = _index_set(I, A.n, "column")
     if not iset:
         raise ValueError("relation index set must be nonempty")
-    return A.remove(cols=iset).rank() < A.rank()
+    return _rank_of_rows(A, _kernel_rows(A), iset) < len(iset)
 
 
 def row_in_span(A: Matrix, b) -> bool:
@@ -418,100 +437,29 @@ def row_in_span(A: Matrix, b) -> bool:
     return A.append_row(b).rank() == A.rank()
 
 
-def _row_space_supports(A: Matrix, max_vectors: int) -> set[frozenset[int]]:
-    """Supports of all nonzero row-space vectors (exponential in rank)."""
-    if A.field.kind != "prime":
-        raise ValueError("row-space enumeration requires a finite field")
-    rank, _, R = A._rref()
-    rows = R.tolist()
-    count = A.field.p ** rank
-    if count > max_vectors:
-        raise ResourceCapError(
-            f"row space holds {count} vectors, above the enumeration cap of {max_vectors}"
-        )
-    p = A.field.p
-    supports: set[frozenset[int]] = set()
-    # odometer over coefficient vectors; maintain the running combination
-    current = [0] * A.n
-    digits = [0] * rank
-    while True:
-        k = 0
-        while k < rank and digits[k] == p - 1:
-            digits[k] = 0
-            for j in range(A.n):
-                current[j] = (current[j] - (p - 1) * rows[k][j]) % p
-            k += 1
-        if k == rank:
-            break
-        digits[k] += 1
-        for j in range(A.n):
-            current[j] = (current[j] + rows[k][j]) % p
-        supports.add(frozenset(j for j in range(A.n) if current[j]))
-    supports.discard(frozenset())
-    return supports
+def proper_relations(A: Matrix, ell: int) -> list[tuple[int, ...]]:
+    """All size-``ell`` proper relations of ``A``, sorted, over any field.
 
-
-def proper_relations(
-    A: Matrix,
-    ell: int,
-    method: str = "enumeration",
-    *,
-    max_n: int = DEFAULT_ENUM_MAX_N,
-    max_rank: int = DEFAULT_ENUM_MAX_RANK,
-    max_vectors: int = DEFAULT_ENUM_MAX_VECTORS,
-) -> list[tuple[int, ...]]:
-    """All size-``ell`` proper relations of ``A``, sorted.
-
-    ``enumeration`` lists the supports of every nonzero row-space vector
-    and keeps the size-``ell`` sets that contain a support disjoint from
-    the frozen columns.  It refuses matrices above the configured caps.
-    ``rankdrop`` instead tests each candidate ``I`` by whether deleting
-    the columns ``I`` minus the frozen set lowers the rank; it needs no
-    enumeration cap and handles larger matrices.  Rational matrices have
-    an infinite row space, so they always take the rankdrop route.
+    One elimination gives the kernel rows ``K``; a candidate ``I`` is kept
+    when its unfrozen part ``core`` is nonempty and ``K_core`` is dependent
+    (the identity in the module docstring).  The literal routes, row-space
+    enumeration and remove-and-rank, are oracles in :mod:`frozenrank.verify`.
     """
     if ell < 1:
         raise ValueError("relation size must be >= 1")
-    if A.field.kind == "rationals" and method == "enumeration":
-        method = "rankdrop"
-    frozen = set(frozen_set(A).frozen)
-    if method == "enumeration":
-        if A.n > max_n:
-            raise ResourceCapError(f"n={A.n} above the enumeration cap max_n={max_n}")
-        if A.rank() > max_rank:
-            raise ResourceCapError(
-                f"rank={A.rank()} above the enumeration cap max_rank={max_rank}"
-            )
-        supports = _row_space_supports(A, max_vectors)
-        seeds = [s for s in supports if len(s) <= ell and not (s & frozen)]
-        found: set[tuple[int, ...]] = set()
-        universe = range(A.n)
-        for s in seeds:
-            rest = [j for j in universe if j not in s]
-            for extra in itertools.combinations(rest, ell - len(s)):
-                found.add(tuple(sorted(s | set(extra))))
-        return sorted(found)
-    if method == "rankdrop":
-        base = A.rank()
-        cache: dict[frozenset[int], bool] = {}
-        out = []
-        for combo in itertools.combinations(range(A.n), ell):
-            core = frozenset(combo) - frozen
-            if not core:
-                continue
-            hit = cache.get(core)
-            if hit is None:
-                hit = A.remove(cols=core).rank() < base
-                cache[core] = hit
-            if hit:
-                out.append(combo)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    K = _kernel_rows(A)
+    out = []
+    for combo in itertools.combinations(range(A.n), ell):
+        core = [j for j in combo if j in A._ksup]
+        if core and _rank_of_rows(A, K, core) < len(core):
+            out.append(combo)
+    return out
 
 
-def is_delta_ell_free(A: Matrix, delta: float, ell: int, **caps) -> bool:
-    """Whether ``A`` has at most ``delta * n**ell`` proper relations of size ``ell``."""
-    return len(proper_relations(A, ell, **caps)) <= delta * A.n ** ell
+def is_delta_ell_free(A: Matrix, delta: float, ell: int) -> bool:
+    """Whether ``A`` has at most ``delta * n**ell`` proper relations of size
+    ``ell``, as :func:`proper_relations` lists them."""
+    return len(proper_relations(A, ell)) <= delta * A.n ** ell
 
 
 # ----------------------------------------------------------- variable types

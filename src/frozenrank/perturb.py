@@ -59,22 +59,24 @@ class PerturbationFamily:
         return int(indices_over_seeds(self.seed, k, n1))
 
 
-def indices_over_seeds(family_seeds, k: int, n1: int) -> np.ndarray:
+def indices_over_seeds(family_seeds, k, n1: int) -> np.ndarray:
     """:meth:`PerturbationFamily.index` for every seed in ``family_seeds``
-    (an int or an array), as int64 of that shape: the last level ``<= n1``
-    whose pick ``u(k, level)`` is the level itself, minus one.  This is the
-    one implementation of the pick; ``u`` stays the literal definition."""
+    and row ``k`` (each an int or an array; they broadcast together), as
+    int64 of the broadcast shape: the last level ``<= n1`` whose pick
+    ``u(k, level)`` is the level itself, minus one.  This is the one
+    implementation of the pick; ``u`` stays the literal definition."""
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
-    seeds = to_uint64(family_seeds)
-    flat = seeds.reshape(-1)
+    seeds, ks = np.broadcast_arrays(to_uint64(family_seeds), to_uint64(k))
+    flat, flat_k = seeds.reshape(-1), ks.reshape(-1)
     levels = np.arange(1, n1 + 1, dtype=np.uint64)
     out = np.empty(flat.shape, dtype=np.int64)
     step = max(1, _PICK_CELLS // n1)
     for s0 in range(0, flat.size, step):
-        hit = prf_array(flat[s0:s0 + step, None], k, levels) % levels == levels - 1
+        part = slice(s0, s0 + step)
+        hit = prf_array(flat[part, None], flat_k[part, None], levels) % levels == levels - 1
         # level 1 always hits, so argmax over the reversed levels finds the last
-        out[s0:s0 + step] = n1 - 1 - np.argmax(hit[:, ::-1], axis=1)
+        out[part] = n1 - 1 - np.argmax(hit[:, ::-1], axis=1)
     return out.reshape(seeds.shape)
 
 
@@ -131,7 +133,9 @@ def theta_r_matrix(
     if theta_r < 0:
         raise ValueError("theta_r must be nonnegative")
     a = np.zeros((theta_r, n2), dtype=np.uint8)
-    a[range(theta_r), [fam.index(k, n1) for k in range(theta_r)]] = 1
+    if theta_r:
+        rows = np.arange(theta_r)
+        a[rows, indices_over_seeds(fam.seed, rows, n1)] = 1
     return Matrix._from_array(field, field_array(field, a))
 
 

@@ -10,6 +10,7 @@ points solved on both sides of a duality.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from . import analytic
 from .exactla import (
     Matrix,
     classify_variable,
+    field_array,
     frozen_set,
     proper_relations,
     relabelled,
@@ -71,13 +73,13 @@ def random_matrix(stream: Stream, field: FieldSpec, m: int, n: int,
             for j in range(n):
                 if stream.randbelow(100) < density_percent:
                     rows[i][j] = sample_nonzero(stream, field).value
-    return Matrix.from_rows(field, rows, symmetric=symmetric)
+    return Matrix._from_array(field, field_array(field, rows).reshape(m, n), symmetric)
 
 
-def rank_by_row_space_enumeration(A: Matrix) -> int:
-    """Independent rank oracle: close the row span under addition of scalar
-    multiples and count its vectors (|F|^rank including zero).  Uses field
-    scalar arithmetic only, never elimination."""
+def _row_span(A: Matrix) -> set[tuple]:
+    """Every vector of the row space of ``A``, zero included, by closing the
+    span under addition of scalar multiples of each row: field scalar
+    arithmetic only, never elimination."""
     if A.field.kind != "prime":
         raise ValueError("the enumeration oracle needs a finite field")
     p = A.field.p
@@ -90,11 +92,47 @@ def rank_by_row_space_enumeration(A: Matrix) -> int:
             for v in span
             for a in additions
         }
-    count = len(span)
+    return span
+
+
+def rank_by_row_space_enumeration(A: Matrix) -> int:
+    """Independent rank oracle: count the vectors of the row span
+    (|F|^rank including zero)."""
+    p = A.field.p
+    count = len(_row_span(A))
     rank = round(math.log(count, p)) if count > 1 else 0
     if p ** rank != count:
         raise AssertionError("span size is not a power of the field order")
     return rank
+
+
+def proper_relations_by_enumeration(A: Matrix, ell: int) -> list[tuple[int, ...]]:
+    """Oracle for :func:`proper_relations` from the row span, no elimination:
+    the frozen columns are the singleton supports, and a size-``ell`` set is
+    kept when it holds the support of a row-space vector that avoids them."""
+    supports = {_support(v) for v in _row_span(A)} - {frozenset()}
+    frozen = {j for s in supports if len(s) == 1 for j in s}
+    found: set[tuple[int, ...]] = set()
+    for s in supports:
+        if len(s) <= ell and not s & frozen:
+            rest = [j for j in range(A.n) if j not in s]
+            for extra in itertools.combinations(rest, ell - len(s)):
+                found.add(tuple(sorted(s.union(extra))))
+    return sorted(found)
+
+
+def proper_relations_by_removal(A: Matrix, ell: int) -> list[tuple[int, ...]]:
+    """Oracle for :func:`proper_relations` by the definition: keep a
+    size-``ell`` set when deleting its unfrozen columns lowers the rank, with
+    the frozen set from the rank-drop route."""
+    frozen = set(frozen_set(A, "rankdrop").frozen)
+    base = A.rank()
+    out = []
+    for combo in itertools.combinations(range(A.n), ell):
+        core = set(combo) - frozen
+        if core and A.remove(cols=core).rank() < base:
+            out.append(combo)
+    return out
 
 
 def _support(vec) -> frozenset[int]:
@@ -166,8 +204,7 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         if supp and supp <= frozen and not in_span:
             bad += 1
         if in_span and supp:
-            if not (supp <= frozen or tuple(sorted(supp)) in
-                    proper_relations(A, len(supp), method="rankdrop")):
+            if not (supp <= frozen or tuple(sorted(supp)) in proper_relations(A, len(supp))):
                 bad += 1
     checks.append(CheckResult(
         "span membership vs frozen supports and proper relations",
@@ -275,7 +312,7 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         "type census agrees with per-variable classification",
         bad == 0, f"{instances // 2} instances, {bad} violations"))
 
-    # proper relations: enumeration vs rank-drop route
+    # proper relations: kernel rows vs row-space enumeration vs remove-and-rank
     stream = Stream(seed + 8)
     bad = 0
     for k in range(instances // 2):
@@ -283,7 +320,8 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         n = 2 + stream.randbelow(5)
         A = random_matrix(stream, field, 1 + stream.randbelow(5), n)
         ell = 2 + stream.randbelow(2)
-        if proper_relations(A, ell) != proper_relations(A, ell, method="rankdrop"):
+        if not (proper_relations(A, ell) == proper_relations_by_enumeration(A, ell)
+                == proper_relations_by_removal(A, ell)):
             bad += 1
     checks.append(CheckResult(
         "proper relations: enumeration vs rank-drop",
@@ -382,8 +420,8 @@ def run_perturb_suite(seed: int = 99, samples: int = 100_000) -> list[CheckResul
         spec = PerturbationSpec.draw(8, prf(seed, 6, k))
         fams = CoupledFamilies.from_seed(prf(seed, 7, k))
         M = canonical_perturb(A, spec, fams)
-        base_counts.append(len(proper_relations(A, 2, method="rankdrop")))
-        pert_counts.append(len(proper_relations(M, 2, method="rankdrop")))
+        base_counts.append(len(proper_relations(A, 2)))
+        pert_counts.append(len(proper_relations(M, 2)))
     mean_base = statistics.fmean(base_counts)
     mean_pert = statistics.fmean(pert_counts)
     checks.append(CheckResult(

@@ -18,6 +18,7 @@ from frozenrank.exactla import (
     TypeProfile,
     block,
     classify_variable,
+    field_array,
     format_matrix,
     frozen_set,
     is_delta_ell_free,
@@ -31,8 +32,14 @@ from frozenrank.exactla import (
     variable_types,
 )
 from frozenrank.field import FieldSpec
-from frozenrank.prf import Stream
-from frozenrank.verify import random_matrix, rank_by_row_space_enumeration
+from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
+from frozenrank.prf import Stream, prf
+from frozenrank.verify import (
+    proper_relations_by_enumeration,
+    proper_relations_by_removal,
+    random_matrix,
+    rank_by_row_space_enumeration,
+)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -172,24 +179,60 @@ def test_proper_relations_examples():
     assert proper_relations(path3(), 2) == [(0, 2)]
 
 
-def test_proper_relations_methods_agree():
-    stream = Stream(11)
-    for field in (F2, F3):
-        for _ in range(40):
-            A = random_matrix(stream, field, 1 + stream.randbelow(5), 2 + stream.randbelow(5))
-            for ell in (2, 3):
-                assert proper_relations(A, ell) == proper_relations(A, ell, method="rankdrop")
-
-
 def test_proper_relations_caps():
-    with pytest.raises(ResourceCapError):
-        proper_relations(Matrix.zeros(F2, 3, 25), 2)
-    with pytest.raises(ResourceCapError):
-        proper_relations(Matrix.identity(F2, 15), 2)
-    with pytest.raises(ResourceCapError):
-        proper_relations(Matrix.identity(F5, 10), 2, max_vectors=1000)
-    # rankdrop route has no enumeration caps
-    assert proper_relations(Matrix.identity(F2, 15), 2, method="rankdrop") == []
+    # no size caps, on shapes out of reach of row-space enumeration: 25
+    # columns, rank 15, 5^10 row-space vectors
+    assert proper_relations(Matrix.zeros(F2, 3, 25), 2) == []
+    assert proper_relations(Matrix.identity(F2, 15), 2) == []
+    assert proper_relations(Matrix.identity(F5, 10), 2) == []
+    # one all-ones row of 30 columns: its support is the only relation
+    ones = Matrix._from_array(F2, field_array(F2, [[1] * 30]))
+    assert proper_relations(ones, 29) == []
+    assert proper_relations(ones, 30) == [tuple(range(30))]
+
+
+def _oracle_cases(stream, field, count):
+    """The empty shapes 0 x 4 and 3 x 0, then ``count`` random matrices of
+    at most 5 x 6, empty shapes included."""
+    yield random_matrix(stream, field, 0, 4)
+    yield random_matrix(stream, field, 3, 0)
+    for _ in range(count):
+        m, n = stream.randbelow(6), stream.randbelow(7)
+        yield random_matrix(stream, field, m, n, density_percent=20 + stream.randbelow(60))
+
+
+def test_proper_relations_methods_agree():
+    # the kernel-row route against both oracles of verify; row-space
+    # enumeration needs a small finite field
+    stream = Stream(71)
+    for field in (F2, F3, F5, FieldSpec.prime(2**31 - 1), Q):
+        for A in _oracle_cases(stream, field, 60):
+            for ell in range(1, 5):
+                found = proper_relations(A, ell)
+                assert found == proper_relations_by_removal(A, ell), (A.to_values(), ell)
+                if field.kind == "prime" and field.p < 10:
+                    assert found == proper_relations_by_enumeration(A, ell), (A.to_values(), ell)
+
+
+def test_proper_relations_of_perturbed_symmetric_matrices():
+    # the matrices of the perturb suite's proper-relation check
+    stream = Stream(105)
+    for k in range(6):
+        A = random_matrix(stream, F2, 14, 14, density_percent=20, symmetric=True)
+        spec = PerturbationSpec.draw(8, prf(99, 6, k))
+        M = canonical_perturb(A, spec, CoupledFamilies.from_seed(prf(99, 7, k)))
+        for B in (A, M):
+            assert proper_relations(B, 2) == proper_relations_by_removal(B, 2)
+        assert proper_relations(A, 2) == proper_relations_by_enumeration(A, 2)
+
+
+def test_is_relation_matches_remove_and_rank():
+    stream = Stream(12)
+    for field in (F2, F3, Q):
+        for A in _oracle_cases(stream, field, 30):
+            for size in range(1, A.n + 1):
+                for I in itertools.combinations(range(A.n), size):
+                    assert is_relation(A, I) == (A.remove(cols=I).rank() < A.rank())
 
 
 def test_is_delta_ell_free_examples():

@@ -63,6 +63,17 @@ def test_scalar_vector_index_agreement(monkeypatch):
     grid = seeds.reshape(20, 15)
     assert np.array_equal(indices_over_seeds(grid, 4, 12),
                           indices_over_seeds(seeds, 4, 12).reshape(20, 15))
+    # k broadcasts with the seeds: a seeds x k grid, as one array of k and as
+    # one row of k per seed, against the scalar u at every budget
+    ks = np.arange(6)
+    for n1 in (1, 3, 12):
+        literal = [[_literal_index(fam, k, n1) for k in range(6)] for fam in fams[:40]]
+        for cells in budgets:
+            monkeypatch.setattr(perturb, "_PICK_CELLS", cells)
+            assert indices_over_seeds(seeds[:40, None], ks, n1).tolist() == literal
+            assert indices_over_seeds(seeds[:40, None], np.tile(ks, (40, 1)), n1).tolist() \
+                == literal
+    assert indices_over_seeds(int(seeds[0]), ks, 12).tolist() == literal[0]
 
 
 def test_index_rejects_empty_range():
