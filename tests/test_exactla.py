@@ -18,7 +18,6 @@ from frozenrank.exactla import (
     TypeProfile,
     block,
     classify_variable,
-    field_array,
     format_matrix,
     frozen_set,
     is_delta_ell_free,
@@ -186,7 +185,7 @@ def test_proper_relations_caps():
     assert proper_relations(Matrix.identity(F2, 15), 2) == []
     assert proper_relations(Matrix.identity(F5, 10), 2) == []
     # one all-ones row of 30 columns: its support is the only relation
-    ones = Matrix._from_array(F2, field_array(F2, [[1] * 30]))
+    ones = Matrix.from_rows(F2, [[1] * 30])
     assert proper_relations(ones, 29) == []
     assert proper_relations(ones, 30) == [tuple(range(30))]
 
