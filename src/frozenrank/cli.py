@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 from . import analytic
 from .errors import ResourceCapError
@@ -23,12 +24,12 @@ from .field import FieldSpec
 from .harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
-    _trial_streams,
     records_to_csv,
     run_census,
     run_experiment,
+    trial_graph,
 )
-from .randgraph import WeightTemplate, karp_sipser, parse_graph, sample_graph
+from .randgraph import karp_sipser, parse_graph
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -80,7 +81,7 @@ def _cmd_analytic(args) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args, census: bool) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fp:
             return ExperimentConfig.from_json(fp.read())
@@ -97,29 +98,20 @@ def _config_from_args(args, census: bool) -> ExperimentConfig:
         template=args.template,
         pert_P=getattr(args, "P", None),
         pert_seed=getattr(args, "pert_seed", None),
-        census=census,
+        census=args.census,
         output=None,
         workers=args.workers,
     )
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args, census=False)
-    records, summary = run_experiment(cfg)
+def _cmd_trials(args) -> int:
+    """``simulate`` and ``census``: one run; ``census`` always takes a census.
+    The CSV goes to ``--out``, else the config's output, else stdout."""
+    cfg = _config_from_args(args)
     out = args.out or cfg.output
-    _write_output(records_to_csv(records), out)
-    if out:
-        sys.stdout.write(summary.to_json() + "\n")
-    return EXIT_OK
-
-
-def _cmd_census(args) -> int:
-    cfg = _config_from_args(args, census=True)
-    records, summary = run_census(cfg)
-    out = args.out or cfg.output
-    _write_output(records_to_csv(records), out)
-    if out:
-        sys.stdout.write(summary.to_json() + "\n")
+    run = run_census if args.census else run_experiment
+    records, summary = run(replace(cfg, output=out))
+    sys.stdout.write(summary.to_json() + "\n" if out else records_to_csv(records))
     return EXIT_OK
 
 
@@ -140,6 +132,9 @@ def _cmd_ks(args) -> int:
         return EXIT_OK
     if args.n is None or args.d is None or args.trials is None:
         raise ValueError("ks needs either --graph or all of --n/--d/--trials")
+    for flag in ("n", "trials"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     buf = io.StringIO()
     buf.write(CSV_SCHEMA_TAG + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -147,9 +142,8 @@ def _cmd_ks(args) -> int:
                      "ks_isolated", "ks_core_size", "removed_pair_count"])
     field = FieldSpec.parse_label(args.field)
     for index in range(args.trials):
-        trial_seed, coupling, weight_seed = _trial_streams(args.seed, index)
-        template = WeightTemplate(field, args.n, args.template, weight_seed)
-        ks = karp_sipser(sample_graph(args.n, args.d / args.n, template, coupling))
+        trial_seed, G = trial_graph(args.seed, index, args.n, args.d, field, args.template)
+        ks = karp_sipser(G)
         writer.writerow([index, trial_seed, args.n, args.d,
                          ks.isolated_count, len(ks.core_vertices),
                          len(ks.removed_pairs)])
@@ -224,11 +218,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo rank trials")
     add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_trials, census=False)
 
     p = sub.add_parser("census", help="perturbed variable-type censuses")
     add_common(p, with_P=True)
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_trials, census=True)
 
     p = sub.add_parser("ks", help="leaf-removal statistics")
     p.add_argument("--graph", help="edge-list file to reduce instead of sampling")

@@ -3,7 +3,9 @@
 Each trial is a pure function of ``(master_seed, trial_index)``: the trial
 seed splits into separate streams for edge coupling, weights, the vertex
 permutation, the perturbation dimensions, and the perturbation families,
-so no two random sources ever share a stream.  Records are ordered by
+so no two random sources ever share a stream.  The edge and weight split is
+stated once, in :func:`trial_graph`; the rest in :func:`_run_trial`, the one
+trial function of both rank and census runs.  Records are ordered by
 trial index, which makes the CSV output byte-identical across reruns and
 worker counts.  Wall-clock timings are kept on the in-memory records only,
 never serialized.
@@ -17,7 +19,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import analytic
 from .errors import ResourceCapError
@@ -53,6 +55,11 @@ _TEMPLATE_KINDS = ("allones", "random")
 # value types accepted for each annotation of ExperimentConfig ("X | None"
 # also accepts None); bool is an int subclass, so it is kept apart
 _CONFIG_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _group_key(field: str, template: str) -> str:
+    """Grouping key for summaries: field label + template kind."""
+    return f"{field}+{template}"
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,7 @@ class ExperimentConfig:
 
     @property
     def group(self) -> str:
-        """Grouping key for summaries: field label + template kind."""
-        return f"{self.field}+{self.template}"
+        return _group_key(self.field, self.template)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -156,7 +162,7 @@ class TrialRecord:
 
     @property
     def group(self) -> str:
-        return f"{self.field}+{self.template}"
+        return _group_key(self.field, self.template)
 
 
 @dataclass(frozen=True)
@@ -192,27 +198,12 @@ class SummaryReport:
         payload = {
             "d": self.d,
             "analytic_min_R": self.analytic_min_R,
-            "groups": {
-                k: {
-                    "count": s.count,
-                    "mean_normalized_rank": s.mean_normalized_rank,
-                    "stddev_normalized_rank": s.stddev_normalized_rank,
-                }
-                for k, s in self.groups.items()
-            },
+            "groups": {k: asdict(s) for k, s in self.groups.items()},
             "gaps": dict(self.gaps),
             "pairwise_gaps": {f"{a} vs {b}": v for (a, b), v in self.pairwise_gaps.items()},
         }
         if self.census is not None:
-            payload["census"] = {
-                "trials": self.census.trials,
-                "mean_residual_y": self.census.mean_residual_y,
-                "mean_residual_u": self.census.mean_residual_u,
-                "mean_residual_v": self.census.mean_residual_v,
-                "max_deficit_z": self.census.max_deficit_z,
-                "mean_alpha": self.census.mean_alpha,
-                "mean_alpha_hat": self.census.mean_alpha_hat,
-            }
+            payload["census"] = asdict(self.census)
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -268,12 +259,15 @@ def summarize(records: list[TrialRecord], d: float) -> SummaryReport:
 # ------------------------------------------------------------------- trials
 
 
-def _trial_streams(master_seed: int, index: int):
-    """(trial seed, edge coupling, weight-template seed) of one trial."""
+def trial_graph(master_seed: int, index: int, n: int, d: float, field: FieldSpec,
+                template: str) -> tuple[int, Graph]:
+    """(trial seed, sampled graph) of trial ``index``: the trial seed splits
+    into the edge-coupling and weight-template streams here and nowhere else,
+    so the edge support does not depend on the field or template."""
     trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
     coupling = CouplingSource(derive_seed(trial_seed, 0, TAG_EDGES))
-    weight_seed = derive_seed(trial_seed, 0, TAG_WEIGHTS)
-    return trial_seed, coupling, weight_seed
+    weights = WeightTemplate(field, n, template, derive_seed(trial_seed, 0, TAG_WEIGHTS))
+    return trial_seed, sample_graph(n, d / n, weights, coupling)
 
 
 def _rank_of_graph(ks: KSResult) -> int:
@@ -301,46 +295,24 @@ def _rank_of_graph(ks: KSResult) -> int:
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
+    """One trial: sample, leaf removal and rank; then, for a census run, the
+    type census of the perturbed, relabelled matrix T."""
     start = time.perf_counter()
-    trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
-    spec = cfg.field_spec
-    template = WeightTemplate(spec, cfg.n, cfg.template, weight_seed)
-    ks = karp_sipser(sample_graph(cfg.n, cfg.d / cfg.n, template, coupling))
-    rank = _rank_of_graph(ks)
-    return TrialRecord(
-        trial_index=index,
-        derived_seed=trial_seed,
-        n=cfg.n,
-        d=cfg.d,
-        field=cfg.field,
-        template=cfg.template,
-        rank=rank,
-        nullity=cfg.n - rank,
-        normalized_rank=rank / cfg.n,
-        ks_isolated=ks.isolated_count,
-        ks_core_size=len(ks.core_vertices),
-        elapsed_ms=(time.perf_counter() - start) * 1e3,
-    )
-
-
-def _run_census_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
-    start = time.perf_counter()
-    trial_seed, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
-    spec = cfg.field_spec
-    template = WeightTemplate(spec, cfg.n, cfg.template, weight_seed)
-    perm_seed = derive_seed(trial_seed, 0, TAG_PERM)
-    pert_base = trial_seed if cfg.pert_seed is None else \
-        derive_seed(cfg.pert_seed, index, TAG_TRIAL)
-    theta = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
-    fams = CoupledFamilies.from_seed(pert_base)
-    G = sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
-    T = sample_T(G, cfg.n, perm_seed=perm_seed)
-    perturbed = canonical_perturb(T, theta, fams)
-    profile = type_census(perturbed, census_size=cfg.n)
-    # T is G relabelled at full size, and rank and leaf-removal statistics
-    # are relabelling-invariant, so G's leaf removal gives both for T
+    trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
+                                cfg.template)
     ks = karp_sipser(G)
     rank = _rank_of_graph(ks)
+    profile = theta = None
+    if cfg.census:
+        # T is G relabelled at full size, and rank and leaf-removal statistics
+        # are relabelling-invariant, so G's leaf removal gives both for T too
+        pert_base = trial_seed if cfg.pert_seed is None else \
+            derive_seed(cfg.pert_seed, index, TAG_TRIAL)
+        pert = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
+        T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
+        perturbed = canonical_perturb(T, pert, CoupledFamilies.from_seed(pert_base))
+        profile = type_census(perturbed, census_size=cfg.n)
+        theta = (pert.theta_r, pert.theta_c)
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,
@@ -354,40 +326,27 @@ def _run_census_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         ks_isolated=ks.isolated_count,
         ks_core_size=len(ks.core_vertices),
         census=profile,
-        theta=(theta.theta_r, theta.theta_c),
+        theta=theta,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
     )
 
 
-def _run_many(cfg: ExperimentConfig, runner) -> list[TrialRecord]:
-    indices = range(cfg.trials)
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryReport]:
+    """Run the trials of ``cfg``, with a census each when ``cfg.census`` is
+    set; persist CSV when ``cfg.output`` is set."""
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(runner, [cfg] * cfg.trials, indices))
+            records = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:
-        records = [runner(cfg, i) for i in indices]
-    records.sort(key=lambda r: r.trial_index)
-    return records
-
-
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryReport]:
-    """Run rank/leaf-removal trials; persist CSV when cfg.output is set."""
-    if cfg.census:
-        return run_census(cfg)
-    records = _run_many(cfg, _run_trial)
+        records = [_run_trial(cfg, i) for i in range(cfg.trials)]
     if cfg.output:
         write_csv_file(records, cfg.output)
     return records, summarize(records, cfg.d)
 
 
 def run_census(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryReport]:
-    """Run perturbed-census trials (requires ``pert_P``)."""
-    if cfg.pert_P is None:
-        raise ValueError("census runs require pert_P")
-    records = _run_many(cfg, _run_census_trial)
-    if cfg.output:
-        write_csv_file(records, cfg.output)
-    return records, summarize(records, cfg.d)
+    """Run ``cfg`` as a census run (requires ``pert_P``)."""
+    return run_experiment(replace(cfg, census=True))
 
 
 # ---------------------------------------------------------------------- CSV
@@ -405,9 +364,8 @@ _BASE_COLUMNS = (
     "ks_isolated",
     "ks_core_size",
 )
-_CENSUS_COLUMNS = (
-    "theta_r",
-    "theta_c",
+# TypeProfile attributes, read by name
+_PROFILE_COLUMNS = (
     "count_x",
     "count_y",
     "count_z",
@@ -423,6 +381,7 @@ _CENSUS_COLUMNS = (
     "alpha",
     "alpha_hat",
 )
+_CENSUS_COLUMNS = ("theta_r", "theta_c") + _PROFILE_COLUMNS
 
 
 def records_to_csv(records: list[TrialRecord]) -> str:
@@ -434,41 +393,11 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for rec in sorted(records, key=lambda r: r.trial_index):
-        row = [
-            rec.trial_index,
-            rec.derived_seed,
-            rec.n,
-            rec.d,
-            rec.field,
-            rec.template,
-            rec.rank,
-            rec.nullity,
-            rec.normalized_rank,
-            rec.ks_isolated,
-            rec.ks_core_size,
-        ]
+        row = [getattr(rec, c) for c in _BASE_COLUMNS]
         if with_census:
-            prof = rec.census
-            if prof is None:
+            if rec.census is None:
                 raise ValueError("mixed census/non-census records in one CSV")
-            row += [
-                rec.theta[0],
-                rec.theta[1],
-                prof.count_x,
-                prof.count_y,
-                prof.count_z,
-                prof.count_u,
-                prof.count_v,
-                prof.frozen_count,
-                prof.frozen_count_t,
-                prof.x,
-                prof.y,
-                prof.z,
-                prof.u,
-                prof.v,
-                prof.alpha,
-                prof.alpha_hat,
-            ]
+            row += [*rec.theta, *(getattr(rec.census, c) for c in _PROFILE_COLUMNS)]
         writer.writerow(row)
     return buf.getvalue()
 

@@ -91,6 +91,57 @@ def test_census_cli(tmp_path, capsys):
     assert "alpha_hat" in header
 
 
+@pytest.mark.parametrize("field, template, n", [
+    ("F2", "allones", 60), ("Fp:2147483647", "random", 60), ("Q", "random", 40)])
+def test_census_base_columns_are_the_simulate_csv(capsys, field, template, n):
+    # a census trial is a rank trial plus a census: its first columns are
+    # the simulate CSV of the same config, column for column
+    args = ["--n", str(n), "--d", "2.5", "--field", field, "--template", template,
+            "--trials", "3", "--seed", "6"]
+    assert main(["simulate"] + args) == 0
+    simulate = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert main(["census"] + args + ["--P", "8"]) == 0
+    census = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    width = len(simulate[1])
+    assert len(census[1]) > width
+    assert [row[:width] for row in census] == simulate
+
+
+@pytest.mark.parametrize("command, census", [("census", False), ("simulate", True)])
+def test_config_census_run_matches_census_flags(tmp_path, capsys, command, census):
+    # `census` takes a census whatever the config says; `simulate` takes one
+    # when the config asks for it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 50, "d": 2.0, "field": "F2", "trials": 2,
+                               "master_seed": 3, "pert_P": 8, "census": census}))
+    assert main([command, "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["census", "--n", "50", "--d", "2", "--P", "8", "--trials", "2",
+                 "--seed", "3"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
+def test_config_output_is_written_once(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "trials.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 50, "d": 2.0, "field": "F2", "trials": 2,
+                               "master_seed": 3, "output": str(out)}))
+    writes = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert writes == [str(out)]
+    assert json.loads(capsys.readouterr().out)["groups"]["F2+allones"]["count"] == 2
+    assert main(["simulate", "--n", "50", "--d", "2", "--trials", "2", "--seed", "3"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_census_requires_P():
     assert main(["census", "--n", "50", "--d", "2", "--trials", "2"]) == 2
 
@@ -126,6 +177,15 @@ def test_ks_from_graph_file(tmp_path, capsys):
 
 def test_ks_needs_inputs():
     assert main(["ks"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--trials", "-1")])
+def test_ks_rejects_nonpositive_counts(capsys, flag, value):
+    args = {"--n": "40", "--d": "1.5", "--trials": "2", flag: value}
+    assert main(["ks"] + [x for kv in args.items() for x in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 1\n"
 
 
 def test_classify(tmp_path, capsys):

@@ -22,16 +22,16 @@ from frozenrank.harness import (
     ExperimentConfig,
     _rank_of_graph,
     _run_trial,
-    _trial_streams,
     records_to_csv,
     run_census,
     run_experiment,
     summarize,
+    trial_graph,
     write_csv_file,
 )
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from frozenrank.prf import TAG_PERM, TAG_THETA, derive_seed
-from frozenrank.randgraph import Graph, WeightTemplate, karp_sipser, sample_T, sample_graph
+from frozenrank.randgraph import Graph, karp_sipser, sample_T
 
 
 def small_cfg(**overrides):
@@ -185,7 +185,7 @@ def test_census_ks_stats_are_those_of_T():
                                master_seed=21, census=True, pert_P=8)
         records, _ = run_census(cfg)
         for r in records:
-            T = _census_T(cfg, r.trial_index)
+            _, T = _census_T(cfg, r.trial_index)
             assert T.rank() == r.rank
             support = tuple((i, j, T.entry(i, j).value) for i in range(n)
                             for j in range(i + 1, n) if not T.entry(i, j).is_zero())
@@ -264,23 +264,21 @@ def test_write_csv_failure_names_path(tmp_path):
 
 
 def _trial_graph(cfg: ExperimentConfig, index: int) -> Graph:
-    """The graph that trial ``index`` samples, built the same way."""
-    _, coupling, weight_seed = _trial_streams(cfg.master_seed, index)
-    template = WeightTemplate(cfg.field_spec, cfg.n, cfg.template, weight_seed)
-    return sample_graph(cfg.n, cfg.d / cfg.n, template, coupling)
+    """The graph that trial ``index`` samples."""
+    return trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec, cfg.template)[1]
 
 
 def _census_T(cfg: ExperimentConfig, index: int):
-    """The relabelled matrix T of census trial ``index``."""
-    trial_seed = _trial_streams(cfg.master_seed, index)[0]
-    return sample_T(_trial_graph(cfg, index), cfg.n,
-                    perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
+    """(trial seed, relabelled matrix T) of census trial ``index``."""
+    trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
+                                cfg.template)
+    return trial_seed, sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
 
 
 def _census_matrix(cfg: ExperimentConfig, index: int):
-    """The perturbed matrix that ``_run_census_trial`` types, built the same way."""
-    trial_seed = _trial_streams(cfg.master_seed, index)[0]
-    T = _census_T(cfg, index)
+    """The perturbed matrix that a census trial of ``_run_trial`` types, built the
+    same way."""
+    trial_seed, T = _census_T(cfg, index)
     theta = PerturbationSpec.draw(cfg.pert_P, derive_seed(trial_seed, 0, TAG_THETA))
     return canonical_perturb(T, theta, CoupledFamilies.from_seed(trial_seed))
 
