@@ -135,6 +135,8 @@ def _cmd_ks(args) -> int:
     for flag in ("n", "trials"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be >= 1")
+    if not 0.0 <= args.d <= args.n:
+        raise ValueError(f"--d must lie in [0, --n] = [0, {args.n}], got {args.d!r}")
     buf = io.StringIO()
     buf.write(CSV_SCHEMA_TAG + "\n")
     writer = csv.writer(buf, lineterminator="\n")

@@ -37,19 +37,22 @@ a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
 Q alike.  Rank, kernel rows and the census solve over F2 run on rows held
 as Python ints instead, one bit per column, with XOR as row addition.
 Rational matrices are capped in size because elimination suffers
-coefficient blow-up.
+coefficient blow-up; :func:`rational_rank` gives the exact rank of a
+sparse symmetric rational matrix of any size from eliminations modulo
+primes, each certified.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ResourceCapError
-from .field import FieldElement, FieldSpec
+from .field import PRIME_LIMIT, FieldElement, FieldSpec, is_prime
 
 DEFAULT_RATIONAL_CAP = 64
 
@@ -193,23 +196,39 @@ class Matrix:
         """Columns carrying a nonzero coordinate in some kernel vector: the
         nonzero rows of ``K`` (module docstring), from one elimination.  The
         frozen columns are exactly the complement within ``range(n)``.
+
+        Over F_p (p > 2) and Q the support is read off the RREF without
+        building ``K``: every free column, and each pivot column whose
+        reduced row has a nonzero entry in a free column.
         """
         if self._ksup is None:
-            _kernel_rows(self)
+            if self.field.is_gf2:
+                _kernel_rows(self)
+            else:
+                rank, pivots, R = self._rref()
+                free = np.ones(self.n, dtype=bool)
+                free[pivots] = False
+                support = free.copy()
+                support[pivots] = np.count_nonzero(R[:rank][:, free], axis=1) > 0
+                self._ksup = frozenset(np.flatnonzero(support).tolist())
         return self._ksup
+
+    def _rref(self, rational_cap: int | None = None) -> tuple[int, list[int], np.ndarray]:
+        """(rank, pivot columns, RREF array) of one dense elimination, at
+        every field (p = 2 included); sets the rank."""
+        self._check_rational_cap(rational_cap)
+        rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
+        self._rank = rank
+        return rank, pivots, R
 
     def _kernel(self, rational_cap: int | None = None) -> np.ndarray:
         """``K`` of the module docstring as an ``n x nullity`` array, one
-        basis vector per free column of the dense RREF (at every field, p = 2
-        included); sets the rank."""
-        self._check_rational_cap(rational_cap)
-        rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
-        pivset = set(pivots)
-        free = [j for j in range(self.n) if j not in pivset]
+        basis vector per free column of the dense RREF; sets the rank."""
+        rank, pivots, R = self._rref(rational_cap)
+        free = _free_columns(pivots, self.n)
         K = field_array(self.field, np.zeros((self.n, len(free)), dtype=np.uint8))
         K[free, range(len(free))] = self.field.one().value
         K[pivots] = -R[:rank, free] if self.field.p is None else -R[:rank, free] % self.field.p
-        self._rank = rank
         return K
 
     def _check_rational_cap(self, override: int | None) -> None:
@@ -241,6 +260,11 @@ def _vector_values(field: FieldSpec, vec, expect_len: int) -> list:
     if len(vals) != expect_len:
         raise ValueError(f"vector length {len(vals)} != {expect_len}")
     return vals
+
+
+def _free_columns(pivots: list[int], n: int) -> list[int]:
+    pivset = set(pivots)
+    return [j for j in range(n) if j not in pivset]
 
 
 def _index_set(indices, bound: int, what: str) -> set[int]:
@@ -326,7 +350,7 @@ def _forward_dense(M: np.ndarray, p: int | None) -> tuple[int, list[int]]:
         if p is None:
             M[r, c:] = M[r, c:] / M[r, c]
         else:
-            inv = pow(int(M[r, c]), p - 2, p)
+            inv = pow(int(M[r, c]), -1, p)
             M[r, c:] = (M[r, c:] * M.dtype.type(inv)) % p
         _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p)
         pivots.append(c)
@@ -381,6 +405,142 @@ def _rank_of_rows(A: Matrix, K, rows) -> int:
     if A.field.is_gf2:
         return len(_echelon_gf2([K[j] for j in rows], A.n))
     return _forward_dense(K[list(rows)], A.field.p)[0]
+
+
+# ------------------------------------------------------ exact rational rank
+
+
+@dataclass(frozen=True)
+class RationalRank:
+    """The rank over Q from :func:`rational_rank`, the certificate that
+    settled it (``exit``), and the primes eliminated on the way, in order."""
+
+    rank: int
+    exit: str  # "full" | "lift" | "hadamard"
+    primes: tuple[int, ...]
+
+
+def _primes_descending():
+    """Every prime below ``PRIME_LIMIT`` (2^31), largest first."""
+    q = PRIME_LIMIT - 1
+    while q > 2:
+        if is_prime(q):
+            yield q
+        q -= 2
+
+
+def rational_rank(n: int, edges) -> RationalRank:
+    """Exact rank over Q of the symmetric ``n x n`` matrix ``A`` with zero
+    diagonal and ``A[i, j] = A[j, i] = w`` for each ``(i, j, w)`` of
+    ``edges`` (distinct pairs, ``i != j``, ``w`` a nonzero ``Fraction``).
+
+    Reduction modulo a prime p that divides no denominator is a ring map,
+    so a minor that is nonzero mod p is nonzero over Q: rank_p <= rank_Q.
+    One loop eliminates ``A`` modulo each prime of :func:`_primes_descending`
+    that divides no denominator, keeping the best rank seen and the pivot
+    list of its RREF.  It stops at the first certificate of
+    rank_Q <= best:
+
+    * ``full``: the best rank is ``n``; one elimination in the common case.
+    * ``hadamard``: the product of the primes exceeds twice the Hadamard
+      bound of the denominator-cleared matrix.  A nonzero maximal minor of
+      that integer matrix is at most the bound in absolute value, so not
+      every prime divides it: some prime kept rank_Q, and so did the best.
+    * ``lift``: the kernel ``K`` of the best rank's RREF (module docstring),
+      combined by CRT over the latest run of primes that share its pivot
+      list and rationally reconstructed entry by entry, satisfies ``A K = 0``
+      exactly, a sparse check over the edges.  ``K`` is the identity on the
+      free columns, so its ``n - best`` columns are independent over Q.
+
+    Each elimination is a :meth:`Matrix.rank`; a prime whose rank reaches
+    the best one below ``n`` and meets no bound is eliminated once more for
+    its RREF.
+    """
+    edges = tuple(edges)
+    scale = math.lcm(*(w.denominator for _, _, w in edges))
+    rows = [i for i, _, _ in edges]
+    cols = [j for _, j, _ in edges]
+    cleared = [w.numerator * (scale // w.denominator) for _, _, w in edges]
+    norm2 = [0] * n
+    for i, j, c in zip(rows, cols, cleared):
+        norm2[i] += c * c
+        norm2[j] += c * c
+    # (twice the Hadamard bound)^2; a row of norm below 1 is a zero row
+    hadamard2 = 4 * math.prod(max(1, s) for s in norm2)
+    best, primes, product = -1, [], 1
+    lift_pivots = lift = modulus = None
+    for p in _primes_descending():
+        if scale % p == 0:
+            continue
+        field = FieldSpec.prime(p)
+        inv = pow(scale, -1, p)
+        arr = field_array(field, np.zeros((n, n), dtype=np.uint8))
+        arr[rows, cols] = arr[cols, rows] = [c % p * inv % p for c in cleared]
+        A = Matrix._from_array(field, arr, symmetric=True)
+        rank = A.rank()
+        primes.append(p)
+        product *= p
+        if rank == n:
+            return RationalRank(n, "full", tuple(primes))
+        if product * product > hadamard2:
+            return RationalRank(max(best, rank), "hadamard", tuple(primes))
+        if rank < best:
+            continue
+        _, pivots, R = A._rref()
+        residues = (-R[:rank, _free_columns(pivots, n)] % p).astype(object)
+        if rank == best and pivots == lift_pivots:
+            lift = lift + modulus * ((residues - lift) * pow(modulus, -1, p) % p)
+            modulus *= p
+        else:
+            # At rank_Q the pivots are a column basis over Q, and K mod p is
+            # the reduction of that basis's rational K; another pivot list
+            # (rare at p ~ 2^31) reduces another K, so the CRT starts over.
+            best, lift_pivots, lift, modulus = rank, pivots, residues, p
+        if _kernel_lift_holds(pivots, lift, modulus, n, rows, cols, cleared):
+            return RationalRank(best, "lift", tuple(primes))
+    raise AssertionError("no primes left below 2^31; the Hadamard exit comes first")
+
+
+def _kernel_lift_holds(pivots, residues, modulus, n, rows, cols, cleared) -> bool:
+    """Whether the pivot rows of ``K`` (``residues`` modulo ``modulus``, one
+    column per free column) reconstruct to rationals with ``A K = 0``
+    exactly.  Each column is scaled to integers and multiplied by the
+    denominator-cleared edge weights; the first failure stops the check."""
+    bound = math.isqrt((modulus - 1) // 2)
+    for k, free in enumerate(_free_columns(pivots, n)):
+        column = []
+        for a in residues[:, k].tolist():
+            x = _reconstruct(a, modulus, bound)
+            if x is None:
+                return False
+            column.append(x)
+        den = math.lcm(*(v for _, v in column))
+        y = [0] * n
+        y[free] = den
+        for c, (u, v) in zip(pivots, column):
+            y[c] = u * (den // v)
+        acc = [0] * n
+        for i, j, c in zip(rows, cols, cleared):
+            acc[i] += c * y[j]
+            acc[j] += c * y[i]
+        if any(acc):
+            return False
+    return True
+
+
+def _reconstruct(a: int, m: int, bound: int) -> tuple[int, int] | None:
+    """``(u, v)`` with ``u = v * a (mod m)``, ``|u| <= bound``,
+    ``0 < v <= bound`` and ``gcd(u, v) = 1``, unique when
+    ``2 * bound**2 < m``, or None: rational reconstruction by the extended
+    Euclidean algorithm."""
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 # ------------------------------------------------------- frozen variables

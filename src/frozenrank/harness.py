@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import analytic
 from .errors import ResourceCapError
-from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, TypeProfile, type_census
+from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, TypeProfile, rational_rank, type_census
 from .field import FieldSpec
 from .perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from .prf import (
@@ -45,10 +45,6 @@ from .randgraph import (
 )
 
 CSV_SCHEMA_TAG = "#frozenrank-v1"
-
-#: Largest primes below 2^31; rational ranks above the exact cap are
-#: certified from below by the maximum rank over these reductions.
-RATIONAL_PROXY_PRIMES = (2147483647, 2147483629, 2147483587)
 
 _TEMPLATE_KINDS = ("allones", "random")
 
@@ -89,8 +85,9 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.d >= 0.0:
-            raise ValueError("d must be a nonnegative real")
+        if not 0.0 <= self.d <= self.n:
+            raise ValueError(f"d must lie in [0, n] = [0, {self.n}] (edge probability "
+                             f"d/n at most 1), got {self.d!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -273,25 +270,17 @@ def trial_graph(master_seed: int, index: int, n: int, d: float, field: FieldSpec
 def _rank_of_graph(ks: KSResult) -> int:
     """Exact rank of the adjacency that ``ks`` reduced, read off its
     leaf-removal core by the identity in :class:`KSResult`; an empty core
-    builds no matrix.  A rational core above the exact cap uses the
-    documented proxy: the maximum rank over three large-prime reductions of
-    the core (a lower-bound certificate for its rational rank, equal to it
-    with high probability)."""
+    builds no matrix.  A rational core of any size goes to
+    :func:`~frozenrank.exactla.rational_rank`: eliminations modulo primes,
+    certified exact (full rank, a verified kernel lift or the Hadamard
+    bound)."""
     core = ks.core
     rank = 2 * len(ks.removed_pairs)
     if core.n == 0:
         return rank
-    if core.field.kind != "rationals" or core.n <= DEFAULT_RATIONAL_CAP:
-        return rank + core.adjacency().rank()
-    best = 0
-    denominators = {w.denominator for _, _, w in core.edges}
-    for p in RATIONAL_PROXY_PRIMES:
-        proxy = FieldSpec.prime(p)
-        inverse = {den: pow(den, p - 2, p) for den in denominators}
-        edges = tuple((i, j, w.numerator * inverse[w.denominator] % p)
-                      for i, j, w in core.edges)
-        best = max(best, Graph(n=core.n, field=proxy, edges=edges).adjacency().rank())
-    return rank + best
+    if core.field.kind == "rationals":
+        return rank + rational_rank(core.n, core.edges).rank
+    return rank + core.adjacency().rank()
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:

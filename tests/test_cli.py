@@ -188,6 +188,15 @@ def test_ks_rejects_nonpositive_counts(capsys, flag, value):
     assert captured.err == f"error: {flag} must be >= 1\n"
 
 
+@pytest.mark.parametrize("command, flag", [("simulate", "d"), ("ks", "--d")])
+def test_degree_above_n_is_usage_error(capsys, command, flag):
+    # d/n is the edge probability: d > n is refused before any sampling
+    assert main([command, "--n", "20", "--d", "100", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must lie in [0, ")
+
+
 def test_classify(tmp_path, capsys):
     mfile = tmp_path / "p3.mat"
     mfile.write_text(P3_TEXT)

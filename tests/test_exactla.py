@@ -383,6 +383,24 @@ def test_rational_cap():
         eye.kernel_support()
 
 
+@pytest.mark.parametrize("field", [F3, FieldSpec.prime(2147483647), Q])
+def test_kernel_support_is_read_off_the_rref(field):
+    # the support that kernel_support reads off the RREF is the set of
+    # nonzero rows of the kernel basis K, and it sets the rank too
+    stream = Stream(83)
+    cases = [Matrix.zeros(field, 4, 6), Matrix.identity(field, 5), Matrix.zeros(field, 0, 3)]
+    for m, n in ((1, 1), (2, 5), (4, 4), (5, 3), (6, 6), (7, 9)):
+        cases += [random_matrix(stream, field, m, n, percent) for percent in (10, 40, 100)]
+    ranks = set()
+    for A in cases:
+        K = A._kernel()
+        fresh = Matrix._from_array(field, A._a)
+        assert fresh.kernel_support() == {j for j in range(A.n) if any(K[j])}
+        assert fresh._rank == A.rank()
+        ranks.add((A.rank() == 0, A.rank() == A.n))
+    assert {(True, False), (False, True), (False, False)} <= ranks
+
+
 def test_entries_and_fields_validated():
     with pytest.raises(ValueError):
         Matrix.from_rows(F2, [[F3.element(1)]])

@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from frozenrank import analytic, randgraph
+from frozenrank import analytic, exactla
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
     DEFAULT_RATIONAL_CAP,
     DENSE_CAP,
+    RationalRank,
     TypeProfile,
     classify_variable,
+    rational_rank,
     type_census,
     variable_types,
 )
-from frozenrank.field import FieldSpec
+from frozenrank.field import RATIONAL_POOL, FieldSpec
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
@@ -30,7 +32,7 @@ from frozenrank.harness import (
     write_csv_file,
 )
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
-from frozenrank.prf import TAG_PERM, TAG_THETA, derive_seed
+from frozenrank.prf import TAG_PERM, TAG_THETA, Stream, derive_seed
 from frozenrank.randgraph import Graph, karp_sipser, sample_T
 
 
@@ -45,6 +47,9 @@ def test_config_validation():
         small_cfg(trials=0)
     with pytest.raises(ValueError):
         small_cfg(d=-0.5)
+    with pytest.raises(ValueError, match=r"^d must lie in \[0, n\]"):
+        small_cfg(d=121.0)  # an edge probability d/n above 1
+    assert small_cfg(d=120.0).d == 120.0
     with pytest.raises(ValueError):
         small_cfg(field="F9")
     with pytest.raises(ValueError):
@@ -116,12 +121,11 @@ def test_same_support_across_fields():
 
 
 def test_rational_rank_paths():
-    # below the exact cap: exact rational elimination
+    # every size reads the rank off the leaf-removal core by the rational
+    # route; it must bound the F2 ranks on the same support from above
+    # (rational rank >= the rank of any prime reduction)
     small, _ = run_experiment(ExperimentConfig(
         n=40, d=2.0, field="Q", trials=2, master_seed=5, template="random"))
-    # above: read off the leaf-removal core (exact while the core fits the
-    # cap, else the large-prime proxy); must agree with F2 ranks on the same
-    # support at least as an upper bound (rational rank >= any prime reduction)
     big, _ = run_experiment(ExperimentConfig(
         n=120, d=2.0, field="Q", trials=2, master_seed=5, template="random"))
     gf2, _ = run_experiment(ExperimentConfig(
@@ -205,7 +209,7 @@ def test_census_zero_degree_types():
     # unit-row targets (frozen, type V/Y) and the unit-column targets (firmly
     # frozen in the transpose only, type U)
     from frozenrank.exactla import Matrix, type_census
-    from frozenrank.field import FieldSpec
+    from frozenrank.field import RATIONAL_POOL, FieldSpec
     from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 
     F2 = FieldSpec.prime(2)
@@ -309,36 +313,108 @@ ORACLE_FIELDS = (("F2", "allones", 200), ("Fp:3", "random", 200),
 @pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_trial_rank_matches_dense_oracle(field, template, n, d):
     # Q at n > 64 is checked against exact elimination of the whole graph;
-    # the three-prime proxy on a core above the cap is pinned just below
+    # the rational route on cores above 64 is pinned just below
     cfg = ExperimentConfig(n=n, d=d, field=field, template=template, trials=1,
                            master_seed=7)
     G = _trial_graph(cfg, 0)
     assert _run_trial(cfg, 0).rank == G.adjacency().rank(rational_cap=n)
 
 
+# the first primes of the rational route, largest first
+PRIMES = (2147483647, 2147483629, 2147483587)
+
+
 @pytest.mark.parametrize("template", ("random", "allones"))
-def test_rational_proxy_rank_matches_exact_oracle(template):
+def test_rational_core_rank_matches_exact_oracle(template):
     cfg = ExperimentConfig(n=90, d=5.0, field="Q", template=template, trials=2,
                            master_seed=7)
     for index in range(cfg.trials):
         G = _trial_graph(cfg, index)
-        assert len(karp_sipser(G).core_vertices) > DEFAULT_RATIONAL_CAP
+        core = karp_sipser(G).core
+        assert core.n > DEFAULT_RATIONAL_CAP
+        # full rank at the first prime: one elimination settles it
+        assert rational_rank(core.n, core.edges) == RationalRank(core.n, "full", PRIMES[:1])
         assert _run_trial(cfg, index).rank == G.adjacency().rank(rational_cap=cfg.n)
 
 
-def test_rational_proxy_reduces_fractions_exactly():
-    # a cycle of length 4m has determinant (a - b)^2, where a and b are the
-    # weight products of its two perfect matchings, so it loses rank 2 exactly
-    # when they agree; here both are 1 over Q, and they stay equal modulo a
-    # prime only if 1/2 is reduced to the true inverse of 2
-    n = 68  # a cycle is its own leaf-removal core, above the exact cap
-    weights = [Fraction(1)] * n
-    weights[0], weights[2] = Fraction(1, 2), Fraction(2)
-    G = Graph(n, FieldSpec.rationals(),
-              tuple((k, k + 1, weights[k]) for k in range(n - 1)) + ((0, n - 1, weights[-1]),))
+def _cycle(weights) -> Graph:
+    """The cycle 0-1-...-(n-1)-0 with weight weights[k] on edge (k, k+1 mod n).
+    For n = 4m its determinant is (a - b)^2, where a and b are the weight
+    products of the even and the odd edges (its two perfect matchings), and
+    the rank is n - 2 exactly when a = b."""
+    n = len(weights)
+    return Graph(n, FieldSpec.rationals(),
+                 tuple((k, k + 1, Fraction(weights[k])) for k in range(n - 1))
+                 + ((0, n - 1, Fraction(weights[-1])),))
+
+
+def _route(G: Graph) -> RationalRank:
+    """The rational route on ``G``, which must be its own leaf-removal core,
+    checked against exact elimination of the whole graph."""
     ks = karp_sipser(G)
-    assert len(ks.core_vertices) == n > DEFAULT_RATIONAL_CAP
-    assert _rank_of_graph(ks) == G.adjacency().rank(rational_cap=n) == n - 2
+    assert ks.core_vertices == tuple(range(G.n))
+    got = rational_rank(G.n, G.edges)
+    assert _rank_of_graph(ks) == got.rank == G.adjacency().rank(rational_cap=G.n)
+    return got
+
+
+def test_rational_rank_reduces_fractions_exactly():
+    # a = b = 1 over Q, and they stay equal modulo a prime only if 1/2 is
+    # reduced to the true inverse of 2; the kernel vectors have entries in
+    # {0, +-1, +-2, +-1/2}, so one prime lifts them
+    weights = [1] * 68
+    weights[0], weights[2] = Fraction(1, 2), 2
+    assert _route(_cycle(weights)) == RationalRank(66, "lift", PRIMES[:1])
+
+
+def test_rational_rank_above_the_first_primes_rank():
+    # a = 2^31 and b = 1: det = (2^31 - 1)^2 is nonzero over Q and zero modulo
+    # the first prime, whose kernel then fails the exact check; the second
+    # prime has full rank
+    weights = [1] * 68
+    weights[0] = 2 ** 31
+    assert _route(_cycle(weights)) == RationalRank(68, "full", PRIMES[:2])
+
+
+def test_rational_rank_skips_a_prime_dividing_a_denominator():
+    # a = b = 1 with a weight 1/p for the first prime p, which is skipped
+    weights = [1] * 68
+    weights[0], weights[2] = Fraction(1, PRIMES[0]), PRIMES[0]
+    got = _route(_cycle(weights))
+    assert got.rank == 66 and got.primes[0] == PRIMES[1]
+
+
+def test_rational_rank_lifts_large_kernel_entries_over_several_primes():
+    # a = b = 10^5 through two adjacent edges: kernel entries reach 10^5,
+    # beyond the reconstruction bound of one prime (about 3.3e4)
+    weights = [1] * 68
+    weights[1] = weights[2] = 10 ** 5
+    G = _cycle(weights)
+    kernel = G.adjacency()._kernel(rational_cap=G.n)
+    assert max(abs(x.numerator) + x.denominator for x in kernel.flat) > 33000
+    got = _route(G)
+    assert got.exit == "lift" and got.rank == 66 and len(got.primes) > 1
+
+
+def test_rational_rank_hadamard_exit():
+    # a 4-cycle with a = b: its Hadamard bound 4 is below half of one prime,
+    # and so is that of a matrix without edges
+    assert _route(_cycle([1, 1, 1, 1])) == RationalRank(2, "hadamard", PRIMES[:1])
+    assert rational_rank(3, ()) == RationalRank(0, "hadamard", PRIMES[:1])
+    assert rational_rank(0, ()) == RationalRank(0, "full", PRIMES[:1])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_rank_matches_fraction_elimination(seed):
+    # random symmetric rational matrices, sparse enough to be rank deficient
+    # often, all-ones at even seeds; these seeds reach all three exits
+    stream = Stream(seed)
+    n = 2 + stream.randbelow(40)
+    pool = (Fraction(1),) if seed % 2 == 0 else RATIONAL_POOL + (Fraction(7, 5),)
+    edges = tuple((i, j, pool[stream.randbelow(len(pool))])
+                  for i in range(n) for j in range(i + 1, n) if stream.randbelow(n) < 2)
+    G = Graph(n, FieldSpec.rationals(), edges)
+    assert rational_rank(n, edges).rank == G.adjacency().rank(rational_cap=n)
 
 
 @pytest.mark.parametrize("field", ("F2", "Fp:3", "Fp:2147483647", "Q"))
@@ -352,13 +428,13 @@ def test_trial_rank_degenerate_graphs(field):
 @pytest.mark.parametrize("field", ("F2", "Fp:2147483647", "Q"))
 def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
     built = []
-    adjacency = randgraph.Graph.adjacency
+    init = exactla.Matrix.__init__
 
-    def recorded(self):
-        built.append(self.n)
-        return adjacency(self)
+    def recorded(self, field, a, symmetric):
+        built.append(a.shape)
+        init(self, field, a, symmetric)
 
-    monkeypatch.setattr(randgraph.Graph, "adjacency", recorded)
+    monkeypatch.setattr(exactla.Matrix, "__init__", recorded)
     for d in (0.5, 3.0, 5.0):
         cfg = ExperimentConfig(n=150, d=d, field=field, template="random", trials=1,
                                master_seed=3)
@@ -366,6 +442,6 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
         record = _run_trial(cfg, 0)
         core = len(karp_sipser(_trial_graph(cfg, 0)).core_vertices)
         assert record.ks_core_size == core
-        # no matrix at all for an empty core; one per proxy prime for a big Q core
-        assert all(size == core for size in built)
-        assert len(built) == (0 if core == 0 else 3 if field == "Q" and core > 64 else 1)
+        # no matrix at all for an empty core, else one of the core's size; a Q
+        # core of full rank modulo the first prime needs no second prime
+        assert built == ([] if core == 0 else [(core, core)])
