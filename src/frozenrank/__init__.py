@@ -5,7 +5,6 @@ with the closed-form rank limit they converge to."""
 from .analytic import AnalyticPoint, integral_identity_residual, ks_fixed_point, min_R, solve_point
 from .errors import ResourceCapError
 from .exactla import (
-    FrozenReport,
     Matrix,
     TypeProfile,
     classify_variable,

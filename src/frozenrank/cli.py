@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import replace
@@ -22,11 +20,11 @@ from .errors import ResourceCapError
 from .exactla import TypeProfile, frozen_set, parse_matrix, variable_types
 from .field import FieldSpec
 from .harness import (
-    CSV_SCHEMA_TAG,
     ExperimentConfig,
     records_to_csv,
     run_census,
     run_experiment,
+    tagged_csv,
     trial_graph,
 )
 from .randgraph import karp_sipser, parse_graph
@@ -63,21 +61,16 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _cmd_analytic(args) -> int:
-    buf = io.StringIO()
-    buf.write(CSV_SCHEMA_TAG + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "d", "alpha_star_lo", "alpha_zero", "alpha_star_hi",
-        "min_R", "gamma_lo", "gamma_hi", "integral_residual",
-    ])
-    for d in _frange(args.d_min, args.d_max, args.step):
+    def row(d: float) -> list:
         pt = analytic.solve_point(d)
-        writer.writerow([
-            d, pt.alpha_star_lo, pt.alpha_zero, pt.alpha_star_hi,
-            pt.min_R, pt.gamma_lo, pt.gamma_hi,
-            analytic.integral_identity_residual(d),
-        ])
-    _write_output(buf.getvalue(), args.out)
+        return [d, pt.alpha_star_lo, pt.alpha_zero, pt.alpha_star_hi,
+                pt.min_R, pt.gamma_lo, pt.gamma_hi,
+                analytic.integral_identity_residual(d)]
+
+    columns = ["d", "alpha_star_lo", "alpha_zero", "alpha_star_hi",
+               "min_R", "gamma_lo", "gamma_hi", "integral_residual"]
+    grid = _frange(args.d_min, args.d_max, args.step)
+    _write_output(tagged_csv(columns, map(row, grid)), args.out)
     return EXIT_OK
 
 
@@ -137,19 +130,17 @@ def _cmd_ks(args) -> int:
             raise ValueError(f"--{flag} must be >= 1")
     if not 0.0 <= args.d <= args.n:
         raise ValueError(f"--d must lie in [0, --n] = [0, {args.n}], got {args.d!r}")
-    buf = io.StringIO()
-    buf.write(CSV_SCHEMA_TAG + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial_index", "derived_seed", "n", "d",
-                     "ks_isolated", "ks_core_size", "removed_pair_count"])
     field = FieldSpec.parse_label(args.field)
-    for index in range(args.trials):
+
+    def row(index: int) -> list:
         trial_seed, G = trial_graph(args.seed, index, args.n, args.d, field, args.template)
         ks = karp_sipser(G)
-        writer.writerow([index, trial_seed, args.n, args.d,
-                         ks.isolated_count, len(ks.core_vertices),
-                         len(ks.removed_pairs)])
-    _write_output(buf.getvalue(), args.out)
+        return [index, trial_seed, args.n, args.d,
+                ks.isolated_count, len(ks.core_vertices), len(ks.removed_pairs)]
+
+    columns = ["trial_index", "derived_seed", "n", "d",
+               "ks_isolated", "ks_core_size", "removed_pair_count"]
+    _write_output(tagged_csv(columns, map(row, range(args.trials))), args.out)
     return EXIT_OK
 
 
@@ -163,7 +154,7 @@ def _cmd_classify(args) -> int:
         "field": A.field.label(),
         "rank": A.rank(),
         "nullity": A.nullity(),
-        "frozen_columns": list(frozen_set(A).frozen),
+        "frozen_columns": list(frozen_set(A)),
         "types": {str(i): t for i, t in enumerate(types)},
     }
     if types:

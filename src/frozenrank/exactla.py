@@ -361,10 +361,15 @@ def _forward_dense(M: np.ndarray, p: int | None) -> tuple[int, list[int]]:
 def _rref_dense(M: np.ndarray, p: int | None):
     """In-place RREF; returns (rank, pivots, M)."""
     r, pivots = _forward_dense(M, p)
-    for i in range(r - 1, -1, -1):
+    _back_substitute(M, pivots, p)
+    return r, pivots, M
+
+
+def _back_substitute(M: np.ndarray, pivots: list[int], p: int | None) -> None:
+    """In place, a forward-eliminated ``M`` with these pivots to its RREF."""
+    for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
         _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p)
-    return r, pivots, M
 
 
 def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int | None) -> None:
@@ -452,9 +457,9 @@ def rational_rank(n: int, edges) -> RationalRank:
       exactly, a sparse check over the edges.  ``K`` is the identity on the
       free columns, so its ``n - best`` columns are independent over Q.
 
-    Each elimination is a :meth:`Matrix.rank`; a prime whose rank reaches
-    the best one below ``n`` and meets no bound is eliminated once more for
-    its RREF.
+    Each prime is eliminated once, forward and in place on its own residue
+    array; a prime whose rank reaches the best one below ``n`` and meets no
+    bound has that same array back-substituted to its RREF.
     """
     edges = tuple(edges)
     scale = math.lcm(*(w.denominator for _, _, w in edges))
@@ -472,12 +477,10 @@ def rational_rank(n: int, edges) -> RationalRank:
     for p in _primes_descending():
         if scale % p == 0:
             continue
-        field = FieldSpec.prime(p)
         inv = pow(scale, -1, p)
-        arr = field_array(field, np.zeros((n, n), dtype=np.uint8))
-        arr[rows, cols] = arr[cols, rows] = [c % p * inv % p for c in cleared]
-        A = Matrix._from_array(field, arr, symmetric=True)
-        rank = A.rank()
+        M = field_array(FieldSpec.prime(p), np.zeros((n, n), dtype=np.uint8))
+        M[rows, cols] = M[cols, rows] = [c % p * inv % p for c in cleared]
+        rank, pivots = _forward_dense(M, p)
         primes.append(p)
         product *= p
         if rank == n:
@@ -486,8 +489,8 @@ def rational_rank(n: int, edges) -> RationalRank:
             return RationalRank(max(best, rank), "hadamard", tuple(primes))
         if rank < best:
             continue
-        _, pivots, R = A._rref()
-        residues = (-R[:rank, _free_columns(pivots, n)] % p).astype(object)
+        _back_substitute(M, pivots, p)
+        residues = (-M[:rank, _free_columns(pivots, n)] % p).astype(object)
         if rank == best and pivots == lift_pivots:
             lift = lift + modulus * ((residues - lift) * pow(modulus, -1, p) % p)
             modulus *= p
@@ -546,32 +549,12 @@ def _reconstruct(a: int, m: int, bound: int) -> tuple[int, int] | None:
 # ------------------------------------------------------- frozen variables
 
 
-@dataclass(frozen=True)
-class FrozenReport:
-    """Frozen columns of a matrix and the method that produced them."""
-
-    frozen: tuple[int, ...]
-    method: str  # "kernel" | "rankdrop"
-
-
-def frozen_set(A: Matrix, method: str = "kernel") -> FrozenReport:
-    """Columns frozen in ``A``.
-
-    ``kernel`` (default, one elimination): complement of the union of
-    kernel-basis supports.  ``rankdrop`` (n eliminations, kept as an
-    oracle): columns whose removal drops the rank by exactly one.
-    """
-    if method == "kernel":
-        support = A.kernel_support()
-        frozen = tuple(j for j in range(A.n) if j not in support)
-    elif method == "rankdrop":
-        base = A.rank()
-        frozen = tuple(
-            j for j in range(A.n) if base - A.remove(cols=[j]).rank() == 1
-        )
-    else:
-        raise ValueError(f"unknown method {method!r} (use 'kernel' or 'rankdrop')")
-    return FrozenReport(frozen=frozen, method=method)
+def frozen_set(A: Matrix) -> tuple[int, ...]:
+    """Columns frozen in ``A``, ascending: the complement of the kernel
+    support, from one elimination.  The rank-drop route of the definition
+    is the oracle :func:`frozenrank.verify.frozen_set_by_removal`."""
+    support = A.kernel_support()
+    return tuple(j for j in range(A.n) if j not in support)
 
 
 def is_frozen(A: Matrix, i: int) -> bool:
@@ -666,10 +649,10 @@ def classify_variable(A: Matrix, i: int) -> str:
 class TypeProfile:
     """Exact census of variable types over the first ``n`` columns.
 
-    Proportions are counts over ``n``; ``alpha``/``alpha_hat`` are the
-    frozen proportions of the matrix and of its transpose.  The identities
-    ``x+y+z+u+v = 1``, ``alpha = x+y+v`` and ``alpha_hat = x+y+u`` hold
-    exactly at the level of integer counts and are asserted on creation.
+    Proportions are counts over ``n``, which the five counts must
+    partition (asserted on creation).  The frozen counts of the matrix and
+    of its transpose are ``x+y+v`` and ``x+y+u`` by definition of the
+    types; ``alpha``/``alpha_hat`` are their proportions.
     """
 
     n: int
@@ -678,17 +661,19 @@ class TypeProfile:
     count_z: int
     count_u: int
     count_v: int
-    frozen_count: int
-    frozen_count_t: int
 
     def __post_init__(self):
         total = self.count_x + self.count_y + self.count_z + self.count_u + self.count_v
         if total != self.n:
             raise ValueError("type counts must partition the census range")
-        if self.frozen_count != self.count_x + self.count_y + self.count_v:
-            raise ValueError("frozen count must equal x+y+v counts")
-        if self.frozen_count_t != self.count_x + self.count_y + self.count_u:
-            raise ValueError("transpose frozen count must equal x+y+u counts")
+
+    @property
+    def frozen_count(self) -> int:
+        return self.count_x + self.count_y + self.count_v
+
+    @property
+    def frozen_count_t(self) -> int:
+        return self.count_x + self.count_y + self.count_u
 
     @property
     def x(self) -> float:
@@ -734,8 +719,6 @@ class TypeProfile:
             count_z=c["Z"],
             count_u=c["U"],
             count_v=c["V"],
-            frozen_count=c["X"] + c["Y"] + c["V"],
-            frozen_count_t=c["X"] + c["Y"] + c["U"],
         )
 
 

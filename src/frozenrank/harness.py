@@ -373,22 +373,31 @@ _PROFILE_COLUMNS = (
 _CENSUS_COLUMNS = ("theta_r", "theta_c") + _PROFILE_COLUMNS
 
 
-def records_to_csv(records: list[TrialRecord]) -> str:
-    """Canonical CSV text: schema tag line, header row, one row per trial."""
-    with_census = any(r.census is not None for r in records)
-    columns = _BASE_COLUMNS + (_CENSUS_COLUMNS if with_census else ())
+def tagged_csv(columns, rows) -> str:
+    """CSV text of every output: the schema tag line, the header
+    ``columns``, then ``rows``, each line ending in a bare newline."""
     buf = io.StringIO()
     buf.write(CSV_SCHEMA_TAG + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for rec in sorted(records, key=lambda r: r.trial_index):
-        row = [getattr(rec, c) for c in _BASE_COLUMNS]
-        if with_census:
-            if rec.census is None:
-                raise ValueError("mixed census/non-census records in one CSV")
-            row += [*rec.theta, *(getattr(rec.census, c) for c in _PROFILE_COLUMNS)]
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def records_to_csv(records: list[TrialRecord]) -> str:
+    """Canonical CSV text: schema tag line, header row, one row per trial."""
+    with_census = any(r.census is not None for r in records)
+
+    def row(rec: TrialRecord) -> list:
+        base = [getattr(rec, c) for c in _BASE_COLUMNS]
+        if not with_census:
+            return base
+        if rec.census is None:
+            raise ValueError("mixed census/non-census records in one CSV")
+        return base + [*rec.theta, *(getattr(rec.census, c) for c in _PROFILE_COLUMNS)]
+
+    return tagged_csv(_BASE_COLUMNS + (_CENSUS_COLUMNS if with_census else ()),
+                      map(row, sorted(records, key=lambda r: r.trial_index)))
 
 
 def write_csv_file(records: list[TrialRecord], path: str) -> None:

@@ -213,22 +213,19 @@ def uniform_permutation(N: int, perm_seed: int) -> list[int]:
     return perm
 
 
-def sample_T(G: Graph, n: int, perm_seed: int = 0, perm=None) -> Matrix:
-    """Principal ``n x n`` block of the adjacency of ``G`` after a uniform
-    relabelling ``u`` of its vertices: vertex ``u[k]`` of ``G`` becomes ``k``.
+def sample_T(G: Graph, n: int, perm_seed: int = 0) -> Matrix:
+    """Principal ``n x n`` block of the adjacency of ``G`` after the uniform
+    relabelling ``u = uniform_permutation(G.n, perm_seed)`` of its vertices:
+    vertex ``u[k]`` of ``G`` becomes ``k``.
 
     With the same ``G`` and seed, the result for ``n`` is the leading
     principal submatrix of the result for ``n + 1``, and for ``n = G.n`` it
-    has the rank of ``G.adjacency()``.  ``perm`` overrides the seeded
-    permutation (e.g. ``range(G.n)`` for the identity).
+    has the rank of ``G.adjacency()``.
     """
     if n > G.n:
         raise ValueError(f"n={n} exceeds the graph size {G.n}")
-    u = list(perm) if perm is not None else uniform_permutation(G.n, perm_seed)
-    if sorted(u) != list(range(G.n)):
-        raise ValueError("perm must be a permutation of range(G.n)")
     label = [0] * G.n
-    for k, v in enumerate(u):
+    for k, v in enumerate(uniform_permutation(G.n, perm_seed)):
         label[v] = k
     edges = []
     for i, j, w in G.edges:
@@ -265,13 +262,12 @@ class KSResult:
     removed_pairs: tuple
 
 
-def karp_sipser(G: Graph, order_seed: int | None = None) -> KSResult:
+def karp_sipser(G: Graph) -> KSResult:
     """Remove degree-one vertices with their unique neighbors until only
     isolated vertices and a minimum-degree-two core remain.
 
-    By default the lowest-index leaf is removed first (deterministic);
-    ``order_seed`` randomizes the order instead.  The isolated count and
-    core vertex set do not depend on the order, only ``removed_pairs`` may.
+    The lowest-index leaf is removed first.  The isolated count and core
+    vertex set do not depend on the order, only ``removed_pairs`` may.
     """
     n = G.n
     adj: list[dict] = [dict() for _ in range(n)]
@@ -281,33 +277,16 @@ def karp_sipser(G: Graph, order_seed: int | None = None) -> KSResult:
     alive = [True] * n
     pairs = []
 
-    stream = None if order_seed is None else Stream(order_seed)
-    bag: list[int] = [v for v in range(n) if len(adj[v]) == 1]
-    if stream is None:
-        heapq.heapify(bag)
-
-    def pop_leaf() -> int:
-        if stream is None:
-            return heapq.heappop(bag)
-        k = stream.randbelow(len(bag))
-        bag[k], bag[-1] = bag[-1], bag[k]
-        return bag.pop()
-
-    def push_leaf(v: int) -> None:
-        if stream is None:
-            heapq.heappush(bag, v)
-        else:
-            bag.append(v)
-
-    while bag:
-        v = pop_leaf()
+    heap = [v for v in range(n) if len(adj[v]) == 1]  # ascending: a heap
+    while heap:
+        v = heapq.heappop(heap)
         if not alive[v] or len(adj[v]) != 1:
             continue  # stale entry: degree changed since it was queued
         u = next(iter(adj[v]))
         for x in list(adj[u]):
             del adj[x][u]
             if x != v and alive[x] and len(adj[x]) == 1:
-                push_leaf(x)
+                heapq.heappush(heap, x)
         adj[u].clear()
         adj[v].clear()
         alive[v] = alive[u] = False
@@ -335,12 +314,13 @@ def karp_sipser(G: Graph, order_seed: int | None = None) -> KSResult:
     )
 
 
-def nullity_invariance_check(G: Graph, *, cap: int = DENSE_CAP) -> bool:
+def nullity_invariance_check(G: Graph) -> bool:
     """Exact check of the rank identity of :class:`KSResult`, in its
     nullity form, against a dense elimination of the whole adjacency.
     """
-    if G.n > cap:
-        raise ResourceCapError(f"graph has {G.n} vertices, above the exact-rank cap {cap}")
+    if G.n > DENSE_CAP:
+        raise ResourceCapError(
+            f"graph has {G.n} vertices, above the exact-rank cap {DENSE_CAP}")
     if G.field.kind == "rationals" and G.n > DEFAULT_RATIONAL_CAP:
         raise ResourceCapError(
             f"rational adjacency of size {G.n} above the cap {DEFAULT_RATIONAL_CAP}"

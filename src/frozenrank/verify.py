@@ -121,11 +121,18 @@ def proper_relations_by_enumeration(A: Matrix, ell: int) -> list[tuple[int, ...]
     return sorted(found)
 
 
+def frozen_set_by_removal(A: Matrix) -> tuple[int, ...]:
+    """Oracle for :func:`frozen_set` by the definition, one elimination per
+    column: the columns whose removal drops the rank by exactly one."""
+    base = A.rank()
+    return tuple(j for j in range(A.n) if base - A.remove(cols=[j]).rank() == 1)
+
+
 def proper_relations_by_removal(A: Matrix, ell: int) -> list[tuple[int, ...]]:
     """Oracle for :func:`proper_relations` by the definition: keep a
     size-``ell`` set when deleting its unfrozen columns lowers the rank, with
     the frozen set from the rank-drop route."""
-    frozen = set(frozen_set(A, "rankdrop").frozen)
+    frozen = set(frozen_set_by_removal(A))
     base = A.rank()
     out = []
     for combo in itertools.combinations(range(A.n), ell):
@@ -184,7 +191,7 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
     for k in range(instances):
         field = fields[k % 2]
         A = random_matrix(stream, field, 1 + stream.randbelow(8), 1 + stream.randbelow(8))
-        if frozen_set(A, "kernel").frozen != frozen_set(A, "rankdrop").frozen:
+        if frozen_set(A) != frozen_set_by_removal(A):
             bad += 1
     checks.append(CheckResult(
         "frozen set: kernel-support vs rank-drop",
@@ -197,7 +204,7 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         field = fields[k % 2]
         n = 2 + stream.randbelow(5)
         A = random_matrix(stream, field, 1 + stream.randbelow(5), n)
-        frozen = set(frozen_set(A).frozen)
+        frozen = set(frozen_set(A))
         b = [sample_nonzero(stream, field).value if stream.randbelow(2) else 0 for _ in range(n)]
         supp = _support(b)
         in_span = row_in_span(A, b)
@@ -219,9 +226,9 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         A = random_matrix(stream, field, m, n)
         bcol = [stream.randbelow(field.p) for _ in range(m)]
         crow = [stream.randbelow(field.p) for _ in range(n)]
-        f_a = set(frozen_set(A).frozen)
-        f_ab = set(frozen_set(A.append_col(bcol)).frozen)
-        f_ac = set(frozen_set(A.append_row(crow)).frozen)
+        f_a = set(frozen_set(A))
+        f_ab = set(frozen_set(A.append_col(bcol)))
+        f_ac = set(frozen_set(A.append_row(crow)))
         if not ((f_ab & set(range(n))) <= f_a and f_a <= f_ac):
             bad += 1
     checks.append(CheckResult(
@@ -237,8 +244,8 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         A = random_matrix(stream, field, m, n)
         j = stream.randbelow(m)
         unit = [1 if r == j else 0 for r in range(m)]
-        lhs = set(frozen_set(A.remove(rows=[j])).frozen)
-        rhs = set(frozen_set(A.append_col(unit)).frozen) & set(range(n))
+        lhs = set(frozen_set(A.remove(rows=[j])))
+        rhs = set(frozen_set(A.append_col(unit))) & set(range(n))
         if lhs != rhs:
             bad += 1
     checks.append(CheckResult(
@@ -285,7 +292,7 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         stream.shuffle(perm)
         B = relabelled(A, perm)
         ok = (A.rank() == B.rank())
-        ok = ok and {perm[i] for i in frozen_set(A).frozen} == set(frozen_set(B).frozen)
+        ok = ok and {perm[i] for i in frozen_set(A)} == set(frozen_set(B))
         ok = ok and type_census(A) == type_census(B)
         if not ok:
             bad += 1
@@ -403,7 +410,7 @@ def run_perturb_suite(seed: int = 99, samples: int = 100_000) -> list[CheckResul
         spec = PerturbationSpec.draw(8, prf(seed, 4, k))
         fams = CoupledFamilies.from_seed(prf(seed, 5, k))
         M = canonical_perturb(A, spec, fams)
-        frozen = set(frozen_set(M).frozen)
+        frozen = set(frozen_set(M))
         hit = {fams.rows.index(j, A.n) for j in range(spec.theta_r)}
         ok = ok and hit <= frozen
         ok = ok and A.rank() <= M.rank() <= A.rank() + spec.theta_r + spec.theta_c

@@ -20,7 +20,11 @@ from frozenrank.harness import ExperimentConfig, run_census, run_experiment
 from frozenrank.perturb import indices_over_seeds
 from frozenrank.prf import Stream, prf, prf_array
 from frozenrank.randgraph import CouplingSource, WeightTemplate, karp_sipser, sample_graph
-from frozenrank.verify import random_matrix, rank_by_row_space_enumeration
+from frozenrank.verify import (
+    frozen_set_by_removal,
+    random_matrix,
+    rank_by_row_space_enumeration,
+)
 
 E = math.e
 FIGURE = {
@@ -165,7 +169,7 @@ def test_criterion_08_frozen_dual_characterization():
                               1 + stream.randbelow(10),
                               density_percent=20 + stream.randbelow(60))
             total += 1
-            if frozen_set(A, "kernel").frozen != frozen_set(A, "rankdrop").frozen:
+            if frozen_set(A) != frozen_set_by_removal(A):
                 failures += 1
     report(8, "kernel-support vs rank-drop frozen sets", failures == 0,
            f"{total} matrices (500 per field), {failures} disagreements")
@@ -201,8 +205,8 @@ def test_criterion_10_freezing_lemmas():
         A = random_matrix(stream, field, m, n)
         j = stream.randbelow(m)
         unit_col = [1 if r == j else 0 for r in range(m)]
-        lhs = set(frozen_set(A.remove(rows=[j])).frozen)
-        rhs = set(frozen_set(A.append_col(unit_col)).frozen) & set(range(n))
+        lhs = set(frozen_set(A.remove(rows=[j])))
+        rhs = set(frozen_set(A.append_col(unit_col))) & set(range(n))
         bad_unit += lhs != rhs
 
     stream = Stream(32)
@@ -212,9 +216,9 @@ def test_criterion_10_freezing_lemmas():
         A = random_matrix(stream, field, m, n)
         col = [stream.randbelow(field.p) for _ in range(m)]
         row = [stream.randbelow(field.p) for _ in range(n)]
-        f_a = set(frozen_set(A).frozen)
-        with_col = set(frozen_set(A.append_col(col)).frozen) & set(range(n))
-        with_row = set(frozen_set(A.append_row(row)).frozen)
+        f_a = set(frozen_set(A))
+        with_col = set(frozen_set(A.append_col(col))) & set(range(n))
+        with_row = set(frozen_set(A.append_row(row)))
         bad_mono += not (with_col <= f_a <= with_row)
 
     stream = Stream(33)

@@ -34,6 +34,7 @@ from frozenrank.field import FieldSpec
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from frozenrank.prf import Stream, prf
 from frozenrank.verify import (
+    frozen_set_by_removal,
     proper_relations_by_enumeration,
     proper_relations_by_removal,
     random_matrix,
@@ -143,19 +144,14 @@ def test_remove_bounds_checked():
 
 
 def test_frozen_examples():
-    assert frozen_set(edge2()).frozen == (0, 1)  # trivial kernel: all frozen
-    assert frozen_set(path3()).frozen == (1,)
-    assert frozen_set(Matrix.zeros(F3, 3, 3)).frozen == ()
+    assert frozen_set(edge2()) == (0, 1)  # trivial kernel: all frozen
+    assert frozen_set(path3()) == (1,)
+    assert frozen_set(Matrix.zeros(F3, 3, 3)) == ()
 
 
 def test_frozen_methods_agree_on_examples():
     for A in (edge2(), path3(), Matrix.zeros(F2, 2, 4), Matrix.identity(F5, 4)):
-        assert frozen_set(A, "kernel").frozen == frozen_set(A, "rankdrop").frozen
-
-
-def test_frozen_unknown_method():
-    with pytest.raises(ValueError):
-        frozen_set(path3(), "guess")
+        assert frozen_set(A) == frozen_set_by_removal(A)
 
 
 # -------------------------------------------------------------- relations
@@ -286,8 +282,10 @@ def test_census_identities_are_exact_counts():
         A = random_matrix(stream, F3, m, n)
         prof = type_census(A)
         assert prof.count_x + prof.count_y + prof.count_z + prof.count_u + prof.count_v == prof.n
-        assert prof.frozen_count == prof.count_x + prof.count_y + prof.count_v
-        assert prof.frozen_count_t == prof.count_x + prof.count_y + prof.count_u
+        # x+y+v and x+y+u count the frozen columns of A and of A^T in range
+        k = prof.n
+        assert prof.frozen_count == sum(j < k for j in frozen_set(A))
+        assert prof.frozen_count_t == sum(j < k for j in frozen_set(A.transpose()))
 
 
 def test_census_of_rectangular_matrix():
@@ -334,8 +332,7 @@ def test_census_without_doubly_frozen_variables_skips_the_solve(monkeypatch):
 
 def test_type_profile_validates():
     with pytest.raises(ValueError):
-        TypeProfile(n=3, count_x=1, count_y=1, count_z=1, count_u=1, count_v=0,
-                    frozen_count=2, frozen_count_t=2)
+        TypeProfile(n=3, count_x=1, count_y=1, count_z=1, count_u=1, count_v=0)
 
 
 def test_symmetric_removal_examples():
@@ -505,7 +502,7 @@ def test_kernel_and_frozen_dual_route_at_scale():
                     assert sum(r * x for r, x in zip(row, vec)) % field.p == 0
             # kernel-support route (RREF backward pass) against the
             # rank-drop route (forward eliminations only)
-            assert frozen_set(A, "kernel").frozen == frozen_set(A, "rankdrop").frozen
+            assert frozen_set(A) == frozen_set_by_removal(A)
 
 
 # ------------------------------------------------------- property checks
@@ -536,8 +533,8 @@ def test_rank_bounds_and_transpose(A):
 def test_appending_rows_never_unfreezes(A, seed):
     stream = Stream(seed)
     extra = [stream.randbelow(A.field.p) for _ in range(A.n)]
-    before = set(frozen_set(A).frozen)
-    after = set(frozen_set(A.append_row(extra)).frozen)
+    before = set(frozen_set(A))
+    after = set(frozen_set(A.append_row(extra)))
     assert before <= after
 
 
@@ -550,6 +547,6 @@ def test_relabelling_invariance(A, seed):
     Stream(seed).shuffle(perm)
     B = relabelled(A, perm)
     assert A.rank() == B.rank()
-    assert {perm[i] for i in frozen_set(A).frozen} == set(frozen_set(B).frozen)
+    assert {perm[i] for i in frozen_set(A)} == set(frozen_set(B))
     if A.n:
         assert type_census(A) == type_census(B)

@@ -396,6 +396,27 @@ def test_rational_rank_lifts_large_kernel_entries_over_several_primes():
     assert got.exit == "lift" and got.rank == 66 and len(got.primes) > 1
 
 
+@pytest.mark.parametrize("heavy", (1, 10 ** 5))
+def test_rational_rank_eliminates_each_prime_once(monkeypatch, heavy):
+    # rank-deficient cores: the all-ones 68-cycle lifts from one prime, the
+    # 10^5-weight one over several; each prime's RREF continues its forward
+    # elimination in place instead of eliminating the prime again
+    calls = []
+    forward = exactla._forward_dense
+
+    def counted(M, p):
+        calls.append(p)
+        return forward(M, p)
+
+    monkeypatch.setattr(exactla, "_forward_dense", counted)
+    weights = [1] * 68
+    weights[1] = weights[2] = heavy
+    got = rational_rank(68, _cycle(weights).edges)
+    assert got.exit == "lift" and got.rank == 66
+    assert len(got.primes) > 1 if heavy > 1 else got.primes == PRIMES[:1]
+    assert calls == list(got.primes)
+
+
 def test_rational_rank_hadamard_exit():
     # a 4-cycle with a = b: its Hadamard bound 4 is below half of one prime,
     # and so is that of a matrix without edges
@@ -443,5 +464,5 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
         core = len(karp_sipser(_trial_graph(cfg, 0)).core_vertices)
         assert record.ks_core_size == core
         # no matrix at all for an empty core, else one of the core's size; a Q
-        # core of full rank modulo the first prime needs no second prime
-        assert built == ([] if core == 0 else [(core, core)])
+        # core is reduced modulo primes on plain arrays, never in a Matrix
+        assert built == ([] if core == 0 or field == "Q" else [(core, core)])

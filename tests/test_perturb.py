@@ -233,5 +233,5 @@ def test_canonical_perturb_freezes_hit_columns():
         spec = PerturbationSpec.draw(8, trial)
         M = canonical_perturb(A, spec, fams)
         hit = {fams.rows.index(k, A.n) for k in range(spec.theta_r)}
-        assert hit <= set(frozen_set(M).frozen)
+        assert hit <= set(frozen_set(M))
         assert A.rank() <= M.rank() <= A.rank() + spec.theta_r + spec.theta_c

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frozenrank.errors import ResourceCapError
-from frozenrank.exactla import DENSE_CAP, Matrix
+from frozenrank.exactla import DENSE_CAP, Matrix, relabelled
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
 from frozenrank.randgraph import (
@@ -20,6 +20,7 @@ from frozenrank.randgraph import (
     parse_graph,
     sample_T,
     sample_graph,
+    uniform_permutation,
 )
 
 F2 = FieldSpec.prime(2)
@@ -152,18 +153,20 @@ def test_template_entries_nonzero_and_symmetric():
 # ----------------------------------------------------------- T-matrices
 
 
-def test_T_identity_permutation_equals_A():
+def test_T_full_size_is_the_relabelled_adjacency():
     tpl = WeightTemplate(F5, 30, "random", seed=2)
     cpl = CouplingSource(8)
     G = sample_graph(30, 0.1, tpl, cpl)
-    assert sample_T(G, 30, perm=range(30)) == G.adjacency()
+    for seed in range(5):
+        # undoing the seeded relabelling gives the adjacency back
+        u = uniform_permutation(30, seed)
+        assert relabelled(sample_T(G, 30, perm_seed=seed), u) == G.adjacency()
 
 
 def test_T_relabels_vertex_u_k_to_k():
     G = sample_graph(20, 0.3, WeightTemplate(F5, 20, "random", seed=3), CouplingSource(9))
-    u = list(range(20))
-    Stream(4).shuffle(u)
-    A, T = G.adjacency(), sample_T(G, 12, perm=u)
+    u = uniform_permutation(20, 4)
+    A, T = G.adjacency(), sample_T(G, 12, perm_seed=4)
     assert all(T.entry(k, l) == A.entry(u[k], u[l]) for k in range(12) for l in range(12))
 
 
@@ -190,8 +193,6 @@ def test_T_validation():
     G = sample_graph(10, 0.5, WeightTemplate(F2, 10), CouplingSource(0))
     with pytest.raises(ValueError):
         sample_T(G, 11)
-    with pytest.raises(ValueError):
-        sample_T(G, 3, perm=[0, 1])
 
 
 def test_T_rational_matches_prime_support():
@@ -236,15 +237,28 @@ def test_ks_accounting_invariant():
         assert min(ks.core.degrees(), default=2) >= 2
 
 
+def _core_edges(ks, original) -> set:
+    """The core's edges, with each endpoint under its ``original`` label."""
+    return {(frozenset((original[ks.core_vertices[i]], original[ks.core_vertices[j]])), w)
+            for i, j, w in ks.core.edges}
+
+
 def test_ks_order_independence():
-    # randomized removal orders agree on the isolated count and core set
+    # lowest-index-first removal sees the leaves of a relabelled graph in
+    # another order; the isolated count and the core must not change
     for g_seed in range(50):
-        G = sample_graph(60, 3 / 60, WeightTemplate(F2, 60), CouplingSource(1000 + g_seed))
+        G = sample_graph(60, 3 / 60, WeightTemplate(F5, 60, "random", seed=g_seed),
+                         CouplingSource(1000 + g_seed))
         base = karp_sipser(G)
-        for order_seed in range(20):
-            ks = karp_sipser(G, order_seed=order_seed)
+        for perm_seed in range(20):
+            label = uniform_permutation(60, perm_seed)  # vertex v becomes label[v]
+            H = Graph(60, F5, tuple((min(label[i], label[j]), max(label[i], label[j]), w)
+                                    for i, j, w in G.edges))
+            ks = karp_sipser(H)
+            back = {t: v for v, t in enumerate(label)}
             assert ks.isolated_count == base.isolated_count
-            assert ks.core_vertices == base.core_vertices
+            assert sorted(back[t] for t in ks.core_vertices) == list(base.core_vertices)
+            assert _core_edges(ks, back) == _core_edges(base, range(60))
 
 
 def test_two_leaves_one_neighbor():
@@ -279,11 +293,6 @@ def test_leaf_removal_upper_bound():
         tpl = WeightTemplate(F3, 70, "random", seed=trial)
         G = sample_graph(70, 3.0 / 70, tpl, CouplingSource(900 + trial))
         assert G.adjacency().rank() <= 70 - karp_sipser(G).isolated_count
-
-
-def test_nullity_invariance_cap():
-    with pytest.raises(ResourceCapError):
-        nullity_invariance_check(Graph(10, F2, ()), cap=5)
 
 
 def test_dense_adjacency_cap():
