@@ -1,0 +1,39 @@
+#!/bin/sh
+# Exit codes of the frozenrank CLI: 0 success, 2 usage error, 3 resource cap.
+# Run from the repository root: sh .github/scripts/cli_exit_codes.sh
+# Scratch files go to $RUNNER_TEMP, or to a temporary directory removed on exit.
+set -eu
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  tmp=$RUNNER_TEMP
+else
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+fi
+
+expect() {
+  want=$1; shift; got=0
+  PYTHONPATH=src python -m frozenrank.cli "$@" > "$tmp/cli.out" || got=$?
+  if [ "$got" -ne "$want" ]; then echo "exit $got, expected $want: $*"; exit 1; fi
+}
+
+expect 0 simulate --n 60 --d 2 --trials 2
+test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
+expect 0 census --n 60 --d 2 --P 8 --trials 2
+test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
+expect 2 ks --n 60 --d 2 --trials -1
+expect 3 census --field Q --n 100 --d 2 --P 8 --trials 1
+expect 0 simulate --field Q --template random --n 400 --d 3 --trials 2
+expect 0 simulate --field Q --n 400 --d 3 --trials 4
+expect 2 simulate --n 20 --d 100 --trials 1
+expect 2 ks --n 20 --d 100 --trials 1
+printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"
+expect 0 classify --matrix "$tmp/f3.txt"
+printf '3 3 Q\n0 1/2 0\n1/2 0 -3/4\n0 -3/4 0\n' > "$tmp/q3.txt"
+expect 0 classify --matrix "$tmp/q3.txt"
+printf '7 5 F2\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n4 5 1\n' > "$tmp/graph.txt"
+expect 0 ks --graph "$tmp/graph.txt"
+printf '7 5 Q\n0 1 1/2\n1 2 -3\n2 3 2/3\n0 3 1\n4 5 -1/7\n' > "$tmp/qgraph.txt"
+expect 0 ks --graph "$tmp/qgraph.txt"
+python3 -c 'print("65 65 Q"); print(("0 " * 65 + "\n") * 65, end="")' > "$tmp/q65.txt"
+expect 3 classify --matrix "$tmp/q65.txt"
+echo "CLI exit codes as expected"

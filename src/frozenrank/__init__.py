@@ -17,7 +17,7 @@ from .exactla import (
     type_census,
     variable_types,
 )
-from .field import FieldElement, FieldSpec, sample_nonzero
+from .field import FieldSpec, sample_nonzero
 from .harness import ExperimentConfig, SummaryReport, TrialRecord, run_census, run_experiment
 from .perturb import CoupledFamilies, PerturbationFamily, PerturbationSpec, canonical_perturb
 from .randgraph import (

@@ -36,10 +36,11 @@ safe to call from concurrent workers.  Every matrix is one numpy array
 a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
 Q alike.  Rank, kernel rows and the census solve over F2 run on rows held
 as Python ints instead, one bit per column, with XOR as row addition.
-Rational matrices are capped in size because elimination suffers
-coefficient blow-up; :func:`rational_rank` gives the exact rank of a
-sparse symmetric rational matrix of any size from eliminations modulo
-primes, each certified.
+Entries are plain values, read back as Python ints or ``Fraction`` objects.
+Exact elimination over Q suffers coefficient blow-up, so it is capped in
+size, once, by :func:`check_rational_size`; :func:`rational_rank` gives the
+exact rank of a sparse symmetric rational matrix of any size from
+eliminations modulo primes, each certified.
 """
 
 from __future__ import annotations
@@ -52,13 +53,26 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .field import PRIME_LIMIT, FieldElement, FieldSpec, is_prime
+from .field import PRIME_LIMIT, FieldSpec, is_prime
 
-DEFAULT_RATIONAL_CAP = 64
+# Largest dimension of a rational matrix that is eliminated with Fractions.
+RATIONAL_CAP = 64
 
 # Largest dimension of a dense matrix built from a sampled graph: an int64
 # 4096 x 4096 array takes 128 MB; larger runs stop before they sample.
 DENSE_CAP = 4096
+
+
+def check_rational_size(field: FieldSpec, m: int, n: int) -> None:
+    """Refuse, with :class:`ResourceCapError`, an ``m x n`` matrix over Q
+    with a dimension above :data:`RATIONAL_CAP`: the one statement of the
+    cap on exact Fraction elimination, which callers check before they
+    allocate or eliminate.  Prime fields have no such cap."""
+    if field.kind == "rationals" and max(m, n) > RATIONAL_CAP:
+        raise ResourceCapError(
+            f"rational matrix of {m}x{n} is above the exact-elimination cap of "
+            f"{RATIONAL_CAP}; use a prime field"
+        )
 
 
 def field_array(field: FieldSpec, values) -> np.ndarray:
@@ -83,12 +97,11 @@ class Matrix:
     trusted array fast path used by the samplers.
     """
 
-    __slots__ = ("field", "m", "n", "symmetric", "_a", "_rank", "_ksup")
+    __slots__ = ("field", "m", "n", "_a", "_rank", "_ksup")
 
-    def __init__(self, field: FieldSpec, a: np.ndarray, symmetric: bool):
+    def __init__(self, field: FieldSpec, a: np.ndarray):
         self.field = field
         self.m, self.n = a.shape
-        self.symmetric = symmetric
         self._a = a          # read-only, in the storage of field_array
         self._rank: int | None = None
         self._ksup: frozenset | None = None
@@ -96,25 +109,22 @@ class Matrix:
     # ---------------------------------------------------------------- build
 
     @staticmethod
-    def from_rows(field: FieldSpec, rows, symmetric: bool = False) -> "Matrix":
-        """Build from a nested sequence of ints/Fractions/FieldElements."""
-        data = [[_raw_value(field, v) for v in row] for row in rows]
+    def from_rows(field: FieldSpec, rows) -> "Matrix":
+        """Build from a nested sequence of ints/Fractions."""
+        data = [[field.element(v) for v in row] for row in rows]
         m = len(data)
         n = len(data[0]) if m else 0
         if any(len(r) != n for r in data):
             raise ValueError("ragged rows")
-        return Matrix._from_array(field, field_array(field, data).reshape(m, n), symmetric)
+        return Matrix._from_array(field, field_array(field, data).reshape(m, n))
 
     @staticmethod
-    def _from_array(field: FieldSpec, arr: np.ndarray, symmetric: bool = False) -> "Matrix":
+    def _from_array(field: FieldSpec, arr: np.ndarray) -> "Matrix":
         """Trusted fast path: ``arr`` must already be in the storage of
         :func:`field_array`."""
         arr = np.ascontiguousarray(arr)
-        m, n = arr.shape
-        if symmetric and (m != n or not np.array_equal(arr, arr.T)):
-            raise ValueError("symmetric flag set but matrix is not symmetric")
         arr.setflags(write=False)
-        return Matrix(field, arr, symmetric)
+        return Matrix(field, arr)
 
     @staticmethod
     def zeros(field: FieldSpec, m: int, n: int) -> "Matrix":
@@ -122,15 +132,14 @@ class Matrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        return Matrix._from_array(field, field_array(field, np.eye(n, dtype=np.uint8)),
-                                  symmetric=True)
+        return Matrix._from_array(field, field_array(field, np.eye(n, dtype=np.uint8)))
 
     # ---------------------------------------------------------------- access
 
-    def entry(self, i: int, j: int) -> FieldElement:
+    def entry(self, i: int, j: int) -> int | Fraction:
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise ValueError(f"entry ({i},{j}) out of range for {self.m}x{self.n}")
-        return self.field.element(self._a[i, j])
+        return self._a.item(i, j)
 
     def to_values(self) -> list[list]:
         """Raw canonical values (ints for F_p, Fractions for Q), row-major."""
@@ -152,7 +161,7 @@ class Matrix:
     # ------------------------------------------------------------- reshaping
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_array(self.field, self._a.T, self.symmetric)
+        return Matrix._from_array(self.field, self._a.T)
 
     def remove(self, rows=(), cols=()) -> "Matrix":
         """Matrix with the given row/column index sets deleted."""
@@ -174,23 +183,22 @@ class Matrix:
 
     # ------------------------------------------------------------------ rank
 
-    def rank(self, *, rational_cap: int | None = None) -> int:
+    def rank(self) -> int:
         """Rank over the matrix's field (forward elimination, exact)."""
         if self._rank is None:
-            self._check_rational_cap(rational_cap)
+            check_rational_size(self.field, self.m, self.n)
             if self.field.is_gf2:
                 self._rank = len(_echelon_gf2(_int_rows(self._a), self.n))
             else:
                 self._rank = _forward_dense(self._a.copy(), self.field.p)[0]
         return self._rank
 
-    def nullity(self, *, rational_cap: int | None = None) -> int:
-        return self.n - self.rank(rational_cap=rational_cap)
+    def nullity(self) -> int:
+        return self.n - self.rank()
 
-    def kernel_basis(self, *, rational_cap: int | None = None) -> list[list[FieldElement]]:
+    def kernel_basis(self) -> list[list[int | Fraction]]:
         """Basis of the right kernel; length equals the nullity."""
-        return [[self.field.element(x) for x in v]
-                for v in self._kernel(rational_cap).T.tolist()]
+        return self._kernel().T.tolist()
 
     def kernel_support(self) -> frozenset[int]:
         """Columns carrying a nonzero coordinate in some kernel vector: the
@@ -213,50 +221,30 @@ class Matrix:
                 self._ksup = frozenset(np.flatnonzero(support).tolist())
         return self._ksup
 
-    def _rref(self, rational_cap: int | None = None) -> tuple[int, list[int], np.ndarray]:
+    def _rref(self) -> tuple[int, list[int], np.ndarray]:
         """(rank, pivot columns, RREF array) of one dense elimination, at
         every field (p = 2 included); sets the rank."""
-        self._check_rational_cap(rational_cap)
+        check_rational_size(self.field, self.m, self.n)
         rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
         self._rank = rank
         return rank, pivots, R
 
-    def _kernel(self, rational_cap: int | None = None) -> np.ndarray:
+    def _kernel(self) -> np.ndarray:
         """``K`` of the module docstring as an ``n x nullity`` array, one
         basis vector per free column of the dense RREF; sets the rank."""
-        rank, pivots, R = self._rref(rational_cap)
+        rank, pivots, R = self._rref()
         free = _free_columns(pivots, self.n)
         K = field_array(self.field, np.zeros((self.n, len(free)), dtype=np.uint8))
-        K[free, range(len(free))] = self.field.one().value
+        K[free, range(len(free))] = self.field.one()
         K[pivots] = -R[:rank, free] if self.field.p is None else -R[:rank, free] % self.field.p
         return K
-
-    def _check_rational_cap(self, override: int | None) -> None:
-        if self.field.kind != "rationals":
-            return
-        cap = DEFAULT_RATIONAL_CAP if override is None else override
-        if max(self.m, self.n) > cap:
-            raise ResourceCapError(
-                f"rational matrix is {self.m}x{self.n}, above the exact-elimination "
-                f"cap of {cap}; use a prime field or raise rational_cap"
-            )
 
 
 # ------------------------------------------------------------------ helpers
 
 
-def _raw_value(field: FieldSpec, v):
-    if isinstance(v, FieldElement):
-        if v.spec != field:
-            raise ValueError("entry belongs to a different field")
-        return v.value
-    if field.kind == "prime":
-        return int(v) % field.p
-    return Fraction(v)
-
-
 def _vector_values(field: FieldSpec, vec, expect_len: int) -> list:
-    vals = [_raw_value(field, v) for v in vec]
+    vals = [field.element(v) for v in vec]
     if len(vals) != expect_len:
         raise ValueError(f"vector length {len(vals)} != {expect_len}")
     return vals
@@ -767,7 +755,7 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
     # in place
     aug = field_array(A.field, np.zeros((n, m + s), dtype=np.uint8))
     aug[:, :m] = A._a.T
-    aug[S, m + np.arange(s)] = A.field.one().value
+    aug[S, m + np.arange(s)] = A.field.one()
     if A.field.is_gf2:
         pivots, R = _rref_gf2(_int_rows(aug), m + s)
 
@@ -824,7 +812,7 @@ def relabelled(A: Matrix, perm) -> Matrix:
     inv = [0] * A.n
     for i, t in enumerate(perm):
         inv[t] = i
-    return Matrix._from_array(A.field, A._a[np.ix_(inv, inv)], A.symmetric)
+    return Matrix._from_array(A.field, A._a[np.ix_(inv, inv)])
 
 
 def block(grid: list[list[Matrix]]) -> Matrix:
@@ -863,5 +851,5 @@ def parse_matrix(text: str) -> Matrix:
         toks = ln.split()
         if len(toks) != n:
             raise ValueError(f"expected {n} entries per row, found {len(toks)}")
-        rows.append([field.parse_entry(t).value for t in toks])
+        rows.append([field.parse_entry(t) for t in toks])
     return Matrix._from_array(field, field_array(field, rows).reshape(m, n))

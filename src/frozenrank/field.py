@@ -1,8 +1,11 @@
 """Exact coefficient fields: prime fields F_p and arbitrary-precision rationals.
 
-The two-element field is an ordinary prime field here; matrices eliminate
-over it on rows held as Python ints.  Elements are immutable and canonical,
-so equality of values is equality of representations.
+A :class:`FieldSpec` only names the field; it selects the storage and the
+elimination kernel of a matrix (:mod:`frozenrank.exactla`).  Elements are
+plain values in canonical form, so equality of values is equality of
+representations: an int in ``[0, p)`` over F_p, a reduced ``Fraction`` over
+Q.  The two-element field is an ordinary prime field here; matrices
+eliminate over it on rows held as Python ints.
 """
 
 from __future__ import annotations
@@ -92,104 +95,23 @@ class FieldSpec:
                 raise ValueError(f"bad field label {text!r}: {exc}") from exc
         raise ValueError(f"unknown field label {text!r} (expected F2, Fp:<p> or Q)")
 
-    def element(self, value) -> "FieldElement":
-        """Canonicalize an int/Fraction/FieldElement into this field."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value
+    def element(self, value) -> int | Fraction:
+        """``value`` (an int or a Fraction) in canonical form: an int in
+        ``[0, p)`` over F_p, a reduced ``Fraction`` over Q."""
         if self.kind == "prime":
-            return FieldElement(self, int(value) % self.p)
-        return FieldElement(self, Fraction(value))
+            return int(value) % self.p
+        return Fraction(value)
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
+    def one(self) -> int | Fraction:
         return self.element(1)
 
-    def parse_entry(self, token: str) -> "FieldElement":
+    def parse_entry(self, token: str) -> int | Fraction:
         """Parse a text entry: decimal residue, or "num/den" over Q."""
-        if self.kind == "prime":
-            return self.element(int(token))
-        return FieldElement(self, Fraction(token))
+        return self.element(int(token) if self.kind == "prime" else Fraction(token))
 
 
-class FieldElement:
-    """Immutable field element in canonical form.
-
-    Prime fields store the residue in [0, p); rationals a reduced Fraction.
-    """
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):  # pragma: no cover - defensive
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise ValueError("mixed-field operands")
-
-    def __add__(self, other):
-        self._check(other)
-        if self.spec.kind == "prime":
-            return FieldElement(self.spec, (self.value + other.value) % self.spec.p)
-        return FieldElement(self.spec, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        if self.spec.kind == "prime":
-            return FieldElement(self.spec, (self.value - other.value) % self.spec.p)
-        return FieldElement(self.spec, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.spec.kind == "prime":
-            return FieldElement(self.spec, (self.value * other.value) % self.spec.p)
-        return FieldElement(self.spec, self.value * other.value)
-
-    def __neg__(self):
-        if self.spec.kind == "prime":
-            return FieldElement(self.spec, (-self.value) % self.spec.p)
-        return FieldElement(self.spec, -self.value)
-
-    def inv(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        if self.spec.kind == "prime":
-            return FieldElement(self.spec, pow(self.value, self.spec.p - 2, self.spec.p))
-        return FieldElement(self.spec, 1 / self.value)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"FieldElement({self.spec.label()}, {self.value})"
-
-
-def sample_nonzero(stream: Stream, spec: FieldSpec) -> FieldElement:
+def sample_nonzero(stream: Stream, spec: FieldSpec) -> int | Fraction:
     """Uniform nonzero element; over Q, uniform on RATIONAL_POOL."""
     if spec.kind == "prime":
-        return FieldElement(spec, 1 + stream.randbelow(spec.p - 1))
-    return FieldElement(spec, RATIONAL_POOL[stream.randbelow(len(RATIONAL_POOL))])
+        return 1 + stream.randbelow(spec.p - 1)
+    return RATIONAL_POOL[stream.randbelow(len(RATIONAL_POOL))]

@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import analytic
 from .errors import ResourceCapError
-from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, TypeProfile, rational_rank, type_census
+from .exactla import DENSE_CAP, TypeProfile, check_rational_size, rational_rank, type_census
 from .field import FieldSpec
 from .perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from .prf import (
@@ -101,12 +101,9 @@ class ExperimentConfig:
             raise ValueError("census runs require pert_P")
         if self.n > DENSE_CAP:
             raise ResourceCapError(f"n={self.n} exceeds the dense-matrix cap {DENSE_CAP}")
-        if (self.census and self.field_spec.kind == "rationals"
-                and self.n + self.pert_P > DEFAULT_RATIONAL_CAP):
-            raise ResourceCapError(
-                f"rational census needs n + pert_P <= {DEFAULT_RATIONAL_CAP} "
-                "for exact elimination of the perturbed matrix"
-            )
+        if self.census:
+            # the perturbed matrix of a census is at most n + pert_P square
+            check_rational_size(self.field_spec, self.n + self.pert_P, self.n + self.pert_P)
 
     @property
     def field_spec(self) -> FieldSpec:

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactla import DEFAULT_RATIONAL_CAP, DENSE_CAP, Matrix, field_array
-from .field import RATIONAL_POOL, FieldElement, FieldSpec
+from .exactla import DENSE_CAP, Matrix, check_rational_size, field_array
+from .field import RATIONAL_POOL, FieldSpec
 from .prf import Stream, prf, prf_array
 
 _TWO64 = float(1 << 64)
@@ -60,12 +60,12 @@ class WeightTemplate:
         if self.kind not in ("allones", "random"):
             raise ValueError(f"unknown template kind {self.kind!r}")
 
-    def entry(self, i: int, j: int) -> FieldElement:
+    def entry(self, i: int, j: int) -> int | Fraction:
         if i == j:
             raise ValueError("templates carry off-diagonal entries only")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("template index out of range")
-        return FieldElement(self.field, self._raw(min(i, j), max(i, j)))
+        return self._raw(min(i, j), max(i, j))
 
     def _raw(self, lo: int, hi: int):
         if self.kind == "allones":
@@ -81,7 +81,7 @@ class WeightTemplate:
         array of Fractions for Q."""
         rational = self.field.kind == "rationals"
         if self.kind == "allones" or self.field.p == 2:
-            return np.full(lo.shape, self.field.one().value,
+            return np.full(lo.shape, self.field.one(),
                            dtype=object if rational else np.int64)
         h = prf_array(self.seed, lo, hi)
         if rational:
@@ -125,16 +125,19 @@ class Graph:
         return deg
 
     def adjacency(self) -> Matrix:
-        """Weighted adjacency matrix (symmetric, zero diagonal)."""
+        """Weighted adjacency matrix (symmetric, zero diagonal).  A graph
+        above ``DENSE_CAP``, or over Q above the exact-elimination cap, is
+        refused before the array is allocated."""
         if self.n > DENSE_CAP:
             raise ResourceCapError(
                 f"dense adjacency of size {self.n} above the cap {DENSE_CAP}"
             )
+        check_rational_size(self.field, self.n, self.n)
         arr = field_array(self.field, np.zeros((self.n, self.n), dtype=np.uint8))
         if self.edges:
             i, j, w = zip(*self.edges)
             arr[i, j] = arr[j, i] = field_array(self.field, w)
-        return Matrix._from_array(self.field, arr, symmetric=True)
+        return Matrix._from_array(self.field, arr)
 
 
 # ------------------------------------------------------------------ sampling
@@ -316,17 +319,11 @@ def karp_sipser(G: Graph) -> KSResult:
 
 def nullity_invariance_check(G: Graph) -> bool:
     """Exact check of the rank identity of :class:`KSResult`, in its
-    nullity form, against a dense elimination of the whole adjacency.
+    nullity form, against a dense elimination of the whole adjacency, which
+    refuses an oversized graph first.
     """
-    if G.n > DENSE_CAP:
-        raise ResourceCapError(
-            f"graph has {G.n} vertices, above the exact-rank cap {DENSE_CAP}")
-    if G.field.kind == "rationals" and G.n > DEFAULT_RATIONAL_CAP:
-        raise ResourceCapError(
-            f"rational adjacency of size {G.n} above the cap {DEFAULT_RATIONAL_CAP}"
-        )
-    ks = karp_sipser(G)
     lhs = G.adjacency().nullity()
+    ks = karp_sipser(G)
     rhs = ks.isolated_count + (ks.core.adjacency().nullity() if ks.core.n else 0)
     return lhs == rhs
 
@@ -359,6 +356,6 @@ def parse_graph(text: str) -> Graph:
         if len(toks) != 3:
             raise ValueError('edge lines must be "i j weight"')
         i, j = int(toks[0]), int(toks[1])
-        w = field.parse_entry(toks[2]).value
+        w = field.parse_entry(toks[2])
         edges.append((min(i, j), max(i, j), w))
     return Graph(n=n, field=field, edges=tuple(edges))

@@ -59,21 +59,25 @@ SUITES = ("oracle", "lemmas", "perturb", "analytic", "all")
 
 def random_matrix(stream: Stream, field: FieldSpec, m: int, n: int,
                   density_percent: int = 50, symmetric: bool = False) -> Matrix:
-    """Random test matrix with roughly the given nonzero density."""
+    """Random test matrix with roughly the given nonzero density; a
+    ``symmetric`` one draws each entry above the diagonal once and mirrors
+    it."""
+    if symmetric and m != n:
+        raise ValueError("a symmetric matrix must be square")
     rows = [[0] * n for _ in range(m)]
     if symmetric:
         for i in range(m):
             for j in range(i + 1, n):
                 if stream.randbelow(100) < density_percent:
-                    w = sample_nonzero(stream, field).value
+                    w = sample_nonzero(stream, field)
                     rows[i][j] = w
                     rows[j][i] = w
     else:
         for i in range(m):
             for j in range(n):
                 if stream.randbelow(100) < density_percent:
-                    rows[i][j] = sample_nonzero(stream, field).value
-    return Matrix._from_array(field, field_array(field, rows).reshape(m, n), symmetric)
+                    rows[i][j] = sample_nonzero(stream, field)
+    return Matrix._from_array(field, field_array(field, rows).reshape(m, n))
 
 
 def _row_span(A: Matrix) -> set[tuple]:
@@ -205,7 +209,7 @@ def run_lemmas_suite(seed: int = 77, instances: int = 200) -> list[CheckResult]:
         n = 2 + stream.randbelow(5)
         A = random_matrix(stream, field, 1 + stream.randbelow(5), n)
         frozen = set(frozen_set(A))
-        b = [sample_nonzero(stream, field).value if stream.randbelow(2) else 0 for _ in range(n)]
+        b = [sample_nonzero(stream, field) if stream.randbelow(2) else 0 for _ in range(n)]
         supp = _support(b)
         in_span = row_in_span(A, b)
         if supp and supp <= frozen and not in_span:

@@ -25,6 +25,7 @@ from frozenrank.verify import (
     random_matrix,
     rank_by_row_space_enumeration,
 )
+from test_harness import _census_matrix
 
 E = math.e
 FIGURE = {
@@ -69,11 +70,13 @@ def mc_batch():
     return batches, timings
 
 
+CENSUS_CFG = ExperimentConfig(n=300, d=2.0, field="F2", trials=10, master_seed=4711,
+                              census=True, pert_P=8, workers=2)
+
+
 @pytest.fixture(scope="module")
 def census_batch():
-    cfg = ExperimentConfig(n=300, d=2.0, field="F2", trials=10, master_seed=4711,
-                           census=True, pert_P=8, workers=2)
-    return run_census(cfg)
+    return run_census(CENSUS_CFG)
 
 
 def test_criterion_01_figure_values():
@@ -299,9 +302,12 @@ def test_criterion_14_census_exact_identities(census_batch):
         total = prof.count_x + prof.count_y + prof.count_z + prof.count_u + prof.count_v
         if total != prof.n:
             bad += 1
-        if prof.frozen_count != prof.count_x + prof.count_y + prof.count_v:
+        # the frozen counts against the frozen columns, in range(n), of the
+        # perturbed matrix that the trial typed and of its transpose
+        M = _census_matrix(CENSUS_CFG, r.trial_index)
+        if prof.frozen_count != sum(j < prof.n for j in frozen_set(M)):
             bad += 1
-        if prof.frozen_count_t != prof.count_x + prof.count_y + prof.count_u:
+        if prof.frozen_count_t != sum(j < prof.n for j in frozen_set(M.transpose())):
             bad += 1
     report(14, "census identities exact in every record", bad == 0,
            f"{len(records)} census records (n=300, d=2, P=8), {bad} violations")

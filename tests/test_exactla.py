@@ -48,11 +48,11 @@ Q = FieldSpec.rationals()
 
 
 def path3(field=F2):
-    return Matrix.from_rows(field, [[0, 1, 0], [1, 0, 1], [0, 1, 0]], symmetric=True)
+    return Matrix.from_rows(field, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def edge2(field=F2, w=1):
-    return Matrix.from_rows(field, [[0, w], [w, 0]], symmetric=True)
+    return Matrix.from_rows(field, [[0, w], [w, 0]])
 
 
 # ------------------------------------------------------------------- rank
@@ -90,14 +90,13 @@ def test_kernel_identity_f3():
 
 
 def test_kernel_path3():
-    (v,) = path3().kernel_basis()
-    assert [e.value for e in v] == [1, 0, 1]
+    assert path3().kernel_basis() == [[1, 0, 1]]
 
 
 def test_kernel_zero_matrix():
     basis = Matrix.zeros(F5, 2, 2).kernel_basis()
     assert len(basis) == 2
-    vals = {tuple(e.value for e in v) for v in basis}
+    vals = {tuple(v) for v in basis}
     assert vals == {(1, 0), (0, 1)}
 
 
@@ -110,9 +109,8 @@ def test_kernel_vectors_annihilate():
             assert len(basis) == A.nullity()
             rows = A.to_values()
             for v in basis:
-                vec = [e.value for e in v]
                 for row in rows:
-                    assert sum(r * x for r, x in zip(row, vec)) % field.p == 0
+                    assert sum(r * x for r, x in zip(row, v)) % field.p == 0
 
 
 # ----------------------------------------------------------------- remove
@@ -125,7 +123,7 @@ def test_remove_nothing():
 
 def test_remove_edge_to_zero():
     B = edge2().remove(rows=[0], cols=[0])
-    assert (B.m, B.n) == (1, 1) and B.entry(0, 0).is_zero()
+    assert (B.m, B.n) == (1, 1) and B.entry(0, 0) == 0
 
 
 def test_remove_middle_row_path3():
@@ -358,26 +356,23 @@ def test_relabelled_requires_permutation():
         relabelled(path3(), [0, 0, 1])
 
 
-def test_symmetric_flag_validated():
-    with pytest.raises(ValueError):
-        Matrix.from_rows(F2, [[0, 1], [0, 0]], symmetric=True)
-    with pytest.raises(ValueError):
-        Matrix.from_rows(Q, [[0, 1, 0], [1, 0, 0]], symmetric=True)
-
-
 def test_rational_cap():
+    # one cap, stated by check_rational_size, for every exact Fraction route
+    for m, n in ((65, 65), (65, 1), (1, 65)):
+        with pytest.raises(ResourceCapError):
+            exactla.check_rational_size(Q, m, n)
+        exactla.check_rational_size(F5, m, n)  # prime fields have no such cap
+    exactla.check_rational_size(Q, exactla.RATIONAL_CAP, exactla.RATIONAL_CAP)
+    assert Matrix.identity(Q, 64).rank() == 64
     big = Matrix.zeros(Q, 65, 65)
     with pytest.raises(ResourceCapError):
         big.rank()
-    assert big.rank(rational_cap=70) == 0
     eye = Matrix.identity(Q, 70)
-    with pytest.raises(ResourceCapError):
-        eye.kernel_basis()
-    assert eye.kernel_basis(rational_cap=70) == []
-    assert eye.rank(rational_cap=70) == 70
-    # kernel_support takes no override, so Q keeps the default cap there
-    with pytest.raises(ResourceCapError):
-        eye.kernel_support()
+    for route in (eye.rank, eye.nullity, eye.kernel_basis, eye.kernel_support):
+        with pytest.raises(ResourceCapError):
+            route()
+    # the Fraction kernel itself has no cap
+    assert exactla._forward_dense(eye._a.copy(), None)[0] == 70
 
 
 @pytest.mark.parametrize("field", [F3, FieldSpec.prime(2147483647), Q])
@@ -400,9 +395,11 @@ def test_kernel_support_is_read_off_the_rref(field):
 
 def test_entries_and_fields_validated():
     with pytest.raises(ValueError):
-        Matrix.from_rows(F2, [[F3.element(1)]])
-    with pytest.raises(ValueError):
         path3().entry(5, 0)
+    with pytest.raises(ValueError):
+        Matrix.from_rows(F2, [[0, 1], [1]])
+    with pytest.raises(ValueError):
+        block([[path3(), path3(F3)]])
 
 
 # ------------------------------------------------------------ text format
@@ -459,7 +456,7 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
         arr = (rng.random((m, n)) < percent / 100).astype(np.uint8)
         A = Matrix._from_array(F2, arr)
         assert A.rank() == _forward_dense(arr.copy(), 2)[0]
-        union = {j for v in A.kernel_basis() for j, x in enumerate(v) if x.value}
+        union = {j for v in A.kernel_basis() for j, x in enumerate(v) if x}
         assert A.kernel_support() == union
         # y_i read off the dense RREF of the same [A^T | E_S]
         sup_at = A.transpose().kernel_support()
@@ -497,9 +494,8 @@ def test_kernel_and_frozen_dual_route_at_scale():
             assert len(basis) == A.nullity()
             rows = A.to_values()
             for v in basis[:10]:
-                vec = [e.value for e in v]
                 for row in rows:
-                    assert sum(r * x for r, x in zip(row, vec)) % field.p == 0
+                    assert sum(r * x for r, x in zip(row, v)) % field.p == 0
             # kernel-support route (RREF backward pass) against the
             # rank-drop route (forward eliminations only)
             assert frozen_set(A) == frozen_set_by_removal(A)

@@ -1,12 +1,13 @@
-"""Field arithmetic: canonical forms, axioms, sampling."""
+"""Fields: validation, labels, canonical plain values, sampling."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from frozenrank.field import RATIONAL_POOL, FieldElement, FieldSpec, is_prime, sample_nonzero
+from frozenrank.exactla import Matrix, field_array
+from frozenrank.field import RATIONAL_POOL, FieldSpec, is_prime, sample_nonzero
 from frozenrank.prf import Stream
+from frozenrank.randgraph import WeightTemplate
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -14,32 +15,6 @@ F5 = FieldSpec.prime(5)
 F7 = FieldSpec.prime(7)
 F31 = FieldSpec.prime(31)
 Q = FieldSpec.rationals()
-
-
-def test_addition_examples():
-    assert (F5.element(3) + F5.element(4)) == F5.element(2)
-    assert (F2.element(1) + F2.element(1)) == F2.element(0)
-    assert (Q.element(Fraction(1, 3)) + Q.element(Fraction(1, 6))) == Q.element(Fraction(1, 2))
-
-
-def test_inverse_examples():
-    assert F7.element(3).inv() == F7.element(5)
-    assert F2.element(1).inv() == F2.element(1)
-    assert Q.element(Fraction(-2, 3)).inv() == Q.element(Fraction(-3, 2))
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        F5.element(0).inv()
-    with pytest.raises(ZeroDivisionError):
-        Q.element(0).inv()
-
-
-def test_mixed_field_operands_rejected():
-    with pytest.raises(ValueError):
-        F5.element(1) + F7.element(1)
-    with pytest.raises(ValueError):
-        F2.element(1) * Q.element(1)
 
 
 def test_prime_validation():
@@ -61,10 +36,10 @@ def test_is_prime_small_cases():
 
 
 def test_canonical_residues():
-    assert F5.element(12).value == 2
-    assert F5.element(-1).value == 4
-    assert Q.element(Fraction(2, -4)).value == Fraction(-1, 2)
-    assert Q.element(Fraction(2, -4)).value.denominator == 2
+    assert F5.element(12) == 2
+    assert F5.element(-1) == 4
+    assert Q.element(Fraction(2, -4)) == Fraction(-1, 2)
+    assert Q.element(Fraction(2, -4)).denominator == 2
 
 
 def test_labels_roundtrip():
@@ -85,55 +60,48 @@ def test_rendering():
 
 def test_sample_nonzero_gf2_always_one():
     stream = Stream(9)
-    assert all(sample_nonzero(stream, F2).value == 1 for _ in range(50))
+    assert all(sample_nonzero(stream, F2) == 1 for _ in range(50))
 
 
 def test_sample_nonzero_reproducible():
-    a = [sample_nonzero(Stream(1234), F3).value for _ in range(3)]
-    b = [sample_nonzero(Stream(1234), F3).value for _ in range(3)]
+    a = [sample_nonzero(Stream(1234), F3) for _ in range(3)]
+    b = [sample_nonzero(Stream(1234), F3) for _ in range(3)]
     assert a == b and set(a) <= {1, 2}
 
 
 def test_sample_nonzero_rational_pool():
     stream = Stream(7)
-    seen = {sample_nonzero(stream, Q).value for _ in range(500)}
+    seen = {sample_nonzero(stream, Q) for _ in range(500)}
     assert seen <= set(RATIONAL_POOL)
     assert len(seen) == len(RATIONAL_POOL)  # all pool members show up
 
 
-def _elements(spec):
-    if spec.kind == "prime":
-        return st.integers(0, spec.p - 1).map(spec.element)
-    pool = st.sampled_from(RATIONAL_POOL + (Fraction(0),))
-    return pool.map(spec.element)
-
-
-@pytest.mark.parametrize("spec", [F2, F3, F5, F31, Q], ids=lambda s: s.label())
-def test_field_axioms(spec):
-    @given(a=_elements(spec), b=_elements(spec), c=_elements(spec))
-    def inner(a, b, c):
-        assert (a + b) == (b + a)
-        assert (a * b) == (b * a)
-        assert ((a + b) + c) == (a + (b + c))
-        assert ((a * b) * c) == (a * (b * c))
-        assert (a * (b + c)) == (a * b + a * c)
-        assert (a + spec.zero()) == a
-        assert (a * spec.one()) == a
-        assert (a + (-a)).is_zero()
-        if not a.is_zero():
-            assert (a * a.inv()) == spec.one()
-            assert a.inv().inv() == a
-
-    inner()
-
-
 def test_modular_arithmetic_matches_integers():
+    # the dense kernel adds and multiplies residues in the storage of
+    # field_array, so the product of two residues must not wrap; 46337 and
+    # 2^31 - 1 are the largest primes held in int32 and in int64
     stream = Stream(31337)
-    p = 2**31 - 1
-    spec = FieldSpec.prime(p)
-    for _ in range(10_000):
-        x = stream.randbelow(p)
-        y = stream.randbelow(p)
-        assert (spec.element(x) + spec.element(y)).value == (x + y) % p
-        assert (spec.element(x) * spec.element(y)).value == (x * y) % p
-        assert (spec.element(x) - spec.element(y)).value == (x - y) % p
+    for p in (46337, 2**31 - 1):
+        spec = FieldSpec.prime(p)
+        xs = [stream.randbelow(p) for _ in range(10_000)] + [p - 1]
+        ys = [stream.randbelow(p) for _ in range(10_000)] + [p - 1]
+        a, b = field_array(spec, xs), field_array(spec, ys)
+        assert ((a + b) % p).tolist() == [(x + y) % p for x, y in zip(xs, ys)]
+        assert ((a * b) % p).tolist() == [(x * y) % p for x, y in zip(xs, ys)]
+        assert ((a - b) % p).tolist() == [(x - y) % p for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("spec", [F2, FieldSpec.prime(2**31 - 1), Q], ids=lambda s: s.label())
+def test_values_are_plain_ints_or_fractions(spec):
+    # every value handed out is a Python int, never a numpy scalar, or over Q
+    # a Fraction, never an int
+    plain = Fraction if spec.kind == "rationals" else int
+    A = Matrix.from_rows(spec, [[1, 0, 1], [0, 1, 1]])
+    basis = A.kernel_basis()
+    assert len(basis) == 1
+    values = [spec.element(3), spec.element(Fraction(6, 2)), spec.one(),
+              spec.parse_entry("-1/2" if plain is Fraction else "-1"),
+              sample_nonzero(Stream(2), spec), A.entry(0, 2), A.entry(1, 0), *basis[0],
+              WeightTemplate(spec, 5).entry(0, 1),
+              WeightTemplate(spec, 5, "random", seed=3).entry(4, 1)]
+    assert [type(x) for x in values] == [plain] * len(values)

@@ -4,16 +4,19 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from frozenrank import analytic, exactla
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
-    DEFAULT_RATIONAL_CAP,
     DENSE_CAP,
+    RATIONAL_CAP,
     RationalRank,
     TypeProfile,
     classify_variable,
+    field_array,
+    frozen_set,
     rational_rank,
     type_census,
     variable_types,
@@ -163,11 +166,10 @@ def test_census_records_and_identities():
         prof = r.census
         assert prof is not None and prof.n == 80
         assert 1 <= r.theta[0] <= 8 and 1 <= r.theta[1] <= 8
-        # exact count identities
-        total = prof.count_x + prof.count_y + prof.count_z + prof.count_u + prof.count_v
-        assert total == 80
-        assert prof.frozen_count == prof.count_x + prof.count_y + prof.count_v
-        assert prof.frozen_count_t == prof.count_x + prof.count_y + prof.count_u
+        # the frozen counts are those of the perturbed matrix and its transpose
+        M = _census_matrix(cfg, r.trial_index)
+        assert prof.frozen_count == sum(j < 80 for j in frozen_set(M))
+        assert prof.frozen_count_t == sum(j < 80 for j in frozen_set(M.transpose()))
     cs = summary.census
     assert cs is not None and cs.trials == 3
     for value in (cs.mean_residual_y, cs.mean_residual_u, cs.mean_residual_v,
@@ -191,8 +193,8 @@ def test_census_ks_stats_are_those_of_T():
         for r in records:
             _, T = _census_T(cfg, r.trial_index)
             assert T.rank() == r.rank
-            support = tuple((i, j, T.entry(i, j).value) for i in range(n)
-                            for j in range(i + 1, n) if not T.entry(i, j).is_zero())
+            support = tuple((i, j, T.entry(i, j)) for i in range(n)
+                            for j in range(i + 1, n) if T.entry(i, j) != 0)
             ks = karp_sipser(Graph(n, cfg.field_spec, support))
             assert (ks.isolated_count, len(ks.core_vertices)) == (r.ks_isolated, r.ks_core_size)
 
@@ -302,6 +304,23 @@ def test_census_matches_per_variable_classification(field, n):
 
 # ------------------------------------------- rank from the leaf-removal core
 
+def _dense_array(G: Graph) -> np.ndarray:
+    """The adjacency of ``G`` as a writable array in the storage of
+    ``field_array``, of any size over Q: Graph.adjacency refuses Q above
+    RATIONAL_CAP."""
+    M = field_array(G.field, np.zeros((G.n, G.n), dtype=np.uint8))
+    for i, j, w in G.edges:
+        M[i, j] = M[j, i] = w
+    return M
+
+
+def _dense_rank(G: Graph) -> int:
+    """Rank of the adjacency of ``G`` by one dense elimination of the whole
+    matrix, with Fractions over Q: the reference for the leaf-removal and
+    rational routes."""
+    return exactla._forward_dense(_dense_array(G), G.field.p)[0]
+
+
 # d < 1 and d = 1 leave an empty core; at d = 5 the core holds most vertices
 ORACLE_DEGREES = (0.5, 1.0, math.e, 3.0, 5.0)
 ORACLE_FIELDS = (("F2", "allones", 200), ("Fp:3", "random", 200),
@@ -317,7 +336,7 @@ def test_trial_rank_matches_dense_oracle(field, template, n, d):
     cfg = ExperimentConfig(n=n, d=d, field=field, template=template, trials=1,
                            master_seed=7)
     G = _trial_graph(cfg, 0)
-    assert _run_trial(cfg, 0).rank == G.adjacency().rank(rational_cap=n)
+    assert _run_trial(cfg, 0).rank == _dense_rank(G)
 
 
 # the first primes of the rational route, largest first
@@ -331,10 +350,10 @@ def test_rational_core_rank_matches_exact_oracle(template):
     for index in range(cfg.trials):
         G = _trial_graph(cfg, index)
         core = karp_sipser(G).core
-        assert core.n > DEFAULT_RATIONAL_CAP
+        assert core.n > RATIONAL_CAP
         # full rank at the first prime: one elimination settles it
         assert rational_rank(core.n, core.edges) == RationalRank(core.n, "full", PRIMES[:1])
-        assert _run_trial(cfg, index).rank == G.adjacency().rank(rational_cap=cfg.n)
+        assert _run_trial(cfg, index).rank == _dense_rank(G)
 
 
 def _cycle(weights) -> Graph:
@@ -354,7 +373,7 @@ def _route(G: Graph) -> RationalRank:
     ks = karp_sipser(G)
     assert ks.core_vertices == tuple(range(G.n))
     got = rational_rank(G.n, G.edges)
-    assert _rank_of_graph(ks) == got.rank == G.adjacency().rank(rational_cap=G.n)
+    assert _rank_of_graph(ks) == got.rank == _dense_rank(G)
     return got
 
 
@@ -390,8 +409,9 @@ def test_rational_rank_lifts_large_kernel_entries_over_several_primes():
     weights = [1] * 68
     weights[1] = weights[2] = 10 ** 5
     G = _cycle(weights)
-    kernel = G.adjacency()._kernel(rational_cap=G.n)
-    assert max(abs(x.numerator) + x.denominator for x in kernel.flat) > 33000
+    # the kernel entries are 1 and the negated free-column entries of the RREF
+    R = exactla._rref_dense(_dense_array(G), None)[2]
+    assert max(abs(x.numerator) + x.denominator for x in R.flat) > 33000
     got = _route(G)
     assert got.exit == "lift" and got.rank == 66 and len(got.primes) > 1
 
@@ -435,7 +455,7 @@ def test_rational_rank_matches_fraction_elimination(seed):
     edges = tuple((i, j, pool[stream.randbelow(len(pool))])
                   for i in range(n) for j in range(i + 1, n) if stream.randbelow(n) < 2)
     G = Graph(n, FieldSpec.rationals(), edges)
-    assert rational_rank(n, edges).rank == G.adjacency().rank(rational_cap=n)
+    assert rational_rank(n, edges).rank == _dense_rank(G)
 
 
 @pytest.mark.parametrize("field", ("F2", "Fp:3", "Fp:2147483647", "Q"))
@@ -451,9 +471,9 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
     built = []
     init = exactla.Matrix.__init__
 
-    def recorded(self, field, a, symmetric):
+    def recorded(self, field, a):
         built.append(a.shape)
-        init(self, field, a, symmetric)
+        init(self, field, a)
 
     monkeypatch.setattr(exactla.Matrix, "__init__", recorded)
     for d in (0.5, 3.0, 5.0):

@@ -94,7 +94,7 @@ def test_theta_r_zero_rows():
 def test_theta_r_one_column_when_n1_is_one():
     T = theta_r_matrix(PerturbationFamily(4), 6, 1, 9, F2)
     for k in range(6):
-        assert [T.entry(k, j).value for j in range(9)] == [1] + [0] * 8
+        assert [T.entry(k, j) for j in range(9)] == [1] + [0] * 8
 
 
 def test_theta_r_validation():
@@ -109,7 +109,7 @@ def test_theta_c_shape_and_rows():
     T = theta_c_matrix(PerturbationFamily(4), 1, 7, 3, F2)
     assert (T.m, T.n) == (7, 3)
     for k in range(3):
-        col = [T.entry(i, k).value for i in range(7)]
+        col = [T.entry(i, k) for i in range(7)]
         assert col == [1] + [0] * 6
 
 
@@ -197,11 +197,11 @@ def test_canonical_perturb_block_layout():
     assert M.remove(rows=[2, 3], cols=[2, 3, 4]) == A
     for i in (2, 3):
         for j in (2, 3, 4):
-            assert M.entry(i, j).is_zero()
+            assert M.entry(i, j) == 0
     # unit rows land where the row family says, confined to A's columns
     for k in range(spec.theta_r):
         j = fams.rows.index(k, A.n)
-        assert M.entry(2 + k, j).value == 1
+        assert M.entry(2 + k, j) == 1
 
 
 def test_census_of_perturbed_matrix_matches_per_variable_classification():

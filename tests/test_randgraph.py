@@ -1,12 +1,14 @@
 """Samplers, the monotone edge coupling, and leaf removal."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from frozenrank import randgraph
 from frozenrank.errors import ResourceCapError
-from frozenrank.exactla import DENSE_CAP, Matrix, relabelled
+from frozenrank.exactla import DENSE_CAP, RATIONAL_CAP, Matrix, field_array, relabelled
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
 from frozenrank.randgraph import (
@@ -74,7 +76,7 @@ def test_sample_matches_literal_coupling(tpl, p):
         literal = [(i, j) for i in range(n) for j in range(i + 1, n) if cpl.q(i, j) < pn]
         assert [(i, j) for i, j, _ in G.edges] == literal
         for i, j, w in G.edges:
-            assert w == tpl.entry(i, j).value
+            assert w == tpl.entry(i, j)
 
 
 _CUT_PROBABILITIES = sorted(
@@ -144,7 +146,7 @@ def test_template_entries_nonzero_and_symmetric():
         for j in range(5):
             if i != j:
                 w = tpl.entry(i, j)
-                assert not w.is_zero()
+                assert w != 0
                 assert w == tpl.entry(j, i)
     with pytest.raises(ValueError):
         tpl.entry(2, 2)
@@ -202,7 +204,7 @@ def test_T_rational_matches_prime_support():
     T2 = sample_T(sample_graph(12, 0.3, WeightTemplate(F2, 12), cpl), 12, perm_seed=2)
     for i in range(12):
         for j in range(12):
-            assert TQ.entry(i, j).is_zero() == T2.entry(i, j).is_zero()
+            assert (TQ.entry(i, j) == 0) == (T2.entry(i, j) == 0)
 
 
 # ------------------------------------------------------------ leaf removal
@@ -301,6 +303,21 @@ def test_dense_adjacency_cap():
         Graph(DENSE_CAP + 1, F2, ()).adjacency()
     with pytest.raises(ResourceCapError):
         nullity_invariance_check(Graph(DENSE_CAP + 1, F2, ()))
+
+
+def test_rational_adjacency_cap(monkeypatch):
+    # a rational adjacency above the exact-elimination cap could never be
+    # eliminated, so it is refused before its n x n Fractions are built
+    built = []
+    monkeypatch.setattr(randgraph, "field_array",
+                        lambda field, values: built.append(field) or field_array(field, values))
+    one_edge = Graph(1000, Q, ((0, 1, Fraction(1, 2)),))
+    for route in (one_edge.adjacency, lambda: nullity_invariance_check(one_edge)):
+        with pytest.raises(ResourceCapError):
+            route()
+    assert built == []
+    assert Graph(RATIONAL_CAP, Q, ((0, 1, Fraction(1, 2)),)).adjacency().rank() == 2
+    assert built  # the recorder sees the arrays of an adjacency within the cap
 
 
 # ------------------------------------------------------------- text format

@@ -67,6 +67,9 @@ def test_random_matrix_equals_the_from_rows_build(field):
     for m, n, symmetric in ((1, 1, False), (1, 4, False), (3, 0, False), (4, 2, False),
                             (5, 5, True), (6, 6, False)):
         A = random_matrix(stream, field, m, n, symmetric=symmetric)
-        B = Matrix.from_rows(field, A.to_values(), symmetric=symmetric)
-        assert (A.m, A.n, A.symmetric) == (m, n, symmetric)
+        B = Matrix.from_rows(field, A.to_values())
+        assert (A.m, A.n) == (m, n)
         assert A == B and A._a.dtype == B._a.dtype
+        assert not symmetric or A == A.transpose()
+    with pytest.raises(ValueError):
+        random_matrix(stream, field, 2, 3, symmetric=True)
