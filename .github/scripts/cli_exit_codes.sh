@@ -24,6 +24,7 @@ expect 2 ks --n 60 --d 2 --trials -1
 expect 3 census --field Q --n 100 --d 2 --P 8 --trials 1
 expect 0 simulate --field Q --template random --n 400 --d 3 --trials 2
 expect 0 simulate --field Q --n 400 --d 3 --trials 4
+expect 0 simulate --field Fp:2147483647 --template random --n 4096 --d 3 --trials 1
 expect 2 simulate --n 20 --d 100 --trials 1
 expect 2 ks --n 20 --d 100 --trials 1
 printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"
@@ -34,6 +35,8 @@ printf '7 5 F2\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n4 5 1\n' > "$tmp/graph.txt"
 expect 0 ks --graph "$tmp/graph.txt"
 printf '7 5 Q\n0 1 1/2\n1 2 -3\n2 3 2/3\n0 3 1\n4 5 -1/7\n' > "$tmp/qgraph.txt"
 expect 0 ks --graph "$tmp/qgraph.txt"
+printf '3 2 Fp:3\n0 1 1\n1 2 0\n' > "$tmp/zero.txt"
+expect 2 ks --graph "$tmp/zero.txt"
 python3 -c 'print("65 65 Q"); print(("0 " * 65 + "\n") * 65, end="")' > "$tmp/q65.txt"
 expect 3 classify --matrix "$tmp/q65.txt"
 echo "CLI exit codes as expected"

@@ -38,13 +38,18 @@ Q alike.  Rank, kernel rows and the census solve over F2 run on rows held
 as Python ints instead, one bit per column, with XOR as row addition.
 Entries are plain values, read back as Python ints or ``Fraction`` objects.
 Exact elimination over Q suffers coefficient blow-up, so it is capped in
-size, once, by :func:`check_rational_size`; :func:`rational_rank` gives the
-exact rank of a sparse symmetric rational matrix of any size from
-eliminations modulo primes, each certified.
+size, once, by :func:`check_rational_size`.
+
+A sparse symmetric matrix given by its edges, such as a leaf-removal core,
+is ranked without a :class:`Matrix`: :func:`sparse_rank` over F_p
+eliminates sparse rows first and hands only the block they leave to the
+dense kernel, and :func:`rational_rank` gives the exact rank over Q, of any
+size, from sparse ranks modulo primes, each certified.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,6 +66,10 @@ RATIONAL_CAP = 64
 # Largest dimension of a dense matrix built from a sampled graph: an int64
 # 4096 x 4096 array takes 128 MB; larger runs stop before they sample.
 DENSE_CAP = 4096
+
+# Share of the active block's area that its nonzeros may fill before
+# sparse_rank hands the block to the dense kernel.
+SPARSE_FILL = 0.1
 
 
 def check_rational_size(field: FieldSpec, m: int, n: int) -> None:
@@ -368,6 +377,107 @@ def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int | None) -
         M[rows, c:] = upd if p is None else upd % p
 
 
+# ------------------------------------------------- sparse rank from edges
+
+
+def _residue_array(n: int, rows, cols, vals, p: int) -> np.ndarray:
+    """The ``n x n`` symmetric array over F_p with ``vals`` at ``(rows,
+    cols)`` and ``(cols, rows)``, in the storage of :func:`field_array`."""
+    M = field_array(FieldSpec.prime(p), np.zeros((n, n), dtype=np.uint8))
+    M[rows, cols] = M[cols, rows] = vals
+    return M
+
+
+def sparse_rank(n: int, edges, p: int) -> int:
+    """Rank over F_p of the symmetric ``n x n`` matrix with zero diagonal
+    and ``A[i, j] = A[j, i] = w`` for each ``(i, j, w)`` of the sequence
+    ``edges`` (distinct pairs, ``i != j``, ``w`` a residue in ``[1, p)``),
+    built without a :class:`Matrix`.
+
+    Over F2 the rows are ints in the F2 row format, set straight from the
+    edges.  For p > 2 it is structured Gaussian elimination: rows are dicts
+    ``{column: residue}`` and each column keeps the set of its rows.  Each
+    step pivots on a lightest column (from a heap of column weights, with
+    stale entries skipped) in its shortest row (Markowitz), clears that
+    column from its other rows, and drops every entry that cancels to 0, so
+    the rank is exact whatever the pivot order.  Once the nonzeros of the
+    active block fill more than :data:`SPARSE_FILL` of its area, the block
+    goes to the dense kernel; a matrix that dense to begin with goes there
+    whole and builds no dicts.
+    """
+    if p == 2:
+        bits = [0] * n
+        for i, j, _ in edges:
+            bits[i] |= 1 << (n - 1 - j)
+            bits[j] |= 1 << (n - 1 - i)
+        return len(_echelon_gf2(bits, n))
+    if 2 * len(edges) > SPARSE_FILL * n * n:
+        i, j, w = zip(*edges)
+        return _forward_dense(_residue_array(n, i, j, w, p), p)[0]
+    rows: list[dict] = [{} for _ in range(n)]
+    for i, j, w in edges:
+        rows[i][j] = rows[j][i] = w
+    cols = [set(row) for row in rows]
+    live_rows = live_cols = sum(1 for row in rows if row)
+    nnz = 2 * len(edges)
+    heap = [(len(col), c) for c, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    rank = 0
+    while heap and nnz <= SPARSE_FILL * live_rows * live_cols:
+        weight, c = heapq.heappop(heap)
+        col = cols[c]
+        if len(col) != weight:
+            continue  # stale: the column was pivoted or changed weight since
+        r = min(col, key=lambda s: len(rows[s]))
+        prow, rows[r] = rows[r], {}
+        pivot = prow.pop(c)
+        col.discard(r)
+        for k in prow:
+            cols[k].discard(r)
+        nnz -= len(prow) + 1
+        live_rows -= 1
+        inv = pow(pivot, -1, p) if col else 0
+        for s in col:
+            srow = rows[s]
+            f = srow.pop(c) * inv % p
+            nnz -= 1
+            for k, v in prow.items():
+                old = srow.get(k)
+                if old is None:  # fill-in; f * v is a unit, so never 0
+                    srow[k] = -f * v % p
+                    cols[k].add(s)
+                    nnz += 1
+                elif (x := (old - f * v) % p):
+                    srow[k] = x
+                else:  # cancellation
+                    del srow[k]
+                    cols[k].discard(s)
+                    nnz -= 1
+            if not srow:
+                live_rows -= 1
+        col.clear()
+        live_cols -= 1
+        for k in prow:
+            if cols[k]:
+                heapq.heappush(heap, (len(cols[k]), k))
+            else:
+                live_cols -= 1
+        rank += 1
+    if nnz:
+        left = [s for s in range(n) if rows[s]]
+        pos = {c: t for t, c in enumerate(c for c in range(n) if cols[c])}
+        M = field_array(FieldSpec.prime(p), np.zeros((len(left), len(pos)), dtype=np.uint8))
+        at, to, val = [], [], []
+        for t, s in enumerate(left):
+            for k, v in rows[s].items():
+                at.append(t)
+                to.append(pos[k])
+                val.append(v)
+        M[at, to] = val
+        rank += _forward_dense(M, p)[0]
+    return rank
+
+
 # ----------------------------------------------------------- kernel rows
 
 
@@ -445,9 +555,11 @@ def rational_rank(n: int, edges) -> RationalRank:
       exactly, a sparse check over the edges.  ``K`` is the identity on the
       free columns, so its ``n - best`` columns are independent over Q.
 
-    Each prime is eliminated once, forward and in place on its own residue
-    array; a prime whose rank reaches the best one below ``n`` and meets no
-    bound has that same array back-substituted to its RREF.
+    Each prime is ranked once by :func:`sparse_rank`, from the edges.  Only
+    a prime whose rank is below ``n``, reaches the best one and meets no
+    bound builds its dense residue array and reduces it to the RREF, whose
+    pivots (the first column basis in column order) are the same at every
+    prime that keeps rank_Q, as the CRT needs.
     """
     edges = tuple(edges)
     scale = math.lcm(*(w.denominator for _, _, w in edges))
@@ -466,9 +578,9 @@ def rational_rank(n: int, edges) -> RationalRank:
         if scale % p == 0:
             continue
         inv = pow(scale, -1, p)
-        M = field_array(FieldSpec.prime(p), np.zeros((n, n), dtype=np.uint8))
-        M[rows, cols] = M[cols, rows] = [c % p * inv % p for c in cleared]
-        rank, pivots = _forward_dense(M, p)
+        vals = [c % p * inv % p for c in cleared]
+        # a numerator that p divides is no entry of the matrix mod p
+        rank = sparse_rank(n, [e for e in zip(rows, cols, vals) if e[2]], p)
         primes.append(p)
         product *= p
         if rank == n:
@@ -477,6 +589,8 @@ def rational_rank(n: int, edges) -> RationalRank:
             return RationalRank(max(best, rank), "hadamard", tuple(primes))
         if rank < best:
             continue
+        M = _residue_array(n, rows, cols, vals, p)
+        pivots = _forward_dense(M, p)[1]
         _back_substitute(M, pivots, p)
         residues = (-M[:rank, _free_columns(pivots, n)] % p).astype(object)
         if rank == best and pivots == lift_pivots:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .prf import Stream
 
@@ -97,9 +98,16 @@ class FieldSpec:
 
     def element(self, value) -> int | Fraction:
         """``value`` (an int or a Fraction) in canonical form: an int in
-        ``[0, p)`` over F_p, a reduced ``Fraction`` over Q."""
+        ``[0, p)`` over F_p, a reduced ``Fraction`` over Q.  Over F_p a
+        value that is not an integer raises ``ValueError``."""
         if self.kind == "prime":
-            return int(value) % self.p
+            if type(value) is int:
+                return value % self.p
+            if isinstance(value, Integral) or (isinstance(value, Fraction)
+                                               and value.denominator == 1):
+                return int(value) % self.p
+            raise ValueError(f"{value!r} is not an integer, so not an element of "
+                             f"{self.label()}")
         return Fraction(value)
 
     def one(self) -> int | Fraction:

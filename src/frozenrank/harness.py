@@ -23,7 +23,14 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import analytic
 from .errors import ResourceCapError
-from .exactla import DENSE_CAP, TypeProfile, check_rational_size, rational_rank, type_census
+from .exactla import (
+    DENSE_CAP,
+    TypeProfile,
+    check_rational_size,
+    rational_rank,
+    sparse_rank,
+    type_census,
+)
 from .field import FieldSpec
 from .perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from .prf import (
@@ -266,18 +273,17 @@ def trial_graph(master_seed: int, index: int, n: int, d: float, field: FieldSpec
 
 def _rank_of_graph(ks: KSResult) -> int:
     """Exact rank of the adjacency that ``ks`` reduced, read off its
-    leaf-removal core by the identity in :class:`KSResult`; an empty core
-    builds no matrix.  A rational core of any size goes to
-    :func:`~frozenrank.exactla.rational_rank`: eliminations modulo primes,
-    certified exact (full rank, a verified kernel lift or the Hadamard
-    bound)."""
+    leaf-removal core by the identity in :class:`KSResult`, from the core's
+    edges and without a :class:`~frozenrank.exactla.Matrix`.  A prime-field
+    core goes to :func:`~frozenrank.exactla.sparse_rank`, a rational core of
+    any size to :func:`~frozenrank.exactla.rational_rank`: sparse ranks
+    modulo primes, certified exact (full rank, a verified kernel lift or the
+    Hadamard bound)."""
     core = ks.core
     rank = 2 * len(ks.removed_pairs)
-    if core.n == 0:
-        return rank
     if core.field.kind == "rationals":
         return rank + rational_rank(core.n, core.edges).rank
-    return rank + core.adjacency().rank()
+    return rank + sparse_rank(core.n, core.edges, core.field.p)
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:

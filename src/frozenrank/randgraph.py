@@ -95,13 +95,13 @@ class Graph:
 
     n: int
     field: FieldSpec
-    edges: tuple  # ((i, j, raw_weight), ...) with i < j
+    edges: tuple  # ((i, j, weight), ...) with i < j, weight a nonzero field value
 
     def __post_init__(self):
         n = self.n
         seen = set()
         add = seen.add
-        for i, j, w in self.edges:
+        for i, j, _ in self.edges:
             if i == j:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= i < n and 0 <= j < n):
@@ -110,8 +110,13 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             add(key)
-            if w == 0:
+        p = self.field.p
+        if p is None:
+            if not all(w for _, _, w in self.edges):
                 raise ValueError("edge weights must be nonzero")
+        elif not all(isinstance(w, int) and 0 < w < p for _, _, w in self.edges):
+            raise ValueError(f"edge weights over {self.field.label()} must be nonzero "
+                             f"canonical residues, ints in [1, {p})")
 
     @property
     def edge_count(self) -> int:

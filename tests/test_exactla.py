@@ -6,6 +6,7 @@ brute-force membership checks for classifications.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from frozenrank.exactla import (
 from frozenrank.field import FieldSpec
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from frozenrank.prf import Stream, prf
+from frozenrank.randgraph import Graph
 from frozenrank.verify import (
     frozen_set_by_removal,
     proper_relations_by_enumeration,
@@ -546,3 +548,116 @@ def test_relabelling_invariance(A, seed):
     assert {perm[i] for i in frozen_set(A)} == set(frozen_set(B))
     if A.n:
         assert type_census(A) == type_census(B)
+
+
+# ------------------------------------------------ sparse rank from edges
+# sparse_rank against Matrix.rank of the dense adjacency, the literal route.
+
+SPARSE_PRIMES = (2, 3, 5, 2147483647)
+
+
+def _adjacency_rank(n, edges, p):
+    return Graph(n, FieldSpec.prime(p), tuple(edges)).adjacency().rank()
+
+
+def _count_blocks(monkeypatch):
+    """Shapes of the arrays _forward_dense eliminates from now on."""
+    shapes = []
+    dense = exactla._forward_dense
+
+    def counted(M, p):
+        shapes.append(M.shape)
+        return dense(M, p)
+
+    monkeypatch.setattr(exactla, "_forward_dense", counted)
+    return shapes
+
+
+@st.composite
+def sparse_graphs(draw):
+    p = draw(st.sampled_from(SPARSE_PRIMES))
+    n = draw(st.integers(0, 80))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))), max_size=2 * n))
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    if draw(st.booleans()):
+        weights = [1] * len(pairs)
+    else:
+        weights = draw(st.lists(st.integers(1, p - 1), min_size=len(pairs),
+                                max_size=len(pairs)))
+    return n, [(i, j, w) for (i, j), w in zip(pairs, weights)], p
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs())
+def test_sparse_rank_matches_dense_adjacency(graph):
+    n, edges, p = graph
+    assert exactla.sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_sparse_rank_of_an_edgeless_graph(p):
+    for n in (0, 1, 5):
+        assert exactla.sparse_rank(n, (), p) == 0
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+@pytest.mark.parametrize("ones", (True, False))
+def test_sparse_rank_of_cycles_with_a_kernel(p, ones):
+    # the 4m-cycle has rank 4m - 2 exactly when its two perfect matchings
+    # have equal weight products; the last weight is set so that they do,
+    # and the fill-in of the last pivots must cancel to reach that rank
+    stream = Stream(p)
+    for n in (8, 68, 200):
+        w = [1 if ones else 1 + stream.randbelow(p - 1) for _ in range(n)]
+        even, odd = math.prod(w[0::2]) % p, math.prod(w[1:-1:2]) % p
+        w[-1] = even * pow(odd, -1, p) % p
+        edges = [(k, k + 1, w[k]) for k in range(n - 1)] + [(0, n - 1, w[-1])]
+        assert exactla.sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p) == n - 2
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
+def test_sparse_rank_when_fill_in_cancels(p):
+    # ten disjoint 4-cycles with w01 * w23 = w12 * w30, each of rank 2:
+    # pivoting on a cycle's column leaves fill-in that cancels to 0
+    edges = []
+    for b in range(0, 40, 4):
+        a, c, d = 2, 1 + b // 4 % (p - 1), p - 1
+        edges += [(b, b + 1, a), (b + 1, b + 2, a * c * pow(d, -1, p) % p),
+                  (b + 2, b + 3, c), (b, b + 3, d)]
+    assert exactla.sparse_rank(40, edges, p) == _adjacency_rank(40, edges, p) == 20
+
+
+def test_sparse_rank_of_a_dense_core_skips_the_sparse_phase(monkeypatch):
+    # K_12 fills 11/12 of its area, above SPARSE_FILL: one dense elimination,
+    # with no dict rows and no column heap built first
+    p = 5
+    edges = [(i, j, 1 + (i + j) % (p - 1)) for i in range(12) for j in range(i + 1, 12)]
+    want = _adjacency_rank(12, edges, p)
+    shapes = _count_blocks(monkeypatch)
+    monkeypatch.setattr(exactla, "heapq", None)
+    assert exactla.sparse_rank(12, edges, p) == want
+    assert shapes == [(12, 12)]
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
+def test_sparse_rank_crosses_to_the_dense_block_midway(monkeypatch, p):
+    # a sparse random graph (3/n of its area) is pivoted sparsely until its
+    # active block is dense enough, then that smaller block goes dense
+    n = 300
+    stream = Stream(p + 1)
+    edges = [(i, j, 1 + stream.randbelow(p - 1)) for i in range(n)
+             for j in range(i + 1, n) if stream.randbelow(n) < 3]
+    assert 2 * len(edges) <= exactla.SPARSE_FILL * n * n
+    shapes = _count_blocks(monkeypatch)
+    got = exactla.sparse_rank(n, edges, p)
+    assert len(shapes) == 1 and 0 < shapes[0][0] < n
+    assert got == _adjacency_rank(n, edges, p)
+
+
+def test_sparse_rank_gf2_rows_across_word_boundaries():
+    stream = Stream(64)
+    for n in (7, 8, 9, 63, 64, 65, 130):
+        edges = [(i, j, 1) for i in range(n) for j in range(i + 1, n)
+                 if stream.randbelow(n) < 3]
+        assert exactla.sparse_rank(n, edges, 2) == _adjacency_rank(n, edges, 2)

@@ -105,3 +105,19 @@ def test_values_are_plain_ints_or_fractions(spec):
               WeightTemplate(spec, 5).entry(0, 1),
               WeightTemplate(spec, 5, "random", seed=3).entry(4, 1)]
     assert [type(x) for x in values] == [plain] * len(values)
+
+
+@pytest.mark.parametrize("value", (Fraction(1, 2), 2.7, 3.0, "3"))
+def test_prime_field_refuses_non_integers(value):
+    with pytest.raises(ValueError, match="not an integer"):
+        F3.element(value)
+    with pytest.raises(ValueError, match="not an integer"):
+        Matrix.from_rows(F3, [[value, 1]])
+
+
+def test_prime_field_takes_integer_values_of_any_type():
+    import numpy as np
+
+    assert F5.element(Fraction(-6, 2)) == 2
+    assert F5.element(np.int64(12)) == 2 and type(F5.element(np.int64(12))) is int
+    assert F5.element(True) == 1

@@ -419,22 +419,36 @@ def test_rational_rank_lifts_large_kernel_entries_over_several_primes():
 @pytest.mark.parametrize("heavy", (1, 10 ** 5))
 def test_rational_rank_eliminates_each_prime_once(monkeypatch, heavy):
     # rank-deficient cores: the all-ones 68-cycle lifts from one prime, the
-    # 10^5-weight one over several; each prime's RREF continues its forward
-    # elimination in place instead of eliminating the prime again
-    calls = []
-    forward = exactla._forward_dense
+    # 10^5-weight one over several; each prime is ranked once from the edges,
+    # and only a prime that goes on to the lift builds the dense residue
+    # array, eliminated forward once and back-substituted in place
+    ranked, forward, back = [], [], []
+    sparse, dense, substitute = exactla.sparse_rank, exactla._forward_dense, \
+        exactla._back_substitute
 
-    def counted(M, p):
-        calls.append(p)
-        return forward(M, p)
+    def counted_sparse(n, edges, p):
+        ranked.append(p)
+        return sparse(n, edges, p)
 
-    monkeypatch.setattr(exactla, "_forward_dense", counted)
+    def counted_forward(M, p):
+        if M.shape == (68, 68):
+            forward.append(p)
+        return dense(M, p)
+
+    def counted_back(M, pivots, p):
+        back.append(p)
+        return substitute(M, pivots, p)
+
+    monkeypatch.setattr(exactla, "sparse_rank", counted_sparse)
+    monkeypatch.setattr(exactla, "_forward_dense", counted_forward)
+    monkeypatch.setattr(exactla, "_back_substitute", counted_back)
     weights = [1] * 68
     weights[1] = weights[2] = heavy
     got = rational_rank(68, _cycle(weights).edges)
     assert got.exit == "lift" and got.rank == 66
     assert len(got.primes) > 1 if heavy > 1 else got.primes == PRIMES[:1]
-    assert calls == list(got.primes)
+    # every prime keeps rank 66 with the same pivots, so each one lifts
+    assert ranked == forward == back == list(got.primes)
 
 
 def test_rational_rank_hadamard_exit():
@@ -476,13 +490,26 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
         init(self, field, a)
 
     monkeypatch.setattr(exactla.Matrix, "__init__", recorded)
+    blocks = []
+    dense = exactla._forward_dense
+
+    def block(M, p):
+        blocks.append(M.shape[0])
+        return dense(M, p)
+
+    monkeypatch.setattr(exactla, "_forward_dense", block)
     for d in (0.5, 3.0, 5.0):
         cfg = ExperimentConfig(n=150, d=d, field=field, template="random", trials=1,
                                master_seed=3)
         built.clear()
+        blocks.clear()
         record = _run_trial(cfg, 0)
-        core = len(karp_sipser(_trial_graph(cfg, 0)).core_vertices)
+        ks = karp_sipser(_trial_graph(cfg, 0))
+        core = len(ks.core_vertices)
         assert record.ks_core_size == core
-        # no matrix at all for an empty core, else one of the core's size; a Q
-        # core is reduced modulo primes on plain arrays, never in a Matrix
-        assert built == ([] if core == 0 or field == "Q" else [(core, core)])
+        # every core is ranked from its edges, never in a Matrix; over a
+        # prime field the only dense array is the block the sparse phase
+        # leaves, smaller than the core, unless the core is dense already
+        assert built == []
+        if field != "Q" and 2 * ks.core.edge_count <= exactla.SPARSE_FILL * core ** 2:
+            assert all(rows < core for rows in blocks)

@@ -340,3 +340,16 @@ def test_graph_validation():
         Graph(3, F2, ((0, 1, 0),))  # zero weight
     with pytest.raises(ValueError):
         parse_graph("2 1 F2\n0 1\n")
+
+
+@pytest.mark.parametrize("w", (3, 4, -1, 0, Fraction(1, 2), Fraction(3, 1), 1.0))
+def test_graph_refuses_non_canonical_prime_weights(w):
+    # a weight of p is 0 in F_p, and any weight outside [1, p) would break the
+    # storage of the adjacency and the edge-list rank, which read it as is
+    with pytest.raises(ValueError):
+        Graph(3, F3, ((0, 1, 1), (1, 2, w)))
+
+
+def test_graph_takes_canonical_weights():
+    assert Graph(3, F3, ((0, 1, 1), (1, 2, 2))).adjacency().rank() == 2
+    assert Graph(3, Q, ((0, 1, -2), (1, 2, Fraction(1, 3)))).adjacency().rank() == 2
