@@ -37,6 +37,10 @@ printf '7 5 Q\n0 1 1/2\n1 2 -3\n2 3 2/3\n0 3 1\n4 5 -1/7\n' > "$tmp/qgraph.txt"
 expect 0 ks --graph "$tmp/qgraph.txt"
 printf '3 2 Fp:3\n0 1 1\n1 2 0\n' > "$tmp/zero.txt"
 expect 2 ks --graph "$tmp/zero.txt"
+printf '3 2 F2\n0 1 1\n1 3 1\n' > "$tmp/range.txt"
+expect 2 ks --graph "$tmp/range.txt"
+printf '3 2 F2\n0 1 1\n1 0 1\n' > "$tmp/revdup.txt"
+expect 2 ks --graph "$tmp/revdup.txt"
 python3 -c 'print("65 65 Q"); print(("0 " * 65 + "\n") * 65, end="")' > "$tmp/q65.txt"
 expect 3 classify --matrix "$tmp/q65.txt"
 echo "CLI exit codes as expected"

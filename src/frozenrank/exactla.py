@@ -388,11 +388,11 @@ def _residue_array(n: int, rows, cols, vals, p: int) -> np.ndarray:
     return M
 
 
-def sparse_rank(n: int, edges, p: int) -> int:
+def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> int:
     """Rank over F_p of the symmetric ``n x n`` matrix with zero diagonal
-    and ``A[i, j] = A[j, i] = w`` for each ``(i, j, w)`` of the sequence
-    ``edges`` (distinct pairs, ``i != j``, ``w`` a residue in ``[1, p)``),
-    built without a :class:`Matrix`.
+    and ``A[i[k], j[k]] = A[j[k], i[k]] = w[k]`` for each edge ``k`` of the
+    int arrays ``i``, ``j`` and ``w`` (distinct pairs, ``i[k] != j[k]``,
+    ``w[k]`` a residue in ``[1, p)``), built without a :class:`Matrix`.
 
     Over F2 the rows are ints in the F2 row format, set straight from the
     edges.  For p > 2 it is structured Gaussian elimination: rows are dicts
@@ -407,19 +407,18 @@ def sparse_rank(n: int, edges, p: int) -> int:
     """
     if p == 2:
         bits = [0] * n
-        for i, j, _ in edges:
-            bits[i] |= 1 << (n - 1 - j)
-            bits[j] |= 1 << (n - 1 - i)
+        for a, b in zip(i.tolist(), j.tolist()):
+            bits[a] |= 1 << (n - 1 - b)
+            bits[b] |= 1 << (n - 1 - a)
         return len(_echelon_gf2(bits, n))
-    if 2 * len(edges) > SPARSE_FILL * n * n:
-        i, j, w = zip(*edges)
+    nnz = 2 * i.size
+    if nnz > SPARSE_FILL * n * n:
         return _forward_dense(_residue_array(n, i, j, w, p), p)[0]
     rows: list[dict] = [{} for _ in range(n)]
-    for i, j, w in edges:
-        rows[i][j] = rows[j][i] = w
+    for a, b, v in zip(i.tolist(), j.tolist(), w.tolist()):
+        rows[a][b] = rows[b][a] = v
     cols = [set(row) for row in rows]
     live_rows = live_cols = sum(1 for row in rows if row)
-    nnz = 2 * len(edges)
     heap = [(len(col), c) for c, col in enumerate(cols) if col]
     heapq.heapify(heap)
     rank = 0
@@ -532,10 +531,11 @@ def _primes_descending():
         q -= 2
 
 
-def rational_rank(n: int, edges) -> RationalRank:
+def rational_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> RationalRank:
     """Exact rank over Q of the symmetric ``n x n`` matrix ``A`` with zero
-    diagonal and ``A[i, j] = A[j, i] = w`` for each ``(i, j, w)`` of
-    ``edges`` (distinct pairs, ``i != j``, ``w`` a nonzero ``Fraction``).
+    diagonal and ``A[i[k], j[k]] = A[j[k], i[k]] = w[k]`` for each edge ``k``
+    of the arrays ``i``, ``j`` (ints) and ``w`` (distinct pairs,
+    ``i[k] != j[k]``, ``w[k]`` a nonzero ``Fraction`` or int).
 
     Reduction modulo a prime p that divides no denominator is a ring map,
     so a minor that is nonzero mod p is nonzero over Q: rank_p <= rank_Q.
@@ -561,15 +561,13 @@ def rational_rank(n: int, edges) -> RationalRank:
     pivots (the first column basis in column order) are the same at every
     prime that keeps rank_Q, as the CRT needs.
     """
-    edges = tuple(edges)
-    scale = math.lcm(*(w.denominator for _, _, w in edges))
-    rows = [i for i, _, _ in edges]
-    cols = [j for _, j, _ in edges]
-    cleared = [w.numerator * (scale // w.denominator) for _, _, w in edges]
+    rows, cols, weights = i.tolist(), j.tolist(), w.tolist()
+    scale = math.lcm(*(x.denominator for x in weights))
+    cleared = [x.numerator * (scale // x.denominator) for x in weights]
     norm2 = [0] * n
-    for i, j, c in zip(rows, cols, cleared):
-        norm2[i] += c * c
-        norm2[j] += c * c
+    for a, b, c in zip(rows, cols, cleared):
+        norm2[a] += c * c
+        norm2[b] += c * c
     # (twice the Hadamard bound)^2; a row of norm below 1 is a zero row
     hadamard2 = 4 * math.prod(max(1, s) for s in norm2)
     best, primes, product = -1, [], 1
@@ -578,9 +576,10 @@ def rational_rank(n: int, edges) -> RationalRank:
         if scale % p == 0:
             continue
         inv = pow(scale, -1, p)
-        vals = [c % p * inv % p for c in cleared]
+        vals = np.array([c % p * inv % p for c in cleared], dtype=np.int64)
         # a numerator that p divides is no entry of the matrix mod p
-        rank = sparse_rank(n, [e for e in zip(rows, cols, vals) if e[2]], p)
+        entry = vals != 0
+        rank = sparse_rank(n, i[entry], j[entry], vals[entry], p)
         primes.append(p)
         product *= p
         if rank == n:
@@ -589,7 +588,7 @@ def rational_rank(n: int, edges) -> RationalRank:
             return RationalRank(max(best, rank), "hadamard", tuple(primes))
         if rank < best:
             continue
-        M = _residue_array(n, rows, cols, vals, p)
+        M = _residue_array(n, i, j, vals, p)
         pivots = _forward_dense(M, p)[1]
         _back_substitute(M, pivots, p)
         residues = (-M[:rank, _free_columns(pivots, n)] % p).astype(object)

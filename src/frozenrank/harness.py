@@ -282,8 +282,8 @@ def _rank_of_graph(ks: KSResult) -> int:
     core = ks.core
     rank = 2 * len(ks.removed_pairs)
     if core.field.kind == "rationals":
-        return rank + rational_rank(core.n, core.edges).rank
-    return rank + sparse_rank(core.n, core.edges, core.field.p)
+        return rank + rational_rank(core.n, core.i, core.j, core.w).rank
+    return rank + sparse_rank(core.n, core.i, core.j, core.w, core.field.p)
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:

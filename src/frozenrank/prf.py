@@ -11,6 +11,8 @@ function mixed over numpy arrays.  It takes a seed and any number of words,
 each a Python int or an array, broadcasts them together, and runs each
 mixing round over the broadcast shape of the arguments mixed so far, so a
 block of rows against a run of columns costs one mixing round per pair.
+Where only the values below a cut are wanted, :func:`mix64_below` skips
+the last round of the entries that :func:`last_round_bound` rules out.
 """
 
 from __future__ import annotations
@@ -79,11 +81,52 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     for the shifts."""
     x = np.asarray(np.add(x, np.uint64(_C1), dtype=np.uint64))
     t = np.empty_like(x)
+    _rounds_before_last(x, t)
+    _last_round(x, t)
+    return x
+
+
+def _rounds_before_last(x: np.ndarray, t: np.ndarray) -> None:
+    """In place, the two xor-shift-multiply rounds of :func:`mix64` that
+    follow its add, with ``t`` (the shape of ``x``) for the shifts."""
     for shift, mul in ((30, _C2), (27, _C3)):
         x ^= np.right_shift(x, np.uint64(shift), out=t)
         x *= np.uint64(mul)
+
+
+def _last_round(x: np.ndarray, t: np.ndarray) -> None:
+    """In place, the last round of :func:`mix64`, with ``t`` for the shift."""
     x ^= np.right_shift(x, np.uint64(31), out=t)
-    return x
+
+
+def last_round_bound(cut: int) -> int:
+    """Least multiple ``b`` of ``2**33`` with ``x ^ (x >> 31) < cut`` only if
+    ``x < b``, for ``0 <= cut < 2**64``; ``b`` may be ``2**64``.
+
+    Bits 63..33 of ``x ^ (x >> 31)`` are those of ``x``, since ``x >> 31``
+    has none of them set, so the two agree on ``>> 33``.  The last round of
+    :func:`mix64` is that xor-shift, so a value can fall below ``cut`` only
+    if the input to its last round is below ``b``.
+    """
+    return (((cut - 1) >> 33) + 1) << 33
+
+
+def mix64_below(x: np.ndarray, cut: int, t: np.ndarray) -> np.ndarray:
+    """Flat indices ``k``, ascending, with ``mix64(x.flat[k]) < cut``.
+
+    ``x`` is a C-contiguous uint64 array, mixed in place up to the last
+    round, and ``t`` a scratch array of its shape.  Only the entries below
+    :func:`last_round_bound` run the last round; when that bound is
+    ``2**64`` the filter is skipped and every entry does.
+    """
+    with np.errstate(over="ignore"):
+        x += np.uint64(_C1)
+        _rounds_before_last(x, t)
+        bound = last_round_bound(cut)
+        hits = np.flatnonzero(x < np.uint64(bound)) if bound <= _M64 else np.arange(x.size)
+        y = x.ravel()[hits]
+        _last_round(y, t.ravel()[:y.size])
+        return hits[y < np.uint64(cut)]
 
 
 def derive_seed(seed: int, index: int, tag: int) -> int:

@@ -10,7 +10,9 @@ share the support of their common block.  :func:`sample_graph` weights the
 sampled edges from a symmetric :class:`WeightTemplate` with nonzero entries;
 the weights and the field decorate the support and never change it.  The
 dense adjacency (:meth:`Graph.adjacency`) and the relabelled principal block
-(:func:`sample_T`) are then built from that :class:`Graph`.
+(:func:`sample_T`) are then built from that :class:`Graph`.  A graph keeps
+its edges as arrays, from the sampler through leaf removal
+(:func:`karp_sipser`) to the core that is ranked.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ResourceCapError
 from .exactla import DENSE_CAP, Matrix, check_rational_size, field_array
 from .field import RATIONAL_POOL, FieldSpec
-from .prf import Stream, prf, prf_array
+from .prf import Stream, mix64_below, prf, prf_array
 
 _TWO64 = float(1 << 64)
 
@@ -89,45 +91,81 @@ class WeightTemplate:
         return 1 + (h % np.uint64(self.field.p - 1)).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple weighted graph: vertices ``0..n-1``, nonzero edge weights."""
+    """Simple weighted graph: vertices ``0..n-1``, nonzero edge weights.
+
+    Edge ``k`` joins ``i[k]`` and ``j[k]`` with weight ``w[k]``.  The graph
+    holds read-only copies of its edge arrays: int64 endpoints, and weights
+    that are canonical residues in ``[1, p)`` in an int64 array over F_p, or
+    nonzero values in an object array over Q.  The constructor takes any
+    sequences and checks every graph once, on the arrays: no self-loops,
+    endpoints in range, no pair twice (in either orientation) and the
+    weights above.  :meth:`from_edges` builds one from ``(i, j, w)`` triples.
+    """
 
     n: int
     field: FieldSpec
-    edges: tuple  # ((i, j, weight), ...) with i < j, weight a nonzero field value
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        n = self.n
-        seen = set()
-        add = seen.add
-        for i, j, _ in self.edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError("edge endpoint out of range")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            add(key)
-        p = self.field.p
+        n, p = self.n, self.field.p
+        i, j = _endpoints(self.i), _endpoints(self.j)
+        w = np.array(self.w, dtype=object if p is None else None)
+        if w.size == 0 and p is not None:
+            w = np.zeros(0, dtype=np.int64)
+        if i.ndim != 1 or not i.shape == j.shape == w.shape:
+            raise ValueError("i, j and w must be 1-D sequences of one length")
+        if np.any(i == j):
+            raise ValueError("self-loops are not allowed")
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+            raise ValueError("edge endpoint out of range")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        later = order[1:][key[order[1:]] == key[order[:-1]]]  # repeats of a pair
+        if later.size:
+            k = later.min()  # the first repeat in edge order
+            raise ValueError(f"duplicate edge {(int(lo[k]), int(hi[k]))}")
         if p is None:
-            if not all(w for _, _, w in self.edges):
+            if np.count_nonzero(w) != w.size:
                 raise ValueError("edge weights must be nonzero")
-        elif not all(isinstance(w, int) and 0 < w < p for _, _, w in self.edges):
+        elif w.dtype.kind not in "iu" or not np.all((0 < w) & (w < p)):
             raise ValueError(f"edge weights over {self.field.label()} must be nonzero "
                              f"canonical residues, ints in [1, {p})")
+        else:
+            w = w.astype(np.int64, copy=False)
+        for name, a in (("i", i), ("j", j), ("w", w)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_edges(cls, n: int, field: FieldSpec, edges) -> "Graph":
+        """The graph of a sequence of ``(i, j, w)`` triples."""
+        edges = tuple(edges)
+        i, j, w = zip(*edges) if edges else ((), (), ())
+        return cls(n, field, i, j, w)
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as ``(i, j, w)`` triples of Python values, in order."""
+        return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.field == other.field
+                and all(np.array_equal(a, b) for a, b in
+                        ((self.i, other.i), (self.j, other.j), (self.w, other.w))))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.i.size
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.concatenate((self.i, self.j)), minlength=self.n).tolist()
 
     def adjacency(self) -> Matrix:
         """Weighted adjacency matrix (symmetric, zero diagonal).  A graph
@@ -139,10 +177,16 @@ class Graph:
             )
         check_rational_size(self.field, self.n, self.n)
         arr = field_array(self.field, np.zeros((self.n, self.n), dtype=np.uint8))
-        if self.edges:
-            i, j, w = zip(*self.edges)
-            arr[i, j] = arr[j, i] = field_array(self.field, w)
+        arr[self.i, self.j] = arr[self.j, self.i] = field_array(self.field, self.w)
         return Matrix._from_array(self.field, arr)
+
+
+def _endpoints(x) -> np.ndarray:
+    """``x`` as a new int64 array; a sequence of non-integers is refused."""
+    a = np.array(x)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError("edge endpoints must be integers")
+    return a.astype(np.int64, copy=False)
 
 
 # ------------------------------------------------------------------ sampling
@@ -156,9 +200,9 @@ def _validate_sample_args(n: int, template: WeightTemplate):
         raise ValueError(f"template size {template.n} smaller than n={n}")
 
 
-# rows of the pair grid that sample_edges evaluates per prf_array call: enough
-# to amortise numpy's per-call cost, few enough that a block's temporaries
-# (rows x n uint64 words, 0.5 MB at n = 2000) stay small
+# rows of the pair grid that sample_edges mixes per block: enough to amortise
+# numpy's per-call cost, few enough that a block's two buffers (rows x n
+# uint64 words each, 0.5 MB at n = 2000) stay small
 _BLOCK_ROWS = 32
 
 
@@ -185,16 +229,27 @@ def edge_cut(p: float) -> int:
 
 def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray, np.ndarray]:
     """Edge support under the monotone coupling: pairs with q(i, j) < p,
-    as int64 arrays ``(i, j)`` with ``i < j``, in row-major order."""
-    cut = np.uint64(edge_cut(p))
+    as int64 arrays ``(i, j)`` with ``i < j``, in row-major order.
+
+    ``prf(seed, i, j)`` is ``mix64(prf(seed, i) ^ j)``, so ``prf(seed, i)``
+    is computed once per row.  Each block of rows XORs in the column words
+    in two reused buffers, where :func:`~frozenrank.prf.mix64_below` runs
+    the last mixing round only on the pairs that can still fall below the
+    cut.
+    """
+    cut = edge_cut(p)
     vertices = np.arange(n, dtype=np.uint64)
+    row_words = prf_array(coupling.seed, vertices)
+    buf = np.empty(min(_BLOCK_ROWS, n) * n, dtype=np.uint64)
+    scratch = np.empty_like(buf)
     empty = np.zeros(0, dtype=np.int64)
     ii_out, jj_out = [empty], [empty]
     for r0 in range(0, n - 1, _BLOCK_ROWS):
-        rows = vertices[r0:r0 + _BLOCK_ROWS]
-        q = prf_array(coupling.seed, rows[:, None], vertices[None, r0 + 1:])
-        # divmod of the flat hits: np.nonzero of a 2-D mask is ~5x slower
-        ii, jj = np.divmod(np.flatnonzero(q < cut), q.shape[1])
+        rows = row_words[r0:r0 + _BLOCK_ROWS, None]
+        cols = vertices[None, r0 + 1:]
+        shape = (rows.size, cols.size)
+        q = np.bitwise_xor(rows, cols, out=buf[:rows.size * cols.size].reshape(shape))
+        ii, jj = np.divmod(mix64_below(q, cut, scratch[:q.size].reshape(shape)), cols.size)
         ii += r0
         jj += r0 + 1
         upper = jj > ii
@@ -209,9 +264,7 @@ def sample_graph(
     """Weighted graph with independent edges at probability ``p``."""
     _validate_sample_args(n, template)
     ii, jj = sample_edges(n, p, coupling)
-    ww = template.weights(ii, jj)
-    edges = tuple(zip(ii.tolist(), jj.tolist(), ww.tolist()))
-    return Graph(n=n, field=template.field, edges=edges)
+    return Graph(n, template.field, ii, jj, template.weights(ii, jj))
 
 
 def uniform_permutation(N: int, perm_seed: int) -> list[int]:
@@ -232,15 +285,12 @@ def sample_T(G: Graph, n: int, perm_seed: int = 0) -> Matrix:
     """
     if n > G.n:
         raise ValueError(f"n={n} exceeds the graph size {G.n}")
-    label = [0] * G.n
-    for k, v in enumerate(uniform_permutation(G.n, perm_seed)):
-        label[v] = k
-    edges = []
-    for i, j, w in G.edges:
-        a, b = sorted((label[i], label[j]))
-        if b < n:
-            edges.append((a, b, w))
-    return Graph(n, G.field, tuple(edges)).adjacency()
+    label = np.empty(G.n, dtype=np.int64)
+    label[uniform_permutation(G.n, perm_seed)] = np.arange(G.n)
+    a, b = label[G.i], label[G.j]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = hi < n
+    return Graph(n, G.field, lo[keep], hi[keep], G.w[keep]).adjacency()
 
 
 # ------------------------------------------------------------- leaf removal
@@ -276,48 +326,61 @@ def karp_sipser(G: Graph) -> KSResult:
 
     The lowest-index leaf is removed first.  The isolated count and core
     vertex set do not depend on the order, only ``removed_pairs`` may.
+
+    The neighbour lists are CSR arrays read as Python lists.  Each vertex
+    keeps its live degree and the XOR of its live neighbours, so the one
+    neighbour of a leaf ``v`` is ``xor[v]``.  The core's edges are those of
+    ``G`` with both ends left, relabelled as ``(lo, hi)`` pairs in order of
+    ``lo`` and then of ``G``'s edge order.
     """
     n = G.n
-    adj: list[dict] = [dict() for _ in range(n)]
-    for i, j, w in G.edges:
-        adj[i][j] = w
-        adj[j][i] = w
+    ends = np.concatenate((G.i, G.j))
+    order = np.argsort(ends)
+    nbr = np.concatenate((G.j, G.i))[order]
+    degree = np.bincount(ends, minlength=n)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=start[1:])
+    xor = np.zeros(n, dtype=np.int64)
+    has = degree > 0
+    if nbr.size:
+        xor[has] = np.bitwise_xor.reduceat(nbr, start[:-1][has])
+
+    heap = np.flatnonzero(degree == 1).tolist()  # ascending: a heap
+    nbrs, start, deg, xor = nbr.tolist(), start.tolist(), degree.tolist(), xor.tolist()
     alive = [True] * n
     pairs = []
-
-    heap = [v for v in range(n) if len(adj[v]) == 1]  # ascending: a heap
     while heap:
         v = heapq.heappop(heap)
-        if not alive[v] or len(adj[v]) != 1:
+        if not alive[v] or deg[v] != 1:
             continue  # stale entry: degree changed since it was queued
-        u = next(iter(adj[v]))
-        for x in list(adj[u]):
-            del adj[x][u]
-            if x != v and alive[x] and len(adj[x]) == 1:
-                heapq.heappush(heap, x)
-        adj[u].clear()
-        adj[v].clear()
+        u = xor[v]
         alive[v] = alive[u] = False
+        for x in nbrs[start[u]:start[u + 1]]:
+            if alive[x]:
+                deg[x] -= 1
+                xor[x] ^= u
+                if deg[x] == 1:
+                    heapq.heappush(heap, x)
         pairs.append((v, u))
 
-    isolated = sum(1 for v in range(n) if alive[v] and not adj[v])
-    core_vertices = tuple(v for v in range(n) if alive[v] and adj[v])
-    index = {v: k for k, v in enumerate(core_vertices)}
-    core_edges = tuple(
-        (index[i], index[j], w)
-        for i in core_vertices
-        for j, w in adj[i].items()
-        if i < j
-    )
-    core = Graph(n=len(core_vertices), field=G.field, edges=core_edges)
-    if min((len(adj[v]) for v in core_vertices), default=2) < 2:
+    left, deg = np.array(alive, dtype=bool), np.array(deg)
+    in_core = left & (deg > 0)
+    core_vertices = np.flatnonzero(in_core)
+    if np.any(deg[in_core] < 2):
         raise AssertionError("leaf removal left a low-degree core vertex")
-    if isolated + len(core_vertices) + 2 * len(pairs) != n:
+    live = int(np.count_nonzero(left))
+    if live + 2 * len(pairs) != n:
         raise AssertionError("leaf removal lost vertices")
+    index = np.cumsum(in_core) - 1
+    kept = in_core[G.i] & in_core[G.j]
+    a, b = index[G.i[kept]], index[G.j[kept]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    by_lo = np.argsort(lo, kind="stable")
+    core = Graph(core_vertices.size, G.field, lo[by_lo], hi[by_lo], G.w[kept][by_lo])
     return KSResult(
-        isolated_count=isolated,
+        isolated_count=live - core_vertices.size,
         core=core,
-        core_vertices=core_vertices,
+        core_vertices=tuple(core_vertices.tolist()),
         removed_pairs=tuple(pairs),
     )
 
@@ -339,8 +402,7 @@ def nullity_invariance_check(G: Graph) -> bool:
 def format_graph(G: Graph) -> str:
     """Text form: header "n m field", then one "i j weight" line per edge."""
     lines = [f"{G.n} {G.edge_count} {G.field.label()}"]
-    for i, j, w in G.edges:
-        lines.append(f"{i} {j} {w}")
+    lines += [f"{i} {j} {w}" for i, j, w in G.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -361,6 +423,5 @@ def parse_graph(text: str) -> Graph:
         if len(toks) != 3:
             raise ValueError('edge lines must be "i j weight"')
         i, j = int(toks[0]), int(toks[1])
-        w = field.parse_entry(toks[2])
-        edges.append((min(i, j), max(i, j), w))
-    return Graph(n=n, field=field, edges=tuple(edges))
+        edges.append((min(i, j), max(i, j), field.parse_entry(toks[2])))
+    return Graph.from_edges(n, field, edges)

@@ -175,6 +175,38 @@ def test_ks_from_graph_file(tmp_path, capsys):
     assert payload["core_size"] == 0
 
 
+# A 20-vertex graph over F5 with its edge lines shuffled and every other one
+# written "j i w", and the ks --graph output recorded for it before Graph held
+# edge arrays: the removal order and the core must not depend on the storage.
+SHUFFLED_GRAPH = (
+    "20 23 Fp:5\n19 14 3\n16 18 2\n12 4 3\n6 12 2\n8 6 1\n12 19 3\n19 7 4\n"
+    "3 15 4\n13 4 4\n10 12 4\n12 11 3\n8 17 2\n9 4 2\n6 14 2\n12 7 1\n14 17 3\n"
+    "18 3 1\n1 14 4\n10 2 3\n5 15 2\n10 9 4\n3 10 2\n17 11 4\n"
+)
+SHUFFLED_GRAPH_KS = {
+    "n": 20, "edges": 23, "isolated_count": 3, "core_size": 7,
+    "core_vertices": [6, 7, 8, 11, 12, 17, 19],
+    "removed_pairs": [[1, 14], [2, 10], [5, 15], [3, 18], [9, 4]],
+}
+
+
+def test_ks_from_a_shuffled_graph_file(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(SHUFFLED_GRAPH)
+    assert main(["ks", "--graph", str(gfile)]) == 0
+    assert capsys.readouterr().out == json.dumps(SHUFFLED_GRAPH_KS, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text", ["3 2 F2\n0 1 1\n1 3 1\n", "3 2 F2\n0 1 1\n-1 2 1\n",
+                                  "3 2 F2\n0 1 1\n1 0 1\n"],
+                         ids=["out-of-range", "negative", "reversed-duplicate"])
+def test_ks_refuses_a_bad_graph_file(tmp_path, capsys, text):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    assert main(["ks", "--graph", str(gfile)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_ks_needs_inputs():
     assert main(["ks"]) == 2
 

@@ -557,7 +557,13 @@ SPARSE_PRIMES = (2, 3, 5, 2147483647)
 
 
 def _adjacency_rank(n, edges, p):
-    return Graph(n, FieldSpec.prime(p), tuple(edges)).adjacency().rank()
+    return Graph.from_edges(n, FieldSpec.prime(p), edges).adjacency().rank()
+
+
+def _sparse_rank(n, edges, p):
+    """sparse_rank of the edge arrays of a checked :class:`Graph`."""
+    G = Graph.from_edges(n, FieldSpec.prime(p), edges)
+    return exactla.sparse_rank(n, G.i, G.j, G.w, p)
 
 
 def _count_blocks(monkeypatch):
@@ -592,13 +598,13 @@ def sparse_graphs(draw):
 @given(sparse_graphs())
 def test_sparse_rank_matches_dense_adjacency(graph):
     n, edges, p = graph
-    assert exactla.sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p)
+    assert _sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p)
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
 def test_sparse_rank_of_an_edgeless_graph(p):
     for n in (0, 1, 5):
-        assert exactla.sparse_rank(n, (), p) == 0
+        assert _sparse_rank(n, (), p) == 0
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
@@ -613,7 +619,7 @@ def test_sparse_rank_of_cycles_with_a_kernel(p, ones):
         even, odd = math.prod(w[0::2]) % p, math.prod(w[1:-1:2]) % p
         w[-1] = even * pow(odd, -1, p) % p
         edges = [(k, k + 1, w[k]) for k in range(n - 1)] + [(0, n - 1, w[-1])]
-        assert exactla.sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p) == n - 2
+        assert _sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p) == n - 2
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
@@ -625,7 +631,7 @@ def test_sparse_rank_when_fill_in_cancels(p):
         a, c, d = 2, 1 + b // 4 % (p - 1), p - 1
         edges += [(b, b + 1, a), (b + 1, b + 2, a * c * pow(d, -1, p) % p),
                   (b + 2, b + 3, c), (b, b + 3, d)]
-    assert exactla.sparse_rank(40, edges, p) == _adjacency_rank(40, edges, p) == 20
+    assert _sparse_rank(40, edges, p) == _adjacency_rank(40, edges, p) == 20
 
 
 def test_sparse_rank_of_a_dense_core_skips_the_sparse_phase(monkeypatch):
@@ -636,7 +642,7 @@ def test_sparse_rank_of_a_dense_core_skips_the_sparse_phase(monkeypatch):
     want = _adjacency_rank(12, edges, p)
     shapes = _count_blocks(monkeypatch)
     monkeypatch.setattr(exactla, "heapq", None)
-    assert exactla.sparse_rank(12, edges, p) == want
+    assert _sparse_rank(12, edges, p) == want
     assert shapes == [(12, 12)]
 
 
@@ -650,7 +656,7 @@ def test_sparse_rank_crosses_to_the_dense_block_midway(monkeypatch, p):
              for j in range(i + 1, n) if stream.randbelow(n) < 3]
     assert 2 * len(edges) <= exactla.SPARSE_FILL * n * n
     shapes = _count_blocks(monkeypatch)
-    got = exactla.sparse_rank(n, edges, p)
+    got = _sparse_rank(n, edges, p)
     assert len(shapes) == 1 and 0 < shapes[0][0] < n
     assert got == _adjacency_rank(n, edges, p)
 
@@ -660,4 +666,4 @@ def test_sparse_rank_gf2_rows_across_word_boundaries():
     for n in (7, 8, 9, 63, 64, 65, 130):
         edges = [(i, j, 1) for i in range(n) for j in range(i + 1, n)
                  if stream.randbelow(n) < 3]
-        assert exactla.sparse_rank(n, edges, 2) == _adjacency_rank(n, edges, 2)
+        assert _sparse_rank(n, edges, 2) == _adjacency_rank(n, edges, 2)

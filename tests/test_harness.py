@@ -195,7 +195,7 @@ def test_census_ks_stats_are_those_of_T():
             assert T.rank() == r.rank
             support = tuple((i, j, T.entry(i, j)) for i in range(n)
                             for j in range(i + 1, n) if T.entry(i, j) != 0)
-            ks = karp_sipser(Graph(n, cfg.field_spec, support))
+            ks = karp_sipser(Graph.from_edges(n, cfg.field_spec, support))
             assert (ks.isolated_count, len(ks.core_vertices)) == (r.ks_isolated, r.ks_core_size)
 
 
@@ -352,7 +352,8 @@ def test_rational_core_rank_matches_exact_oracle(template):
         core = karp_sipser(G).core
         assert core.n > RATIONAL_CAP
         # full rank at the first prime: one elimination settles it
-        assert rational_rank(core.n, core.edges) == RationalRank(core.n, "full", PRIMES[:1])
+        assert rational_rank(core.n, core.i, core.j, core.w) == \
+            RationalRank(core.n, "full", PRIMES[:1])
         assert _run_trial(cfg, index).rank == _dense_rank(G)
 
 
@@ -362,9 +363,9 @@ def _cycle(weights) -> Graph:
     products of the even and the odd edges (its two perfect matchings), and
     the rank is n - 2 exactly when a = b."""
     n = len(weights)
-    return Graph(n, FieldSpec.rationals(),
-                 tuple((k, k + 1, Fraction(weights[k])) for k in range(n - 1))
-                 + ((0, n - 1, Fraction(weights[-1])),))
+    return Graph.from_edges(n, FieldSpec.rationals(),
+                            tuple((k, k + 1, Fraction(weights[k])) for k in range(n - 1))
+                            + ((0, n - 1, Fraction(weights[-1])),))
 
 
 def _route(G: Graph) -> RationalRank:
@@ -372,7 +373,7 @@ def _route(G: Graph) -> RationalRank:
     checked against exact elimination of the whole graph."""
     ks = karp_sipser(G)
     assert ks.core_vertices == tuple(range(G.n))
-    got = rational_rank(G.n, G.edges)
+    got = rational_rank(G.n, G.i, G.j, G.w)
     assert _rank_of_graph(ks) == got.rank == _dense_rank(G)
     return got
 
@@ -426,9 +427,9 @@ def test_rational_rank_eliminates_each_prime_once(monkeypatch, heavy):
     sparse, dense, substitute = exactla.sparse_rank, exactla._forward_dense, \
         exactla._back_substitute
 
-    def counted_sparse(n, edges, p):
+    def counted_sparse(n, i, j, w, p):
         ranked.append(p)
-        return sparse(n, edges, p)
+        return sparse(n, i, j, w, p)
 
     def counted_forward(M, p):
         if M.shape == (68, 68):
@@ -444,7 +445,8 @@ def test_rational_rank_eliminates_each_prime_once(monkeypatch, heavy):
     monkeypatch.setattr(exactla, "_back_substitute", counted_back)
     weights = [1] * 68
     weights[1] = weights[2] = heavy
-    got = rational_rank(68, _cycle(weights).edges)
+    G = _cycle(weights)
+    got = rational_rank(68, G.i, G.j, G.w)
     assert got.exit == "lift" and got.rank == 66
     assert len(got.primes) > 1 if heavy > 1 else got.primes == PRIMES[:1]
     # every prime keeps rank 66 with the same pivots, so each one lifts
@@ -455,8 +457,9 @@ def test_rational_rank_hadamard_exit():
     # a 4-cycle with a = b: its Hadamard bound 4 is below half of one prime,
     # and so is that of a matrix without edges
     assert _route(_cycle([1, 1, 1, 1])) == RationalRank(2, "hadamard", PRIMES[:1])
-    assert rational_rank(3, ()) == RationalRank(0, "hadamard", PRIMES[:1])
-    assert rational_rank(0, ()) == RationalRank(0, "full", PRIMES[:1])
+    for n, how in ((3, "hadamard"), (0, "full")):
+        G = Graph.from_edges(n, FieldSpec.rationals(), ())
+        assert rational_rank(n, G.i, G.j, G.w) == RationalRank(0, how, PRIMES[:1])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -468,8 +471,8 @@ def test_rational_rank_matches_fraction_elimination(seed):
     pool = (Fraction(1),) if seed % 2 == 0 else RATIONAL_POOL + (Fraction(7, 5),)
     edges = tuple((i, j, pool[stream.randbelow(len(pool))])
                   for i in range(n) for j in range(i + 1, n) if stream.randbelow(n) < 2)
-    G = Graph(n, FieldSpec.rationals(), edges)
-    assert rational_rank(n, edges).rank == _dense_rank(G)
+    G = Graph.from_edges(n, FieldSpec.rationals(), edges)
+    assert rational_rank(n, G.i, G.j, G.w).rank == _dense_rank(G)
 
 
 @pytest.mark.parametrize("field", ("F2", "Fp:3", "Fp:2147483647", "Q"))

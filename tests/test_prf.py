@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from frozenrank.prf import Stream, _mix64_array, derive_seed, mix64, prf, prf_array
+from frozenrank.prf import (
+    _C1,
+    _C2,
+    _C3,
+    Stream,
+    _mix64_array,
+    derive_seed,
+    last_round_bound,
+    mix64,
+    mix64_below,
+    prf,
+    prf_array,
+)
 
 
 def test_prf_is_pure():
@@ -84,6 +96,47 @@ def test_mix64_array_leaves_its_input():
         mixed = _mix64_array(x)
     assert [int(v) for v in mixed] == [mix64(int(v)) for v in before]
     assert np.array_equal(x, before)
+
+
+def _unshift(y: int, s: int) -> int:
+    """The x with x ^ (x >> s) == y."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _unmix64(r: int) -> int:
+    """The x with mix64(x) == r: each round of mix64 inverted."""
+    x = _unshift(r, 31) * pow(_C3, -1, 2**64) % 2**64
+    x = _unshift(x, 27) * pow(_C2, -1, 2**64) % 2**64
+    return (_unshift(x, 30) - _C1) % 2**64
+
+
+# on and next to a multiple of 2**33, the top cuts (the bound is 2**64 from
+# 2**64 - 2**33 + 1 up, and the filter is skipped) and the least ones
+_BELOW_CUTS = sorted({c + e for c in (2**33, 3 * 2**33) for e in (-2048, -1, 0, 1, 2048)}
+                     | {2**64 - 2**33, 2**64 - 2**33 + 1, 2**64 - 1024, 0, 1})
+
+
+@pytest.mark.parametrize("cut", _BELOW_CUTS)
+def test_mix64_below_is_the_literal_test(cut):
+    # values whose last round starts just below, on and above the bound, and
+    # values just below, on and above the cut, each from its unmixed input
+    bound = last_round_bound(cut)
+    assert bound % 2**33 == 0 and (bound == 2**64) == (cut > 2**64 - 2**33)
+    starts = [y for b in (bound - 2**33, bound) for y in (b - 1, b, b + 1) if 0 <= y < 2**64]
+    values = sorted({y ^ (y >> 31) for y in starts}
+                    | {v for v in (cut - 2, cut - 1, cut, cut + 1, 0, 2**64 - 1)
+                       if 0 <= v < 2**64})
+    x = np.array([_unmix64(v) for v in values], dtype=np.uint64)
+    assert [mix64(int(v)) for v in x] == values
+    got = mix64_below(x.copy(), cut, np.empty_like(x))
+    assert got.tolist() == [k for k, v in enumerate(values) if v < cut]
+    assert cut in (0, 1) or got.size  # some value lies below each cut
+    grid = np.arange(6, dtype=np.uint64).reshape(2, 3) * np.uint64(_C2)
+    assert mix64_below(grid.copy(), cut, np.empty_like(grid)).tolist() == \
+        [k for k, v in enumerate(grid.flat) if mix64(int(v)) < cut]
 
 
 def test_derive_seed_separates_domains():

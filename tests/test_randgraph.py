@@ -1,5 +1,6 @@
 """Samplers, the monotone edge coupling, and leaf removal."""
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -32,11 +33,11 @@ Q = FieldSpec.rationals()
 
 
 def triangle(field=F2, w=1):
-    return Graph(3, field, ((0, 1, w), (0, 2, w), (1, 2, w)))
+    return Graph.from_edges(3, field, ((0, 1, w), (0, 2, w), (1, 2, w)))
 
 
 def path3(field=F2, w=1):
-    return Graph(3, field, ((0, 1, w), (1, 2, w)))
+    return Graph.from_edges(3, field, ((0, 1, w), (1, 2, w)))
 
 
 # ----------------------------------------------------------------- sampling
@@ -59,16 +60,33 @@ def test_sampling_deterministic():
     assert sample_graph(50, 0.1, tpl, cpl) == sample_graph(50, 0.1, tpl, cpl)
 
 
+def _just_above(p: float) -> float:
+    return float(np.nextafter(p, 1.0))
+
+
+def _just_below(p: float) -> float:
+    return float(np.nextafter(p, 0.0))
+
+
+# Cuts on a multiple of 2**33 (p = k / 2**31) and next to one; the filter
+# bound of mix64_below is 2**64 from p = 1 - 2**-32 up, so it is skipped.  At
+# the last probability the cut lies just above the pair value q(0, 1) of the
+# coupling below: a filter bound one step of 2**33 too low drops that edge.
+_FILTER_PROBABILITIES = [f(k / 2**31) for k in (1, 3) for f in (_just_below, float, _just_above)] \
+    + [1 - 2**-31, 1 - 2**-32, _just_below(1.0), _just_above(CouplingSource(41).q(0, 1))]
+
+
 @pytest.mark.parametrize("tpl", [
     WeightTemplate(F2, 100),
     WeightTemplate(F5, 100, "random", seed=8),
     WeightTemplate(Q, 100, "random", seed=8),
 ], ids=["F2-allones", "F5-random", "Q-random"])
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0, "3/n"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0, "3/n"] + _FILTER_PROBABILITIES)
 def test_sample_matches_literal_coupling(tpl, p):
     # the blocked sampler against the scalar definition, pair by pair and in
     # row-major order: within one block of rows (n=25) and across the block
-    # boundaries at 32 and 64 rows
+    # boundaries at 32 and 64 rows; the last probabilities put the cut on and
+    # next to mix64_below's filter bound, or skip the filter
     cpl = CouplingSource(41)
     for n in (25, 31, 32, 33, 65, 100):
         pn = 3 / n if p == "3/n" else p
@@ -225,7 +243,7 @@ def test_ks_path3():
 
 
 def test_ks_empty_graph():
-    ks = karp_sipser(Graph(7, F2, ()))
+    ks = karp_sipser(Graph.from_edges(7, F2, ()))
     assert ks.isolated_count == 7 and ks.core_vertices == ()
 
 
@@ -254,8 +272,8 @@ def test_ks_order_independence():
         base = karp_sipser(G)
         for perm_seed in range(20):
             label = uniform_permutation(60, perm_seed)  # vertex v becomes label[v]
-            H = Graph(60, F5, tuple((min(label[i], label[j]), max(label[i], label[j]), w)
-                                    for i, j, w in G.edges))
+            H = Graph.from_edges(60, F5, [(min(label[i], label[j]), max(label[i], label[j]), w)
+                                          for i, j, w in G.edges])
             ks = karp_sipser(H)
             back = {t: v for v, t in enumerate(label)}
             assert ks.isolated_count == base.isolated_count
@@ -263,9 +281,76 @@ def test_ks_order_independence():
             assert _core_edges(ks, back) == _core_edges(base, range(60))
 
 
+def _karp_sipser_dicts(G: Graph) -> tuple:
+    """Leaf removal on dict-of-dicts adjacency, the lowest-index leaf
+    first: the literal route, as (isolated count, core, core vertices,
+    removed pairs) with the core's edges as (lo, hi) pairs in order of lo."""
+    n = G.n
+    adj = [dict() for _ in range(n)]
+    for i, j, w in G.edges:
+        adj[i][j] = adj[j][i] = w
+    alive = [True] * n
+    pairs = []
+    heap = [v for v in range(n) if len(adj[v]) == 1]
+    while heap:
+        v = heapq.heappop(heap)
+        if not alive[v] or len(adj[v]) != 1:
+            continue
+        u = next(iter(adj[v]))
+        for x in list(adj[u]):
+            del adj[x][u]
+            if x != v and alive[x] and len(adj[x]) == 1:
+                heapq.heappush(heap, x)
+        adj[u].clear()
+        adj[v].clear()
+        alive[v] = alive[u] = False
+        pairs.append((v, u))
+    core_vertices = tuple(v for v in range(n) if alive[v] and adj[v])
+    index = {v: k for k, v in enumerate(core_vertices)}
+    core = Graph.from_edges(len(core_vertices), G.field, [
+        (index[i], index[j], w) for i in core_vertices for j, w in adj[i].items() if i < j])
+    isolated = sum(1 for v in range(n) if alive[v] and not adj[v])
+    return isolated, core, core_vertices, tuple(pairs)
+
+
+def _ks_fields(ks) -> tuple:
+    return ks.isolated_count, ks.core, ks.core_vertices, ks.removed_pairs
+
+
+@pytest.mark.parametrize("field,kind", [(F2, "allones"), (F2, "random"), (F5, "allones"),
+                                        (F5, "random"), (Q, "allones"), (Q, "random")])
+@pytest.mark.parametrize("d", (1.0, math.e, 3.0, 5.0))
+def test_ks_matches_dict_leaf_removal_on_samples(field, kind, d):
+    for k, n in enumerate((30, 120, 300)):
+        G = sample_graph(n, d / n, WeightTemplate(field, n, kind, seed=k),
+                         CouplingSource(700 + k))
+        assert _ks_fields(karp_sipser(G)) == _karp_sipser_dicts(G)
+
+
+@pytest.mark.parametrize("field,kind", [(F2, "allones"), (F5, "random"), (Q, "random")])
+def test_ks_matches_dict_leaf_removal_on_shuffled_files(field, kind):
+    # edge lines in a shuffled order, about half of them written "j i w";
+    # the same edges also given to Graph reversed, as (j, i, w)
+    for seed in range(6):
+        n = 40 + 50 * seed
+        G = sample_graph(n, 3.0 / n, WeightTemplate(field, n, kind, seed=seed),
+                         CouplingSource(800 + seed))
+        head, *lines = format_graph(G).splitlines()
+        Stream(seed).shuffle(lines)
+        flipped = [" ".join(ln.split()[1::-1] + ln.split()[2:]) if k % 2 else ln
+                   for k, ln in enumerate(lines)]
+        parsed = parse_graph("\n".join([head] + flipped) + "\n")
+        reversed_edges = Graph.from_edges(n, field, [(j, i, w) for i, j, w in G.edges[::-1]])
+        for H in (parsed, reversed_edges):
+            ks = karp_sipser(H)
+            assert _ks_fields(ks) == _karp_sipser_dicts(H)
+            assert (ks.isolated_count, ks.core_vertices) == \
+                (karp_sipser(G).isolated_count, karp_sipser(G).core_vertices)
+
+
 def test_two_leaves_one_neighbor():
     # star with two leaves: removing one pair isolates the other leaf
-    star = Graph(3, F2, ((0, 1, 1), (0, 2, 1)))
+    star = Graph.from_edges(3, F2, ((0, 1, 1), (0, 2, 1)))
     ks = karp_sipser(star)
     assert ks.isolated_count == 1
     assert ks.core_vertices == ()
@@ -279,7 +364,7 @@ def test_two_leaves_one_neighbor():
 def test_nullity_invariance_examples(field, w):
     assert nullity_invariance_check(path3(field, w))
     assert nullity_invariance_check(triangle(field, w))
-    assert nullity_invariance_check(Graph(5, field, ()))
+    assert nullity_invariance_check(Graph.from_edges(5, field, ()))
 
 
 def test_nullity_invariance_random_graphs():
@@ -300,9 +385,9 @@ def test_leaf_removal_upper_bound():
 def test_dense_adjacency_cap():
     # refused before the n x n array is allocated
     with pytest.raises(ResourceCapError):
-        Graph(DENSE_CAP + 1, F2, ()).adjacency()
+        Graph.from_edges(DENSE_CAP + 1, F2, ()).adjacency()
     with pytest.raises(ResourceCapError):
-        nullity_invariance_check(Graph(DENSE_CAP + 1, F2, ()))
+        nullity_invariance_check(Graph.from_edges(DENSE_CAP + 1, F2, ()))
 
 
 def test_rational_adjacency_cap(monkeypatch):
@@ -311,12 +396,12 @@ def test_rational_adjacency_cap(monkeypatch):
     built = []
     monkeypatch.setattr(randgraph, "field_array",
                         lambda field, values: built.append(field) or field_array(field, values))
-    one_edge = Graph(1000, Q, ((0, 1, Fraction(1, 2)),))
+    one_edge = Graph.from_edges(1000, Q, ((0, 1, Fraction(1, 2)),))
     for route in (one_edge.adjacency, lambda: nullity_invariance_check(one_edge)):
         with pytest.raises(ResourceCapError):
             route()
     assert built == []
-    assert Graph(RATIONAL_CAP, Q, ((0, 1, Fraction(1, 2)),)).adjacency().rank() == 2
+    assert Graph.from_edges(RATIONAL_CAP, Q, ((0, 1, Fraction(1, 2)),)).adjacency().rank() == 2
     assert built  # the recorder sees the arrays of an adjacency within the cap
 
 
@@ -333,11 +418,20 @@ def test_graph_format_roundtrip():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(3, F2, ((0, 0, 1),))  # self-loop
+        Graph.from_edges(3, F2, ((0, 0, 1),))  # self-loop
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph.from_edges(3, F2, ((0, 1, 1), (1, 2, 1), (1, 0, 1)))  # reversed duplicate
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        Graph.from_edges(4, F2, ((2, 3, 1), (1, 2, 1), (0, 1, 1), (2, 1, 1), (3, 2, 1)))
+    for bad in ((-1, 2), (0, 3), (3, 0), (1, 7)):
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            Graph.from_edges(3, F2, ((0, 1, 1), bad + (1,)))
     with pytest.raises(ValueError):
-        Graph(3, F2, ((0, 1, 1), (1, 0, 1)))  # duplicate
+        Graph(3, F2, [0, 1], [1, 2], [1])  # arrays of unequal length
     with pytest.raises(ValueError):
-        Graph(3, F2, ((0, 1, 0),))  # zero weight
+        Graph(3, F2, [0.0], [1.0], [1])  # non-integer endpoints
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, F2, ((0, 1, 0),))  # zero weight
     with pytest.raises(ValueError):
         parse_graph("2 1 F2\n0 1\n")
 
@@ -347,9 +441,37 @@ def test_graph_refuses_non_canonical_prime_weights(w):
     # a weight of p is 0 in F_p, and any weight outside [1, p) would break the
     # storage of the adjacency and the edge-list rank, which read it as is
     with pytest.raises(ValueError):
-        Graph(3, F3, ((0, 1, 1), (1, 2, w)))
+        Graph.from_edges(3, F3, ((0, 1, 1), (1, 2, w)))
+
+
+def test_graph_takes_reversed_edges_as_given():
+    # an edge (1, 0) is the pair {0, 1}: kept in its given orientation, as
+    # the tuple-of-edges graph did, and read alike by every consumer
+    G = Graph.from_edges(3, F5, ((1, 0, 2), (2, 1, 3)))
+    assert G.edges == ((1, 0, 2), (2, 1, 3))
+    assert format_graph(G) == "3 2 Fp:5\n1 0 2\n2 1 3\n"
+    assert G.adjacency() == Graph.from_edges(3, F5, ((0, 1, 2), (1, 2, 3))).adjacency()
+    assert G.degrees() == [1, 2, 1]
+    assert G != Graph.from_edges(3, F5, ((0, 1, 2), (1, 2, 3)))
+    ks = karp_sipser(G)
+    assert (ks.isolated_count, ks.core_vertices, ks.removed_pairs) == (1, (), ((0, 1),))
+
+
+def test_graph_holds_read_only_edge_arrays():
+    i, j, w = [0, 1], np.array([1, 2]), [Fraction(1, 2), Fraction(-3)]
+    G = Graph(3, Q, i, j, w)
+    assert G.i.dtype == G.j.dtype == np.int64 and G.w.dtype == object
+    assert G == Graph.from_edges(3, Q, ((0, 1, Fraction(1, 2)), (1, 2, Fraction(-3))))
+    j[0] = 2  # the graph holds its own copies
+    assert G.j.tolist() == [1, 2]
+    for a in (G.i, G.j, G.w):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    H = Graph(3, F5, (0,), (2,), (4,))
+    assert H.w.dtype == np.int64 and H.edges == ((0, 2, 4),)
+    assert Graph.from_edges(0, F5, ()).w.dtype == np.int64
 
 
 def test_graph_takes_canonical_weights():
-    assert Graph(3, F3, ((0, 1, 1), (1, 2, 2))).adjacency().rank() == 2
-    assert Graph(3, Q, ((0, 1, -2), (1, 2, Fraction(1, 3)))).adjacency().rank() == 2
+    assert Graph.from_edges(3, F3, ((0, 1, 1), (1, 2, 2))).adjacency().rank() == 2
+    assert Graph.from_edges(3, Q, ((0, 1, -2), (1, 2, Fraction(1, 3)))).adjacency().rank() == 2

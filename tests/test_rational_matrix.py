@@ -93,7 +93,7 @@ def _all_fractions(A: Matrix) -> bool:
 def test_every_rational_constructor_stores_fractions():
     A = Matrix.from_rows(Q, [[0, 1, 2], [3, Fraction(1, 2), 0]])  # ints in, Fractions out
     fams = CoupledFamilies.from_seed(5)
-    G = Graph(4, Q, ((0, 1, 1), (1, 2, -2), (2, 3, Fraction(1, 3))))
+    G = Graph.from_edges(4, Q, ((0, 1, 1), (1, 2, -2), (2, 3, Fraction(1, 3))))
     built = {
         "from_rows": A,
         "zeros": Matrix.zeros(Q, 3, 4),
