@@ -121,7 +121,10 @@ def _alpha_roots(d: float) -> tuple[float, float, float]:
     a_mid = 1.0 - math.log(d) / d
     g1 = brentq(lambda a: G_prime(d, a), 0.0, a_mid, xtol=_BRENT_XTOL)
     g2 = brentq(lambda a: G_prime(d, a), a_mid, 1.0, xtol=_BRENT_XTOL)
-    if not (G(d, 0.0) < 0.0 < G(d, g1) and G(d, g2) < 0.0 < G(d, 1.0)):
+    # G(d, 0) = -d*exp(-d) and G(d, 1) = exp(-d) to first order, and they
+    # read 0.0 from about d = 37: that end is then the root to double
+    # precision, and brentq returns an end where G is 0
+    if not (G(d, 0.0) <= 0.0 < G(d, g1) and G(d, g2) < 0.0 <= G(d, 1.0)):
         raise RuntimeError(f"root bracketing failed at d={d}")  # pragma: no cover
     lo = brentq(lambda a: G(d, a), 0.0, g1, xtol=_BRENT_XTOL)
     hi = brentq(lambda a: G(d, a), g2, 1.0, xtol=_BRENT_XTOL)

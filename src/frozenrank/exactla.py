@@ -31,7 +31,10 @@ Terminology used throughout (0-based column indices everywhere):
   ``K_j = 0``, and ``I`` is a relation iff the rows ``K_I`` are dependent.
 
 Matrices are immutable after construction; all operations are pure and
-safe to call from concurrent workers.  Every matrix is one numpy array
+safe to call from concurrent workers.  A matrix keeps its rank and kernel
+support once computed, and its transpose, memoised both ways
+(``A.transpose().transpose() is A``), so asking again about ``A`` or
+``A^T`` repeats no elimination.  Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
 a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
 Q alike.  Rank, kernel rows and the census solve over F2 run on rows held
@@ -52,6 +55,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,10 +107,12 @@ class Matrix:
     """Immutable exact matrix over a :class:`FieldSpec`.
 
     Construct via :meth:`from_rows`, :meth:`zeros`, :meth:`identity` or the
-    trusted array fast path used by the samplers.
+    trusted array fast path used by the samplers.  The rank (``_rank``), the
+    kernel support (``_ksup``) and the transpose (``_t``) are set lazily and
+    kept; the transpose is memoised both ways.
     """
 
-    __slots__ = ("field", "m", "n", "_a", "_rank", "_ksup")
+    __slots__ = ("field", "m", "n", "_a", "_rank", "_ksup", "_t", "__weakref__")
 
     def __init__(self, field: FieldSpec, a: np.ndarray):
         self.field = field
@@ -114,6 +120,7 @@ class Matrix:
         self._a = a          # read-only, in the storage of field_array
         self._rank: int | None = None
         self._ksup: frozenset | None = None
+        self._t: Matrix | weakref.ref | None = None
 
     # ---------------------------------------------------------------- build
 
@@ -167,10 +174,26 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field.label()}, {self.m}x{self.n})"
 
+    def __reduce__(self):
+        # pickle the entries only: the caches and the weak link of a
+        # transpose stay behind, and the copy comes back read-only
+        return Matrix._from_array, (self.field, self._a)
+
     # ------------------------------------------------------------- reshaping
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_array(self.field, self._a.T)
+        """The transpose, built once and linked both ways, so that
+        ``A.transpose().transpose() is A`` and each side keeps its own
+        rank and kernel-support caches.  Its array is a read-only view of
+        this one, so holding it costs no copy; and the link back is weak,
+        as a cycle would keep the array until the cyclic garbage collector
+        ran."""
+        t = self._t() if isinstance(self._t, weakref.ref) else self._t
+        if t is None:
+            t = Matrix(self.field, self._a.T)
+            t._t = weakref.ref(self)
+            self._t = t
+        return t
 
     def remove(self, rows=(), cols=()) -> "Matrix":
         """Matrix with the given row/column index sets deleted."""

@@ -80,22 +80,27 @@ def random_matrix(stream: Stream, field: FieldSpec, m: int, n: int,
     return Matrix._from_array(field, field_array(field, rows).reshape(m, n))
 
 
-def _row_span(A: Matrix) -> set[tuple]:
-    """Every vector of the row space of ``A``, zero included, by closing the
-    span under addition of scalar multiples of each row: field scalar
-    arithmetic only, never elimination."""
+def _row_span(A: Matrix) -> np.ndarray:
+    """Every vector of the row space of ``A``, zero included, one per row of
+    an int64 array: field scalar arithmetic only, never elimination.
+
+    Starting from {0}, the span is closed under addition of ``c * row`` for
+    each row of ``A`` and each ``c`` in F_p.  Each round's candidates are
+    deduplicated by their base-p codes ``sum_k v[k] * p**k``, which fit in
+    int64 only while ``p**n < 2**63``; a wider matrix is refused before
+    anything is allocated.
+    """
     if A.field.kind != "prime":
         raise ValueError("the enumeration oracle needs a finite field")
-    p = A.field.p
-    n = A.n
-    span = {tuple([0] * n)}
-    for row in A.to_values():
-        additions = [tuple((c * w) % p for w in row) for c in range(p)]
-        span = {
-            tuple((v[k] + a[k]) % p for k in range(n))
-            for v in span
-            for a in additions
-        }
+    p, n = A.field.p, A.n
+    if p ** n >= 2 ** 63:
+        raise ValueError(f"row span codes of {p}**{n} do not fit in int64")
+    place = p ** np.arange(n, dtype=np.int64)
+    scalars = np.arange(p, dtype=np.int64)[:, None]
+    span = np.zeros((1, n), dtype=np.int64)
+    for row in np.array(A.to_values(), dtype=np.int64).reshape(A.m, n):
+        cand = ((span[:, None, :] + scalars * row) % p).reshape(len(span) * p, n)
+        span = cand[np.unique(cand @ place, return_index=True)[1]]
     return span
 
 
@@ -114,7 +119,7 @@ def proper_relations_by_enumeration(A: Matrix, ell: int) -> list[tuple[int, ...]
     """Oracle for :func:`proper_relations` from the row span, no elimination:
     the frozen columns are the singleton supports, and a size-``ell`` set is
     kept when it holds the support of a row-space vector that avoids them."""
-    supports = {_support(v) for v in _row_span(A)} - {frozenset()}
+    supports = {frozenset(np.flatnonzero(v).tolist()) for v in _row_span(A)} - {frozenset()}
     frozen = {j for s in supports if len(s) == 1 for j in s}
     found: set[tuple[int, ...]] = set()
     for s in supports:

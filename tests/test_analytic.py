@@ -68,6 +68,22 @@ def test_min_R_matches_grid_minimization():
         assert abs(an.min_R(d) - grid_min_R(d)) <= 1e-9
 
 
+def test_min_R_at_large_degree():
+    # in double precision G(d, 1) reads 0.0 from d = 37 and G(d, 0) from
+    # d = 38, so the outer roots sit at the ends of their brackets
+    for d in (37.0, 38.0, 50.0, 100.0):
+        pt = an.solve_point(d)
+        assert math.isfinite(pt.min_R) and 0.0 <= pt.min_R <= 1.0
+        assert pt.alpha_star_lo < pt.alpha_zero < pt.alpha_star_hi
+        assert abs(pt.alpha_star_hi - (1.0 - pt.gamma_lo / d)) < 1e-12
+        assert abs(pt.alpha_star_lo - (1.0 - pt.gamma_hi / d)) < 1e-12
+
+
+def test_min_R_nondecreasing_up_to_large_degree():
+    values = [an.min_R(30.0 + 0.5 * k) for k in range(141)]
+    assert values == sorted(values)
+
+
 def test_solve_point_zero_degree():
     pt = an.solve_point(0.0)
     assert (pt.alpha_star_lo, pt.alpha_zero, pt.alpha_star_hi) == (0.0, 0.0, 0.0)

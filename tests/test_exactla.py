@@ -7,6 +7,7 @@ brute-force membership checks for classifications.
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,44 @@ def test_census_of_rectangular_matrix():
     assert variable_types(A) == ("X", "U")
     for A in (A, A.transpose(), Matrix.from_rows(F5, [[1, 2, 0, 1], [0, 1, 4, 0]])):
         assert variable_types(A) == tuple(classify_variable(A, i) for i in range(min(A.m, A.n)))
+
+
+def test_transpose_is_memoised_both_ways():
+    A = random_matrix(Stream(3), F3, 3, 5)
+    AT = A.transpose()
+    assert AT is A.transpose() and AT.transpose() is A
+    assert AT.to_values() == [list(col) for col in zip(*A.to_values())]
+    # a transpose held without its matrix builds an equal one, linked back
+    B = random_matrix(Stream(3), F3, 3, 5).transpose()
+    assert B.transpose() == A and B.transpose().transpose() is B
+    assert not B._a.flags.writeable
+    for X in (A, AT):
+        Y = pickle.loads(pickle.dumps(X))
+        assert Y == X and not Y._a.flags.writeable
+
+
+def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypatch):
+    inputs = []
+    kernel = exactla._rref_dense
+
+    def counted(M, p):
+        inputs.append(M.copy())
+        return kernel(M, p)
+
+    monkeypatch.setattr(exactla, "_rref_dense", counted)
+    n = 6
+    A = random_matrix(Stream(5), F3, n, n)
+    assert A != A.transpose()
+    for i in range(n):
+        classify_variable(A, i)
+        classify_variable(A.transpose(), i)
+
+    def eliminations_of(X):
+        return sum(M.shape == X.shape and (M == X).all() for M in inputs)
+
+    assert eliminations_of(A._a) == 1 and eliminations_of(A._a.T) == 1
+    # the rest are the matrices with row i deleted, two per call
+    assert len(inputs) == 2 + 4 * n
 
 
 def _count_eliminations(monkeypatch):

@@ -1,14 +1,16 @@
 """The runtime verification suites must come up green on a clean build."""
 
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frozenrank.exactla import Matrix
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
-from frozenrank.verify import random_matrix, run_suite
+from frozenrank.verify import _row_span, random_matrix, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +75,50 @@ def test_random_matrix_equals_the_from_rows_build(field):
         assert not symmetric or A == A.transpose()
     with pytest.raises(ValueError):
         random_matrix(stream, field, 2, 3, symmetric=True)
+
+
+def _row_span_by_tuples(A):
+    """The row span as a set of tuples, closed under addition of each scalar
+    multiple of each row: the literal reference for the code-array closure."""
+    p, n = A.field.p, A.n
+    span = {tuple([0] * n)}
+    for row in A.to_values():
+        additions = [tuple((c * w) % p for w in row) for c in range(p)]
+        span = {tuple((v[k] + a[k]) % p for k in range(n)) for v in span for a in additions}
+    return span
+
+
+def _span_cases():
+    F2, F3, F5 = FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5)
+    for bits in itertools.product(range(2), repeat=6):
+        yield Matrix.from_rows(F2, [bits[:3], bits[3:]])
+    for vals in itertools.product(range(3), repeat=4):
+        yield Matrix.from_rows(F3, [vals[:2], vals[2:]])
+    stream = Stream(16)
+    for _ in range(30):
+        m, n = 1 + stream.randbelow(6), 1 + stream.randbelow(6)
+        yield random_matrix(stream, F5, m, n, density_percent=20 + stream.randbelow(70))
+    for field in (F2, F5):
+        yield Matrix.zeros(field, 0, 4)
+        yield Matrix.zeros(field, 3, 0)
+        yield Matrix.zeros(field, 0, 0)
+
+
+def test_row_span_matches_the_tuple_closure():
+    for A in _span_cases():
+        span = _row_span(A)
+        assert span.dtype == np.int64 and span.shape[1] == A.n
+        vectors = {tuple(v) for v in span.tolist()}
+        assert len(vectors) == len(span), "a vector listed twice"
+        assert vectors == _row_span_by_tuples(A)
+
+
+def test_row_span_refuses_codes_beyond_int64():
+    F2, F3 = FieldSpec.prime(2), FieldSpec.prime(3)
+    assert len(_row_span(Matrix.from_rows(F2, [[1] * 62]))) == 2
+    assert len(_row_span(Matrix.from_rows(F3, [[1] * 39]))) == 3
+    for A in (Matrix.zeros(F2, 1, 63), Matrix.zeros(F3, 1, 40)):
+        with pytest.raises(ValueError, match="int64"):
+            _row_span(A)
+    with pytest.raises(ValueError):
+        _row_span(Matrix.zeros(FieldSpec.rationals(), 1, 1))
