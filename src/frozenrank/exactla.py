@@ -36,18 +36,18 @@ support once computed, and its transpose, memoised both ways
 (``A.transpose().transpose() is A``), so asking again about ``A`` or
 ``A^T`` repeats no elimination.  Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
-a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p and
-Q alike.  Rank, kernel rows and the census solve over F2 run on rows held
+a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p.
+Rank, kernel rows and the census solve over F2 run on rows held
 as Python ints instead, one bit per column, with XOR as row addition.
 Entries are plain values, read back as Python ints or ``Fraction`` objects.
-Exact elimination over Q suffers coefficient blow-up, so it is capped in
-size, once, by :func:`check_rational_size`.
+Over Q, :func:`_rational_rref` lifts every RREF from the dense kernel modulo
+primes, certified exact: nothing is eliminated on Fractions.
 
 A sparse symmetric matrix given by its edges, such as a leaf-removal core,
 is ranked without a :class:`Matrix`: :func:`sparse_rank` over F_p
 eliminates sparse rows first and hands only the block they leave to the
 dense kernel, and :func:`rational_rank` gives the exact rank over Q, of any
-size, from sparse ranks modulo primes, each certified.
+size, from one sparse rank modulo a prime or else the lifted RREF.
 """
 
 from __future__ import annotations
@@ -61,11 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceCapError
 from .field import PRIME_LIMIT, FieldSpec, is_prime
-
-# Largest dimension of a rational matrix that is eliminated with Fractions.
-RATIONAL_CAP = 64
 
 # Largest dimension of a dense matrix built from a sampled graph: an int64
 # 4096 x 4096 array takes 128 MB; larger runs stop before they sample.
@@ -76,29 +72,21 @@ DENSE_CAP = 4096
 SPARSE_FILL = 0.1
 
 
-def check_rational_size(field: FieldSpec, m: int, n: int) -> None:
-    """Refuse, with :class:`ResourceCapError`, an ``m x n`` matrix over Q
-    with a dimension above :data:`RATIONAL_CAP`: the one statement of the
-    cap on exact Fraction elimination, which callers check before they
-    allocate or eliminate.  Prime fields have no such cap."""
-    if field.kind == "rationals" and max(m, n) > RATIONAL_CAP:
-        raise ResourceCapError(
-            f"rational matrix of {m}x{n} is above the exact-elimination cap of "
-            f"{RATIONAL_CAP}; use a prime field"
-        )
-
-
 def field_array(field: FieldSpec, values) -> np.ndarray:
     """``values`` (an array, or rows, of canonical values) as a new array in
     the storage of every :class:`Matrix` over ``field``.
 
     Prime fields hold residues in ``[0, p)``, in an integer dtype that holds
     the product of two of them (uint8 for p = 2).  Q holds a ``dtype=object``
-    array whose entries are all ``Fraction`` objects: the kernels divide by
-    pivots, and ``1 / 1`` between stray ints would be the float ``1.0``.
+    array whose entries are all ``Fraction`` objects, its zeros one shared
+    ``Fraction(0)``, so that they cost a pointer each.
     """
     if field.kind == "rationals":
-        return np.frompyfunc(Fraction, 1, 1)(np.array(values, dtype=object))
+        a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+        out = np.full(a.shape, Fraction(0), dtype=object)
+        nz = np.nonzero(a)
+        out[nz] = np.frompyfunc(Fraction, 1, 1)(a[nz].astype(object))  # Python ints
+        return out
     p = field.p
     return np.array(values, dtype=np.uint8 if p == 2 else np.int32 if p <= 46340 else np.int64)
 
@@ -218,9 +206,10 @@ class Matrix:
     def rank(self) -> int:
         """Rank over the matrix's field (forward elimination, exact)."""
         if self._rank is None:
-            check_rational_size(self.field, self.m, self.n)
             if self.field.is_gf2:
                 self._rank = len(_echelon_gf2(_int_rows(self._a), self.n))
+            elif self.field.kind == "rationals":
+                self._rank = len(_rref_of_fractions(self._a)[0])
             else:
                 self._rank = _forward_dense(self._a.copy(), self.field.p)[0]
         return self._rank
@@ -255,9 +244,17 @@ class Matrix:
 
     def _rref(self) -> tuple[int, list[int], np.ndarray]:
         """(rank, pivot columns, RREF array) of one dense elimination, at
-        every field (p = 2 included); sets the rank."""
-        check_rational_size(self.field, self.m, self.n)
-        rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
+        every field (p = 2 included); sets the rank.  Over Q the RREF is
+        assembled here, from the pivot rows that :func:`_rational_rref`
+        lifts."""
+        if self.field.kind == "rationals":
+            pivots, block = _rref_of_fractions(self._a)
+            rank = len(pivots)
+            R = field_array(self.field, np.zeros((self.m, self.n), dtype=np.uint8))
+            R[range(rank), pivots] = self.field.one()
+            R[:rank, _free_columns(pivots, self.n)] = block
+        else:
+            rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
         self._rank = rank
         return rank, pivots, R
 
@@ -345,13 +342,11 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
     return pivots, [basis[c] for c in pivots]
 
 
-# ------------------------------------------------- F_p and Q dense kernels
-# ``M`` is a writable array in the storage of field_array, and ``p`` is the
-# field's characteristic, or None for Q.  Only normalising a pivot row and
-# reducing an updated block depend on the field.
+# ------------------------------------------------------ F_p dense kernel
+# ``M`` is a writable array in the storage of field_array over F_p.
 
 
-def _forward_dense(M: np.ndarray, p: int | None) -> tuple[int, list[int]]:
+def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
     """In-place forward elimination with normalized pivot rows."""
     m, n = M.shape
     r = 0
@@ -367,48 +362,31 @@ def _forward_dense(M: np.ndarray, p: int | None) -> tuple[int, list[int]]:
             tmp = M[piv].copy()
             M[piv] = M[r]
             M[r] = tmp
-        if p is None:
-            M[r, c:] = M[r, c:] / M[r, c]
-        else:
-            inv = pow(int(M[r, c]), -1, p)
-            M[r, c:] = (M[r, c:] * M.dtype.type(inv)) % p
+        inv = pow(int(M[r, c]), -1, p)
+        M[r, c:] = (M[r, c:] * M.dtype.type(inv)) % p
         _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p)
         pivots.append(c)
         r += 1
     return r, pivots
 
 
-def _rref_dense(M: np.ndarray, p: int | None):
+def _rref_dense(M: np.ndarray, p: int):
     """In-place RREF; returns (rank, pivots, M)."""
     r, pivots = _forward_dense(M, p)
-    _back_substitute(M, pivots, p)
+    for i in range(r - 1, -1, -1):
+        c = pivots[i]
+        _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p)
     return r, pivots, M
 
 
-def _back_substitute(M: np.ndarray, pivots: list[int], p: int | None) -> None:
-    """In place, a forward-eliminated ``M`` with these pivots to its RREF."""
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p)
-
-
-def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int | None) -> None:
+def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int) -> None:
     """Clear column ``c`` of ``rows`` with the normalized pivot row ``r``."""
     if rows.size:
         f = M[rows, c][:, None]
-        upd = M[rows, c:] - f * M[r, c:][None, :]
-        M[rows, c:] = upd if p is None else upd % p
+        M[rows, c:] = (M[rows, c:] - f * M[r, c:][None, :]) % p
 
 
 # ------------------------------------------------- sparse rank from edges
-
-
-def _residue_array(n: int, rows, cols, vals, p: int) -> np.ndarray:
-    """The ``n x n`` symmetric array over F_p with ``vals`` at ``(rows,
-    cols)`` and ``(cols, rows)``, in the storage of :func:`field_array`."""
-    M = field_array(FieldSpec.prime(p), np.zeros((n, n), dtype=np.uint8))
-    M[rows, cols] = M[cols, rows] = vals
-    return M
 
 
 def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> int:
@@ -436,7 +414,9 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
         return len(_echelon_gf2(bits, n))
     nnz = 2 * i.size
     if nnz > SPARSE_FILL * n * n:
-        return _forward_dense(_residue_array(n, i, j, w, p), p)[0]
+        M = field_array(FieldSpec.prime(p), np.zeros((n, n), dtype=np.uint8))
+        M[i, j] = M[j, i] = w
+        return _forward_dense(M, p)[0]
     rows: list[dict] = [{} for _ in range(n)]
     for a, b, v in zip(i.tolist(), j.tolist(), w.tolist()):
         rows[a][b] = rows[b][a] = v
@@ -529,19 +509,21 @@ def _rank_of_rows(A: Matrix, K, rows) -> int:
     """``rank(K_rows)`` for the kernel rows ``K`` of ``A``."""
     if A.field.is_gf2:
         return len(_echelon_gf2([K[j] for j in rows], A.n))
+    if A.field.kind == "rationals":
+        return len(_rref_of_fractions(K[list(rows)])[0])
     return _forward_dense(K[list(rows)], A.field.p)[0]
 
 
-# ------------------------------------------------------ exact rational rank
+# ------------------------------------------------ exact rational elimination
 
 
 @dataclass(frozen=True)
 class RationalRank:
     """The rank over Q from :func:`rational_rank`, the certificate that
-    settled it (``exit``), and the primes eliminated on the way, in order."""
+    settled it (``exit``), and the primes it reduced modulo, in order."""
 
     rank: int
-    exit: str  # "full" | "lift" | "hadamard"
+    exit: str  # "full" | "lift"
     primes: tuple[int, ...]
 
 
@@ -558,101 +540,111 @@ def rational_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Ration
     """Exact rank over Q of the symmetric ``n x n`` matrix ``A`` with zero
     diagonal and ``A[i[k], j[k]] = A[j[k], i[k]] = w[k]`` for each edge ``k``
     of the arrays ``i``, ``j`` (ints) and ``w`` (distinct pairs,
-    ``i[k] != j[k]``, ``w[k]`` a nonzero ``Fraction`` or int).
+    ``i[k] != j[k]``, ``w[k]`` a nonzero ``Fraction``).
 
     Reduction modulo a prime p that divides no denominator is a ring map,
     so a minor that is nonzero mod p is nonzero over Q: rank_p <= rank_Q.
-    One loop eliminates ``A`` modulo each prime of :func:`_primes_descending`
-    that divides no denominator, keeping the best rank seen and the pivot
-    list of its RREF.  It stops at the first certificate of
-    rank_Q <= best:
-
-    * ``full``: the best rank is ``n``; one elimination in the common case.
-    * ``hadamard``: the product of the primes exceeds twice the Hadamard
-      bound of the denominator-cleared matrix.  A nonzero maximal minor of
-      that integer matrix is at most the bound in absolute value, so not
-      every prime divides it: some prime kept rank_Q, and so did the best.
-    * ``lift``: the kernel ``K`` of the best rank's RREF (module docstring),
-      combined by CRT over the latest run of primes that share its pivot
-      list and rationally reconstructed entry by entry, satisfies ``A K = 0``
-      exactly, a sparse check over the edges.  ``K`` is the identity on the
-      free columns, so its ``n - best`` columns are independent over Q.
-
-    Each prime is ranked once by :func:`sparse_rank`, from the edges.  Only
-    a prime whose rank is below ``n``, reaches the best one and meets no
-    bound builds its dense residue array and reduces it to the RREF, whose
-    pivots (the first column basis in column order) are the same at every
-    prime that keeps rank_Q, as the CRT needs.
+    :func:`sparse_rank` ranks ``A`` from its edges modulo the largest such
+    prime, and settles it when that rank is ``n`` (exit ``full``, the common
+    case).  Otherwise the rank is that of the RREF that
+    :func:`_rational_rref` lifts from the edges in both orientations (exit
+    ``lift``).
     """
-    rows, cols, weights = i.tolist(), j.tolist(), w.tolist()
+    weights = w.tolist()
     scale = math.lcm(*(x.denominator for x in weights))
-    cleared = [x.numerator * (scale // x.denominator) for x in weights]
-    norm2 = [0] * n
-    for a, b, c in zip(rows, cols, cleared):
-        norm2[a] += c * c
-        norm2[b] += c * c
-    # (twice the Hadamard bound)^2; a row of norm below 1 is a zero row
-    hadamard2 = 4 * math.prod(max(1, s) for s in norm2)
-    best, primes, product = -1, [], 1
-    lift_pivots = lift = modulus = None
+    p = next(q for q in _primes_descending() if scale % q)
+    vals = np.array([x.numerator * pow(x.denominator, -1, p) % p for x in weights], np.int64)
+    # a numerator that p divides is no entry of the matrix mod p
+    entry = vals != 0
+    if sparse_rank(n, i[entry], j[entry], vals[entry], p) == n:
+        return RationalRank(n, "full", (p,))
+    pivots, _, primes = _rational_rref(n, n, np.concatenate((i, j)), np.concatenate((j, i)),
+                                       np.concatenate((w, w)))
+    return RationalRank(len(pivots), "lift", primes)
+
+
+def _rref_of_fractions(a: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Pivots and pivot-row block of :func:`_rational_rref` for the
+    nonzeros of the Fraction array ``a``."""
+    i, j = np.nonzero(a)
+    return _rational_rref(*a.shape, i, j, a[i, j])[:2]
+
+
+def _rational_rref(m: int, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """The RREF ``R`` over Q of the ``m x n`` matrix ``A`` with
+    ``A[i[k], j[k]] = w[k]`` for each ``k`` (int arrays ``i``, ``j`` of
+    distinct positions, nonzero Fractions ``w``), as ``(pivots, block,
+    primes)``: R's pivot columns, its pivot rows on the free columns (an
+    object array of Fractions) and the primes reduced modulo, in order.
+
+    Each row's denominators are cleared (row scaling keeps the RREF), and
+    the integer matrix is reduced to its RREF by the dense kernel modulo
+    each prime of :func:`_primes_descending`: rank_p <= rank_Q, as reduction
+    modulo p is a ring map.  The pivot rows of the latest run of primes that
+    share the best rank and pivots are combined by CRT, reconstructed
+    (:func:`_reconstruct`) and returned once the ``K`` they give (module
+    docstring) satisfies ``A K = 0`` exactly.  Its ``n - best`` independent
+    columns make the rank exact.  R is in reduced echelon form (a residue 0
+    reconstructs to 0) and ``R K = 0``, so R's rows span the annihilator of
+    the kernel, A's row space: R is A's RREF.  All but finitely many primes
+    keep rank_Q and A's pivots, so the loop ends.
+    """
+    rows, weights = i.tolist(), w.tolist()
+    scale = [1] * m
+    for r, x in zip(rows, weights):
+        scale[r] = math.lcm(scale[r], x.denominator)
+    cleared = [x.numerator * (scale[r] // x.denominator) for r, x in zip(rows, weights)]
+    # the nonzeros of the integer matrix by column, for the exact check
+    by_col: list[list] = [[] for _ in range(n)]
+    for r, c, x in zip(rows, j.tolist(), cleared):
+        by_col[c].append((r, x))
+    best, lift_pivots, primes = -1, None, []
     for p in _primes_descending():
-        if scale % p == 0:
-            continue
-        inv = pow(scale, -1, p)
-        vals = np.array([c % p * inv % p for c in cleared], dtype=np.int64)
-        # a numerator that p divides is no entry of the matrix mod p
-        entry = vals != 0
-        rank = sparse_rank(n, i[entry], j[entry], vals[entry], p)
         primes.append(p)
-        product *= p
-        if rank == n:
-            return RationalRank(n, "full", tuple(primes))
-        if product * product > hadamard2:
-            return RationalRank(max(best, rank), "hadamard", tuple(primes))
+        M = field_array(FieldSpec.prime(p), np.zeros((m, n), dtype=np.uint8))
+        M[i, j] = [x % p for x in cleared]
+        rank, pivots, M = _rref_dense(M, p)
         if rank < best:
             continue
-        M = _residue_array(n, i, j, vals, p)
-        pivots = _forward_dense(M, p)[1]
-        _back_substitute(M, pivots, p)
-        residues = (-M[:rank, _free_columns(pivots, n)] % p).astype(object)
+        residues = M[:rank, _free_columns(pivots, n)].astype(object)
         if rank == best and pivots == lift_pivots:
             lift = lift + modulus * ((residues - lift) * pow(modulus, -1, p) % p)
             modulus *= p
         else:
-            # At rank_Q the pivots are a column basis over Q, and K mod p is
-            # the reduction of that basis's rational K; another pivot list
-            # (rare at p ~ 2^31) reduces another K, so the CRT starts over.
+            # At rank_Q the pivots are A's RREF's, and the residues reduce
+            # its pivot rows; another pivot list (rare at p ~ 2^31) reduces
+            # other rows, so the CRT starts over.
             best, lift_pivots, lift, modulus = rank, pivots, residues, p
-        if _kernel_lift_holds(pivots, lift, modulus, n, rows, cols, cleared):
-            return RationalRank(best, "lift", tuple(primes))
-    raise AssertionError("no primes left below 2^31; the Hadamard exit comes first")
+        block = _lifted_block(lift, modulus, pivots, by_col)
+        if block is not None:
+            return pivots, block, tuple(primes)
+    raise AssertionError("no primes left below 2^31; the lift ends before")
 
 
-def _kernel_lift_holds(pivots, residues, modulus, n, rows, cols, cleared) -> bool:
-    """Whether the pivot rows of ``K`` (``residues`` modulo ``modulus``, one
-    column per free column) reconstruct to rationals with ``A K = 0``
-    exactly.  Each column is scaled to integers and multiplied by the
-    denominator-cleared edge weights; the first failure stops the check."""
+def _lifted_block(residues, modulus: int, pivots: list[int], by_col) -> np.ndarray | None:
+    """The pivot rows of an RREF on its free columns, reconstructed from
+    ``residues`` modulo ``modulus``, if the ``K`` they give satisfies
+    ``A K = 0`` exactly, else None.  Each column of ``K`` is scaled to
+    integers and checked against the row-cleared integer matrix, whose
+    nonzeros in column ``c`` are the ``(row, value)`` pairs ``by_col[c]``."""
     bound = math.isqrt((modulus - 1) // 2)
-    for k, free in enumerate(_free_columns(pivots, n)):
-        column = []
-        for a in residues[:, k].tolist():
-            x = _reconstruct(a, modulus, bound)
-            if x is None:
-                return False
-            column.append(x)
+    block = np.full(residues.shape, Fraction(0), dtype=object)
+    for k, free in enumerate(_free_columns(pivots, len(by_col))):
+        # a residue 0 reconstructs to 0, and only a nonzero one to a nonzero
+        at = np.flatnonzero(residues[:, k])
+        column = [_reconstruct(a, modulus, bound) for a in residues[at, k].tolist()]
+        if None in column:
+            return None
         den = math.lcm(*(v for _, v in column))
-        y = [0] * n
-        y[free] = den
-        for c, (u, v) in zip(pivots, column):
-            y[c] = u * (den // v)
-        acc = [0] * n
-        for i, j, c in zip(rows, cols, cleared):
-            acc[i] += c * y[j]
-            acc[j] += c * y[i]
-        if any(acc):
-            return False
-    return True
+        y = [(free, den)] + [(pivots[t], -u * (den // v)) for t, (u, v) in zip(at, column)]
+        acc: dict[int, int] = {}
+        for c, t in y:
+            for r, x in by_col[c]:
+                acc[r] = acc.get(r, 0) + x * t
+        if any(acc.values()):
+            return None
+        block[at, k] = [Fraction(u, v) for u, v in column]
+    return block
 
 
 def _reconstruct(a: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -897,6 +889,11 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
 
         def y(r, t):  # column m + t of an int row is its bit s - 1 - t
             return R[r] >> (s - 1 - t) & 1
+    elif A.field.kind == "rationals":
+        pivots, R = _rref_of_fractions(aug)
+
+        def y(r, t):  # the columns of E_S are the last s free columns
+            return R[r, R.shape[1] - s + t]
     else:
         _, pivots, R = _rref_dense(aug, A.field.p)
 

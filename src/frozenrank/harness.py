@@ -26,7 +26,6 @@ from .errors import ResourceCapError
 from .exactla import (
     DENSE_CAP,
     TypeProfile,
-    check_rational_size,
     rational_rank,
     sparse_rank,
     type_census,
@@ -108,9 +107,6 @@ class ExperimentConfig:
             raise ValueError("census runs require pert_P")
         if self.n > DENSE_CAP:
             raise ResourceCapError(f"n={self.n} exceeds the dense-matrix cap {DENSE_CAP}")
-        if self.census:
-            # the perturbed matrix of a census is at most n + pert_P square
-            check_rational_size(self.field_spec, self.n + self.pert_P, self.n + self.pert_P)
 
     @property
     def field_spec(self) -> FieldSpec:
@@ -276,9 +272,9 @@ def _rank_of_graph(ks: KSResult) -> int:
     leaf-removal core by the identity in :class:`KSResult`, from the core's
     edges and without a :class:`~frozenrank.exactla.Matrix`.  A prime-field
     core goes to :func:`~frozenrank.exactla.sparse_rank`, a rational core of
-    any size to :func:`~frozenrank.exactla.rational_rank`: sparse ranks
-    modulo primes, certified exact (full rank, a verified kernel lift or the
-    Hadamard bound)."""
+    any size to :func:`~frozenrank.exactla.rational_rank`: a sparse rank
+    modulo a prime, certified exact when full, else the rank of the RREF
+    lifted from primes and verified."""
     core = ks.core
     rank = 2 * len(ks.removed_pairs)
     if core.field.kind == "rationals":

@@ -20,11 +20,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactla import DENSE_CAP, Matrix, check_rational_size, field_array
+from .exactla import DENSE_CAP, Matrix, field_array
 from .field import RATIONAL_POOL, FieldSpec
 from .prf import Stream, mix64_below, prf, prf_array
 
@@ -98,10 +99,10 @@ class Graph:
     Edge ``k`` joins ``i[k]`` and ``j[k]`` with weight ``w[k]``.  The graph
     holds read-only copies of its edge arrays: int64 endpoints, and weights
     that are canonical residues in ``[1, p)`` in an int64 array over F_p, or
-    nonzero values in an object array over Q.  The constructor takes any
-    sequences and checks every graph once, on the arrays: no self-loops,
-    endpoints in range, no pair twice (in either orientation) and the
-    weights above.  :meth:`from_edges` builds one from ``(i, j, w)`` triples.
+    nonzero Fractions in an object array over Q, given as ints or Fractions.
+    The constructor takes any sequences and checks every graph once, on the
+    arrays: no self-loops, endpoints in range, no pair twice (in either
+    orientation) and the weights above.  :meth:`from_edges` builds one from ``(i, j, w)`` triples.
     """
 
     n: int
@@ -130,8 +131,12 @@ class Graph:
             k = later.min()  # the first repeat in edge order
             raise ValueError(f"duplicate edge {(int(lo[k]), int(hi[k]))}")
         if p is None:
-            if np.count_nonzero(w) != w.size:
-                raise ValueError("edge weights must be nonzero")
+            # ints and Fractions only, as F_p takes ints only
+            if not all(isinstance(x, (Integral, Fraction)) and not isinstance(x, bool) and x
+                       for x in w.tolist()):
+                raise ValueError("edge weights over Q must be nonzero ints or Fractions")
+            w = np.array([x if isinstance(x, Fraction) else Fraction(int(x))
+                          for x in w.tolist()], dtype=object)
         elif w.dtype.kind not in "iu" or not np.all((0 < w) & (w < p)):
             raise ValueError(f"edge weights over {self.field.label()} must be nonzero "
                              f"canonical residues, ints in [1, {p})")
@@ -169,13 +174,11 @@ class Graph:
 
     def adjacency(self) -> Matrix:
         """Weighted adjacency matrix (symmetric, zero diagonal).  A graph
-        above ``DENSE_CAP``, or over Q above the exact-elimination cap, is
-        refused before the array is allocated."""
+        above ``DENSE_CAP`` is refused before the array is allocated."""
         if self.n > DENSE_CAP:
             raise ResourceCapError(
                 f"dense adjacency of size {self.n} above the cap {DENSE_CAP}"
             )
-        check_rational_size(self.field, self.n, self.n)
         arr = field_array(self.field, np.zeros((self.n, self.n), dtype=np.uint8))
         arr[self.i, self.j] = arr[self.j, self.i] = field_array(self.field, self.w)
         return Matrix._from_array(self.field, arr)

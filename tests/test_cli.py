@@ -250,10 +250,14 @@ def test_classify_matrix_without_rows(tmp_path, capsys):
     assert payload["frozen_columns"] == [] and payload["types"] == {}
 
 
-def test_classify_resource_cap(tmp_path):
+def test_classify_resource_cap(tmp_path, capsys):
+    # a rational matrix above 64 is classified like any other
     mfile = tmp_path / "big.mat"
-    mfile.write_text(format_matrix(Matrix.zeros(Q, 70, 70)))
-    assert main(["classify", "--matrix", str(mfile)]) == 3
+    mfile.write_text(format_matrix(Matrix.identity(Q, 70)))
+    assert main(["classify", "--matrix", str(mfile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == 70 and payload["frozen_columns"] == list(range(70))
+    assert set(payload["types"].values()) == {"X"}
 
 
 def test_simulate_dense_cap():
@@ -263,14 +267,15 @@ def test_simulate_dense_cap():
 
 
 def test_census_caps(capsys):
-    # the exact rational census needs n + P <= 64: a resource cap, exit 3
-    assert main(["census", "--n", "70", "--d", "2", "--field", "Q", "--P", "8",
+    # a census over any field, Q included, is bounded by the dense cap alone
+    for field, n in (("Q", 70), ("F2", 500)):
+        assert main(["census", "--n", str(n), "--d", "2", "--field", field, "--P", "8",
+                     "--trials", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["census", "--n", "5000", "--d", "2", "--field", "Q", "--P", "8",
                  "--trials", "1"]) == 3
     assert main(["census", "--n", "70", "--d", "2", "--field", "Q", "--P", "0",
-                 "--trials", "1"]) == 2  # a bad P is a usage error first
-    # a prime-field census is bounded by the dense cap alone
-    assert main(["census", "--n", "500", "--d", "2", "--P", "8", "--trials", "1"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3
+                 "--trials", "1"]) == 2  # a bad P is a usage error
 
 
 def test_verify_suite(capsys):

@@ -398,22 +398,15 @@ def test_relabelled_requires_permutation():
 
 
 def test_rational_cap():
-    # one cap, stated by check_rational_size, for every exact Fraction route
-    for m, n in ((65, 65), (65, 1), (1, 65)):
-        with pytest.raises(ResourceCapError):
-            exactla.check_rational_size(Q, m, n)
-        exactla.check_rational_size(F5, m, n)  # prime fields have no such cap
-    exactla.check_rational_size(Q, exactla.RATIONAL_CAP, exactla.RATIONAL_CAP)
-    assert Matrix.identity(Q, 64).rank() == 64
-    big = Matrix.zeros(Q, 65, 65)
-    with pytest.raises(ResourceCapError):
-        big.rank()
+    # Q has no cap of its own: above 64 it is eliminated by the lifted route,
+    # and a sampled adjacency is bounded by DENSE_CAP, as over every field
     eye = Matrix.identity(Q, 70)
-    for route in (eye.rank, eye.nullity, eye.kernel_basis, eye.kernel_support):
-        with pytest.raises(ResourceCapError):
-            route()
-    # the Fraction kernel itself has no cap
-    assert exactla._forward_dense(eye._a.copy(), None)[0] == 70
+    assert (eye.rank(), eye.nullity(), eye.kernel_basis()) == (70, 0, [])
+    assert eye.kernel_support() == frozenset()
+    zero = Matrix.zeros(Q, 65, 65)
+    assert zero.rank() == 0 and zero.kernel_support() == frozenset(range(65))
+    with pytest.raises(ResourceCapError):
+        Graph.from_edges(exactla.DENSE_CAP + 1, Q, ()).adjacency()
 
 
 @pytest.mark.parametrize("field", [F3, FieldSpec.prime(2147483647), Q])

@@ -11,7 +11,6 @@ from frozenrank import analytic, exactla
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
     DENSE_CAP,
-    RATIONAL_CAP,
     RationalRank,
     TypeProfile,
     classify_variable,
@@ -37,6 +36,7 @@ from frozenrank.harness import (
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from frozenrank.prf import TAG_PERM, TAG_THETA, Stream, derive_seed
 from frozenrank.randgraph import Graph, karp_sipser, sample_T
+from test_rational_matrix import fraction_frozen_set, fraction_rref, sparse_rows
 
 
 def small_cfg(**overrides):
@@ -59,14 +59,14 @@ def test_config_validation():
         small_cfg(template="fancy")
     with pytest.raises(ValueError):
         small_cfg(census=True)  # pert_P missing
-    assert small_cfg(census=True, pert_P=8, n=401).census  # no census cap below DENSE_CAP
-    with pytest.raises(ResourceCapError):
-        small_cfg(census=True, pert_P=8, field="Q")  # exact rational cap
-    assert small_cfg(census=True, pert_P=8, n=56, field="Q").census  # fits the cap
-    with pytest.raises(ResourceCapError):
-        small_cfg(n=DENSE_CAP + 1)
-    with pytest.raises(ResourceCapError):
-        small_cfg(n=DENSE_CAP + 1, census=True, pert_P=8)
+    # a census is capped by DENSE_CAP alone, over every field
+    assert small_cfg(census=True, pert_P=8, n=401).census
+    assert small_cfg(census=True, pert_P=8, n=DENSE_CAP, field="Q").census
+    for field in ("F2", "Q"):
+        with pytest.raises(ResourceCapError):
+            small_cfg(n=DENSE_CAP + 1, field=field)
+        with pytest.raises(ResourceCapError):
+            small_cfg(n=DENSE_CAP + 1, census=True, pert_P=8, field=field)
 
 
 def test_config_json_roundtrip():
@@ -302,12 +302,33 @@ def test_census_matches_per_variable_classification(field, n):
         == TypeProfile.tally(types)
 
 
+@pytest.mark.parametrize("n,seed,stride", [(100, 3, 1), (300, 0, 8)])
+def test_rational_census_above_64_matches_the_fraction_oracle(n, seed, stride):
+    # the types from frozen sets of A, A^T and A minus row i, each by
+    # Gauss-Jordan on Fractions; a variable frozen on both sides is X or Y
+    # as deleting its row unfreezes it or not (frailness is
+    # transpose-symmetric); at n = 300 every 8th of those is checked
+    cfg = ExperimentConfig(n=n, d=2.718, field="Q", template="random", trials=1,
+                           master_seed=seed, census=True, pert_P=8)
+    M = _census_matrix(cfg, 0)
+    rows = sparse_rows(M.to_values())
+    fa = fraction_frozen_set(rows, M.n)
+    fat = fraction_frozen_set(sparse_rows(M.transpose().to_values()), M.m)
+    got = variable_types(M, n)
+    both = [i for i in range(n) if i in fa and i in fat]
+    assert [got[i] for i in range(n) if i not in both] == \
+        [("V" if i in fa else "U" if i in fat else "Z") for i in range(n) if i not in both]
+    checked = [got[i] for i in both[::stride]]
+    assert checked == ["Y" if i in fraction_frozen_set(rows[:i] + rows[i + 1:], M.n) else "X"
+                       for i in both[::stride]]
+    assert {"X", "Y"} <= set(checked) and {"U", "V", "Z"} <= set(got)
+
+
 # ------------------------------------------- rank from the leaf-removal core
 
 def _dense_array(G: Graph) -> np.ndarray:
     """The adjacency of ``G`` as a writable array in the storage of
-    ``field_array``, of any size over Q: Graph.adjacency refuses Q above
-    RATIONAL_CAP."""
+    ``field_array``."""
     M = field_array(G.field, np.zeros((G.n, G.n), dtype=np.uint8))
     for i, j, w in G.edges:
         M[i, j] = M[j, i] = w
@@ -316,8 +337,10 @@ def _dense_array(G: Graph) -> np.ndarray:
 
 def _dense_rank(G: Graph) -> int:
     """Rank of the adjacency of ``G`` by one dense elimination of the whole
-    matrix, with Fractions over Q: the reference for the leaf-removal and
-    rational routes."""
+    matrix, Gauss-Jordan on Fractions over Q: the reference for the
+    leaf-removal and rational routes."""
+    if G.field.kind == "rationals":
+        return len(fraction_rref(sparse_rows(_dense_array(G).tolist()), G.n)[0])
     return exactla._forward_dense(_dense_array(G), G.field.p)[0]
 
 
@@ -350,7 +373,7 @@ def test_rational_core_rank_matches_exact_oracle(template):
     for index in range(cfg.trials):
         G = _trial_graph(cfg, index)
         core = karp_sipser(G).core
-        assert core.n > RATIONAL_CAP
+        assert core.n > 64
         # full rank at the first prime: one elimination settles it
         assert rational_rank(core.n, core.i, core.j, core.w) == \
             RationalRank(core.n, "full", PRIMES[:1])
@@ -389,19 +412,35 @@ def test_rational_rank_reduces_fractions_exactly():
 
 def test_rational_rank_above_the_first_primes_rank():
     # a = 2^31 and b = 1: det = (2^31 - 1)^2 is nonzero over Q and zero modulo
-    # the first prime, whose kernel then fails the exact check; the second
-    # prime has full rank
+    # the first prime, whose kernel then fails the exact check in the lift;
+    # the second prime has full rank
     weights = [1] * 68
     weights[0] = 2 ** 31
-    assert _route(_cycle(weights)) == RationalRank(68, "full", PRIMES[:2])
+    assert _route(_cycle(weights)) == RationalRank(68, "lift", PRIMES[:2])
 
 
-def test_rational_rank_skips_a_prime_dividing_a_denominator():
-    # a = b = 1 with a weight 1/p for the first prime p, which is skipped
+def _sparse_primes(monkeypatch) -> list[int]:
+    """The primes that rational_rank hands to sparse_rank from now on."""
+    ranked = []
+    sparse = exactla.sparse_rank
+
+    def counted(n, i, j, w, p):
+        ranked.append(p)
+        return sparse(n, i, j, w, p)
+
+    monkeypatch.setattr(exactla, "sparse_rank", counted)
+    return ranked
+
+
+def test_rational_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
+    # a = b = 1 with a weight 1/p for the first prime p, which the sparse rank
+    # skips; the lift clears denominators row by row and skips no prime
+    ranked = _sparse_primes(monkeypatch)
     weights = [1] * 68
     weights[0], weights[2] = Fraction(1, PRIMES[0]), PRIMES[0]
     got = _route(_cycle(weights))
-    assert got.rank == 66 and got.primes[0] == PRIMES[1]
+    assert set(ranked) == {PRIMES[1]}  # _route calls rational_rank twice
+    assert got.rank == 66 and got.exit == "lift" and got.primes[0] == PRIMES[0]
 
 
 def test_rational_rank_lifts_large_kernel_entries_over_several_primes():
@@ -411,53 +450,42 @@ def test_rational_rank_lifts_large_kernel_entries_over_several_primes():
     weights[1] = weights[2] = 10 ** 5
     G = _cycle(weights)
     # the kernel entries are 1 and the negated free-column entries of the RREF
-    R = exactla._rref_dense(_dense_array(G), None)[2]
-    assert max(abs(x.numerator) + x.denominator for x in R.flat) > 33000
+    R = fraction_rref(sparse_rows(_dense_array(G).tolist()), G.n)[1]
+    assert max(abs(x.numerator) + x.denominator for row in R for x in row.values()) > 33000
     got = _route(G)
     assert got.exit == "lift" and got.rank == 66 and len(got.primes) > 1
 
 
 @pytest.mark.parametrize("heavy", (1, 10 ** 5))
-def test_rational_rank_eliminates_each_prime_once(monkeypatch, heavy):
+def test_rational_rank_ranks_one_prime_then_lifts(monkeypatch, heavy):
     # rank-deficient cores: the all-ones 68-cycle lifts from one prime, the
-    # 10^5-weight one over several; each prime is ranked once from the edges,
-    # and only a prime that goes on to the lift builds the dense residue
-    # array, eliminated forward once and back-substituted in place
-    ranked, forward, back = [], [], []
-    sparse, dense, substitute = exactla.sparse_rank, exactla._forward_dense, \
-        exactla._back_substitute
+    # 10^5-weight one over several; the core is ranked from its edges modulo
+    # one prime, and the lift then reduces each of its primes to the RREF
+    # once, in one dense array
+    ranked = _sparse_primes(monkeypatch)
+    reduced = []
+    rref = exactla._rref_dense
 
-    def counted_sparse(n, i, j, w, p):
-        ranked.append(p)
-        return sparse(n, i, j, w, p)
+    def counted(M, p):
+        assert M.shape == (68, 68)
+        reduced.append(p)
+        return rref(M, p)
 
-    def counted_forward(M, p):
-        if M.shape == (68, 68):
-            forward.append(p)
-        return dense(M, p)
-
-    def counted_back(M, pivots, p):
-        back.append(p)
-        return substitute(M, pivots, p)
-
-    monkeypatch.setattr(exactla, "sparse_rank", counted_sparse)
-    monkeypatch.setattr(exactla, "_forward_dense", counted_forward)
-    monkeypatch.setattr(exactla, "_back_substitute", counted_back)
+    monkeypatch.setattr(exactla, "_rref_dense", counted)
     weights = [1] * 68
     weights[1] = weights[2] = heavy
     G = _cycle(weights)
     got = rational_rank(68, G.i, G.j, G.w)
     assert got.exit == "lift" and got.rank == 66
     assert len(got.primes) > 1 if heavy > 1 else got.primes == PRIMES[:1]
-    # every prime keeps rank 66 with the same pivots, so each one lifts
-    assert ranked == forward == back == list(got.primes)
+    assert ranked == [PRIMES[0]] and reduced == list(got.primes)
 
 
-def test_rational_rank_hadamard_exit():
-    # a 4-cycle with a = b: its Hadamard bound 4 is below half of one prime,
-    # and so is that of a matrix without edges
-    assert _route(_cycle([1, 1, 1, 1])) == RationalRank(2, "hadamard", PRIMES[:1])
-    for n, how in ((3, "hadamard"), (0, "full")):
+def test_rational_rank_lifts_the_four_cycle_from_one_prime():
+    # a 4-cycle with a = b has rank 2, and its RREF lifts from one prime; so
+    # does the zero matrix, while n = 0 is full rank
+    assert _route(_cycle([1, 1, 1, 1])) == RationalRank(2, "lift", PRIMES[:1])
+    for n, how in ((3, "lift"), (0, "full")):
         G = Graph.from_edges(n, FieldSpec.rationals(), ())
         assert rational_rank(n, G.i, G.j, G.w) == RationalRank(0, how, PRIMES[:1])
 
@@ -465,7 +493,7 @@ def test_rational_rank_hadamard_exit():
 @pytest.mark.parametrize("seed", range(12))
 def test_rational_rank_matches_fraction_elimination(seed):
     # random symmetric rational matrices, sparse enough to be rank deficient
-    # often, all-ones at even seeds; these seeds reach all three exits
+    # often, all-ones at even seeds; these seeds reach both exits
     stream = Stream(seed)
     n = 2 + stream.randbelow(40)
     pool = (Fraction(1),) if seed % 2 == 0 else RATIONAL_POOL + (Fraction(7, 5),)

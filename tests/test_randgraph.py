@@ -9,7 +9,7 @@ import pytest
 
 from frozenrank import randgraph
 from frozenrank.errors import ResourceCapError
-from frozenrank.exactla import DENSE_CAP, RATIONAL_CAP, Matrix, field_array, relabelled
+from frozenrank.exactla import DENSE_CAP, Matrix, field_array, relabelled
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
 from frozenrank.randgraph import (
@@ -391,18 +391,32 @@ def test_dense_adjacency_cap():
 
 
 def test_rational_adjacency_cap(monkeypatch):
-    # a rational adjacency above the exact-elimination cap could never be
-    # eliminated, so it is refused before its n x n Fractions are built
+    # a rational adjacency is bounded by DENSE_CAP alone, refused before its
+    # n x n Fractions are built
     built = []
     monkeypatch.setattr(randgraph, "field_array",
                         lambda field, values: built.append(field) or field_array(field, values))
-    one_edge = Graph.from_edges(1000, Q, ((0, 1, Fraction(1, 2)),))
+    one_edge = Graph.from_edges(DENSE_CAP + 1, Q, ((0, 1, Fraction(1, 2)),))
     for route in (one_edge.adjacency, lambda: nullity_invariance_check(one_edge)):
         with pytest.raises(ResourceCapError):
             route()
     assert built == []
-    assert Graph.from_edges(RATIONAL_CAP, Q, ((0, 1, Fraction(1, 2)),)).adjacency().rank() == 2
+    assert Graph.from_edges(1000, Q, ((0, 1, Fraction(1, 2)),)).adjacency().rank() == 2
     assert built  # the recorder sees the arrays of an adjacency within the cap
+
+
+def test_rational_weights_are_ints_or_fractions():
+    # stored as Fractions, like the sampler's; a float or a str is refused,
+    # as F_p refuses a weight that is not an int
+    G = Graph.from_edges(3, Q, ((0, 1, Fraction(1, 2)), (1, 2, 2), (0, 2, np.int64(-3))))
+    assert G.w.tolist() == [Fraction(1, 2), Fraction(2), Fraction(-3)]
+    assert all(type(x) is Fraction for x in G.w)
+    assert all(type(x.numerator) is int for x in G.w)
+    for bad in (0.5, "1/2", True, None):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            Graph.from_edges(3, Q, ((0, 1, bad), (1, 2, 2), (0, 2, 1)))
+    with pytest.raises(ValueError, match="nonzero"):
+        Graph.from_edges(3, Q, ((0, 1, 0),))
 
 
 # ------------------------------------------------------------- text format

@@ -1,12 +1,16 @@
-"""Rational matrices: an oracle for the shared dense kernel over Q, and the
+"""Rational matrices: two oracles for the elimination over Q, and the
 storage invariant that every entry of a Q matrix is a ``Fraction``.
 
-The oracle does not eliminate over Q.  A kernel basis ``K`` that annihilates
-``A`` exactly and is the identity on its free columns holds ``len(K)``
-independent kernel vectors, so ``rank <= n - len(K)``.  Clearing the
-denominators of each row keeps the rank, and reducing that integer matrix
-modulo a prime cannot raise it, so ``rank >= rank_p``.  Equal bounds pin the
-rank and make ``K`` a basis of the kernel.
+:func:`fraction_rref` is the literal route: Gauss-Jordan on ``Fraction``
+objects, which the program itself no longer runs.  The lifted RREF of
+``exactla._rational_rref`` must equal it entry by entry.
+
+The second oracle does not eliminate over Q.  A kernel basis ``K`` that
+annihilates ``A`` exactly and is the identity on its free columns holds
+``len(K)`` independent kernel vectors, so ``rank <= n - len(K)``.  Clearing
+the denominators of each row keeps the rank, and reducing that integer
+matrix modulo a prime cannot raise it, so ``rank >= rank_p``.  Equal bounds
+pin the rank and make ``K`` a basis of the kernel.
 """
 
 import math
@@ -15,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from frozenrank import exactla
 from frozenrank.exactla import Matrix, block, field_array, format_matrix, parse_matrix, relabelled
 from frozenrank.field import FieldSpec
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
@@ -24,6 +29,55 @@ from frozenrank.verify import random_matrix
 
 Q = FieldSpec.rationals()
 BIG = FieldSpec.prime(2**31 - 1)
+
+
+def fraction_rref(rows, n: int) -> tuple[list[int], list[dict]]:
+    """(pivot columns, RREF) of the matrix with ``n`` columns whose rows are
+    ``rows``, each a dict ``{column: nonzero Fraction}``, by Gauss-Jordan
+    elimination; the rows of the RREF come back in the same form."""
+    R = [dict(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        hit = next((s for s in range(r, len(R)) if c in R[s]), None)
+        if hit is None:
+            continue
+        R[r], R[hit] = R[hit], R[r]
+        inv = 1 / R[r][c]
+        R[r] = {k: x * inv for k, x in R[r].items()}
+        for s, row in enumerate(R):
+            if s != r and c in row:
+                f = row[c]
+                for k, x in R[r].items():
+                    y = row.get(k, 0) - f * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        pivots.append(c)
+    return pivots, R
+
+
+def sparse_rows(values) -> list[dict]:
+    """Rows of a matrix given as lists, as the dicts of :func:`fraction_rref`."""
+    return [{k: x for k, x in enumerate(row) if x} for row in values]
+
+
+def fraction_frozen_set(rows, n: int) -> set[int]:
+    """Columns frozen in the matrix of ``rows``, from :func:`fraction_rref`:
+    a pivot column whose row of the RREF is zero on every free column."""
+    pivots, R = fraction_rref(rows, n)
+    return {c for c, row in zip(pivots, R) if set(row) <= set(pivots)}
+
+
+def _cycle_rows(weights) -> list[list[Fraction]]:
+    """The adjacency of the cycle 0-1-...-(n-1)-0, weights[k] on the edge
+    (k, k+1 mod n)."""
+    n = len(weights)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k, x in enumerate(weights):
+        rows[k][(k + 1) % n] = rows[(k + 1) % n][k] = Fraction(x)
+    return rows
 
 
 def _random_q_matrices():
@@ -125,3 +179,32 @@ def test_rational_template_weights_are_the_scalar_definition(kind):
     assert weights.dtype == object
     assert weights.tolist() == [template._raw(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     assert all(type(w) is Fraction for w in weights)
+
+
+def _oracle_cases():
+    yield from _random_q_matrices()
+    yield Matrix.zeros(Q, 0, 4)
+    yield Matrix.zeros(Q, 3, 0)
+    yield Matrix.zeros(Q, 3, 3)
+    # det = (2^31 - 1)^2: singular modulo the first prime, not over Q
+    yield Matrix.from_rows(Q, _cycle_rows([2 ** 31] + [1] * 67))
+    # a kernel entry of 10^5, beyond the reconstruction bound of one prime
+    yield Matrix.from_rows(Q, _cycle_rows([1, 10 ** 5, 10 ** 5] + [1] * 65))
+
+
+def test_rational_rref_matches_the_fraction_oracle():
+    lifted_over = set()
+    for A in _oracle_cases():
+        pivots, R = fraction_rref(sparse_rows(A.to_values()), A.n)
+        R = [[row.get(k, 0) for k in range(A.n)] for row in R]
+        i, j = np.nonzero(A._a)
+        got_pivots, got_block, primes = exactla._rational_rref(A.m, A.n, i, j, A._a[i, j])
+        free = [k for k in range(A.n) if k not in pivots]
+        assert got_pivots == pivots
+        assert got_block.tolist() == [[row[k] for k in free] for row in R[:len(pivots)]]
+        assert all(type(x) is Fraction for x in got_block.flat)
+        rank, _, got_R = Matrix._from_array(Q, A._a)._rref()
+        assert rank == len(pivots) and got_R.tolist() == R
+        lifted_over.add(len(primes))
+    assert 1 in lifted_over and max(lifted_over) > 1
+
