@@ -28,6 +28,7 @@ expect 0 simulate --field Q --n 400 --d 3 --trials 4
 expect 0 simulate --field Fp:2147483647 --template random --n 4096 --d 3 --trials 1
 expect 2 simulate --n 20 --d 100 --trials 1
 expect 0 simulate --n 40 --d 40 --trials 2
+expect 0 analytic --d-min 0 --d-max 5 --step 0.5
 expect 0 analytic --d-min 36 --d-max 40 --step 1
 expect 2 ks --n 20 --d 100 --trials 1
 printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"

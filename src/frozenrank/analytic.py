@@ -30,17 +30,18 @@ applied to that equation), and satisfy ``gamma_lo = d*(1 - alpha_star_hi)``
 and ``gamma_hi = d*(1 - alpha_star_lo)``.
 
 All computation is double precision; the acceptance tolerances (1e-6 to
-1e-9) sit far above rounding noise for these well-scaled functions.
+1e-9) sit far above rounding noise for these well-scaled functions.  Roots
+come from :func:`brentq`, a transcription of scipy's, so importing this
+module loads no scipy; only :func:`integral_identity_residual` loads
+``scipy.integrate``, on its first call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 E = math.e
 
@@ -49,6 +50,81 @@ DEGENERATE_WINDOW = 1e-6
 
 _BRENT_XTOL = 1e-15
 _QUAD_EPSABS = 1e-8
+# scipy's floor on brentq's relative tolerance, 4 * np.finfo(float).eps
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL,
+           maxiter: int = 100) -> float:
+    """A root of ``f`` in ``[a, b]`` by Brent's method (Brent, "Algorithms
+    for Minimization Without Derivatives", 1973, ch. 4).
+
+    A line-by-line transcription of scipy's ``brentq.c``: the same double
+    operations in the same order, so it returns the bits that
+    ``scipy.optimize.brentq`` returns (the tests hold it to that oracle).
+    It keeps scipy's argument checks and errors: ``ValueError`` for
+    ``xtol <= 0``, ``rtol < 4*eps``, a NaN value of ``f`` or ``f(a)`` and
+    ``f(b)`` of one sign; ``RuntimeError`` when ``maxiter`` steps do not
+    converge.  An end where ``f`` is 0 is returned as the root.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(v: float) -> bool:  # C's signbit
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to inf or NaN: bisect
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if abs(spre) < bound:  # C's MIN(fabs(spre), bound)
+                bound = abs(spre)
+            if 2 * abs(stry) < bound:  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def phi(d: float, alpha: float) -> float:
@@ -203,8 +279,10 @@ def integral_identity_residual(d: float) -> float:
 
     Adaptive Gauss-Kronrod quadrature with absolute target 1e-8; the
     integration range is split at t = e, where the largest zero has a
-    derivative kink.
+    derivative kink.  ``scipy.integrate`` is imported here, on first use.
     """
+    from scipy.integrate import quad
+
     d = _validate_d(d)
     if d == 0.0:
         return 0.0

@@ -33,8 +33,11 @@ Terminology used throughout (0-based column indices everywhere):
 Matrices are immutable after construction; all operations are pure and
 safe to call from concurrent workers.  A matrix keeps its rank and kernel
 support once computed, and its transpose, memoised both ways
-(``A.transpose().transpose() is A``), so asking again about ``A`` or
-``A^T`` repeats no elimination.  Every matrix is one numpy array
+(``A.transpose().transpose() is A``; a symmetric ``A`` is its own
+transpose), so asking again about ``A`` or ``A^T`` repeats no
+elimination.  It also keeps its latest :meth:`Matrix.remove` result, so
+asking twice in a row about one row-deleted matrix eliminates it once.
+Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
 a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p.
 Rank, kernel rows and the census solve over F2 run on rows held
@@ -97,10 +100,13 @@ class Matrix:
     Construct via :meth:`from_rows`, :meth:`zeros`, :meth:`identity` or the
     trusted array fast path used by the samplers.  The rank (``_rank``), the
     kernel support (``_ksup``) and the transpose (``_t``) are set lazily and
-    kept; the transpose is memoised both ways.
+    kept; the transpose is memoised both ways.  ``_removed`` holds the
+    latest :meth:`remove` call as ``(key, result)``: one slot, so a caller
+    looping over the rows of a large matrix holds one copy at a time.
     """
 
-    __slots__ = ("field", "m", "n", "_a", "_rank", "_ksup", "_t", "__weakref__")
+    __slots__ = ("field", "m", "n", "_a", "_rank", "_ksup", "_t", "_removed",
+                 "__weakref__")
 
     def __init__(self, field: FieldSpec, a: np.ndarray):
         self.field = field
@@ -109,6 +115,7 @@ class Matrix:
         self._rank: int | None = None
         self._ksup: frozenset | None = None
         self._t: Matrix | weakref.ref | None = None
+        self._removed: tuple | None = None
 
     # ---------------------------------------------------------------- build
 
@@ -175,21 +182,32 @@ class Matrix:
         rank and kernel-support caches.  Its array is a read-only view of
         this one, so holding it costs no copy; and the link back is weak,
         as a cycle would keep the array until the cyclic garbage collector
-        ran."""
+        ran.  A symmetric matrix, found on the first call, is its own
+        transpose (a weak link to itself), so it shares every cache."""
         t = self._t() if isinstance(self._t, weakref.ref) else self._t
         if t is None:
+            if _is_symmetric(self._a):
+                self._t = weakref.ref(self)
+                return self
             t = Matrix(self.field, self._a.T)
             t._t = weakref.ref(self)
             self._t = t
         return t
 
     def remove(self, rows=(), cols=()) -> "Matrix":
-        """Matrix with the given row/column index sets deleted."""
+        """Matrix with the given row/column index sets deleted.  The latest
+        result is kept, and returned again for the same index sets."""
         rset = _index_set(rows, self.m, "row")
         cset = _index_set(cols, self.n, "column")
+        key = (frozenset(rset), frozenset(cset))
+        kept = self._removed  # read once: another thread may replace it
+        if kept is not None and kept[0] == key:
+            return kept[1]
         keep_r = [i for i in range(self.m) if i not in rset]
         keep_c = [j for j in range(self.n) if j not in cset]
-        return Matrix._from_array(self.field, self._a[np.ix_(keep_r, keep_c)])
+        out = Matrix._from_array(self.field, self._a[np.ix_(keep_r, keep_c)])
+        self._removed = (key, out)
+        return out
 
     def append_row(self, vec) -> "Matrix":
         vals = _vector_values(self.field, vec, self.n)
@@ -277,6 +295,16 @@ def _vector_values(field: FieldSpec, vec, expect_len: int) -> list:
     if len(vals) != expect_len:
         raise ValueError(f"vector length {len(vals)} != {expect_len}")
     return vals
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a`` is square and equals its transpose, compared 64 rows
+    at a time from the last, so that a perturbed matrix, whose unit rows
+    and columns come last, is told apart after one block (over Q each
+    comparison is a Python-level ``Fraction.__eq__``)."""
+    m, n = a.shape
+    return m == n and all(np.array_equal(a[k:k + 64], a[:, k:k + 64].T)
+                          for k in reversed(range(0, n, 64)))
 
 
 def _free_columns(pivots: list[int], n: int) -> list[int]:

@@ -99,7 +99,10 @@ class FieldSpec:
     def element(self, value) -> int | Fraction:
         """``value`` (an int or a Fraction) in canonical form: an int in
         ``[0, p)`` over F_p, a reduced ``Fraction`` over Q.  Over F_p a
-        value that is not an integer raises ``ValueError``."""
+        value that is not an integer raises ``ValueError``; over Q, so does
+        one that is not an int (bools excluded) or a Fraction, the rule of
+        :class:`~frozenrank.randgraph.Graph`, so that no float or str is
+        converted silently."""
         if self.kind == "prime":
             if type(value) is int:
                 return value % self.p
@@ -108,7 +111,10 @@ class FieldSpec:
                 return int(value) % self.p
             raise ValueError(f"{value!r} is not an integer, so not an element of "
                              f"{self.label()}")
-        return Fraction(value)
+        if isinstance(value, Fraction) or (isinstance(value, Integral)
+                                           and not isinstance(value, bool)):
+            return Fraction(value)
+        raise ValueError(f"{value!r} is not an int or a Fraction, so not an element of Q")
 
     def one(self) -> int | Fraction:
         return self.element(1)

@@ -222,3 +222,136 @@ def test_analytic_suite_green():
 
     results = run_analytic_suite()
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+
+
+# --------------------------------------------- brentq against scipy's oracle
+
+
+def _same(x, y) -> bool:
+    """Bit-for-bit equality of two results: floats by their hex form, an
+    exception by its type."""
+    if isinstance(x, float) and isinstance(y, float):
+        return x.hex() == y.hex()
+    return type(x) is type(y)
+
+
+def _outcome(solver, *args, **kw):
+    try:
+        return float(solver(*args, **kw))
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def _clear_root_caches():
+    for cached in (an._alpha_zero, an._alpha_roots, an.ks_fixed_point):
+        cached.cache_clear()
+
+
+def test_brentq_matches_scipy_on_the_module_root_problems(monkeypatch):
+    from scipy.optimize import brentq as scipy_brentq
+
+    ours = an.brentq
+    problems = []
+    end_zeros = 0
+
+    def both(f, a, b, **kw):
+        nonlocal end_zeros
+        got = ours(f, a, b, **kw)
+        problems.append((a, b, got, scipy_brentq(f, a, b, **kw)))
+        end_zeros += f(a) == 0.0 or f(b) == 0.0
+        return got
+
+    monkeypatch.setattr(an, "brentq", both)
+    _clear_root_caches()
+    try:
+        # d from 0 to 40 (G reads 0.0 at an end of its bracket from about
+        # d = 37), and the window around the triple root at d = e
+        grid = [k / 50 for k in range(2001)]
+        grid += [E + s * 10.0 ** -k for k in range(1, 17) for s in (1, -1)]
+        for d in grid:
+            an.solve_point(d)
+    finally:
+        _clear_root_caches()
+    assert len(problems) > 10_000 and end_zeros > 0
+    bad = [(a, b, x, y) for a, b, x, y in problems if not _same(x, y)]
+    assert bad == []
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    import random
+
+    from scipy.optimize import brentq as scipy_brentq
+
+    rng = random.Random(18)
+    outcomes = {"root": 0, "error": 0}
+    for k in range(1500):
+        c0, c1, c2, c3 = (rng.uniform(-3.0, 3.0) for _ in range(4))
+        w = rng.uniform(0.1, 20.0)
+        # at values near 1e-200 the products of the extrapolation step
+        # underflow to 0, where C divides to inf or NaN and bisects
+        scale = 1e-200 if k % 2 else 1.0
+
+        def f(x):
+            return scale * (c0 + c1 * x + c2 * x * x + c3 * x ** 3 + math.sin(w * x))
+
+        a, b = sorted(rng.uniform(-5.0, 5.0) for _ in range(2))
+        for xtol in (2e-12, 1e-15):
+            ours = _outcome(an.brentq, f, a, b, xtol=xtol)
+            assert _same(ours, _outcome(scipy_brentq, f, a, b, xtol=xtol)), (a, b, xtol)
+            outcomes["error" if isinstance(ours, Exception) else "root"] += 1
+    # both kinds of bracket occur: a sign change, and one sign at both ends
+    assert min(outcomes.values()) > 100
+
+
+def test_brentq_raises_as_scipy_does():
+    from scipy.optimize import brentq as scipy_brentq
+
+    cube = lambda x: x ** 3 - 2.0  # noqa: E731
+    cases = [
+        ((cube, 0.0, 3.0), {"xtol": 0.0}, ValueError, "xtol too small"),
+        ((cube, 0.0, 3.0), {"xtol": -1e-12}, ValueError, "xtol too small"),
+        ((cube, 0.0, 3.0), {"rtol": 1e-16}, ValueError, "rtol too small"),
+        ((cube, 2.0, 3.0), {}, ValueError, "different signs"),
+        ((cube, 0.0, 3.0), {"maxiter": 1}, RuntimeError, "Failed to converge"),
+        ((cube, 0.0, 3.0), {"maxiter": 0}, RuntimeError, "Failed to converge"),
+    ]
+    for args, kw, kind, message in cases:
+        with pytest.raises(kind, match=message):
+            an.brentq(*args, **kw)
+        with pytest.raises(kind):
+            scipy_brentq(*args, **kw)
+    with pytest.raises(ValueError, match="NaN"):
+        an.brentq(lambda x: math.nan, 2.0, 3.0)
+    with pytest.raises(ValueError, match="NaN"):
+        an.brentq(lambda x: x - 1.0 if x != 3.0 else math.nan, 0.0, 3.0)
+    # an end where f is 0 is the root, at once
+    assert an.brentq(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+    assert an.brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+
+
+def test_importing_frozenrank_loads_no_scipy_solver():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "SOLVERS = ('scipy.optimize', 'scipy.integrate', 'scipy.stats')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(SOLVERS))\n"
+        "import frozenrank.cli\n"
+        "assert loaded() == [], loaded()\n"
+        "from frozenrank import analytic, harness\n"
+        "cfg = harness.ExperimentConfig(n=60, d=3.0, field='F2', trials=2, master_seed=0)\n"
+        "records, report = harness.run_experiment(cfg)\n"
+        "assert report.to_json() and loaded() == [], loaded()\n"
+        "analytic.integral_identity_residual(1.0)\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+        "print('ok')\n"
+    )
+    src = str(Path(an.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr

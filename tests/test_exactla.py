@@ -8,6 +8,7 @@ brute-force membership checks for classifications.
 import itertools
 import math
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,39 @@ def test_transpose_is_memoised_both_ways():
         assert Y == X and not Y._a.flags.writeable
 
 
+def test_symmetric_matrix_is_its_own_transpose():
+    import gc
+
+    S = random_matrix(Stream(4), F3, 6, 6, symmetric=True)
+    assert S.transpose() is S and S.transpose().transpose() is S
+    for A in (random_matrix(Stream(4), F3, 6, 6), Matrix.zeros(F3, 2, 3)):
+        assert A.transpose() is not A and A.transpose().transpose() is A
+    # the link to itself is weak: with the cyclic collector off, the matrix
+    # goes with its last reference
+    gc.disable()
+    try:
+        S = Matrix.identity(F5, 70)  # more rows than one compared block
+        assert S.transpose() is S and S.remove(rows=[0]) is S.remove(rows=[0])
+        gone = weakref.ref(S)
+        del S
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_remove_keeps_its_latest_result():
+    A = random_matrix(Stream(6), F3, 4, 5)
+    B = A.remove(rows=[1])
+    assert B is A.remove(rows=[1]) and B is A.remove(rows=(1,), cols=[])
+    assert A.remove(rows=[2, 0], cols=[4]) is A.remove(rows=[0, 2], cols=[4])
+    # one slot: another index set replaces the kept result
+    C = A.remove(rows=[1])
+    assert C is not B and C == B
+    assert A.remove(rows=[1]).to_values() == [r for k, r in enumerate(A.to_values()) if k != 1]
+    with pytest.raises(ValueError):
+        A.remove(rows=[4])
+
+
 def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypatch):
     inputs = []
     kernel = exactla._rref_dense
@@ -332,8 +366,9 @@ def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypa
         return sum(M.shape == X.shape and (M == X).all() for M in inputs)
 
     assert eliminations_of(A._a) == 1 and eliminations_of(A._a.T) == 1
-    # the rest are the matrices with row i deleted, two per call
-    assert len(inputs) == 2 + 4 * n
+    # the rest are A and A^T with row i deleted: each keeps its latest
+    # remove, so the second call eliminates neither again
+    assert len(inputs) == 2 + 2 * n
 
 
 def _count_eliminations(monkeypatch):
@@ -352,13 +387,18 @@ def _count_eliminations(monkeypatch):
 @pytest.mark.parametrize("field", [F2, F5, Q])
 def test_census_runs_at_most_three_eliminations(monkeypatch, field):
     calls = _count_eliminations(monkeypatch)
-    # every variable is frozen on both sides: I's are frail, the edge's complete
+    # every variable is frozen on both sides: I's are frail, the edge's
+    # complete; a symmetric matrix is its own transpose, so two eliminations
     prof = type_census(Matrix.identity(field, 40))
-    assert prof.count_x == 40 and len(calls) == 3
+    assert prof.count_x == 40 and len(calls) == 2
     calls.clear()
     prof = type_census(block([[edge2(field), Matrix.zeros(field, 2, 38)],
                               [Matrix.zeros(field, 38, 2), Matrix.identity(field, 38)]]))
-    assert (prof.count_y, prof.count_x) == (2, 38) and len(calls) == 3
+    assert (prof.count_y, prof.count_x) == (2, 38) and len(calls) == 2
+    calls.clear()
+    # A, A^T and [A^T | E_S] when A is not symmetric
+    prof = type_census(Matrix.from_rows(field, [[1, 0, 0], [0, 1, 1], [0, 0, 0]]))
+    assert (prof.count_x, prof.count_u, prof.count_z) == (1, 1, 1) and len(calls) == 3
 
 
 def test_census_without_doubly_frozen_variables_skips_the_solve(monkeypatch):

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frozenrank.exactla import Matrix
+from frozenrank import exactla
+from frozenrank.exactla import Matrix, classify_variable, symmetric_removal_rank_drop
 from frozenrank.field import FieldSpec
 from frozenrank.prf import Stream
-from frozenrank.verify import _row_span, random_matrix, run_suite
+from frozenrank.verify import _chi2_isf_even, _row_span, random_matrix, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +123,62 @@ def test_row_span_refuses_codes_beyond_int64():
             _row_span(A)
     with pytest.raises(ValueError):
         _row_span(Matrix.zeros(FieldSpec.rationals(), 1, 1))
+
+
+@pytest.mark.parametrize("df", [2, 4, 6, 8, 20])
+def test_chi2_isf_even_matches_scipy(df):
+    from scipy.stats import chi2
+
+    for q in (1e-6, 0.001, 0.05, 0.5, 0.999):
+        assert _chi2_isf_even(q, df) == pytest.approx(float(chi2.isf(q, df)), rel=1e-13)
+
+
+def test_chi2_isf_even_refuses_odd_df_and_bad_levels():
+    for df, q in ((3, 0.001), (0, 0.001), (6, 0.0), (6, 1.0)):
+        with pytest.raises(ValueError):
+            _chi2_isf_even(q, df)
+
+
+def _count_eliminations(monkeypatch):
+    """Counts every elimination of a matrix: over F2 and over F3, each
+    rank, kernel support and RREF runs one of these two kernels once."""
+    calls = []
+    for name in ("_forward_dense", "_echelon_gf2"):
+        kernel = getattr(exactla, name)
+
+        def counted(*args, _kernel=kernel):
+            calls.append(_kernel)
+            return _kernel(*args)
+
+        monkeypatch.setattr(exactla, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), FieldSpec.prime(3)])
+def test_lemmas_checks_eliminate_each_matrix_once(monkeypatch, field):
+    calls = _count_eliminations(monkeypatch)
+    stream = Stream(18)
+    for n in (3, 5, 7):
+        # "frail freezing transpose symmetry": A, A^T, and A and A^T without
+        # row i; the second classify_variable finds all four kept
+        A = random_matrix(stream, field, n, n)
+        assert A.transpose() is not A
+        calls.clear()
+        for i in range(n):
+            assert (classify_variable(A, i) == "X") == (classify_variable(A.transpose(), i) == "X")
+        assert len(calls) == 2 + 2 * n
+        # a symmetric A is its own transpose: A, and A without row i
+        S = random_matrix(stream, field, n, n, symmetric=True)
+        assert S.transpose() is S
+        calls.clear()
+        for i in range(n):
+            assert (classify_variable(S, i) == "X") == (classify_variable(S.transpose(), i) == "X")
+        assert len(calls) == 1 + n
+        # "symmetric removal rank drop matches variable type": plus S
+        # without row and column i, once each
+        S = random_matrix(stream, field, n, n, symmetric=True)
+        calls.clear()
+        for i in range(n):
+            t = classify_variable(S, i)
+            assert symmetric_removal_rank_drop(S, i) == 1 + (t == "Y") - (t == "Z")
+        assert len(calls) == 1 + 2 * n
