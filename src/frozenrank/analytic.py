@@ -49,28 +49,25 @@ E = math.e
 DEGENERATE_WINDOW = 1e-6
 
 _BRENT_XTOL = 1e-15
-_QUAD_EPSABS = 1e-8
-# scipy's floor on brentq's relative tolerance, 4 * np.finfo(float).eps
+# scipy's default (and least) brentq relative tolerance, 4 * np.finfo(float).eps
 _BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+_QUAD_EPSABS = 1e-8
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float) -> float:
     """A root of ``f`` in ``[a, b]`` by Brent's method (Brent, "Algorithms
     for Minimization Without Derivatives", 1973, ch. 4).
 
-    A line-by-line transcription of scipy's ``brentq.c``: the same double
-    operations in the same order, so it returns the bits that
-    ``scipy.optimize.brentq`` returns (the tests hold it to that oracle).
-    It keeps scipy's argument checks and errors: ``ValueError`` for
-    ``xtol <= 0``, ``rtol < 4*eps``, a NaN value of ``f`` or ``f(a)`` and
-    ``f(b)`` of one sign; ``RuntimeError`` when ``maxiter`` steps do not
-    converge.  An end where ``f`` is 0 is returned as the root.
+    A line-by-line transcription of scipy's ``brentq.c`` at this module's
+    tolerances (``xtol=_BRENT_XTOL``, scipy's default ``rtol`` and
+    ``maxiter``): the same double operations in the same order, so it
+    returns the bits that ``scipy.optimize.brentq`` returns (the tests hold
+    it to that oracle).  It raises scipy's errors: ``ValueError`` for a NaN
+    value of ``f`` or ``f(a)`` and ``f(b)`` of one sign, ``RuntimeError``
+    when ``_BRENT_MAXITER`` steps do not converge.  An end where ``f`` is 0
+    is returned as the root.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
 
     def value(x: float) -> float:
         fx = float(f(x))
@@ -91,14 +88,14 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL
         return xcur
     if negative(fpre) == negative(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -124,7 +121,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def phi(d: float, alpha: float) -> float:
@@ -180,7 +177,7 @@ def _validate_d(d: float) -> float:
 def _alpha_zero(d: float) -> float:
     if d == 0.0:
         return 0.0
-    return brentq(lambda a: Xi(d, a), 0.0, 1.0, xtol=_BRENT_XTOL)
+    return brentq(lambda a: Xi(d, a), 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -195,15 +192,15 @@ def _alpha_roots(d: float) -> tuple[float, float, float]:
         return (a0, a0, a0)
     # three distinct zeroes, bracketed by the two zeroes of G'
     a_mid = 1.0 - math.log(d) / d
-    g1 = brentq(lambda a: G_prime(d, a), 0.0, a_mid, xtol=_BRENT_XTOL)
-    g2 = brentq(lambda a: G_prime(d, a), a_mid, 1.0, xtol=_BRENT_XTOL)
+    g1 = brentq(lambda a: G_prime(d, a), 0.0, a_mid)
+    g2 = brentq(lambda a: G_prime(d, a), a_mid, 1.0)
     # G(d, 0) = -d*exp(-d) and G(d, 1) = exp(-d) to first order, and they
     # read 0.0 from about d = 37: that end is then the root to double
     # precision, and brentq returns an end where G is 0
     if not (G(d, 0.0) <= 0.0 < G(d, g1) and G(d, g2) < 0.0 <= G(d, 1.0)):
         raise RuntimeError(f"root bracketing failed at d={d}")  # pragma: no cover
-    lo = brentq(lambda a: G(d, a), 0.0, g1, xtol=_BRENT_XTOL)
-    hi = brentq(lambda a: G(d, a), g2, 1.0, xtol=_BRENT_XTOL)
+    lo = brentq(lambda a: G(d, a), 0.0, g1)
+    hi = brentq(lambda a: G(d, a), g2, 1.0)
     if not lo < a0 < hi:
         raise RuntimeError(f"zero ordering failed at d={d}")  # pragma: no cover
     return (lo, a0, hi)
@@ -246,10 +243,10 @@ def ks_fixed_point(d: float) -> tuple[float, float]:
         gamma = d * (1.0 - _alpha_zero(d))
     elif d < E:
         # g' has minimum 1 - d/e > 0 at x = ln d: strictly increasing g
-        gamma = brentq(g, 0.0, d, xtol=_BRENT_XTOL)
+        gamma = brentq(g, 0.0, d)
     else:
-        x1 = brentq(g_prime, 0.0, math.log(d), xtol=_BRENT_XTOL)
-        gamma = brentq(g, 0.0, x1, xtol=_BRENT_XTOL)
+        x1 = brentq(g_prime, 0.0, math.log(d))
+        gamma = brentq(g, 0.0, x1)
     return (gamma, d * math.exp(-gamma))
 
 

@@ -98,11 +98,12 @@ class FieldSpec:
 
     def element(self, value) -> int | Fraction:
         """``value`` (an int or a Fraction) in canonical form: an int in
-        ``[0, p)`` over F_p, a reduced ``Fraction`` over Q.  Over F_p a
-        value that is not an integer raises ``ValueError``; over Q, so does
-        one that is not an int (bools excluded) or a Fraction, the rule of
-        :class:`~frozenrank.randgraph.Graph`, so that no float or str is
-        converted silently."""
+        ``[0, p)`` over F_p, a reduced ``Fraction`` of Python ints over Q.
+        Over F_p a value that is not an integer raises ``ValueError``; over
+        Q, so does one that is not an int (bools excluded) or a Fraction, so
+        that no float or str is converted silently.  This is the one rule
+        for entries and weights: :class:`~frozenrank.randgraph.Graph` checks
+        its Q weights here too."""
         if self.kind == "prime":
             if type(value) is int:
                 return value % self.p
@@ -111,10 +112,11 @@ class FieldSpec:
                 return int(value) % self.p
             raise ValueError(f"{value!r} is not an integer, so not an element of "
                              f"{self.label()}")
-        if isinstance(value, Fraction) or (isinstance(value, Integral)
-                                           and not isinstance(value, bool)):
+        if isinstance(value, Fraction):
             return Fraction(value)
-        raise ValueError(f"{value!r} is not an int or a Fraction, so not an element of Q")
+        if isinstance(value, Integral) and not isinstance(value, bool):
+            return Fraction(int(value))  # not numpy's ints, which wrap round
+        raise ValueError(f"Q takes ints or Fractions, not {value!r}")
 
     def one(self) -> int | Fraction:
         return self.element(1)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
@@ -131,12 +130,9 @@ class Graph:
             k = later.min()  # the first repeat in edge order
             raise ValueError(f"duplicate edge {(int(lo[k]), int(hi[k]))}")
         if p is None:
-            # ints and Fractions only, as F_p takes ints only
-            if not all(isinstance(x, (Integral, Fraction)) and not isinstance(x, bool) and x
-                       for x in w.tolist()):
-                raise ValueError("edge weights over Q must be nonzero ints or Fractions")
-            w = np.array([x if isinstance(x, Fraction) else Fraction(int(x))
-                          for x in w.tolist()], dtype=object)
+            w = np.array([self.field.element(x) for x in w.tolist()], dtype=object)
+            if not all(w):
+                raise ValueError("edge weights over Q must be nonzero")
         elif w.dtype.kind not in "iu" or not np.all((0 < w) & (w < p)):
             raise ValueError(f"edge weights over {self.field.label()} must be nonzero "
                              f"canonical residues, ints in [1, {p})")
