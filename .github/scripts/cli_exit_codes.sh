@@ -21,6 +21,8 @@ test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 0 census --n 60 --d 2 --P 8 --trials 2
 test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 2 ks --n 60 --d 2 --trials -1
+# a process pool forked after the parent has sampled: no sampler thread may outlive its call
+expect 0 simulate --n 300 --d 3 --trials 4 --workers 2
 expect 0 census --field Q --n 100 --d 2 --P 8 --trials 1
 expect 3 census --field Q --n 5000 --d 2 --P 8 --trials 1
 expect 0 simulate --field Q --template random --n 400 --d 3 --trials 2

@@ -113,7 +113,7 @@ class FieldSpec:
             raise ValueError(f"{value!r} is not an integer, so not an element of "
                              f"{self.label()}")
         if isinstance(value, Fraction):
-            return Fraction(value)
+            return value  # immutable, and Fraction(value) would normalise nothing
         if isinstance(value, Integral) and not isinstance(value, bool):
             return Fraction(int(value))  # not numpy's ints, which wrap round
         raise ValueError(f"Q takes ints or Fractions, not {value!r}")

@@ -45,9 +45,11 @@ from .randgraph import (
     Graph,
     KSResult,
     WeightTemplate,
+    available_cpus,
     karp_sipser,
     sample_T,
     sample_graph,
+    set_sampler_threads,
 )
 
 CSV_SCHEMA_TAG = "#frozenrank-v1"
@@ -319,11 +321,18 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     )
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes that share the CPUs out once: each
+    samples on ``max(1, cpus // workers)`` threads, not on every CPU."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_sampler_threads,
+                               initargs=(max(1, available_cpus() // workers),))
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryReport]:
     """Run the trials of ``cfg``, with a census each when ``cfg.census`` is
     set; persist CSV when ``cfg.output`` is set."""
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with _worker_pool(cfg.workers) as pool:
             records = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:
         records = [_run_trial(cfg, i) for i in range(cfg.trials)]

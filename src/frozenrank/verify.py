@@ -143,10 +143,15 @@ def proper_relations_by_removal(A: Matrix, ell: int) -> list[tuple[int, ...]]:
     the frozen set from the rank-drop route."""
     frozen = set(frozen_set_by_removal(A))
     base = A.rank()
+    ranks = {}  # rank of A minus each unfrozen core, shared by its candidates
     out = []
     for combo in itertools.combinations(range(A.n), ell):
-        core = set(combo) - frozen
-        if core and A.remove(cols=core).rank() < base:
+        core = frozenset(combo) - frozen
+        if not core:
+            continue
+        if core not in ranks:
+            ranks[core] = A.remove(cols=core).rank()
+        if ranks[core] < base:
             out.append(combo)
     return out
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from frozenrank.exactla import Matrix, field_array
@@ -147,3 +148,27 @@ def test_prime_field_takes_integer_values_of_any_type():
     assert F5.element(Fraction(-6, 2)) == 2
     assert F5.element(np.int64(12)) == 2 and type(F5.element(np.int64(12))) is int
     assert F5.element(True) == 1
+
+
+def test_rational_element_keeps_a_fraction_and_converts_ints():
+    # a Fraction is immutable and already reduced, so it is returned as it
+    # is; ints, numpy ints included, become Fractions of Python ints
+    fr = Fraction(-6, 4)
+    assert Q.element(fr) is fr
+    for value, want in ((3, Fraction(3)), (np.int64(-7), Fraction(-7)),
+                        (np.uint8(200), Fraction(200)), (2**70, Fraction(2**70))):
+        got = Q.element(value)
+        assert type(got) is Fraction and got == want
+        assert type(got.numerator) is int and type(got.denominator) is int
+    for value in (0.5, 2.0, "3", True, False):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            Q.element(value)
+
+
+def test_prime_element_takes_ints_and_refuses_the_rest():
+    for value, want in ((12, 2), (np.int64(-1), 4), (Fraction(10, 2), 0), (True, 1)):
+        got = F5.element(value)
+        assert type(got) is int and got == want
+    for value in (2.7, 3.0, "3", Fraction(1, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            F5.element(value)

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frozenrank import analytic, exactla
+from frozenrank import analytic, exactla, harness, randgraph
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
     DENSE_CAP,
@@ -96,6 +101,53 @@ def test_workers_do_not_change_output():
     records1, _ = run_experiment(small_cfg())
     records2, _ = run_experiment(small_cfg(workers=2))
     assert records_to_csv(records1) == records_to_csv(records2)
+
+
+_FORK_AFTER_SAMPLING = """
+from dataclasses import replace
+from frozenrank import harness, randgraph
+randgraph.set_sampler_threads(2)
+randgraph.sample_edges(2000, 3 / 2000, randgraph.CouplingSource(0))  # one helper
+harness.available_cpus = lambda: 4  # each of two workers samples on two threads
+cfg = harness.ExperimentConfig(n=800, d=3.0, field="F2", trials=4, master_seed=3)
+one = harness.records_to_csv(harness.run_experiment(cfg)[0])
+two = harness.records_to_csv(harness.run_experiment(replace(cfg, workers=2))[0])
+assert one == two
+print("same")
+"""
+
+
+def test_workers_fork_after_threaded_sampling():
+    # the parent has sampled on two threads before the pool forks, and each
+    # worker starts a helper at n=800; a sampler thread left alive in the
+    # parent would deadlock a worker, hence the timeout, after which the
+    # child's whole process group (its workers too) is killed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+            [sys.executable, "-W", "error:This process is multi-threaded:DeprecationWarning",
+             "-c", _FORK_AFTER_SAMPLING],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            raise
+    assert child.returncode == 0, err
+    assert out.strip() == "same"
+
+
+def _pool_worker_threads() -> int:
+    return randgraph._threads
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_workers_share_the_cpus(workers):
+    with harness._worker_pool(workers) as pool:
+        got = pool.submit(_pool_worker_threads).result(timeout=60)
+    assert got == max(1, randgraph.available_cpus() // workers)
 
 
 def test_zero_degree_zero_rank():

@@ -1,7 +1,9 @@
 """Samplers, the monotone edge coupling, and leaf removal."""
 
+import functools
 import heapq
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -76,25 +78,91 @@ _FILTER_PROBABILITIES = [f(k / 2**31) for k in (1, 3) for f in (_just_below, flo
     + [1 - 2**-31, 1 - 2**-32, _just_below(1.0), _just_above(CouplingSource(41).q(0, 1))]
 
 
+@functools.lru_cache(maxsize=None)
+def _literal_edges(seed: int, n: int, p: float) -> list:
+    """The pairs with ``q(i, j) < p``, in row-major order, from the scalar
+    definition (cached: the templates below share them)."""
+    cpl = CouplingSource(seed)
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if cpl.q(i, j) < p]
+
+
 @pytest.mark.parametrize("tpl", [
-    WeightTemplate(F2, 100),
-    WeightTemplate(F5, 100, "random", seed=8),
-    WeightTemplate(Q, 100, "random", seed=8),
+    WeightTemplate(F2, 300),
+    WeightTemplate(F5, 300, "random", seed=8),
+    WeightTemplate(Q, 300, "random", seed=8),
 ], ids=["F2-allones", "F5-random", "Q-random"])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0, "3/n"] + _FILTER_PROBABILITIES)
-def test_sample_matches_literal_coupling(tpl, p):
+def test_sample_matches_literal_coupling(tpl, p, monkeypatch):
     # the blocked sampler against the scalar definition, pair by pair and in
-    # row-major order: within one block of rows (n=25) and across the block
-    # boundaries at 32 and 64 rows; the last probabilities put the cut on and
-    # next to mix64_below's filter bound, or skip the filter
+    # row-major order: within one block of rows (n=25 and 65), across the
+    # block boundaries at 64 and 128 rows, and at n=300, where two threads
+    # share five blocks; the last probabilities put the cut on and next to
+    # mix64_below's filter bound, or skip the filter
+    monkeypatch.setattr(randgraph, "_threads", 2)
+    monkeypatch.setattr(randgraph, "_THREAD_PAIRS", 1 << 12)  # n=300 has 44850
     cpl = CouplingSource(41)
-    for n in (25, 31, 32, 33, 65, 100):
+    for n in (25, 64, 65, 66, 130, 300):
         pn = 3 / n if p == "3/n" else p
         G = sample_graph(n, pn, tpl, cpl)
-        literal = [(i, j) for i in range(n) for j in range(i + 1, n) if cpl.q(i, j) < pn]
-        assert [(i, j) for i, j, _ in G.edges] == literal
+        assert [(i, j) for i, j, _ in G.edges] == _literal_edges(41, n, pn)
         for i, j, w in G.edges:
             assert w == tpl.entry(i, j)
+
+
+_SPLIT_SIZES = (0, 1, 2, 63, 64, 65, 129, 300, 2000)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n", _SPLIT_SIZES)
+def test_split_sampler_matches_one_thread(n, threads, monkeypatch):
+    # the blocks shared among 1-3 threads (a helper started for every 64
+    # pairs, so even one-block grids are split) give the one-thread arrays
+    cpl = CouplingSource(5)
+    monkeypatch.setattr(randgraph, "_THREAD_PAIRS", 64)
+    for p in (0.0, min(1.0, 3 / max(n, 1)), 0.5, 1.0) if n <= 300 else (3 / n,):
+        monkeypatch.setattr(randgraph, "_threads", 1)
+        want = randgraph.sample_edges(n, p, cpl)
+        monkeypatch.setattr(randgraph, "_threads", threads)
+        got = randgraph.sample_edges(n, p, cpl)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_helpers_start_only_for_large_grids(monkeypatch):
+    # each thread needs _THREAD_PAIRS = 2**17 pairs: none is started up to
+    # n=724 (261,726 pairs), one at n=725; every helper is joined on return
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(randgraph, "_threads", 8)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    alive = threading.active_count()
+    for n, helpers in ((0, 0), (64, 0), (128, 0), (129, 0), (300, 0), (724, 0),
+                       (725, 1), (2000, 7)):
+        del started[:]
+        randgraph.sample_edges(n, 3 / max(n, 3), CouplingSource(1))
+        assert len(started) == helpers, n
+        assert threading.active_count() == alive
+    monkeypatch.setattr(randgraph, "_threads", 1)
+    randgraph.sample_edges(2000, 3 / 2000, CouplingSource(1))
+    assert len(started) == 7  # no new helper on one CPU
+
+
+def test_set_sampler_threads():
+    before = randgraph._threads
+    try:
+        randgraph.set_sampler_threads(3)
+        assert randgraph._threads == 3
+        with pytest.raises(ValueError):
+            randgraph.set_sampler_threads(0)
+        assert randgraph._threads == 3
+    finally:
+        randgraph.set_sampler_threads(before)
+    assert randgraph.available_cpus() >= 1
 
 
 _CUT_PROBABILITIES = sorted(
