@@ -264,25 +264,27 @@ def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray
     is computed once per row.  Each block of rows XORs in the column words
     in two buffers, where :func:`~frozenrank.prf.mix64_below` runs the last
     mixing round only on the pairs that can still fall below the cut.  The
-    blocks are shared out between the calling thread and helper threads
-    (numpy releases the GIL in its loops): up to the count set by
-    :func:`set_sampler_threads`, and only as many as get ``_THREAD_PAIRS``
-    pairs each, so a small grid runs on the calling thread alone.  Each
-    thread has its own two buffers.  The helpers are joined before this
-    returns, so none is alive at a later ``fork``, and the blocks' edges are
-    joined in row order, so the arrays do not depend on the thread count.
+    blocks are dealt out between ``t`` threads, the calling one and
+    ``t - 1`` helpers (numpy releases the GIL in its loops): thread ``k``
+    takes blocks ``k, k + t, ...``, with its own two buffers, and writes
+    each block's edges to that block's slot.  ``t`` is at most the count set
+    by :func:`set_sampler_threads`, and only as large as gives each thread
+    ``_THREAD_PAIRS`` pairs, so a small grid runs on the calling thread
+    alone.  The helpers are joined before this returns, so none is alive at
+    a later ``fork``, and the slots are joined in row order, so the arrays
+    do not depend on the thread count.
     """
     cut = edge_cut(p)
     vertices = np.arange(n, dtype=np.uint64)
     row_words = prf_array(coupling.seed, vertices)
     blocks = range(0, n - 1, _BLOCK_ROWS)
+    threads = max(1, min(_threads, n * (n - 1) // 2 // _THREAD_PAIRS))
     found = [None] * len(blocks)
-    todo = iter(range(len(blocks)))  # shared: each next() is atomic under the GIL
     failed = []
 
-    def run(buf: np.ndarray, scratch: np.ndarray) -> None:
+    def run(k: int, buf: np.ndarray, scratch: np.ndarray) -> None:
         try:
-            for b in todo:
+            for b in range(k, len(blocks), threads):
                 r0 = blocks[b]
                 rows = row_words[r0:r0 + _BLOCK_ROWS, None]
                 cols = vertices[None, r0 + 1:]
@@ -297,20 +299,19 @@ def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray
         except BaseException as exc:
             failed.append(exc)
 
-    threads = max(1, min(_threads, n * (n - 1) // 2 // _THREAD_PAIRS))
     # every thread's buffers are allocated here, by the calling thread: once
     # freed they serve the trial's later allocations, where buffers that a
     # helper allocated stayed in its malloc arena (700 passes of the trials
     # benchmark at three seeds peaked 1.7-5.0 MB above the one-thread sampler
-    # that way, and 0.1-0.3 MB above it this way)
+    # with 32-row blocks that way, and 0.1-0.3 MB above it this way)
     bufs = np.empty((threads, 2, min(_BLOCK_ROWS, n) * n), dtype=np.uint64)
     helpers = []
     try:
         for k in range(1, threads):
-            t = threading.Thread(target=run, args=bufs[k])
+            t = threading.Thread(target=run, args=(k, *bufs[k]))
             t.start()
             helpers.append(t)
-        run(*bufs[0])
+        run(0, *bufs[0])
     finally:
         for t in helpers:
             t.join()

@@ -3,6 +3,7 @@
 import functools
 import heapq
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -126,6 +127,23 @@ def test_split_sampler_matches_one_thread(n, threads, monkeypatch):
         got = randgraph.sample_edges(n, p, cpl)
         for a, b in zip(got, want):
             assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_split_sampler_with_a_short_switch_interval(monkeypatch):
+    # more threads than cores, handing the GIL over every microsecond
+    cpl = CouplingSource(6)
+    monkeypatch.setattr(randgraph, "_THREAD_PAIRS", 64)
+    monkeypatch.setattr(randgraph, "_threads", 1)
+    want = {n: randgraph.sample_edges(n, 3 / n, cpl) for n in (300, 2000)}
+    monkeypatch.setattr(randgraph, "_threads", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = {n: randgraph.sample_edges(n, 3 / n, cpl) for n in want}
+    finally:
+        sys.setswitchinterval(interval)
+    for n in want:
+        assert all(np.array_equal(a, b) for a, b in zip(got[n], want[n])), n
 
 
 def test_helpers_start_only_for_large_grids(monkeypatch):
