@@ -213,6 +213,11 @@ _BLOCK_ROWS = 64
 # against 0.34 ms for one at n = 500, and 0.60 against 0.68 ms at n = 800)
 _THREAD_PAIRS = 1 << 17
 
+# most threads sample_edges runs on, whatever the CPU count: more were never
+# timed, and each adds two buffers (at most 2 x 2 x 64 x 4096 words, 8 MB, in
+# all at n = 4096)
+_MAX_THREADS = 2
+
 
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
@@ -228,7 +233,8 @@ _threads = available_cpus()
 
 def set_sampler_threads(count: int) -> None:
     """Let :func:`sample_edges` use up to ``count`` threads (the calling one
-    included) in this process; a worker pool gives each process its share."""
+    included, and never more than ``_MAX_THREADS``) in this process; a worker
+    pool gives each process its share."""
     if count < 1:
         raise ValueError("the sampler needs at least one thread")
     global _threads
@@ -268,9 +274,9 @@ def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray
     ``t - 1`` helpers (numpy releases the GIL in its loops): thread ``k``
     takes blocks ``k, k + t, ...``, with its own two buffers, and writes
     each block's edges to that block's slot.  ``t`` is at most the count set
-    by :func:`set_sampler_threads`, and only as large as gives each thread
-    ``_THREAD_PAIRS`` pairs, so a small grid runs on the calling thread
-    alone.  The helpers are joined before this returns, so none is alive at
+    by :func:`set_sampler_threads` and at most ``_MAX_THREADS``, and only as
+    large as gives each thread ``_THREAD_PAIRS`` pairs, so a small grid runs
+    on the calling thread alone.  The helpers are joined before this returns, so none is alive at
     a later ``fork``, and the slots are joined in row order, so the arrays
     do not depend on the thread count.
     """
@@ -278,7 +284,7 @@ def sample_edges(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray
     vertices = np.arange(n, dtype=np.uint64)
     row_words = prf_array(coupling.seed, vertices)
     blocks = range(0, n - 1, _BLOCK_ROWS)
-    threads = max(1, min(_threads, n * (n - 1) // 2 // _THREAD_PAIRS))
+    threads = max(1, min(_threads, _MAX_THREADS, n * (n - 1) // 2 // _THREAD_PAIRS))
     found = [None] * len(blocks)
     failed = []
 

@@ -141,9 +141,11 @@ def proper_relations_by_removal(A: Matrix, ell: int) -> list[tuple[int, ...]]:
     """Oracle for :func:`proper_relations` by the definition: keep a
     size-``ell`` set when deleting its unfrozen columns lowers the rank, with
     the frozen set from the rank-drop route."""
-    frozen = set(frozen_set_by_removal(A))
     base = A.rank()
-    ranks = {}  # rank of A minus each unfrozen core, shared by its candidates
+    # rank of A minus each unfrozen core, once per call; the single columns
+    # come first and give the frozen set, as in frozen_set_by_removal
+    ranks = {frozenset([j]): A.remove(cols=[j]).rank() for j in range(A.n)}
+    frozen = {j for j in range(A.n) if base - ranks[frozenset([j])] == 1}
     out = []
     for combo in itertools.combinations(range(A.n), ell):
         core = frozenset(combo) - frozen

@@ -5,6 +5,7 @@ import heapq
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,7 @@ def test_split_sampler_matches_one_thread(n, threads, monkeypatch):
     # pairs, so even one-block grids are split) give the one-thread arrays
     cpl = CouplingSource(5)
     monkeypatch.setattr(randgraph, "_THREAD_PAIRS", 64)
+    monkeypatch.setattr(randgraph, "_MAX_THREADS", 3)
     for p in (0.0, min(1.0, 3 / max(n, 1)), 0.5, 1.0) if n <= 300 else (3 / n,):
         monkeypatch.setattr(randgraph, "_threads", 1)
         want = randgraph.sample_edges(n, p, cpl)
@@ -133,6 +135,7 @@ def test_split_sampler_with_a_short_switch_interval(monkeypatch):
     # more threads than cores, handing the GIL over every microsecond
     cpl = CouplingSource(6)
     monkeypatch.setattr(randgraph, "_THREAD_PAIRS", 64)
+    monkeypatch.setattr(randgraph, "_MAX_THREADS", 5)
     monkeypatch.setattr(randgraph, "_threads", 1)
     want = {n: randgraph.sample_edges(n, 3 / n, cpl) for n in (300, 2000)}
     monkeypatch.setattr(randgraph, "_threads", 5)
@@ -148,7 +151,8 @@ def test_split_sampler_with_a_short_switch_interval(monkeypatch):
 
 def test_helpers_start_only_for_large_grids(monkeypatch):
     # each thread needs _THREAD_PAIRS = 2**17 pairs: none is started up to
-    # n=724 (261,726 pairs), one at n=725; every helper is joined on return
+    # n=724 (261,726 pairs), one at n=725, and no more than one on 8 or 64
+    # CPUs (_MAX_THREADS); every helper is joined on return
     started = []
 
     class Counted(threading.Thread):
@@ -160,14 +164,26 @@ def test_helpers_start_only_for_large_grids(monkeypatch):
     monkeypatch.setattr(threading, "Thread", Counted)
     alive = threading.active_count()
     for n, helpers in ((0, 0), (64, 0), (128, 0), (129, 0), (300, 0), (724, 0),
-                       (725, 1), (2000, 7)):
+                       (725, 1), (2000, 1)):
         del started[:]
         randgraph.sample_edges(n, 3 / max(n, 3), CouplingSource(1))
         assert len(started) == helpers, n
         assert threading.active_count() == alive
     monkeypatch.setattr(randgraph, "_threads", 1)
     randgraph.sample_edges(2000, 3 / 2000, CouplingSource(1))
-    assert len(started) == 7  # no new helper on one CPU
+    assert len(started) == 1  # no new helper on one CPU
+    # at n=4096 on 64 CPUs the buffers are two threads' two 64 x 4096-word
+    # arrays (8.4 MB), not 64 threads' (268 MB)
+    monkeypatch.setattr(randgraph, "_threads", 64)
+    del started[:]
+    tracemalloc.start()
+    try:
+        randgraph.sample_edges(4096, 3 / 4096, CouplingSource(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(started) == 1
+    assert peak < 3 * 2 * 64 * 4096 * 8
 
 
 def test_set_sampler_threads():
