@@ -33,6 +33,11 @@ expect 0 simulate --n 40 --d 40 --trials 2
 expect 0 analytic --d-min 0 --d-max 5 --step 0.5
 expect 0 analytic --d-min 36 --d-max 40 --step 1
 expect 2 ks --n 20 --d 100 --trials 1
+# the edge support does not depend on the field or the template
+expect 0 ks --n 2000 --d 3 --trials 3
+mv "$tmp/cli.out" "$tmp/ks_f2.csv"
+expect 0 ks --n 2000 --d 3 --trials 3 --field Q --template random
+cmp "$tmp/ks_f2.csv" "$tmp/cli.out"
 printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"
 expect 0 classify --matrix "$tmp/f3.txt"
 printf '3 3 Q\n0 1/2 0\n1/2 0 -3/4\n0 -3/4 0\n' > "$tmp/q3.txt"

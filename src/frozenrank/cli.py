@@ -25,7 +25,7 @@ from .harness import (
     run_census,
     run_experiment,
     tagged_csv,
-    trial_graph,
+    trial_support,
 )
 from .randgraph import karp_sipser, parse_graph
 from .verify import SUITES, run_suite
@@ -130,13 +130,12 @@ def _cmd_ks(args) -> int:
             raise ValueError(f"--{flag} must be >= 1")
     if not 0.0 <= args.d <= args.n:
         raise ValueError(f"--d must lie in [0, --n] = [0, {args.n}], got {args.d!r}")
-    field = FieldSpec.parse_label(args.field)
+    FieldSpec.parse_label(args.field)  # refused if malformed, though no field changes the support
 
     def row(index: int) -> list:
-        trial_seed, G = trial_graph(args.seed, index, args.n, args.d, field, args.template)
-        ks = karp_sipser(G)
-        return [index, trial_seed, args.n, args.d,
-                ks.isolated_count, len(ks.core_vertices), len(ks.removed_pairs)]
+        s = trial_support(args.seed, index, args.n, args.d)
+        return [index, s.trial_seed, args.n, args.d,
+                s.isolated_count, s.core_vertices.size, s.removed_pair_count]
 
     columns = ["trial_index", "derived_seed", "n", "d",
                "ks_isolated", "ks_core_size", "removed_pair_count"]

@@ -4,8 +4,12 @@ Each trial is a pure function of ``(master_seed, trial_index)``: the trial
 seed splits into separate streams for edge coupling, weights, the vertex
 permutation, the perturbation dimensions, and the perturbation families,
 so no two random sources ever share a stream.  The edge and weight split is
-stated once, in :func:`trial_graph`; the rest in :func:`_run_trial`, the one
-trial function of both rank and census runs.  Records are ordered by
+stated once, in :func:`_coupling` and :func:`_weight_template`; the rest in
+:func:`_run_trial`, the one trial function of both rank and census runs.
+The edge support depends only on ``(master_seed, trial_index, n, d)``, so a
+rank trial takes the support's leaf removal from a memo shared by every
+field and template of the process (:func:`trial_support`) and weighs only
+the core's edges.  Records are ordered by
 trial index, which makes the CSV output byte-identical across reruns and
 worker counts.  Wall-clock timings are kept on the in-memory records only,
 never serialized.
@@ -16,10 +20,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import statistics
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+
+import numpy as np
 
 from . import analytic
 from .errors import ResourceCapError
@@ -43,12 +52,13 @@ from .prf import (
 from .randgraph import (
     CouplingSource,
     Graph,
-    KSResult,
     WeightTemplate,
     available_cpus,
     karp_sipser,
+    leaf_removal,
     sample_T,
     sample_graph,
+    sample_support,
     set_sampler_threads,
 )
 
@@ -258,42 +268,146 @@ def summarize(records: list[TrialRecord], d: float) -> SummaryReport:
 # ------------------------------------------------------------------- trials
 
 
+def _coupling(trial_seed: int) -> CouplingSource:
+    """The edge-coupling stream of a trial.  With :func:`_weight_template`
+    this is the one place the trial seed splits into edges and weights."""
+    return CouplingSource(derive_seed(trial_seed, 0, TAG_EDGES))
+
+
+def _weight_template(trial_seed: int, n: int, field: FieldSpec, template: str) -> WeightTemplate:
+    """The weight-template stream of a trial, apart from its edges."""
+    return WeightTemplate(field, n, template, derive_seed(trial_seed, 0, TAG_WEIGHTS))
+
+
 def trial_graph(master_seed: int, index: int, n: int, d: float, field: FieldSpec,
                 template: str) -> tuple[int, Graph]:
-    """(trial seed, sampled graph) of trial ``index``: the trial seed splits
-    into the edge-coupling and weight-template streams here and nowhere else,
-    so the edge support does not depend on the field or template."""
+    """(trial seed, sampled graph) of trial ``index``: its edge support does
+    not depend on the field or template."""
     trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
-    coupling = CouplingSource(derive_seed(trial_seed, 0, TAG_EDGES))
-    weights = WeightTemplate(field, n, template, derive_seed(trial_seed, 0, TAG_WEIGHTS))
-    return trial_seed, sample_graph(n, d / n, weights, coupling)
+    return trial_seed, sample_graph(n, d / n, _weight_template(trial_seed, n, field, template),
+                                    _coupling(trial_seed))
 
 
-def _rank_of_graph(ks: KSResult) -> int:
-    """Exact rank of the adjacency that ``ks`` reduced, read off its
-    leaf-removal core by the identity in :class:`KSResult`, from the core's
-    edges and without a :class:`~frozenrank.exactla.Matrix`.  A prime-field
+@dataclass(frozen=True, eq=False)
+class TrialSupport:
+    """What a rank needs of a trial's edge support: the trial seed, the
+    leaf-removal counts and the core's edges, read-only.  Core edge ``k``
+    joins core vertices ``core_i[k] < core_j[k]``, which are vertices
+    ``core_vertices[core_i[k]] < core_vertices[core_j[k]]`` of the trial's
+    graph."""
+
+    trial_seed: int
+    isolated_count: int
+    removed_pair_count: int
+    core_vertices: np.ndarray
+    core_i: np.ndarray
+    core_j: np.ndarray
+
+    def core(self, template: WeightTemplate) -> Graph:
+        """The leaf-removal core weighted by ``template``.  A weight is a pure
+        function of the template's seed and the edge's original endpoints, so
+        this is the core of the whole weighted graph."""
+        v = self.core_vertices
+        return Graph(v.size, template.field, self.core_i, self.core_j,
+                     template.weights(v[self.core_i], v[self.core_j]))
+
+
+# core edges the support memo may hold over all its entries (an entry with
+# no core counts as one).  One trial at n=2000, d=3 leaves a core of about
+# 650-1100 edges out of about 3000 support edges, stored at under 24 bytes a
+# core edge (two int64 endpoints, and fewer core vertices than core edges),
+# so about 20 KB: the budget keeps the last 30-50 such supports, about 0.7 MB
+_MEMO_EDGES = 1 << 15
+
+
+class _SupportMemo:
+    """The :class:`TrialSupport` of each ``(master_seed, index, n, d)``, least
+    recently used first, holding at most ``_MEMO_EDGES`` core edges; a
+    support larger than that is never stored.  A miss samples outside the
+    lock, so threads sample at the same time."""
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+        self.edges = 0
+        self._lock = threading.Lock()
+        # a child forked while another thread held the lock would wait forever
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._after_fork)
+
+    @staticmethod
+    def _cost(support: TrialSupport) -> int:
+        return support.core_i.size + 1
+
+    def get(self, key: tuple, compute) -> TrialSupport:
+        with self._lock:
+            found = self.entries.get(key)
+            if found is not None:
+                self.entries.move_to_end(key)
+                return found
+        support = compute()
+        cost = self._cost(support)
+        if cost <= _MEMO_EDGES:
+            with self._lock:
+                if key not in self.entries:
+                    self.entries[key] = support
+                    self.edges += cost
+                while self.edges > _MEMO_EDGES:
+                    self.edges -= self._cost(self.entries.popitem(last=False)[1])
+        return support
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.edges = 0
+
+    def _after_fork(self) -> None:
+        self._lock = threading.Lock()
+        self.edges = sum(map(self._cost, self.entries.values()))
+
+
+_supports = _SupportMemo()
+
+
+def trial_support(master_seed: int, index: int, n: int, d: float) -> TrialSupport:
+    """The edge support of trial ``index`` (that of :func:`trial_graph`,
+    for every field and template) and its leaf removal, computed once per
+    process while the memo keeps it."""
+
+    def compute() -> TrialSupport:
+        trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
+        lr = leaf_removal(n, *sample_support(n, d / n, _coupling(trial_seed)))
+        arrays = (lr.core_vertices, lr.core_i, lr.core_j)
+        for a in arrays:
+            a.flags.writeable = False
+        return TrialSupport(trial_seed, lr.isolated_count, len(lr.removed_pairs), *arrays)
+
+    return _supports.get((master_seed, index, n, d), compute)
+
+
+def _rank_of_core(core: Graph) -> int:
+    """Exact rank of a leaf-removal core, from its edges and without a
+    :class:`~frozenrank.exactla.Matrix`; the whole graph's rank adds two per
+    removed pair (:class:`~frozenrank.randgraph.KSResult`).  A prime-field
     core goes to :func:`~frozenrank.exactla.sparse_rank`, a rational core of
     any size to :func:`~frozenrank.exactla.rational_rank`: a sparse rank
     modulo a prime, certified exact when full, else the rank of the RREF
     lifted from primes and verified."""
-    core = ks.core
-    rank = 2 * len(ks.removed_pairs)
     if core.field.kind == "rationals":
-        return rank + rational_rank(core.n, core.i, core.j, core.w).rank
-    return rank + sparse_rank(core.n, core.i, core.j, core.w, core.field.p)
+        return rational_rank(core.n, core.i, core.j, core.w).rank
+    return sparse_rank(core.n, core.i, core.j, core.w, core.field.p)
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
-    """One trial: sample, leaf removal and rank; then, for a census run, the
-    type census of the perturbed, relabelled matrix T."""
+    """One trial: the support's leaf removal, then the weighted core's rank;
+    a census run samples the whole weighted graph instead, and adds the type
+    census of the perturbed, relabelled matrix T."""
     start = time.perf_counter()
-    trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
-                                cfg.template)
-    ks = karp_sipser(G)
-    rank = _rank_of_graph(ks)
     profile = theta = None
     if cfg.census:
+        trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
+                                    cfg.template)
+        ks = karp_sipser(G)
+        isolated, pairs, core = ks.isolated_count, len(ks.removed_pairs), ks.core
         # T is G relabelled at full size, and rank and leaf-removal statistics
         # are relabelling-invariant, so G's leaf removal gives both for T too
         pert_base = trial_seed if cfg.pert_seed is None else \
@@ -303,6 +417,12 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         perturbed = canonical_perturb(T, pert, CoupledFamilies.from_seed(pert_base))
         profile = type_census(perturbed, census_size=cfg.n)
         theta = (pert.theta_r, pert.theta_c)
+    else:
+        support = trial_support(cfg.master_seed, index, cfg.n, cfg.d)
+        trial_seed, isolated, pairs = (support.trial_seed, support.isolated_count,
+                                       support.removed_pair_count)
+        core = support.core(_weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template))
+    rank = 2 * pairs + _rank_of_core(core)
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,
@@ -313,8 +433,8 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         rank=rank,
         nullity=cfg.n - rank,
         normalized_rank=rank / cfg.n,
-        ks_isolated=ks.isolated_count,
-        ks_core_size=len(ks.core_vertices),
+        ks_isolated=isolated,
+        ks_core_size=core.n,
         census=profile,
         theta=theta,
         elapsed_ms=(time.perf_counter() - start) * 1e3,

@@ -10,9 +10,11 @@ share the support of their common block.  :func:`sample_graph` weights the
 sampled edges from a symmetric :class:`WeightTemplate` with nonzero entries;
 the weights and the field decorate the support and never change it.  The
 dense adjacency (:meth:`Graph.adjacency`) and the relabelled principal block
-(:func:`sample_T`) are then built from that :class:`Graph`.  A graph keeps
-its edges as arrays, from the sampler through leaf removal
-(:func:`karp_sipser`) to the core that is ranked.
+(:func:`sample_T`) are then built from that :class:`Graph`.  Leaf removal
+(:func:`leaf_removal`) reads only the support, so a core can be weighted
+after it is found, on its own edges; :func:`karp_sipser` does so for a
+whole :class:`Graph`.  Edges stay arrays from the sampler through leaf
+removal to the core that is ranked.
 """
 
 from __future__ import annotations
@@ -120,17 +122,7 @@ class Graph:
             w = np.zeros(0, dtype=np.int64)
         if i.ndim != 1 or not i.shape == j.shape == w.shape:
             raise ValueError("i, j and w must be 1-D sequences of one length")
-        if np.any(i == j):
-            raise ValueError("self-loops are not allowed")
-        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
-            raise ValueError("edge endpoint out of range")
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        key = lo * n + hi
-        order = np.argsort(key, kind="stable")
-        later = order[1:][key[order[1:]] == key[order[:-1]]]  # repeats of a pair
-        if later.size:
-            k = later.min()  # the first repeat in edge order
-            raise ValueError(f"duplicate edge {(int(lo[k]), int(hi[k]))}")
+        _check_support(n, i, j)
         if p is None:
             w = np.array([self.field.element(x) for x in w.tolist()], dtype=object)
             if not all(w):
@@ -180,6 +172,23 @@ class Graph:
         arr = field_array(self.field, np.zeros((self.n, self.n), dtype=np.uint8))
         arr[self.i, self.j] = arr[self.j, self.i] = field_array(self.field, self.w)
         return Matrix._from_array(self.field, arr)
+
+
+def _check_support(n: int, i: np.ndarray, j: np.ndarray) -> None:
+    """Refuse the edge support ``(i, j)`` of one length on ``n`` vertices
+    unless it is simple: no self-loops, endpoints in range and no pair twice,
+    in either orientation."""
+    if np.any(i == j):
+        raise ValueError("self-loops are not allowed")
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+        raise ValueError("edge endpoint out of range")
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    later = order[1:][key[order[1:]] == key[order[:-1]]]  # repeats of a pair
+    if later.size:
+        k = later.min()  # the first repeat in edge order
+        raise ValueError(f"duplicate edge {(int(lo[k]), int(hi[k]))}")
 
 
 def _endpoints(x) -> np.ndarray:
@@ -337,6 +346,16 @@ def sample_graph(
     return Graph(n, template.field, ii, jj, template.weights(ii, jj))
 
 
+def sample_support(n: int, p: float, coupling: CouplingSource) -> tuple[np.ndarray, np.ndarray]:
+    """The edge support that :func:`sample_graph` weights, without weights:
+    :func:`sample_edges`, checked as every :class:`Graph` is checked."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    ii, jj = sample_edges(n, p, coupling)
+    _check_support(n, ii, jj)
+    return ii, jj
+
+
 def uniform_permutation(N: int, perm_seed: int) -> list[int]:
     """Seeded Fisher-Yates permutation of ``range(N)`` (exactly uniform)."""
     perm = list(range(N))
@@ -390,23 +409,41 @@ class KSResult:
     removed_pairs: tuple
 
 
-def karp_sipser(G: Graph) -> KSResult:
-    """Remove degree-one vertices with their unique neighbors until only
-    isolated vertices and a minimum-degree-two core remain.
+@dataclass(frozen=True, eq=False)
+class LeafRemoval:
+    """Exhaustive leaf removal of an edge support, as :func:`leaf_removal`
+    gives it: the counts of :class:`KSResult`, the core's vertices as
+    original ids in ascending order, and the core's edges.  Core edge ``k``
+    joins core vertices ``core_i[k] < core_j[k]`` and is edge ``kept[k]`` of
+    the support, so a weight array of the support gives the core's weights
+    as ``w[kept]``."""
+
+    isolated_count: int
+    core_vertices: np.ndarray
+    removed_pairs: tuple
+    core_i: np.ndarray
+    core_j: np.ndarray
+    kept: np.ndarray
+
+
+def leaf_removal(n: int, i: np.ndarray, j: np.ndarray) -> LeafRemoval:
+    """Remove degree-one vertices with their unique neighbors from the
+    simple graph with edges ``(i[k], j[k])`` on ``n`` vertices, until only
+    isolated vertices and a minimum-degree-two core remain.  Weights play no
+    part: the same support leaves the same core over every field.
 
     The lowest-index leaf is removed first.  The isolated count and core
     vertex set do not depend on the order, only ``removed_pairs`` may.
 
     The neighbour lists are CSR arrays read as Python lists.  Each vertex
     keeps its live degree and the XOR of its live neighbours, so the one
-    neighbour of a leaf ``v`` is ``xor[v]``.  The core's edges are those of
-    ``G`` with both ends left, relabelled as ``(lo, hi)`` pairs in order of
-    ``lo`` and then of ``G``'s edge order.
+    neighbour of a leaf ``v`` is ``xor[v]``.  The core's edges are the
+    support's edges with both ends left, relabelled as ``(lo, hi)`` pairs in
+    order of ``lo`` and then of the support's edge order.
     """
-    n = G.n
-    ends = np.concatenate((G.i, G.j))
+    ends = np.concatenate((i, j))
     order = np.argsort(ends)
-    nbr = np.concatenate((G.j, G.i))[order]
+    nbr = np.concatenate((j, i))[order]
     degree = np.bincount(ends, minlength=n)
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=start[1:])
@@ -442,16 +479,29 @@ def karp_sipser(G: Graph) -> KSResult:
     if live + 2 * len(pairs) != n:
         raise AssertionError("leaf removal lost vertices")
     index = np.cumsum(in_core) - 1
-    kept = in_core[G.i] & in_core[G.j]
-    a, b = index[G.i[kept]], index[G.j[kept]]
+    kept = np.flatnonzero(in_core[i] & in_core[j])
+    a, b = index[i[kept]], index[j[kept]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     by_lo = np.argsort(lo, kind="stable")
-    core = Graph(core_vertices.size, G.field, lo[by_lo], hi[by_lo], G.w[kept][by_lo])
-    return KSResult(
+    return LeafRemoval(
         isolated_count=live - core_vertices.size,
-        core=core,
-        core_vertices=tuple(core_vertices.tolist()),
+        core_vertices=core_vertices,
         removed_pairs=tuple(pairs),
+        core_i=lo[by_lo],
+        core_j=hi[by_lo],
+        kept=kept[by_lo],
+    )
+
+
+def karp_sipser(G: Graph) -> KSResult:
+    """:func:`leaf_removal` of ``G``'s support, with the core weighted by
+    ``G``'s weights on the core's edges."""
+    lr = leaf_removal(G.n, G.i, G.j)
+    return KSResult(
+        isolated_count=lr.isolated_count,
+        core=Graph(lr.core_vertices.size, G.field, lr.core_i, lr.core_j, G.w[lr.kept]),
+        core_vertices=tuple(lr.core_vertices.tolist()),
+        removed_pairs=lr.removed_pairs,
     )
 
 

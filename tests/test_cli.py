@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from frozenrank import harness
 from frozenrank.cli import main
 from frozenrank.exactla import Matrix, format_matrix
 from frozenrank.field import FieldSpec
+from frozenrank.randgraph import karp_sipser
 
 F2 = FieldSpec.prime(2)
 Q = FieldSpec.rationals()
@@ -158,12 +160,40 @@ def test_ks_matches_simulate(capsys):
     args = ["--n", "300", "--d", "2.5", "--trials", "3", "--seed", "4"]
 
     def rows(cmd):
+        harness._supports.clear()  # each subcommand samples its own supports
         assert main([cmd] + args) == 0
         text = capsys.readouterr().out.split("\n", 1)[1]
         return [(r["trial_index"], r["ks_isolated"], r["ks_core_size"])
                 for r in csv.DictReader(io.StringIO(text))]
 
     assert rows("ks") == rows("simulate")
+
+
+def test_ks_is_the_same_over_every_field_and_template(capsys):
+    # ks reads only the support, which no field or template changes
+    args = ["ks", "--n", "300", "--d", "3", "--trials", "3", "--seed", "2"]
+    outs = []
+    for extra in ([], ["--field", "Q", "--template", "random"], ["--field", "Fp:5"]):
+        harness._supports.clear()
+        assert main(args + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    rows = list(csv.DictReader(io.StringIO(outs[0].split("\n", 1)[1])))
+    for index, row in enumerate(rows):
+        seed, G = harness.trial_graph(2, index, 300, 3.0, Q, "random")
+        ks = karp_sipser(G)
+        assert [int(row[c]) for c in ("derived_seed", "ks_isolated", "ks_core_size",
+                                      "removed_pair_count")] == \
+            [seed, ks.isolated_count, len(ks.core_vertices), len(ks.removed_pairs)]
+
+
+def test_ks_validates_field_and_template(capsys):
+    args = ["ks", "--n", "30", "--d", "2", "--trials", "1"]
+    assert main(args + ["--field", "Fp:4"]) == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--template", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_ks_from_graph_file(tmp_path, capsys):

@@ -6,6 +6,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from frozenrank.field import RATIONAL_POOL, FieldSpec
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
-    _rank_of_graph,
+    _rank_of_core,
     _run_trial,
     records_to_csv,
     run_census,
@@ -166,13 +168,202 @@ def test_upper_bound_in_every_record():
 
 def test_same_support_across_fields():
     # the coupling seed is field-independent, so leaf-removal statistics of
-    # paired runs agree trial by trial
+    # paired runs agree trial by trial, each run sampling its own supports
     base, _ = run_experiment(small_cfg(field="F2"))
     for field, template in (("Fp:3", "allones"), ("Fp:5", "random"), ("Q", "random")):
+        harness._supports.clear()
         other, _ = run_experiment(small_cfg(field=field, template=template))
         for a, b in zip(base, other):
             assert (a.ks_isolated, a.ks_core_size) == (b.ks_isolated, b.ks_core_size)
             assert a.derived_seed == b.derived_seed
+
+
+# ------------------------------------------------------------- support memo
+
+
+def _counted_samples(monkeypatch) -> list:
+    """Coupling seeds of the supports the harness samples from now on."""
+    seeds = []
+    sample = harness.sample_support
+
+    def counted(n, p, coupling):
+        seeds.append(coupling.seed)
+        return sample(n, p, coupling)
+
+    monkeypatch.setattr(harness, "sample_support", counted)
+    return seeds
+
+
+def _support_fields(s: harness.TrialSupport) -> tuple:
+    return (s.trial_seed, s.isolated_count, s.removed_pair_count, s.core_vertices.tolist(),
+            s.core_i.tolist(), s.core_j.tolist())
+
+
+@pytest.mark.parametrize("field,template", [("F2", "allones"), ("Fp:5", "random"),
+                                            ("Q", "random"), ("Q", "allones")])
+def test_warm_memo_writes_the_cold_csv(monkeypatch, field, template):
+    cfg = small_cfg(n=300, d=3.0, field=field, template=template, trials=5)
+    cold = records_to_csv(run_experiment(cfg)[0])
+    harness._supports.clear()
+    run_experiment(replace(cfg, field="Fp:3", template="random"))  # another field warms it
+    sampled = _counted_samples(monkeypatch)
+    assert records_to_csv(run_experiment(cfg)[0]) == cold
+    assert sampled == []
+
+
+@pytest.mark.parametrize("change", [dict(master_seed=8), dict(index=2), dict(n=260),
+                                    dict(d=3.5)])
+def test_memo_key_names_every_input_of_the_support(change):
+    base = dict(master_seed=7, index=1, n=250, d=3.0)
+    first = harness.trial_support(**base)
+    warm = harness.trial_support(**{**base, **change})
+    harness._supports.clear()
+    cold = harness.trial_support(**{**base, **change})
+    assert _support_fields(warm) == _support_fields(cold) != _support_fields(first)
+
+
+def test_memo_keeps_the_most_recently_used_within_its_budget(monkeypatch):
+    monkeypatch.setattr(harness, "_MEMO_EDGES", 700)
+    memo, used = harness._supports, []
+    for index in (0, 1, 2, 3, 0, 4, 5, 1, 6, 7, 2, 8, 8, 3):
+        key = (5, index, 400, 3.0)
+        support = harness.trial_support(*key)
+        assert support.core_i.size + 1 <= harness._MEMO_EDGES  # so it is stored
+        used = [k for k in used if k != key] + [key]
+        held = list(memo.entries)
+        assert held == used[len(used) - len(held):]
+        assert memo.edges == sum(e.core_i.size + 1 for e in memo.entries.values()) <= 700
+    assert len(held) < len(used)  # some were evicted
+
+
+def test_memo_never_stores_a_support_above_its_budget():
+    harness.trial_support(0, 0, 300, 3.0)
+    held = list(harness._supports.entries)
+    big = harness.trial_support(0, 0, 4096, 200.0)
+    assert big.core_i.size > harness._MEMO_EDGES
+    assert list(harness._supports.entries) == held
+    assert harness._supports.edges <= harness._MEMO_EDGES
+
+
+def test_memo_entries_are_read_only():
+    support = harness.trial_support(3, 0, 300, 3.0)
+    for a in (support.core_vertices, support.core_i, support.core_j):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_threads_on_different_seeds_write_the_sequential_csvs():
+    cfgs = [ExperimentConfig(n=800, d=3.0, field=f, template=t, trials=3, master_seed=seed)
+            for f, t, seed in (("F2", "allones", 1), ("Q", "random", 2),
+                               ("Fp:5", "random", 1), ("Fp:2147483647", "random", 3))]
+    sequential = [records_to_csv(run_experiment(cfg)[0]) for cfg in cfgs]
+    harness._supports.clear()
+    start = threading.Barrier(len(cfgs))
+    got = [None] * len(cfgs)
+
+    def run(k: int) -> None:
+        start.wait()
+        got[k] = records_to_csv(run_experiment(cfgs[k])[0])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == sequential
+
+
+def test_memo_under_contending_threads(monkeypatch):
+    # eight threads on overlapping keys, with a budget of a few entries: every
+    # lookup gives the cold support, and the count of stored edges stays exact
+    keys = [(9, index, 300, 3.0) for index in range(12)]
+    cold = {key: _support_fields(harness.trial_support(*key)) for key in keys}
+    harness._supports.clear()
+    monkeypatch.setattr(harness, "_MEMO_EDGES", 500)
+    memo, wrong = harness._supports, []
+
+    def run(k: int) -> None:
+        for r in range(60):
+            key = keys[(k * 5 + r * (k + 1)) % len(keys)]
+            if _support_fields(harness.trial_support(*key)) != cold[key]:
+                wrong.append(key)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert memo.edges == sum(e.core_i.size + 1 for e in memo.entries.values()) <= 500
+
+
+_FORK_WHILE_LOCKED = """
+from frozenrank import harness
+with harness._supports._lock:  # as if another thread were inside the memo
+    with harness._worker_pool(2) as pool:
+        seed = pool.submit(harness.trial_support, 1, 0, 100, 3.0).result().trial_seed
+assert seed == harness.trial_support(1, 0, 100, 3.0).trial_seed
+print("same")
+"""
+
+
+def test_pool_forked_while_the_memo_is_locked():
+    # a forked worker gets a fresh lock; with the parent's held copy it would
+    # wait forever, hence the timeout, after which the child's process group
+    # is killed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen([sys.executable, "-c", _FORK_WHILE_LOCKED],
+                          env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            raise
+    assert child.returncode == 0, err
+    assert out.strip() == "same"
+
+
+def test_pool_after_a_warm_memo_writes_the_same_bytes():
+    cfg = small_cfg(field="Fp:5", template="random")
+    cold = records_to_csv(run_experiment(cfg)[0])
+    harness._supports.clear()
+    run_experiment(small_cfg())  # F2 warms every index before the pool forks
+    assert records_to_csv(run_experiment(replace(cfg, workers=2))[0]) == cold
+
+
+@pytest.mark.parametrize("field", ("Fp:2147483647", "Q"))
+def test_core_weighted_on_its_edges_is_the_graphs_core(field):
+    # a weight is a pure function of (seed, lo, hi), so weighing only the
+    # core's edges gives the core of the whole weighted graph
+    cfg = ExperimentConfig(n=400, d=3.0, field=field, template="random", trials=1,
+                           master_seed=21)
+    for index in range(3):
+        trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
+                                    cfg.template)
+        ks = karp_sipser(G)
+        support = harness.trial_support(cfg.master_seed, index, cfg.n, cfg.d)
+        core = support.core(harness._weight_template(trial_seed, cfg.n, cfg.field_spec,
+                                                     cfg.template))
+        assert support.trial_seed == trial_seed
+        assert (support.isolated_count, support.removed_pair_count,
+                tuple(support.core_vertices.tolist())) == \
+            (ks.isolated_count, len(ks.removed_pairs), ks.core_vertices)
+        assert core == ks.core
+        assert np.array_equal(core.w, ks.core.w)
 
 
 def test_rational_rank_paths():
@@ -449,7 +640,7 @@ def _route(G: Graph) -> RationalRank:
     ks = karp_sipser(G)
     assert ks.core_vertices == tuple(range(G.n))
     got = rational_rank(G.n, G.i, G.j, G.w)
-    assert _rank_of_graph(ks) == got.rank == _dense_rank(G)
+    assert _rank_of_core(ks.core) == got.rank == _dense_rank(G)
     return got
 
 

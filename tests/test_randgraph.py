@@ -23,8 +23,10 @@ from frozenrank.randgraph import (
     edge_cut,
     format_graph,
     karp_sipser,
+    leaf_removal,
     nullity_invariance_check,
     parse_graph,
+    sample_support,
     sample_T,
     sample_graph,
     uniform_permutation,
@@ -448,6 +450,61 @@ def test_ks_matches_dict_leaf_removal_on_shuffled_files(field, kind):
             assert _ks_fields(ks) == _karp_sipser_dicts(H)
             assert (ks.isolated_count, ks.core_vertices) == \
                 (karp_sipser(G).isolated_count, karp_sipser(G).core_vertices)
+
+
+def _split_fields(G: Graph) -> tuple:
+    """:func:`leaf_removal` of ``G``'s support, with its core weighted from
+    ``G``'s weights by ``kept``, in the form of :func:`_karp_sipser_dicts`."""
+    lr = leaf_removal(G.n, G.i, G.j)
+    core = Graph(lr.core_vertices.size, G.field, lr.core_i, lr.core_j, G.w[lr.kept])
+    return (lr.isolated_count, core, tuple(lr.core_vertices.tolist()), lr.removed_pairs)
+
+
+@pytest.mark.parametrize("field,kind", [(F5, "random"), (Q, "random")])
+@pytest.mark.parametrize("d", (1.0, math.e, 3.0, 5.0))
+def test_support_leaf_removal_matches_dict_leaf_removal(field, kind, d):
+    # the support alone gives the dict route's core; the kept indices carry
+    # each core edge's weight over from the whole graph
+    for k, n in enumerate((30, 120, 300)):
+        G = sample_graph(n, d / n, WeightTemplate(field, n, kind, seed=k),
+                         CouplingSource(900 + k))
+        assert _split_fields(G) == _karp_sipser_dicts(G)
+        lr = leaf_removal(G.n, G.i, G.j)
+        assert np.all(lr.core_i < lr.core_j)
+        assert np.array_equal(lr.core_vertices[lr.core_i], np.minimum(G.i, G.j)[lr.kept])
+        assert np.array_equal(lr.core_vertices[lr.core_j], np.maximum(G.i, G.j)[lr.kept])
+
+
+def test_support_leaf_removal_on_reversed_and_shuffled_edges():
+    for seed in range(4):
+        n = 60 + 40 * seed
+        G = sample_graph(n, 3.0 / n, WeightTemplate(F5, n, "random", seed=seed),
+                         CouplingSource(950 + seed))
+        edges = [(j, i, w) if k % 2 else (i, j, w) for k, (i, j, w) in enumerate(G.edges)]
+        Stream(seed).shuffle(edges)
+        H = Graph.from_edges(n, F5, edges)
+        assert _split_fields(H) == _karp_sipser_dicts(H)
+
+
+def test_sample_support_is_the_sampled_graphs_support():
+    for n, p in ((0, 0.5), (1, 0.5), (50, 0.1), (300, 3 / 300)):
+        G = sample_graph(n, p, WeightTemplate(Q, n, "random", 4), CouplingSource(11))
+        i, j = sample_support(n, p, CouplingSource(11))
+        assert np.array_equal(i, G.i) and np.array_equal(j, G.j)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (([0, 1], [1, 1]), "self-loops"),
+    (([0, 1], [1, 5]), "out of range"),
+    (([0, 1, 0], [1, 2, 1]), r"duplicate edge \(0, 1\)"),
+])
+def test_sample_support_checks_the_support_as_a_graph(monkeypatch, bad, message):
+    monkeypatch.setattr(randgraph, "sample_edges",
+                        lambda n, p, c: tuple(np.array(a, dtype=np.int64) for a in bad))
+    with pytest.raises(ValueError, match=message):
+        sample_support(5, 0.5, CouplingSource(0))
+    with pytest.raises(ValueError, match=message):
+        sample_graph(5, 0.5, WeightTemplate(F2, 5), CouplingSource(0))
 
 
 def test_two_leaves_one_neighbor():
