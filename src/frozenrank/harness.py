@@ -314,9 +314,10 @@ class TrialSupport:
 
 # core edges the support memo may hold over all its entries (an entry with
 # no core counts as one).  One trial at n=2000, d=3 leaves a core of about
-# 650-1100 edges out of about 3000 support edges, stored at under 24 bytes a
-# core edge (two int64 endpoints, and fewer core vertices than core edges),
-# so about 20 KB: the budget keeps the last 30-50 such supports, about 0.7 MB
+# 650-1100 edges out of about 3000 support edges, and its ids fit in uint16:
+# two endpoints a core edge and fewer core vertices than core edges make
+# under 6 bytes a core edge, about 5 KB an entry.  So the budget keeps the
+# last 30-50 such supports in about 0.2 MB
 _MEMO_EDGES = 1 << 15
 
 
@@ -376,7 +377,9 @@ def trial_support(master_seed: int, index: int, n: int, d: float) -> TrialSuppor
     def compute() -> TrialSupport:
         trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
         lr = leaf_removal(n, *sample_support(n, d / n, _coupling(trial_seed)))
-        arrays = (lr.core_vertices, lr.core_i, lr.core_j)
+        # stored in the least unsigned type that holds every vertex id
+        arrays = tuple(a.astype(np.min_scalar_type(n))
+                       for a in (lr.core_vertices, lr.core_i, lr.core_j))
         for a in arrays:
             a.flags.writeable = False
         return TrialSupport(trial_seed, lr.isolated_count, len(lr.removed_pairs), *arrays)
