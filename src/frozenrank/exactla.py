@@ -375,8 +375,10 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 
 
 def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """In-place forward elimination with normalized pivot rows."""
+    """In-place forward elimination with normalized pivot rows.  ``M``'s
+    dtype holds the product of two residues, or is a key of ``_WIDE``."""
     m, n = M.shape
+    wide = _WIDE.get(M.dtype, M.dtype.type)
     r = 0
     pivots: list[int] = []
     for c in range(n):
@@ -391,8 +393,8 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
             M[piv] = M[r]
             M[r] = tmp
         inv = pow(int(M[r, c]), -1, p)
-        M[r, c:] = (M[r, c:] * M.dtype.type(inv)) % p
-        _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p)
+        M[r, c:] = (M[r, c:] * wide(inv)) % p
+        _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p, wide)
         pivots.append(c)
         r += 1
     return r, pivots
@@ -401,16 +403,25 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
 def _rref_dense(M: np.ndarray, p: int):
     """In-place RREF; returns (rank, pivots, M)."""
     r, pivots = _forward_dense(M, p)
+    wide = _WIDE.get(M.dtype, M.dtype.type)
     for i in range(r - 1, -1, -1):
         c = pivots[i]
-        _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p)
+        _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p, wide)
     return r, pivots, M
 
 
-def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int) -> None:
-    """Clear column ``c`` of ``rows`` with the normalized pivot row ``r``."""
+# the dtype that products of residues are taken in, for a storage dtype that
+# cannot hold them: the rational lift keeps residues below 2^31 as uint32, in
+# half the bytes of int64, and its dense array is the largest a trial makes
+# (8.4 MB as int64 for a core of 1025 vertices)
+_WIDE = {np.dtype(np.uint32): np.int64}
+
+
+def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int, wide) -> None:
+    """Clear column ``c`` of ``rows`` with the normalized pivot row ``r``,
+    taking products in the scalar type ``wide``."""
     if rows.size:
-        f = M[rows, c][:, None]
+        f = M[rows, c].astype(wide, copy=False)[:, None]
         M[rows, c:] = (M[rows, c:] - f * M[r, c:][None, :]) % p
 
 
@@ -629,7 +640,7 @@ def _rational_rref(m: int, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     best, lift_pivots, primes = -1, None, []
     for p in _primes_descending():
         primes.append(p)
-        M = field_array(FieldSpec.prime(p), np.zeros((m, n), dtype=np.uint8))
+        M = np.zeros((m, n), dtype=np.uint32)  # every prime is below 2^31
         M[i, j] = [x % p for x in cleared]
         rank, pivots, M = _rref_dense(M, p)
         if rank < best:

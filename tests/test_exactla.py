@@ -546,6 +546,46 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     assert True in flags and False in flags
 
 
+# ------------------------------------------- the lift's uint32 residues
+# _rational_rref keeps its residues, all below 2^31, as uint32 (half the
+# bytes of int64) and the dense kernel takes their products in int64.
+
+
+@pytest.mark.parametrize("p", (2147483647, 2147483629, 65537))
+def test_dense_kernel_on_uint32_residues_matches_int64(p):
+    import numpy as np
+
+    from frozenrank.exactla import _rref_dense
+
+    rng = np.random.default_rng(p % 1000)
+    for m, n, percent in ((1, 1, 100), (2, 3, 100), (7, 9, 60), (40, 40, 10), (33, 20, 30)):
+        arr = np.where(rng.random((m, n)) < percent / 100, rng.integers(1, p, (m, n)), 0)
+        arr[rng.random((m, n)) < 0.2] = p - 1  # its square overflows 32 bits
+        arr[-1] = arr[0]  # rank deficient when m > 1
+        want = _rref_dense(arr.astype(np.int64), p)
+        got = _rref_dense(arr.astype(np.uint32), p)
+        assert got[:2] == want[:2]
+        assert got[2].dtype == np.uint32 and np.array_equal(got[2], want[2])
+
+
+def test_rational_lift_reduces_uint32_residues(monkeypatch):
+    import numpy as np
+
+    dtypes = []
+    rref = exactla._rref_dense
+
+    def spy(M, p):
+        dtypes.append(M.dtype)
+        return rref(M, p)
+
+    monkeypatch.setattr(exactla, "_rref_dense", spy)
+    # the path on three vertices has rank 2, so its rank is lifted
+    w = np.array([Fraction(3, 7), Fraction(-5, 2)], dtype=object)
+    got = exactla.rational_rank(3, np.array([0, 1]), np.array([1, 2]), w)
+    assert (got.rank, got.exit) == (2, "lift")
+    assert dtypes and set(dtypes) == {np.dtype(np.uint32)}
+
+
 def test_rank_struct_invariances_at_scale():
     stream = Stream(62)
     for field in (F2, F5):
