@@ -21,6 +21,13 @@ test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 0 census --n 60 --d 2 --P 8 --trials 2
 test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 2 ks --n 60 --d 2 --trials -1
+# a census CSV's first eleven columns are the simulate CSV, each run in its
+# own process and so from a cold support memo
+flags="--n 300 --d 3 --trials 3 --field Fp:2147483647 --template random"
+expect 0 census $flags --P 8
+cut -d, -f1-11 "$tmp/cli.out" > "$tmp/census_base.csv"
+expect 0 simulate $flags
+cmp "$tmp/census_base.csv" "$tmp/cli.out"
 # a process pool forked after the parent has sampled: no sampler thread may outlive its call
 expect 0 simulate --n 300 --d 3 --trials 4 --workers 2
 expect 0 census --field Q --n 100 --d 2 --P 8 --trials 1

@@ -6,13 +6,14 @@ permutation, the perturbation dimensions, and the perturbation families,
 so no two random sources ever share a stream.  The edge and weight split is
 stated once, in :func:`_coupling` and :func:`_weight_template`; the rest in
 :func:`_run_trial`, the one trial function of both rank and census runs.
-The edge support depends only on ``(master_seed, trial_index, n, d)``, so a
-rank trial takes the support's leaf removal from a memo shared by every
-field and template of the process (:func:`trial_support`) and weighs only
-the core's edges.  Records are ordered by
-trial index, which makes the CSV output byte-identical across reruns and
-worker counts.  Wall-clock timings are kept on the in-memory records only,
-never serialized.
+The edge support depends only on ``(master_seed, trial_index, n, d)``, so
+every trial takes the support's leaf removal from a memo shared by every
+field, template and run kind of the process (:func:`trial_support`) and
+ranks the core weighed by its template; a census trial also samples the
+whole weighted graph, which the census relabels and whose support a memo
+miss leaf-removes.  Records are ordered by trial index, which makes the CSV
+output byte-identical across reruns and worker counts.  Wall-clock timings
+are kept on the in-memory records only, never serialized.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .randgraph import (
     Graph,
     WeightTemplate,
     available_cpus,
-    karp_sipser,
     leaf_removal,
     sample_T,
     sample_graph,
@@ -279,15 +279,6 @@ def _weight_template(trial_seed: int, n: int, field: FieldSpec, template: str) -
     return WeightTemplate(field, n, template, derive_seed(trial_seed, 0, TAG_WEIGHTS))
 
 
-def trial_graph(master_seed: int, index: int, n: int, d: float, field: FieldSpec,
-                template: str) -> tuple[int, Graph]:
-    """(trial seed, sampled graph) of trial ``index``: its edge support does
-    not depend on the field or template."""
-    trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
-    return trial_seed, sample_graph(n, d / n, _weight_template(trial_seed, n, field, template),
-                                    _coupling(trial_seed))
-
-
 @dataclass(frozen=True, eq=False)
 class TrialSupport:
     """What a rank needs of a trial's edge support: the trial seed, the
@@ -302,6 +293,18 @@ class TrialSupport:
     core_vertices: np.ndarray
     core_i: np.ndarray
     core_j: np.ndarray
+
+    @classmethod
+    def leaf_removed(cls, trial_seed: int, n: int, i: np.ndarray,
+                     j: np.ndarray) -> "TrialSupport":
+        """The leaf removal of the support ``(i, j)`` on ``n`` vertices, its
+        arrays in the least unsigned type that holds every vertex id."""
+        lr = leaf_removal(n, i, j)
+        arrays = tuple(a.astype(np.min_scalar_type(n))
+                       for a in (lr.core_vertices, lr.core_i, lr.core_j))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(trial_seed, lr.isolated_count, len(lr.removed_pairs), *arrays)
 
     def core(self, template: WeightTemplate) -> Graph:
         """The leaf-removal core weighted by ``template``.  A weight is a pure
@@ -369,20 +372,18 @@ class _SupportMemo:
 _supports = _SupportMemo()
 
 
-def trial_support(master_seed: int, index: int, n: int, d: float) -> TrialSupport:
-    """The edge support of trial ``index`` (that of :func:`trial_graph`,
-    for every field and template) and its leaf removal, computed once per
-    process while the memo keeps it."""
+def trial_support(master_seed: int, index: int, n: int, d: float,
+                  edges: tuple | None = None) -> TrialSupport:
+    """The edge support of trial ``index``, the same for every field and
+    template, and its leaf removal, computed once per process while the memo
+    keeps it.  ``edges`` is that support's ``(i, j)`` when the caller has
+    sampled it already, as a census trial has: a miss then leaf-removes it
+    rather than sampling again."""
 
     def compute() -> TrialSupport:
         trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
-        lr = leaf_removal(n, *sample_support(n, d / n, _coupling(trial_seed)))
-        # stored in the least unsigned type that holds every vertex id
-        arrays = tuple(a.astype(np.min_scalar_type(n))
-                       for a in (lr.core_vertices, lr.core_i, lr.core_j))
-        for a in arrays:
-            a.flags.writeable = False
-        return TrialSupport(trial_seed, lr.isolated_count, len(lr.removed_pairs), *arrays)
+        i, j = sample_support(n, d / n, _coupling(trial_seed)) if edges is None else edges
+        return TrialSupport.leaf_removed(trial_seed, n, i, j)
 
     return _supports.get((master_seed, index, n, d), compute)
 
@@ -401,18 +402,18 @@ def _rank_of_core(core: Graph) -> int:
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
-    """One trial: the support's leaf removal, then the weighted core's rank;
-    a census run samples the whole weighted graph instead, and adds the type
+    """One trial: the support's leaf removal, then the weighted core's rank.
+    A census run first samples the whole weighted graph, and adds the type
     census of the perturbed, relabelled matrix T."""
     start = time.perf_counter()
-    profile = theta = None
+    trial_seed = derive_seed(cfg.master_seed, index, TAG_TRIAL)
+    template = _weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template)
+    profile = theta = edges = None
     if cfg.census:
-        trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
-                                    cfg.template)
-        ks = karp_sipser(G)
-        isolated, pairs, core = ks.isolated_count, len(ks.removed_pairs), ks.core
+        G = sample_graph(cfg.n, cfg.d / cfg.n, template, _coupling(trial_seed))
         # T is G relabelled at full size, and rank and leaf-removal statistics
-        # are relabelling-invariant, so G's leaf removal gives both for T too
+        # are relabelling-invariant, so G's support gives both for T too
+        edges = G.i, G.j
         pert_base = trial_seed if cfg.pert_seed is None else \
             derive_seed(cfg.pert_seed, index, TAG_TRIAL)
         pert = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
@@ -420,12 +421,8 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         perturbed = canonical_perturb(T, pert, CoupledFamilies.from_seed(pert_base))
         profile = type_census(perturbed, census_size=cfg.n)
         theta = (pert.theta_r, pert.theta_c)
-    else:
-        support = trial_support(cfg.master_seed, index, cfg.n, cfg.d)
-        trial_seed, isolated, pairs = (support.trial_seed, support.isolated_count,
-                                       support.removed_pair_count)
-        core = support.core(_weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template))
-    rank = 2 * pairs + _rank_of_core(core)
+    support = trial_support(cfg.master_seed, index, cfg.n, cfg.d, edges)
+    rank = 2 * support.removed_pair_count + _rank_of_core(support.core(template))
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,
@@ -436,8 +433,8 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         rank=rank,
         nullity=cfg.n - rank,
         normalized_rank=rank / cfg.n,
-        ks_isolated=isolated,
-        ks_core_size=core.n,
+        ks_isolated=support.isolated_count,
+        ks_core_size=support.core_vertices.size,
         census=profile,
         theta=theta,
         elapsed_ms=(time.perf_counter() - start) * 1e3,

@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, seeds, censuses, persistence."""
 
+import hashlib
 import json
 import math
 import os
@@ -37,13 +38,22 @@ from frozenrank.harness import (
     run_census,
     run_experiment,
     summarize,
-    trial_graph,
     write_csv_file,
 )
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
-from frozenrank.prf import TAG_PERM, TAG_THETA, Stream, derive_seed
-from frozenrank.randgraph import Graph, karp_sipser, sample_T
+from frozenrank.prf import TAG_PERM, TAG_THETA, TAG_TRIAL, Stream, derive_seed
+from frozenrank.randgraph import Graph, karp_sipser, sample_graph, sample_T
 from test_rational_matrix import fraction_frozen_set, fraction_rref, sparse_rows
+
+
+def trial_graph(master_seed: int, index: int, n: int, d: float, field: FieldSpec,
+                template: str) -> tuple[int, Graph]:
+    """(trial seed, whole weighted graph) of trial ``index``, sampled
+    literally: the oracle of the support, its leaf removal and its weights."""
+    trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
+    return trial_seed, sample_graph(n, d / n,
+                                    harness._weight_template(trial_seed, n, field, template),
+                                    harness._coupling(trial_seed))
 
 
 def small_cfg(**overrides):
@@ -181,17 +191,18 @@ def test_same_support_across_fields():
 # ------------------------------------------------------------- support memo
 
 
-def _counted_samples(monkeypatch) -> list:
-    """Coupling seeds of the supports the harness samples from now on."""
-    seeds = []
-    sample = harness.sample_support
+def _counted_calls(monkeypatch, *names) -> dict:
+    """The calls the harness makes from now on to each of ``names``."""
+    calls = {}
+    for name in names:
+        real, calls[name] = getattr(harness, name), []
 
-    def counted(n, p, coupling):
-        seeds.append(coupling.seed)
-        return sample(n, p, coupling)
+        def counted(*args, _real=real, _log=calls[name]):
+            _log.append(args)
+            return _real(*args)
 
-    monkeypatch.setattr(harness, "sample_support", counted)
-    return seeds
+        monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 def _support_fields(s: harness.TrialSupport) -> tuple:
@@ -206,9 +217,52 @@ def test_warm_memo_writes_the_cold_csv(monkeypatch, field, template):
     cold = records_to_csv(run_experiment(cfg)[0])
     harness._supports.clear()
     run_experiment(replace(cfg, field="Fp:3", template="random"))  # another field warms it
-    sampled = _counted_samples(monkeypatch)
+    calls = _counted_calls(monkeypatch, "sample_support")
     assert records_to_csv(run_experiment(cfg)[0]) == cold
-    assert sampled == []
+    assert calls["sample_support"] == []
+
+
+@pytest.mark.parametrize("field,template", [("F2", "allones"), ("Fp:2147483647", "random"),
+                                            ("Q", "random")])
+def test_census_and_simulate_share_the_memo_both_ways(monkeypatch, field, template):
+    cfg = small_cfg(n=150, d=3.0, field=field, template=template, trials=4, pert_P=8)
+    cold_simulate = records_to_csv(run_experiment(cfg)[0])
+    harness._supports.clear()
+    cold_census = records_to_csv(run_census(cfg)[0])
+    names = ("sample_support", "leaf_removal", "sample_graph")
+    # census, then simulate: every support is a hit
+    calls = _counted_calls(monkeypatch, *names)
+    assert records_to_csv(run_experiment(cfg)[0]) == cold_simulate
+    assert calls == {name: [] for name in names}
+    # simulate, then census: the census samples its weighted graphs only
+    harness._supports.clear()
+    run_experiment(cfg)
+    calls = _counted_calls(monkeypatch, *names)
+    assert records_to_csv(run_census(cfg)[0]) == cold_census
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"sample_support": 0, "leaf_removal": 0, "sample_graph": cfg.trials}
+
+
+# sha256 of records_to_csv(run_census(...)) at master seed 0, P = 8, 3 trials
+CENSUS_DIGESTS = [
+    ("Fp:2147483647", "random", 200, 3.0,
+     "c96b5d505b4e8fbc43112858bea70ca5cac8fc8f157b91595aa429215951ea65"),
+    ("Q", "random", 120, 3.0,
+     "19273d1e56ff9474be0943028d816c918a9f042a1bd9c3f4da9aab99030d37a7"),
+    ("Fp:3", "allones", 60, 0.5,
+     "8b0d28bf8791f58225a1f147cdb062dba0ddf980aa3e98161dd8646d220612ce"),
+]
+
+
+@pytest.mark.parametrize("field,template,n,d,digest", CENSUS_DIGESTS)
+@pytest.mark.parametrize("warm", (False, True))
+def test_census_csv_bytes_are_pinned(field, template, n, d, digest, warm):
+    cfg = ExperimentConfig(n=n, d=d, field=field, template=template, trials=3,
+                           master_seed=0, pert_P=8)
+    if warm:
+        run_experiment(cfg)  # the census reads each support from the memo
+    text = records_to_csv(run_census(cfg)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("change", [dict(master_seed=8), dict(index=2), dict(n=260),
