@@ -45,6 +45,18 @@ expect 0 ks --n 2000 --d 3 --trials 3
 mv "$tmp/cli.out" "$tmp/ks_f2.csv"
 expect 0 ks --n 2000 --d 3 --trials 3 --field Q --template random
 cmp "$tmp/ks_f2.csv" "$tmp/cli.out"
+# ks and simulate, each in its own process, derive every trial's seed and
+# support alike: the same seed columns and the same leaf-removal counts
+flags="--n 300 --d 3 --trials 3 --seed 5"
+expect 0 ks $flags
+mv "$tmp/cli.out" "$tmp/ks.csv"
+expect 0 simulate $flags
+cut -d, -f1-4 "$tmp/ks.csv" > "$tmp/ks_seeds.csv"
+cut -d, -f1-4 "$tmp/cli.out" > "$tmp/simulate_seeds.csv"
+cmp "$tmp/ks_seeds.csv" "$tmp/simulate_seeds.csv"
+cut -d, -f5,6 "$tmp/ks.csv" > "$tmp/ks_counts.csv"
+cut -d, -f10,11 "$tmp/cli.out" > "$tmp/simulate_counts.csv"
+cmp "$tmp/ks_counts.csv" "$tmp/simulate_counts.csv"
 printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"
 expect 0 classify --matrix "$tmp/f3.txt"
 printf '3 3 Q\n0 1/2 0\n1/2 0 -3/4\n0 -3/4 0\n' > "$tmp/q3.txt"

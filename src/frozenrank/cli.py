@@ -21,6 +21,7 @@ from .exactla import TypeProfile, frozen_set, parse_matrix, variable_types
 from .field import FieldSpec
 from .harness import (
     ExperimentConfig,
+    derive_trial_seed,
     records_to_csv,
     run_census,
     run_experiment,
@@ -133,8 +134,9 @@ def _cmd_ks(args) -> int:
     FieldSpec.parse_label(args.field)  # refused if malformed, though no field changes the support
 
     def row(index: int) -> list:
-        s = trial_support(args.seed, index, args.n, args.d)
-        return [index, s.trial_seed, args.n, args.d,
+        trial_seed = derive_trial_seed(args.seed, index)
+        s = trial_support(trial_seed, args.n, args.d)
+        return [index, trial_seed, args.n, args.d,
                 s.isolated_count, s.core_vertices.size, s.removed_pair_count]
 
     columns = ["trial_index", "derived_seed", "n", "d",

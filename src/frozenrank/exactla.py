@@ -61,6 +61,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -312,14 +313,21 @@ def _free_columns(pivots: list[int], n: int) -> list[int]:
     return [j for j in range(n) if j not in pivset]
 
 
-def _index_set(indices, bound: int, what: str) -> set[int]:
-    out = set()
-    for i in indices:
+def _index(i, bound: int, what: str) -> int:
+    """``i`` as an int in ``[0, bound)``, the one rule for every row, column
+    and variable index: Python and numpy integers are taken, while a bool or
+    a non-integer raises ``ValueError``, as an entry over Q does."""
+    if type(i) is not int:
+        if isinstance(i, bool) or not isinstance(i, Integral):
+            raise ValueError(f"{what} index {i!r} is not an integer")
         i = int(i)
-        if not 0 <= i < bound:
-            raise ValueError(f"{what} index {i} out of range [0, {bound})")
-        out.add(i)
-    return out
+    if not 0 <= i < bound:
+        raise ValueError(f"{what} index {i} out of range [0, {bound})")
+    return i
+
+
+def _index_set(indices, bound: int, what: str) -> set[int]:
+    return {_index(i, bound, what) for i in indices}
 
 
 # ------------------------------------------------------ F2 kernel on int rows
@@ -713,9 +721,7 @@ def frozen_set(A: Matrix) -> tuple[int, ...]:
 
 
 def is_frozen(A: Matrix, i: int) -> bool:
-    if not 0 <= i < A.n:
-        raise ValueError(f"column {i} out of range")
-    return i not in A.kernel_support()
+    return _index(i, A.n, "column") not in A.kernel_support()
 
 
 def is_relation(A: Matrix, I) -> bool:
@@ -774,8 +780,7 @@ def classify_variable(A: Matrix, i: int) -> str:
     both sides gives ``Y``, neither side frozen gives ``Z``, and the mixed
     cases give ``U``/``V``.
     """
-    if not 0 <= i < min(A.m, A.n):
-        raise ValueError(f"variable {i} out of range [0, {min(A.m, A.n)})")
+    i = _index(i, min(A.m, A.n), "variable")
     AT = A.transpose()
     fa = is_frozen(A, i)
     fat = is_frozen(AT, i)
@@ -969,8 +974,7 @@ def symmetric_removal_rank_drop(A: Matrix, i: int) -> int:
     """
     if A.m != A.n:
         raise ValueError("symmetric removal requires a square matrix")
-    if not 0 <= i < A.n:
-        raise ValueError(f"index {i} out of range")
+    i = _index(i, A.n, "row and column")
     return A.rank() - A.remove(rows=[i], cols=[i]).rank()
 
 
@@ -978,7 +982,7 @@ def relabelled(A: Matrix, perm) -> Matrix:
     """Joint row/column relabelling: entry (perm[i], perm[j]) = A(i, j)."""
     if A.m != A.n:
         raise ValueError("joint relabelling requires a square matrix")
-    perm = list(perm)
+    perm = [_index(t, A.n, "permutation") for t in perm]
     if sorted(perm) != list(range(A.n)):
         raise ValueError("not a permutation of range(n)")
     inv = [0] * A.n

@@ -1,19 +1,20 @@
 """Monte Carlo experiment orchestration and result persistence.
 
-Each trial is a pure function of ``(master_seed, trial_index)``: the trial
-seed splits into separate streams for edge coupling, weights, the vertex
-permutation, the perturbation dimensions, and the perturbation families,
-so no two random sources ever share a stream.  The edge and weight split is
-stated once, in :func:`_coupling` and :func:`_weight_template`; the rest in
-:func:`_run_trial`, the one trial function of both rank and census runs.
-The edge support depends only on ``(master_seed, trial_index, n, d)``, so
-every trial takes the support's leaf removal from a memo shared by every
-field, template and run kind of the process (:func:`trial_support`) and
-ranks the core weighed by its template; a census trial also samples the
-whole weighted graph, which the census relabels and whose support a memo
-miss leaf-removes.  Records are ordered by trial index, which makes the CSV
-output byte-identical across reruns and worker counts.  Wall-clock timings
-are kept on the in-memory records only, never serialized.
+Each trial is a pure function of ``(master_seed, trial_index)``: its trial
+seed (:func:`derive_trial_seed`) splits into separate streams for edge
+coupling, weights, the vertex permutation, the perturbation dimensions and
+the perturbation families, so no two random sources ever share a stream.
+The edge and weight split is stated once, in :func:`_coupling` and
+:func:`_weight_template`; the rest in :func:`_run_trial`, the one trial
+function of both rank and census runs.  The edge support depends only on
+``(trial_seed, n, d)``, so every trial takes the support's leaf removal
+from a memo shared by every field, template and run kind of the process
+(:func:`trial_support`) and ranks the core's arrays weighed by its
+template; a census trial also samples the whole weighted graph, which the
+census relabels and whose support a memo miss leaf-removes.  Records are
+ordered by trial index, which makes the CSV output byte-identical across
+reruns and worker counts.  Wall-clock timings are kept on the in-memory
+records only, never serialized.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .prf import (
 )
 from .randgraph import (
     CouplingSource,
-    Graph,
     WeightTemplate,
     available_cpus,
     leaf_removal,
@@ -268,6 +268,12 @@ def summarize(records: list[TrialRecord], d: float) -> SummaryReport:
 # ------------------------------------------------------------------- trials
 
 
+def derive_trial_seed(master_seed: int, index: int) -> int:
+    """The seed of trial ``index`` of a run on ``master_seed``, from which
+    every stream of the trial splits."""
+    return derive_seed(master_seed, index, TAG_TRIAL)
+
+
 def _coupling(trial_seed: int) -> CouplingSource:
     """The edge-coupling stream of a trial.  With :func:`_weight_template`
     this is the one place the trial seed splits into edges and weights."""
@@ -281,38 +287,17 @@ def _weight_template(trial_seed: int, n: int, field: FieldSpec, template: str) -
 
 @dataclass(frozen=True, eq=False)
 class TrialSupport:
-    """What a rank needs of a trial's edge support: the trial seed, the
-    leaf-removal counts and the core's edges, read-only.  Core edge ``k``
-    joins core vertices ``core_i[k] < core_j[k]``, which are vertices
+    """What a rank needs of a trial's edge support: the leaf-removal counts
+    and the core's edges, read-only.  Core edge ``k`` joins core vertices
+    ``core_i[k] < core_j[k]``, which are vertices
     ``core_vertices[core_i[k]] < core_vertices[core_j[k]]`` of the trial's
     graph."""
 
-    trial_seed: int
     isolated_count: int
     removed_pair_count: int
     core_vertices: np.ndarray
     core_i: np.ndarray
     core_j: np.ndarray
-
-    @classmethod
-    def leaf_removed(cls, trial_seed: int, n: int, i: np.ndarray,
-                     j: np.ndarray) -> "TrialSupport":
-        """The leaf removal of the support ``(i, j)`` on ``n`` vertices, its
-        arrays in the least unsigned type that holds every vertex id."""
-        lr = leaf_removal(n, i, j)
-        arrays = tuple(a.astype(np.min_scalar_type(n))
-                       for a in (lr.core_vertices, lr.core_i, lr.core_j))
-        for a in arrays:
-            a.flags.writeable = False
-        return cls(trial_seed, lr.isolated_count, len(lr.removed_pairs), *arrays)
-
-    def core(self, template: WeightTemplate) -> Graph:
-        """The leaf-removal core weighted by ``template``.  A weight is a pure
-        function of the template's seed and the edge's original endpoints, so
-        this is the core of the whole weighted graph."""
-        v = self.core_vertices
-        return Graph(v.size, template.field, self.core_i, self.core_j,
-                     template.weights(v[self.core_i], v[self.core_j]))
 
 
 # core edges the support memo may hold over all its entries (an entry with
@@ -325,7 +310,7 @@ _MEMO_EDGES = 1 << 15
 
 
 class _SupportMemo:
-    """The :class:`TrialSupport` of each ``(master_seed, index, n, d)``, least
+    """The :class:`TrialSupport` of each ``(trial_seed, n, d)``, least
     recently used first, holding at most ``_MEMO_EDGES`` core edges; a
     support larger than that is never stored.  A miss samples outside the
     lock, so threads sample at the same time."""
@@ -372,33 +357,40 @@ class _SupportMemo:
 _supports = _SupportMemo()
 
 
-def trial_support(master_seed: int, index: int, n: int, d: float,
+def trial_support(trial_seed: int, n: int, d: float,
                   edges: tuple | None = None) -> TrialSupport:
-    """The edge support of trial ``index``, the same for every field and
-    template, and its leaf removal, computed once per process while the memo
-    keeps it.  ``edges`` is that support's ``(i, j)`` when the caller has
-    sampled it already, as a census trial has: a miss then leaf-removes it
-    rather than sampling again."""
+    """The edge support that the coupling stream of ``trial_seed`` gives on
+    ``n`` vertices at mean degree ``d``, the same for every field and
+    template, and its leaf removal in the least unsigned type that holds a
+    vertex id, computed once per process while the memo keeps it.  ``edges``
+    is that support's ``(i, j)`` when the caller has sampled it already, as a
+    census trial has: a miss then leaf-removes it rather than sampling again."""
 
     def compute() -> TrialSupport:
-        trial_seed = derive_seed(master_seed, index, TAG_TRIAL)
         i, j = sample_support(n, d / n, _coupling(trial_seed)) if edges is None else edges
-        return TrialSupport.leaf_removed(trial_seed, n, i, j)
+        lr = leaf_removal(n, i, j)
+        arrays = tuple(a.astype(np.min_scalar_type(n))
+                       for a in (lr.core_vertices, lr.core_i, lr.core_j))
+        for a in arrays:
+            a.flags.writeable = False
+        return TrialSupport(lr.isolated_count, len(lr.removed_pairs), *arrays)
 
-    return _supports.get((master_seed, index, n, d), compute)
+    return _supports.get((trial_seed, n, d), compute)
 
 
-def _rank_of_core(core: Graph) -> int:
-    """Exact rank of a leaf-removal core, from its edges and without a
-    :class:`~frozenrank.exactla.Matrix`; the whole graph's rank adds two per
-    removed pair (:class:`~frozenrank.randgraph.KSResult`).  A prime-field
-    core goes to :func:`~frozenrank.exactla.sparse_rank`, a rational core of
-    any size to :func:`~frozenrank.exactla.rational_rank`: a sparse rank
-    modulo a prime, certified exact when full, else the rank of the RREF
-    lifted from primes and verified."""
-    if core.field.kind == "rationals":
-        return rational_rank(core.n, core.i, core.j, core.w).rank
-    return sparse_rank(core.n, core.i, core.j, core.w, core.field.p)
+def _rank_of_core(field: FieldSpec, n: int, i: np.ndarray, j: np.ndarray,
+                  w: np.ndarray) -> int:
+    """Exact rank over ``field`` of the leaf-removal core on ``n`` vertices
+    with edges ``(i, j)`` weighted ``w``, without a
+    :class:`~frozenrank.exactla.Matrix`; the rank identity of
+    :class:`~frozenrank.randgraph.KSResult` gives the whole graph's.  A
+    prime-field core goes to :func:`~frozenrank.exactla.sparse_rank`, a
+    rational core of any size to :func:`~frozenrank.exactla.rational_rank`:
+    a sparse rank modulo a prime, certified exact when full, else the rank
+    of the RREF lifted from primes and verified."""
+    if field.kind == "rationals":
+        return rational_rank(n, i, j, w).rank
+    return sparse_rank(n, i, j, w, field.p)
 
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
@@ -406,7 +398,7 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     A census run first samples the whole weighted graph, and adds the type
     census of the perturbed, relabelled matrix T."""
     start = time.perf_counter()
-    trial_seed = derive_seed(cfg.master_seed, index, TAG_TRIAL)
+    trial_seed = derive_trial_seed(cfg.master_seed, index)
     template = _weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template)
     profile = theta = edges = None
     if cfg.census:
@@ -415,14 +407,18 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         # are relabelling-invariant, so G's support gives both for T too
         edges = G.i, G.j
         pert_base = trial_seed if cfg.pert_seed is None else \
-            derive_seed(cfg.pert_seed, index, TAG_TRIAL)
+            derive_trial_seed(cfg.pert_seed, index)
         pert = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
         T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
         perturbed = canonical_perturb(T, pert, CoupledFamilies.from_seed(pert_base))
         profile = type_census(perturbed, census_size=cfg.n)
         theta = (pert.theta_r, pert.theta_c)
-    support = trial_support(cfg.master_seed, index, cfg.n, cfg.d, edges)
-    rank = 2 * support.removed_pair_count + _rank_of_core(support.core(template))
+    support = trial_support(trial_seed, cfg.n, cfg.d, edges)
+    # a weight is a pure function of the template's seed and the edge's
+    # original endpoints, so these are the whole weighted graph's on the core
+    v, core_i, core_j = support.core_vertices, support.core_i, support.core_j
+    rank = 2 * support.removed_pair_count + _rank_of_core(
+        template.field, v.size, core_i, core_j, template.weights(v[core_i], v[core_j]))
     return TrialRecord(
         trial_index=index,
         derived_seed=trial_seed,

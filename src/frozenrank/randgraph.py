@@ -104,8 +104,9 @@ class Graph:
     that are canonical residues in ``[1, p)`` in an int64 array over F_p, or
     nonzero Fractions in an object array over Q, given as ints or Fractions.
     The constructor takes any sequences and checks every graph once, on the
-    arrays: no self-loops, endpoints in range, no pair twice (in either
-    orientation) and the weights above.  :meth:`from_edges` builds one from ``(i, j, w)`` triples.
+    arrays: ``n >= 0``, no self-loops, endpoints in range, no pair twice (in
+    either orientation) and the weights above.  :meth:`from_edges` builds
+    one from ``(i, j, w)`` triples.
     """
 
     n: int
@@ -116,6 +117,8 @@ class Graph:
 
     def __post_init__(self):
         n, p = self.n, self.field.p
+        if n < 0:
+            raise ValueError(f"graph size n must be >= 0, got {n}")
         i, j = _endpoints(self.i), _endpoints(self.j)
         w = np.array(self.w, dtype=object if p is None else None)
         if w.size == 0 and p is not None:

@@ -242,6 +242,15 @@ def test_ks_refuses_a_bad_graph_file(tmp_path, capsys, text):
     assert capsys.readouterr().out == ""
 
 
+def test_ks_refuses_a_negative_graph_size(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("-1 0 F2\n")
+    assert main(["ks", "--graph", str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph size n must be >= 0, got -1\n"
+
+
 def test_ks_needs_inputs():
     assert main(["ks"]) == 2
 

@@ -11,6 +11,7 @@ import pickle
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -435,6 +436,42 @@ def test_block_assembly():
 def test_relabelled_requires_permutation():
     with pytest.raises(ValueError):
         relabelled(path3(), [0, 0, 1])
+
+
+def _index_takers(A: Matrix) -> dict:
+    """Every public way of naming a row, column or variable of the 3 x 3
+    ``A`` by one index ``k``."""
+    return {
+        "is_frozen": lambda k: exactla.is_frozen(A, k),
+        "classify_variable": lambda k: classify_variable(A, k),
+        "symmetric_removal_rank_drop": lambda k: symmetric_removal_rank_drop(A, k),
+        "remove rows": lambda k: A.remove(rows=[k]),
+        "remove cols": lambda k: A.remove(cols=[k]),
+        "is_relation": lambda k: is_relation(A, [k]),
+        "relabelled": lambda k: relabelled(A, [k, 0, 2]),
+    }
+
+
+@pytest.mark.parametrize("k", [0.5, 1.7, 1.0, Fraction(1), True, np.bool_(True),
+                               np.float64(1.0), "1", None],
+                         ids=["0.5", "1.7", "1.0", "Fraction", "True", "np.bool_",
+                              "np.float64", "str", "None"])
+def test_an_index_that_is_no_integer_is_refused(k):
+    # F3 path 0 - 1 - 2 with weights 1 and 2: its frozen set is (1,); a
+    # float, bool or str must not be read as the integer it rounds to
+    A = Matrix.from_rows(F3, [[0, 1, 0], [1, 0, 2], [0, 2, 0]])
+    for name, take in _index_takers(A).items():
+        with pytest.raises(ValueError, match="not an integer"):
+            take(k)
+            pytest.fail(f"{name} took {k!r}")
+
+
+def test_numpy_integer_indices_are_python_ints():
+    A = Matrix.from_rows(F3, [[0, 1, 0], [1, 0, 2], [0, 2, 0]])
+    assert frozen_set(A) == (1,)
+    for name, take in _index_takers(A).items():
+        for k in (np.int64(1), np.uint8(1), np.int32(1)):
+            assert take(k) == take(1), name
 
 
 def test_rational_cap():

@@ -191,35 +191,44 @@ def test_same_support_across_fields():
 # ------------------------------------------------------------- support memo
 
 
-def _counted_calls(monkeypatch, *names) -> dict:
-    """The calls the harness makes from now on to each of ``names``."""
+def _counted_calls(monkeypatch, *names, module=harness) -> dict:
+    """The calls made from now on to each of ``names`` as globals of
+    ``module``."""
     calls = {}
     for name in names:
-        real, calls[name] = getattr(harness, name), []
+        real, calls[name] = getattr(module, name), []
 
         def counted(*args, _real=real, _log=calls[name]):
             _log.append(args)
             return _real(*args)
 
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def _support_fields(s: harness.TrialSupport) -> tuple:
-    return (s.trial_seed, s.isolated_count, s.removed_pair_count, s.core_vertices.tolist(),
+    return (s.isolated_count, s.removed_pair_count, s.core_vertices.tolist(),
             s.core_i.tolist(), s.core_j.tolist())
 
 
+def _trial_support(master_seed: int, index: int, n: int, d: float) -> harness.TrialSupport:
+    return harness.trial_support(harness.derive_trial_seed(master_seed, index), n, d)
+
+
 @pytest.mark.parametrize("field,template", [("F2", "allones"), ("Fp:5", "random"),
-                                            ("Q", "random"), ("Q", "allones")])
+                                            ("Fp:2147483647", "random"), ("Q", "random"),
+                                            ("Q", "allones")])
 def test_warm_memo_writes_the_cold_csv(monkeypatch, field, template):
     cfg = small_cfg(n=300, d=3.0, field=field, template=template, trials=5)
     cold = records_to_csv(run_experiment(cfg)[0])
     harness._supports.clear()
     run_experiment(replace(cfg, field="Fp:3", template="random"))  # another field warms it
     calls = _counted_calls(monkeypatch, "sample_support")
+    # a support is checked once, when it is sampled: a warm trial ranks the
+    # memo's core arrays without checking them again
+    checks = _counted_calls(monkeypatch, "_check_support", module=randgraph)
     assert records_to_csv(run_experiment(cfg)[0]) == cold
-    assert calls["sample_support"] == []
+    assert calls["sample_support"] == checks["_check_support"] == []
 
 
 @pytest.mark.parametrize("field,template", [("F2", "allones"), ("Fp:2147483647", "random"),
@@ -269,10 +278,10 @@ def test_census_csv_bytes_are_pinned(field, template, n, d, digest, warm):
                                     dict(d=3.5)])
 def test_memo_key_names_every_input_of_the_support(change):
     base = dict(master_seed=7, index=1, n=250, d=3.0)
-    first = harness.trial_support(**base)
-    warm = harness.trial_support(**{**base, **change})
+    first = _trial_support(**base)
+    warm = _trial_support(**{**base, **change})
     harness._supports.clear()
-    cold = harness.trial_support(**{**base, **change})
+    cold = _trial_support(**{**base, **change})
     assert _support_fields(warm) == _support_fields(cold) != _support_fields(first)
 
 
@@ -280,7 +289,7 @@ def test_memo_keeps_the_most_recently_used_within_its_budget(monkeypatch):
     monkeypatch.setattr(harness, "_MEMO_EDGES", 700)
     memo, used = harness._supports, []
     for index in (0, 1, 2, 3, 0, 4, 5, 1, 6, 7, 2, 8, 8, 3):
-        key = (5, index, 400, 3.0)
+        key = (harness.derive_trial_seed(5, index), 400, 3.0)
         support = harness.trial_support(*key)
         assert support.core_i.size + 1 <= harness._MEMO_EDGES  # so it is stored
         used = [k for k in used if k != key] + [key]
@@ -291,16 +300,16 @@ def test_memo_keeps_the_most_recently_used_within_its_budget(monkeypatch):
 
 
 def test_memo_never_stores_a_support_above_its_budget():
-    harness.trial_support(0, 0, 300, 3.0)
+    _trial_support(0, 0, 300, 3.0)
     held = list(harness._supports.entries)
-    big = harness.trial_support(0, 0, 4096, 200.0)
+    big = _trial_support(0, 0, 4096, 200.0)
     assert big.core_i.size > harness._MEMO_EDGES
     assert list(harness._supports.entries) == held
     assert harness._supports.edges <= harness._MEMO_EDGES
 
 
 def test_memo_entries_are_read_only():
-    support = harness.trial_support(3, 0, 300, 3.0)
+    support = _trial_support(3, 0, 300, 3.0)
     for a in (support.core_vertices, support.core_i, support.core_j):
         with pytest.raises(ValueError):
             a[0] = 0
@@ -336,7 +345,7 @@ def test_threads_on_different_seeds_write_the_sequential_csvs():
 def test_memo_under_contending_threads(monkeypatch):
     # eight threads on overlapping keys, with a budget of a few entries: every
     # lookup gives the cold support, and the count of stored edges stays exact
-    keys = [(9, index, 300, 3.0) for index in range(12)]
+    keys = [(harness.derive_trial_seed(9, index), 300, 3.0) for index in range(12)]
     cold = {key: _support_fields(harness.trial_support(*key)) for key in keys}
     harness._supports.clear()
     monkeypatch.setattr(harness, "_MEMO_EDGES", 500)
@@ -367,8 +376,8 @@ _FORK_WHILE_LOCKED = """
 from frozenrank import harness
 with harness._supports._lock:  # as if another thread were inside the memo
     with harness._worker_pool(2) as pool:
-        seed = pool.submit(harness.trial_support, 1, 0, 100, 3.0).result().trial_seed
-assert seed == harness.trial_support(1, 0, 100, 3.0).trial_seed
+        core = pool.submit(harness.trial_support, 1, 100, 3.0).result().core_vertices
+assert core.tolist() == harness.trial_support(1, 100, 3.0).core_vertices.tolist()
 print("same")
 """
 
@@ -409,15 +418,18 @@ def test_core_weighted_on_its_edges_is_the_graphs_core(field):
         trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
                                     cfg.template)
         ks = karp_sipser(G)
-        support = harness.trial_support(cfg.master_seed, index, cfg.n, cfg.d)
-        core = support.core(harness._weight_template(trial_seed, cfg.n, cfg.field_spec,
-                                                     cfg.template))
-        assert support.trial_seed == trial_seed
+        assert trial_seed == harness.derive_trial_seed(cfg.master_seed, index)
+        support = harness.trial_support(trial_seed, cfg.n, cfg.d)
         assert (support.isolated_count, support.removed_pair_count,
                 tuple(support.core_vertices.tolist())) == \
             (ks.isolated_count, len(ks.removed_pairs), ks.core_vertices)
-        assert core == ks.core
-        assert np.array_equal(core.w, ks.core.w)
+        v, core_i, core_j = support.core_vertices, support.core_i, support.core_j
+        template = harness._weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template)
+        w = template.weights(v[core_i], v[core_j])
+        for got, want in ((core_i, ks.core.i), (core_j, ks.core.j), (w, ks.core.w)):
+            assert np.array_equal(got, want)
+        assert _rank_of_core(cfg.field_spec, v.size, core_i, core_j, w) == \
+            _dense_rank(ks.core)
 
 
 def test_rational_rank_paths():
@@ -694,7 +706,9 @@ def _route(G: Graph) -> RationalRank:
     ks = karp_sipser(G)
     assert ks.core_vertices == tuple(range(G.n))
     got = rational_rank(G.n, G.i, G.j, G.w)
-    assert _rank_of_core(ks.core) == got.rank == _dense_rank(G)
+    core = ks.core
+    assert _rank_of_core(core.field, core.n, core.i, core.j, core.w) == got.rank == \
+        _dense_rank(G)
     return got
 
 
