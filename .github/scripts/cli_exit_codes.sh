@@ -21,6 +21,13 @@ test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 0 census --n 60 --d 2 --P 8 --trials 2
 test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 2 ks --n 60 --d 2 --trials -1
+# the PRF reads seeds modulo 2^64: a seed outside [0, 2^64) is refused, not aliased
+expect 2 simulate --n 30 --d 2 --trials 1 --seed -1
+expect 2 ks --n 30 --d 2 --trials 1 --seed 18446744073709551616
+expect 2 census --n 30 --d 2 --P 8 --trials 1 --pert-seed -1
+expect 0 simulate --n 30 --d 2 --trials 1 --seed 18446744073709551615
+# no more workers than trials: one trial runs in this process, with no pool
+expect 0 simulate --n 60 --d 2 --trials 1 --workers 4
 # a census CSV's first eleven columns are the simulate CSV, each run in its
 # own process and so from a cold support memo
 flags="--n 300 --d 3 --trials 3 --field Fp:2147483647 --template random"
@@ -61,6 +68,8 @@ printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"
 expect 0 classify --matrix "$tmp/f3.txt"
 printf '3 3 Q\n0 1/2 0\n1/2 0 -3/4\n0 -3/4 0\n' > "$tmp/q3.txt"
 expect 0 classify --matrix "$tmp/q3.txt"
+printf '0 -3 F2\n' > "$tmp/negdim.txt"
+expect 2 classify --matrix "$tmp/negdim.txt"
 printf '7 5 F2\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n4 5 1\n' > "$tmp/graph.txt"
 expect 0 ks --graph "$tmp/graph.txt"
 printf '7 5 Q\n0 1 1/2\n1 2 -3\n2 3 2/3\n0 3 1\n4 5 -1/7\n' > "$tmp/qgraph.txt"

@@ -21,6 +21,7 @@ from .exactla import TypeProfile, frozen_set, parse_matrix, variable_types
 from .field import FieldSpec
 from .harness import (
     ExperimentConfig,
+    check_seed,
     derive_trial_seed,
     records_to_csv,
     run_census,
@@ -131,6 +132,7 @@ def _cmd_ks(args) -> int:
             raise ValueError(f"--{flag} must be >= 1")
     if not 0.0 <= args.d <= args.n:
         raise ValueError(f"--d must lie in [0, --n] = [0, {args.n}], got {args.d!r}")
+    check_seed("--seed", args.seed)
     FieldSpec.parse_label(args.field)  # refused if malformed, though no field changes the support
 
     def row(index: int) -> list:

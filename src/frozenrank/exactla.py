@@ -39,12 +39,15 @@ elimination.  It also keeps its latest :meth:`Matrix.remove` result, so
 asking twice in a row about one row-deleted matrix eliminates it once.
 Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
-a ``dtype=object`` array over Q.  One dense kernel eliminates over F_p.
-Rank, kernel rows and the census solve over F2 run on rows held
-as Python ints instead, one bit per column, with XOR as row addition.
-Entries are plain values, read back as Python ints or ``Fraction`` objects.
-Over Q, :func:`_rational_rref` lifts every RREF from the dense kernel modulo
-primes, certified exact: nothing is eliminated on Fractions.
+a ``dtype=object`` array over Q.  Every F2 question (rank, kernel support,
+kernel rows and bases, the census solve) runs on rows held as Python ints,
+one bit per column, with XOR as row addition.  Over F_p (p > 2) and Q every
+question but the F_p rank, which eliminates forward only, reads one reduced
+form, :func:`_reduced`: the pivot columns of the RREF and its pivot rows on
+the free columns.  One dense kernel eliminates over F_p, and over Q
+:func:`_rational_rref` lifts that form from it modulo primes, certified
+exact: nothing is eliminated on Fractions.  Entries are plain values, read
+back as Python ints or ``Fraction`` objects.
 
 A sparse symmetric matrix given by its edges, such as a leaf-removal core,
 is ranked without a :class:`Matrix`: :func:`sparse_rank` over F_p
@@ -228,7 +231,7 @@ class Matrix:
             if self.field.is_gf2:
                 self._rank = len(_echelon_gf2(_int_rows(self._a), self.n))
             elif self.field.kind == "rationals":
-                self._rank = len(_rref_of_fractions(self._a)[0])
+                self._reduce()
             else:
                 self._rank = _forward_dense(self._a.copy(), self.field.p)[0]
         return self._rank
@@ -237,55 +240,38 @@ class Matrix:
         return self.n - self.rank()
 
     def kernel_basis(self) -> list[list[int | Fraction]]:
-        """Basis of the right kernel; length equals the nullity."""
-        return self._kernel().T.tolist()
+        """Basis of the right kernel, one vector per free column in
+        ascending order; length equals the nullity."""
+        K = _kernel_rows(self)
+        if not self.field.is_gf2:
+            return K.T.tolist()
+        # a free column's row of K is its own bit, a pivot column's has bits
+        # on free columns only
+        n = self.n
+        return [[x >> (n - 1 - f) & 1 for x in K] for f in range(n) if K[f] == 1 << (n - 1 - f)]
 
     def kernel_support(self) -> frozenset[int]:
         """Columns carrying a nonzero coordinate in some kernel vector: the
         nonzero rows of ``K`` (module docstring), from one elimination.  The
-        frozen columns are exactly the complement within ``range(n)``.
-
-        Over F_p (p > 2) and Q the support is read off the RREF without
-        building ``K``: every free column, and each pivot column whose
-        reduced row has a nonzero entry in a free column.
-        """
+        frozen columns are exactly the complement within ``range(n)``."""
         if self._ksup is None:
             if self.field.is_gf2:
                 _kernel_rows(self)
             else:
-                rank, pivots, R = self._rref()
-                free = np.ones(self.n, dtype=bool)
-                free[pivots] = False
-                support = free.copy()
-                support[pivots] = np.count_nonzero(R[:rank][:, free], axis=1) > 0
-                self._ksup = frozenset(np.flatnonzero(support).tolist())
+                self._reduce()
         return self._ksup
 
-    def _rref(self) -> tuple[int, list[int], np.ndarray]:
-        """(rank, pivot columns, RREF array) of one dense elimination, at
-        every field (p = 2 included); sets the rank.  Over Q the RREF is
-        assembled here, from the pivot rows that :func:`_rational_rref`
-        lifts."""
-        if self.field.kind == "rationals":
-            pivots, block = _rref_of_fractions(self._a)
-            rank = len(pivots)
-            R = field_array(self.field, np.zeros((self.m, self.n), dtype=np.uint8))
-            R[range(rank), pivots] = self.field.one()
-            R[:rank, _free_columns(pivots, self.n)] = block
-        else:
-            rank, pivots, R = _rref_dense(self._a.copy(), self.field.p)
-        self._rank = rank
-        return rank, pivots, R
-
-    def _kernel(self) -> np.ndarray:
-        """``K`` of the module docstring as an ``n x nullity`` array, one
-        basis vector per free column of the dense RREF; sets the rank."""
-        rank, pivots, R = self._rref()
-        free = _free_columns(pivots, self.n)
-        K = field_array(self.field, np.zeros((self.n, len(free)), dtype=np.uint8))
-        K[free, range(len(free))] = self.field.one()
-        K[pivots] = -R[:rank, free] if self.field.p is None else -R[:rank, free] % self.field.p
-        return K
+    def _reduce(self) -> tuple[list[int], np.ndarray]:
+        """:func:`_reduced` of this matrix over F_p (p > 2) or Q; sets the
+        rank and the kernel support, read off the block without building
+        ``K``: every free column, and each pivot column whose reduced row is
+        nonzero on the free columns."""
+        pivots, block = _reduced(self.field, self._a)
+        support = np.ones(self.n, dtype=bool)
+        support[pivots] = np.count_nonzero(block, axis=1) > 0
+        self._rank = len(pivots)
+        self._ksup = frozenset(np.flatnonzero(support).tolist())
+        return pivots, block
 
 
 # ------------------------------------------------------------------ helpers
@@ -530,16 +516,38 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
 # ----------------------------------------------------------- kernel rows
 
 
+def _reduced(field: FieldSpec, a: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The RREF ``R`` of the array ``a`` over F_p (p > 2) or Q as ``(pivots,
+    block)``: R's pivot columns and its pivot rows on the free columns.  Over
+    F_p a writable ``a`` is reduced in place, a read-only one in a copy; over
+    Q :func:`_rational_rref` lifts R from ``a``'s nonzeros."""
+    if field.kind == "rationals":
+        i, j = np.nonzero(a)
+        return _rational_rref(*a.shape, i, j, a[i, j])[:2]
+    rank, pivots, M = _rref_dense(a if a.flags.writeable else a.copy(), field.p)
+    free = _free_columns(pivots, M.shape[1])
+    # the free columns move left within M, 256 rows at a time, so the block is
+    # a view: a copy would add up to M's size to a census's peak memory
+    for r in range(0, rank, 256):
+        rows = slice(r, min(r + 256, rank))
+        M[rows, :len(free)] = np.take(M[rows], free, axis=1)
+    return pivots, M[:rank, :len(free)]
+
+
 def _kernel_rows(A: Matrix):
     """The rows of ``K``, from one elimination of ``A``, which also sets its
     rank and kernel support (the nonzero rows).  Over F2, one int per column
     in the F2 row format, with bits on the free columns only; over other
-    fields, the array of :meth:`Matrix._kernel`."""
-    if not A.field.is_gf2:
-        K = A._kernel()
-        A._ksup = frozenset(np.flatnonzero(np.count_nonzero(K, axis=1)).tolist())
-        return K
+    fields, an ``n x nullity`` array whose column ``k`` is the kernel vector
+    of the ``k``-th free column."""
     n = A.n
+    if not A.field.is_gf2:
+        pivots, block = A._reduce()
+        free = _free_columns(pivots, n)
+        K = field_array(A.field, np.zeros((n, len(free)), dtype=np.uint8))
+        K[free, range(len(free))] = A.field.one()
+        K[pivots] = -block if A.field.p is None else -block % A.field.p
+        return K
     pivots, R = _rref_gf2(_int_rows(A._a), n)
     free_mask = (1 << n) - 1
     for c in pivots:
@@ -556,9 +564,7 @@ def _rank_of_rows(A: Matrix, K, rows) -> int:
     """``rank(K_rows)`` for the kernel rows ``K`` of ``A``."""
     if A.field.is_gf2:
         return len(_echelon_gf2([K[j] for j in rows], A.n))
-    if A.field.kind == "rationals":
-        return len(_rref_of_fractions(K[list(rows)])[0])
-    return _forward_dense(K[list(rows)], A.field.p)[0]
+    return len(_reduced(A.field, K[list(rows)])[0])
 
 
 # ------------------------------------------------ exact rational elimination
@@ -608,13 +614,6 @@ def rational_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Ration
     pivots, _, primes = _rational_rref(n, n, np.concatenate((i, j)), np.concatenate((j, i)),
                                        np.concatenate((w, w)))
     return RationalRank(len(pivots), "lift", primes)
-
-
-def _rref_of_fractions(a: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Pivots and pivot-row block of :func:`_rational_rref` for the
-    nonzeros of the Fraction array ``a``."""
-    i, j = np.nonzero(a)
-    return _rational_rref(*a.shape, i, j, a[i, j])[:2]
 
 
 def _rational_rref(m: int, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
@@ -923,8 +922,8 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
     if not S:
         return []
     m, n, s = A.m, A.n, len(S)
-    # built once, the largest array of a census; the dense route reduces it
-    # in place
+    # built once, the largest array of a census; over F_p it is reduced in
+    # place
     aug = field_array(A.field, np.zeros((n, m + s), dtype=np.uint8))
     aug[:, :m] = A._a.T
     aug[S, m + np.arange(s)] = A.field.one()
@@ -933,16 +932,11 @@ def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
 
         def y(r, t):  # column m + t of an int row is its bit s - 1 - t
             return R[r] >> (s - 1 - t) & 1
-    elif A.field.kind == "rationals":
-        pivots, R = _rref_of_fractions(aug)
+    else:
+        pivots, R = _reduced(A.field, aug)
 
         def y(r, t):  # the columns of E_S are the last s free columns
             return R[r, R.shape[1] - s + t]
-    else:
-        _, pivots, R = _rref_dense(aug, A.field.p)
-
-        def y(r, t):
-            return R[r, m + t]
     if pivots and pivots[-1] >= m:
         raise AssertionError("[A^T | E_S] is inconsistent; exact arithmetic bug")
     row_of = {c: r for r, c in enumerate(pivots)}
@@ -1018,6 +1012,8 @@ def parse_matrix(text: str) -> Matrix:
     if len(head) != 3:
         raise ValueError('matrix header must be "m n field"')
     m, n = int(head[0]), int(head[1])
+    if m < 0 or n < 0:
+        raise ValueError(f"matrix header {lines[0].strip()!r}: dimensions must be >= 0")
     field = FieldSpec.parse_label(head[2])
     # the rows of an m x 0 matrix are blank lines, which are skipped
     if len(lines) != (m + 1 if n else 1):

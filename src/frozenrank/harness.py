@@ -103,6 +103,9 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        check_seed("master_seed", self.master_seed)
+        if self.pert_seed is not None:
+            check_seed("pert_seed", self.pert_seed)
         if not 0.0 <= self.d <= self.n:
             raise ValueError(f"d must lie in [0, n] = [0, {self.n}] (edge probability "
                              f"d/n at most 1), got {self.d!r}")
@@ -266,6 +269,13 @@ def summarize(records: list[TrialRecord], d: float) -> SummaryReport:
 
 
 # ------------------------------------------------------------------- trials
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Refuse a seed outside ``[0, 2^64)``: the PRF reads seeds modulo
+    2^64, so such a seed would silently rerun one inside."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -447,8 +457,9 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SummaryReport]:
     """Run the trials of ``cfg``, with a census each when ``cfg.census`` is
     set; persist CSV when ``cfg.output`` is set."""
-    if cfg.workers > 1:
-        with _worker_pool(cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.trials)  # a pool forks all its workers at once
+    if workers > 1:
+        with _worker_pool(workers) as pool:
             records = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:
         records = [_run_trial(cfg, i) for i in range(cfg.trials)]

@@ -251,6 +251,24 @@ def test_ks_refuses_a_negative_graph_size(tmp_path, capsys):
     assert captured.err == "error: graph size n must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command, flag, name", [("ks", "--seed", "--seed"),
+                                                 ("simulate", "--seed", "master_seed"),
+                                                 ("census", "--pert-seed", "pert_seed")])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+def test_seeds_outside_64_bits_are_refused(capsys, command, flag, name, seed):
+    # the PRF reads seeds modulo 2^64, so these would rerun a seed inside
+    args = [command, "--n", "30", "--d", "2", "--trials", "1", flag, seed]
+    assert main(args + (["--P", "8"] if command == "census" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must lie in [0, 2^64), got {seed}\n"
+
+
+def test_ks_takes_the_largest_seed(capsys):
+    assert main(["ks", "--n", "30", "--d", "2", "--trials", "1", "--seed", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out.startswith("#frozenrank-v1\n")
+
+
 def test_ks_needs_inputs():
     assert main(["ks"]) == 2
 
@@ -282,6 +300,16 @@ def test_classify(tmp_path, capsys):
     assert payload["frozen_columns"] == [1]
     assert payload["types"] == {"0": "Z", "1": "Y", "2": "Z"}
     assert abs(payload["census"]["y"] - 1 / 3) < 1e-15
+
+
+@pytest.mark.parametrize("header", ["0 -3 F2", "-1 2 Q"])
+def test_classify_refuses_a_negative_dimension(tmp_path, capsys, header):
+    mfile = tmp_path / "neg.mat"
+    mfile.write_text(header + "\n")
+    assert main(["classify", "--matrix", str(mfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix header '{header}': dimensions must be >= 0\n"
 
 
 def test_classify_matrix_without_rows(tmp_path, capsys):

@@ -488,20 +488,41 @@ def test_rational_cap():
 
 @pytest.mark.parametrize("field", [F3, FieldSpec.prime(2147483647), Q])
 def test_kernel_support_is_read_off_the_rref(field):
-    # the support that kernel_support reads off the RREF is the set of
-    # nonzero rows of the kernel basis K, and it sets the rank too
+    # the support that kernel_support reads off the reduced form, without
+    # building K, is the set of nonzero rows of the kernel basis K, and it
+    # sets the rank too
     stream = Stream(83)
     cases = [Matrix.zeros(field, 4, 6), Matrix.identity(field, 5), Matrix.zeros(field, 0, 3)]
     for m, n in ((1, 1), (2, 5), (4, 4), (5, 3), (6, 6), (7, 9)):
         cases += [random_matrix(stream, field, m, n, percent) for percent in (10, 40, 100)]
     ranks = set()
     for A in cases:
-        K = A._kernel()
+        K = exactla._kernel_rows(Matrix._from_array(field, A._a))
+        assert K.shape == (A.n, A.nullity())
         fresh = Matrix._from_array(field, A._a)
         assert fresh.kernel_support() == {j for j in range(A.n) if any(K[j])}
         assert fresh._rank == A.rank()
         ranks.add((A.rank() == 0, A.rank() == A.n))
     assert {(True, False), (False, True), (False, False)} <= ranks
+
+
+def test_kernel_support_over_q_builds_no_dense_array(monkeypatch):
+    # kernel_support reads the lifted pivot-row block: no m x n Fraction
+    # array (an RREF or a K of A's shape) is assembled on the way
+    shapes = []
+    make = exactla.field_array
+
+    def spy(field, values):
+        out = make(field, values)
+        shapes.append(out.shape)
+        return out
+
+    A = Matrix.from_rows(Q, [[1, Fraction(1, 2), 0, 3], [2, 1, 0, 6], [0, 0, Fraction(-1, 3), 1]])
+    monkeypatch.setattr(exactla, "field_array", spy)
+    assert 0 < A.rank() < A.n
+    A = Matrix._from_array(Q, A._a)
+    assert A.kernel_support() == {0, 1, 2, 3} and A._rank == 2
+    assert (A.m, A.n) not in shapes
 
 
 def test_entries_and_fields_validated():
@@ -555,6 +576,36 @@ def test_parse_matrix_errors():
 # p = 2 across byte and 64-bit boundaries, on empty shapes included.
 
 
+def _dense_kernel_basis(arr: np.ndarray, p: int) -> list[list[int]]:
+    """Kernel basis over F_p read off the dense RREF, one vector per free
+    column in ascending order: the oracle for the int-row F2 basis."""
+    m, n = arr.shape
+    rank, pivots, R = exactla._rref_dense(arr.astype(np.int64), p)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = int(-R[r, f] % p)
+        basis.append(v)
+    return basis
+
+
+def test_gf2_kernel_basis_runs_no_dense_kernel(monkeypatch):
+    calls = []
+    for name in ("_rref_dense", "_forward_dense"):
+        kernel = getattr(exactla, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(exactla, name, counted)
+    A = random_matrix(Stream(9), F2, 12, 17, density_percent=30)
+    assert len(A.kernel_basis()) == A.nullity() > 0
+    assert calls == []
+
+
 def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     import numpy as np
 
@@ -567,7 +618,9 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
         arr = (rng.random((m, n)) < percent / 100).astype(np.uint8)
         A = Matrix._from_array(F2, arr)
         assert A.rank() == _forward_dense(arr.copy(), 2)[0]
-        union = {j for v in A.kernel_basis() for j, x in enumerate(v) if x}
+        basis = A.kernel_basis()
+        assert basis == _dense_kernel_basis(arr, 2)
+        union = {j for v in basis for j, x in enumerate(v) if x}
         assert A.kernel_support() == union
         # y_i read off the dense RREF of the same [A^T | E_S]
         sup_at = A.transpose().kernel_support()
@@ -603,6 +656,26 @@ def test_dense_kernel_on_uint32_residues_matches_int64(p):
         got = _rref_dense(arr.astype(np.uint32), p)
         assert got[:2] == want[:2]
         assert got[2].dtype == np.uint32 and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("p", (7, 2147483647))
+def test_reduced_block_is_the_rrefs_free_columns(p):
+    # _reduced moves the free columns left within the reduced array, 256 rows
+    # at a time; a rank above 256 takes two chunks
+    import numpy as np
+
+    field = FieldSpec.prime(p)
+    rng = np.random.default_rng(p % 1000)
+    arr = exactla.field_array(field, np.where(rng.random((300, 330)) < 0.5,
+                                              rng.integers(1, p, (300, 330)), 0))
+    arr[-1] = arr[0]
+    arr[:, 5] = 0
+    rank, pivots, R = exactla._rref_dense(arr.copy(), p)
+    free = [j for j in range(330) if j not in pivots]
+    assert rank == 299 and 5 in free
+    arr.setflags(write=False)
+    got_pivots, block = exactla._reduced(field, arr)
+    assert got_pivots == pivots and np.array_equal(block, R[:rank][:, free])
 
 
 def test_rational_lift_reduces_uint32_residues(monkeypatch):

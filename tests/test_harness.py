@@ -1,6 +1,7 @@
 """Experiment orchestration: determinism, seeds, censuses, persistence."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -84,6 +85,11 @@ def test_config_validation():
             small_cfg(n=DENSE_CAP + 1, field=field)
         with pytest.raises(ResourceCapError):
             small_cfg(n=DENSE_CAP + 1, census=True, pert_P=8, field=field)
+    # the PRF reads seeds modulo 2^64: -1 and 2^64 would rerun 2^64 - 1 and 0
+    for name, seed in itertools.product(("master_seed", "pert_seed"), (-1, 2**64, 2**65 - 1)):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\^64\), got {seed}$"):
+            small_cfg(**{name: seed})
+    assert small_cfg(master_seed=2**64 - 1, pert_seed=2**64 - 1).pert_seed == 2**64 - 1
 
 
 def test_config_json_roundtrip():
@@ -160,6 +166,24 @@ def test_pool_workers_share_the_cpus(workers):
     with harness._worker_pool(workers) as pool:
         got = pool.submit(_pool_worker_threads).result(timeout=60)
     assert got == max(1, randgraph.available_cpus() // workers)
+
+
+@pytest.mark.parametrize("workers, trials, pool",
+                         [(4, 1, None), (4, 3, 3), (2, 5, 2), (1, 3, None)])
+def test_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, pool):
+    # a pool forks every worker at its first submit, so idle ones would cost
+    # a process each and a share of the sampler's CPUs
+    sizes = []
+    make = harness._worker_pool
+
+    def spy(count):
+        sizes.append(count)
+        return make(count)
+
+    monkeypatch.setattr(harness, "_worker_pool", spy)
+    records, _ = run_experiment(small_cfg(n=40, trials=trials, workers=workers))
+    assert len(records) == trials
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_zero_degree_zero_rank():

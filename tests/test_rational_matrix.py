@@ -3,7 +3,8 @@ storage invariant that every entry of a Q matrix is a ``Fraction``.
 
 :func:`fraction_rref` is the literal route: Gauss-Jordan on ``Fraction``
 objects, which the program itself no longer runs.  The lifted RREF of
-``exactla._rational_rref`` must equal it entry by entry.
+``exactla._rational_rref``, and the reduced form ``exactla._reduced`` that
+every question over Q reads, must equal it entry by entry.
 
 The second oracle does not eliminate over Q.  A kernel basis ``K`` that
 annihilates ``A`` exactly and is the identity on its free columns holds
@@ -203,8 +204,20 @@ def test_rational_rref_matches_the_fraction_oracle():
         assert got_pivots == pivots
         assert got_block.tolist() == [[row[k] for k in free] for row in R[:len(pivots)]]
         assert all(type(x) is Fraction for x in got_block.flat)
-        rank, _, got_R = Matrix._from_array(Q, A._a)._rref()
-        assert rank == len(pivots) and got_R.tolist() == R
+        # the reduced form that every question over Q reads, with R's pivot
+        # columns filled back in, is the oracle's RREF entry by entry
+        got_pivots, got_block = exactla._reduced(Q, A._a)
+        got_R = [[Fraction(0)] * A.n for _ in range(A.m)]
+        for r, c in enumerate(got_pivots):
+            got_R[r][c] = Fraction(1)
+            for k, x in zip(free, got_block[r].tolist()):
+                got_R[r][k] = x
+        assert got_pivots == pivots and got_R == R
+        # kernel_basis reads K off the same form: -R's pivot rows on the
+        # free columns, and the identity on them
+        basis = Matrix._from_array(Q, A._a).kernel_basis()
+        assert basis == [[Fraction(int(k == f)) if k in free else -R[pivots.index(k)][f]
+                          for k in range(A.n)] for f in free]
         lifted_over.add(len(primes))
     assert 1 in lifted_over and max(lifted_over) > 1
 
