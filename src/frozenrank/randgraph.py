@@ -398,10 +398,10 @@ class KSResult:
     equals ``n``.
 
     Rank identity: over any field and for any nonzero weights,
-    ``rank(A(G)) = 2 * len(removed_pairs) + rank(A(core))``.  When a leaf
-    ``v`` is removed with its neighbour ``u``, row and column ``v`` are
-    ``w * e_u`` with ``w != 0``, so they clear the rest of column and row
-    ``u`` and deleting both vertices lowers the rank by exactly 2; isolated
+    ``rank(A(G)) = 2 * len(removed_pairs) + rank(A(core))``.  Removing a
+    leaf with its neighbour lowers the rank by exactly 2: it is the
+    one-neighbour case of the contraction rule that
+    :func:`frozenrank.exactla.sparse_rank` states and proves.  Isolated
     vertices are zero rows.  Equivalently,
     ``nul(A(G)) = isolated_count + nul(A(core))``.
     """

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frozenrank import exactla
+from frozenrank import exactla, harness
 from frozenrank.errors import ResourceCapError
 from frozenrank.exactla import (
     Matrix,
@@ -816,8 +816,28 @@ def sparse_graphs(draw):
     return n, [(i, j, w) for (i, j), w in zip(pairs, weights)], p
 
 
+@st.composite
+def triangle_graphs(draw):
+    """Graphs over F3 or F5 made of planted triangles, some sharing a vertex
+    or an edge, plus pendant edges: the contraction makes diagonal entries,
+    and at small p they and the fill it adds cancel often."""
+    p = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(3, 60))
+    vertex = st.integers(0, n - 1)
+    pairs = set()
+    for a, b, c in draw(st.lists(st.tuples(vertex, vertex, vertex), min_size=1,
+                                 max_size=n // 3 + 1)):
+        pairs |= {(min(x, y), max(x, y)) for x, y in ((a, b), (b, c), (a, c)) if x != y}
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    pairs = sorted(pairs)
+    weights = draw(st.lists(st.integers(1, p - 1), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(i, j, w) for (i, j), w in zip(pairs, weights)], p
+
+
 @settings(max_examples=150, deadline=None)
-@given(sparse_graphs())
+@given(st.one_of(sparse_graphs(), triangle_graphs()))
 def test_sparse_rank_matches_dense_adjacency(graph):
     n, edges, p = graph
     assert _sparse_rank(n, edges, p) == _adjacency_rank(n, edges, p)
@@ -870,17 +890,190 @@ def test_sparse_rank_of_a_dense_core_skips_the_sparse_phase(monkeypatch):
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
 def test_sparse_rank_crosses_to_the_dense_block_midway(monkeypatch, p):
-    # a sparse random graph (3/n of its area) is pivoted sparsely until its
-    # active block is dense enough, then that smaller block goes dense
+    # a Hamiltonian cycle and a random perfect matching (3/n of the area)
+    # leave degree 2 only at the ends of the one to three matching edges
+    # that repeat a cycle edge, so little is contracted: the rest is
+    # pivoted sparsely until its active block is dense enough, then that
+    # smaller block goes dense
     n = 300
     stream = Stream(p + 1)
-    edges = [(i, j, 1 + stream.randbelow(p - 1)) for i in range(n)
-             for j in range(i + 1, n) if stream.randbelow(n) < 3]
+    cycle, match = list(range(n)), list(range(n))
+    stream.shuffle(cycle)
+    stream.shuffle(match)
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    pairs |= {(min(a, b), max(a, b)) for a, b in zip(match[0::2], match[1::2])}
+    edges = [(a, b, 1 + stream.randbelow(p - 1)) for a, b in sorted(pairs)]
     assert 2 * len(edges) <= exactla.SPARSE_FILL * n * n
     shapes = _count_blocks(monkeypatch)
     got = _sparse_rank(n, edges, p)
     assert len(shapes) == 1 and 0 < shapes[0][0] < n
     assert got == _adjacency_rank(n, edges, p)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:3])
+def test_sparse_rank_contracts_a_sparse_random_graph_whole(monkeypatch, p):
+    # mean degree 3 on 300 vertices, the input that crossed to a dense block
+    # before the contraction phase: over F3 and F5 these draws contract to
+    # nothing (at 2^31 - 1 the draw leaves a 7-vertex block, which is dense)
+    n = 300
+    stream = Stream(p + 1)
+    edges = [(i, j, 1 + stream.randbelow(p - 1)) for i in range(n)
+             for j in range(i + 1, n) if stream.randbelow(n) < 3]
+    want = _adjacency_rank(n, edges, p)
+    shapes = _count_blocks(monkeypatch)
+    assert _sparse_rank(n, edges, p) == want
+    assert shapes == []
+
+
+# ------------------------------------------------- the contraction phase
+# exactla._contract splits off 2 x 2 blocks by congruence: the rank it
+# returns plus the rank of the rows it leaves is the rank of the rows it was
+# given, diagonals included.
+
+
+def _rows_rank(rows, p):
+    """Rank over F_p of the matrix whose row ``r`` is the dict ``rows[r]``."""
+    M = exactla.field_array(FieldSpec.prime(p), np.zeros((len(rows),) * 2, dtype=np.uint8))
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            M[r, c] = v
+    return exactla._forward_dense(M, p)[0]
+
+
+def _check_contract(rows, p):
+    """Contract a copy of ``rows`` and check the rank split; returns the
+    rows left."""
+    left = [dict(row) for row in rows]
+    split = exactla._contract(left, p)
+    assert split + _rows_rank(left, p) == _rows_rank(rows, p)
+    assert all(left[c][r] == v for r, row in enumerate(left) for c, v in row.items())
+    return left
+
+
+def _symmetric_rows(n, entries):
+    """Symmetric row dicts from ``(i, j, value)`` entries, ``i == j`` for a
+    diagonal."""
+    rows = [{} for _ in range(n)]
+    for i, j, v in entries:
+        rows[i][j] = rows[j][i] = v
+    return rows
+
+
+@pytest.mark.parametrize("p,rank", [(2, 2), (3, 3), (2147483647, 3)])
+def test_sparse_rank_of_a_triangle_keeps_the_diagonal_it_makes(p, rank):
+    # contracting a vertex of K_3 drops it with one neighbour and leaves the
+    # other with a diagonal entry -2 * A[a, b] * A[v, b] / A[v, a], so the
+    # rank is 2 + 1 over an odd field, as det A(K_3) = 2.  Ten isolated
+    # vertices keep the matrix sparse enough for the sparse phases.
+    edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+    assert _sparse_rank(13, edges, p) == _adjacency_rank(13, edges, p) == rank
+    if p > 2:
+        left = _check_contract(_symmetric_rows(3, edges), p)
+        assert [(r, *row.items()) for r, row in enumerate(left) if row] in \
+            [[(r, (r, p - 2))] for r in range(3)]
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_sparse_rank_of_a_triangle_with_a_pendant_path(p):
+    stream = Stream(p + 7)
+    for length in range(1, 7):
+        n = 13 + length  # ten isolated vertices, as above
+        edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1)] + \
+            [(k, k + 1, 1) for k in range(2, 2 + length)]
+        weighted = [(a, b, 1 + stream.randbelow(p - 1)) for a, b, _ in edges]
+        for e in (edges, weighted):
+            assert _sparse_rank(n, e, p) == _adjacency_rank(n, e, p)
+            if p > 2:
+                _check_contract(_symmetric_rows(n, e), p)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
+def test_contract_a_leaf_whose_neighbour_carries_a_diagonal(p):
+    # vertex 0 is a leaf of 1, which has a diagonal and two more neighbours
+    stream = Stream(p)
+    for _ in range(20):
+        w = [1 + stream.randbelow(p - 1) for _ in range(5)]
+        rows = _symmetric_rows(4, [(0, 1, w[0]), (1, 1, w[1]), (1, 2, w[2]),
+                                   (1, 3, w[3]), (2, 3, w[4])])
+        left = _check_contract(rows, p)
+        assert left[0] == left[1] == {}
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
+def test_contract_folds_a_neighbour_with_a_diagonal_into_the_other(p):
+    # vertex 0 has neighbours 1 (with a diagonal) and 2, and 1 and 2 are
+    # joined: 2 gains entries and a diagonal, which may cancel
+    stream = Stream(p + 1)
+    for _ in range(40):
+        w = [1 + stream.randbelow(p - 1) for _ in range(7)]
+        _check_contract(_symmetric_rows(5, [(0, 1, w[0]), (0, 2, w[1]), (1, 1, w[2]),
+                                            (1, 2, w[3]), (1, 3, w[4]), (2, 3, w[5]),
+                                            (1, 4, w[6])]), p)
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Sparse symmetric row dicts over F3, F5 or F_(2^31-1), with diagonals."""
+    p = draw(st.sampled_from(SPARSE_PRIMES[1:]))
+    n = draw(st.integers(1, 30))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, st.integers(1, p - 1)), max_size=2 * n))
+    return _symmetric_rows(n, entries), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_rows())
+def test_contract_keeps_the_rank(case):
+    rows, p = case
+    _check_contract(rows, p)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_sparse_rank_of_cycles_with_random_weights(p):
+    # each on ten more vertices than the cycle, all isolated, so that the
+    # short cycles are sparse enough for the sparse phases too
+    stream = Stream(p + 3)
+    for k in range(3, 40):
+        edges = [(t, t + 1, 1 + stream.randbelow(p - 1)) for t in range(k - 1)]
+        edges.append((0, k - 1, 1 + stream.randbelow(p - 1)))
+        assert _sparse_rank(k + 10, edges, p) == _adjacency_rank(k + 10, edges, p)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
+def test_sparse_rank_of_paths_trees_and_even_cycles_needs_no_dense_block(monkeypatch, p):
+    # from 10 vertices up, a path, tree or cycle fills at most 2/10 of its area
+    stream = Stream(p + 5)
+    graphs = []
+    for n in (10, 11, 51, 200):
+        graphs.append((n, [(k, k + 1) for k in range(n - 1)]))  # a path
+        # a random tree: each vertex joins one of the vertices before it
+        graphs.append((n, [(stream.randbelow(k), k) for k in range(1, n)]))
+    for n in (10, 12, 20, 64):
+        graphs.append((n, [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]))
+    for n, pairs in graphs:
+        edges = [(a, b, 1 + stream.randbelow(p - 1)) for a, b in pairs]
+        want = _adjacency_rank(n, edges, p)
+        shapes = _count_blocks(monkeypatch)
+        assert _sparse_rank(n, edges, p) == want
+        assert shapes == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", ("Fp:3", "Fp:2147483647"))
+def test_sparse_rank_of_trial_cores_matches_the_dense_kernel(field):
+    # the cores a simulate trial ranks, at n = 2000, d = 3 with random
+    # weights, against one dense elimination of each core's adjacency
+    spec = FieldSpec.parse_label(field)
+    for index in range(3):
+        trial_seed = harness.derive_trial_seed(0, index)
+        support = harness.trial_support(trial_seed, 2000, 3.0)
+        template = harness._weight_template(trial_seed, 2000, spec, "random")
+        v, i, j = support.core_vertices, support.core_i, support.core_j
+        w = template.weights(v[i], v[j])
+        M = exactla.field_array(spec, np.zeros((v.size, v.size), dtype=np.uint8))
+        M[i, j] = M[j, i] = w
+        assert exactla.sparse_rank(v.size, i, j, w, spec.p) == \
+            exactla._forward_dense(M, spec.p)[0]
 
 
 def test_sparse_rank_gf2_rows_across_word_boundaries():

@@ -298,6 +298,51 @@ def test_census_csv_bytes_are_pinned(field, template, n, d, digest, warm):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of records_to_csv(run_experiment(...)) at master seed 0, n = 300,
+# 4 trials, over the small fields, where the sparse rank's pivots cancel
+# most often; the perfbench digests cover F2, F_(2^31-1) and Q random only
+SIMULATE_DIGESTS = [
+    ("Fp:3", "allones", 2.0,
+     "228822e9d94afd8175ec52d9c2eedf5237549a8c5bad900731ecce87a70bf871"),
+    ("Fp:3", "allones", 3.0,
+     "a168eb78a8cc54abf0926f245ead7e7d2a9a68c5afe9dcb4bcc93e1653e669d9"),
+    ("Fp:3", "allones", 5.0,
+     "5939d6559adb69975da67848187b1dc65ad6cc403a68a9b84cbf8b823e74e07f"),
+    ("Fp:3", "random", 2.0,
+     "c406b1e47887e0d6b96d937d4c709ab515e996e205d010433d26547f19b30f77"),
+    ("Fp:3", "random", 3.0,
+     "5ae5b088b5eefa4b2baf73f7115fced10bb978e4e48b5b73f1f7a1dcb0733a62"),
+    ("Fp:3", "random", 5.0,
+     "bf2f3f7d91e7919168bc62e55a408893a775c56db84aeed93e6b96b250798bb2"),
+    ("Fp:5", "allones", 2.0,
+     "ea38283f73db6c1049c5f2ca0619c0810b062f689527045b2fe4e34b101fc12e"),
+    ("Fp:5", "allones", 3.0,
+     "6362884d5162a7f3f4c4e48d9e7052a73395f26770a3a616a500c3b9e3381f64"),
+    ("Fp:5", "allones", 5.0,
+     "bf59ab8c4b53b17c03e387116dab06b0cdb0b41f9495358d2881f3d6308bfd72"),
+    ("Fp:5", "random", 2.0,
+     "8ae4d644b084a5119de89174abc906e59ff9dc07b16cdb092fed49c04dc691b8"),
+    ("Fp:5", "random", 3.0,
+     "9a9337c6f008358c0535eaab47ddcfcffc34000c3deec3663dfa180dee4b78dd"),
+    ("Fp:5", "random", 5.0,
+     "029a0a800f77f572527e2476440bb4a1f1628e598e9dd7953f34da2a6834aebb"),
+    ("Q", "allones", 2.0,
+     "5d0d80530ee41852dac79e8d9ba2ecdb4c61a21b0f09a2d1602ac1f0cae82d20"),
+    ("Q", "allones", 3.0,
+     "6e647ff702b6cf52059d1a5fc2fc377dfd2a54f185cda06f5e96dd2e46739cda"),
+    ("Q", "allones", 5.0,
+     "a3431cbc754af442a42ebb2b9c64839fce98b33e534ead1bb8ffdfc23c117184"),
+]
+
+
+@pytest.mark.parametrize("field,template,d,digest", SIMULATE_DIGESTS)
+def test_simulate_csv_bytes_are_pinned(field, template, d, digest):
+    cfg = ExperimentConfig(n=300, d=d, field=field, template=template, trials=4,
+                           master_seed=0)
+    text = records_to_csv(run_experiment(cfg)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("change", [dict(master_seed=8), dict(index=2), dict(n=260),
                                     dict(d=3.5)])
 def test_memo_key_names_every_input_of_the_support(change):
