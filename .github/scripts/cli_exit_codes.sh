@@ -42,9 +42,11 @@ expect 3 census --field Q --n 5000 --d 2 --P 8 --trials 1
 expect 0 simulate --field Q --template random --n 400 --d 3 --trials 2
 expect 0 simulate --field Q --n 400 --d 3 --trials 4
 expect 0 simulate --field Fp:2147483647 --template random --n 4096 --d 3 --trials 1
-# sparse_rank's contraction over a small field, where its pivots cancel most
+# sparse_rank's pivots over a small field, where they cancel most
 expect 0 simulate --field Fp:3 --template random --n 4096 --d 3 --trials 1
-# one of these all-ones Q cores is rank-deficient: it is lifted after the sparse phases
+# a core dense from the start: the pivot loop takes no pivot and hands it to the dense kernel whole
+expect 0 simulate --field Fp:2147483647 --template random --n 400 --d 100 --trials 1
+# one of these all-ones Q cores is rank-deficient: it is lifted after the sparse rank
 expect 0 simulate --field Q --n 2000 --d 3 --trials 3
 expect 2 simulate --n 20 --d 100 --trials 1
 expect 0 simulate --n 40 --d 40 --trials 2

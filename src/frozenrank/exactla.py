@@ -50,11 +50,11 @@ exact: nothing is eliminated on Fractions.  Entries are plain values, read
 back as Python ints or ``Fraction`` objects.
 
 A sparse symmetric matrix given by its edges, such as a leaf-removal core,
-is ranked without a :class:`Matrix`: :func:`sparse_rank` over F_p
-carries leaf removal on into it, contracting vertices of degree 1 and 2 two
-at a time, eliminates sparse rows next and hands only the block they leave
-to the dense kernel, and :func:`rational_rank` gives the exact rank over Q,
-of any size, from one sparse rank modulo a prime or else the lifted RREF.
+is ranked without a :class:`Matrix`.  Over F_p, :func:`sparse_rank` splits
+symmetric 1 x 1 and 2 x 2 pivots off it, fewest entries first, which carries
+leaf removal on into it, and hands only the block they leave to the dense
+kernel.  :func:`rational_rank` gives the exact rank over Q, of any size,
+from one sparse rank modulo a prime or else the lifted RREF.
 """
 
 from __future__ import annotations
@@ -75,10 +75,12 @@ from .field import PRIME_LIMIT, FieldSpec, is_prime
 # 4096 x 4096 array takes 128 MB; larger runs stop before they sample.
 DENSE_CAP = 4096
 
-# Share of the active block's area that its nonzeros may fill before
-# sparse_rank hands the block to the dense kernel.  After the contraction,
-# 0.2 ranked F_(2^31-1) cores faster than 0.1 at every size and degree tried
-# (n = 1000 to 16384, d = 3 to 30).
+# Share of the live block's area that its nonzeros may fill while
+# sparse_rank takes pivots on vertices of more than 2 entries; past it, the
+# block goes to the dense kernel.  Timed with _sparse_pivots, 0.1 ranked
+# F_(2^31-1) cores 8-30% slower than 0.2 (n = 1000 to 16384, d = 3 to 30),
+# and 0.3 ranked them 2-15% faster but a core dense from the start (n = 400,
+# d = 100) 2.5% slower, in 3-6 alternating repeats each.
 SPARSE_FILL = 0.2
 
 
@@ -433,38 +435,30 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
 
     Over F2 the rows are ints in the F2 row format, set straight from the
     edges.  For p > 2 the rows are dicts ``{column: residue}``, symmetric,
-    with a diagonal entry of row ``v`` at ``rows[v][v]``, and three phases
-    follow, each exact whatever order it pivots in.
+    with a diagonal entry of row ``v`` at ``rows[v][v]``.
+    :func:`_sparse_pivots` splits symmetric pivots off them, and the square
+    block they leave goes to the dense kernel.
 
-    * **Contraction** (:func:`_contract`) removes pairs of vertices while
-      some vertex ``v`` has no diagonal entry and one or two neighbours.
-      Let ``a`` be a neighbour, ``alpha = A[v, a]``, and ``P`` the block
-      ``[[0, alpha], [alpha, A[a, a]]]`` on ``v, a``; ``det P = -alpha^2``
-      is nonzero.  At a leaf (one neighbour) row and column ``v`` are
-      ``alpha * e_a``: adding multiples of them clears the rest of column
-      and row ``a`` and changes nothing else, so ``v`` and ``a`` split off
-      as ``P`` and the rest is untouched.  With a second neighbour ``b``
-      and ``beta = A[v, b]``, let ``s = -beta / alpha`` and ``E`` the
-      identity plus ``s`` at ``(b, a)``, which adds ``s`` times row and
-      column ``a`` to row and column ``b``.  Then ``E A E^T`` is ``A``
-      with ``b``'s row and column each gaining ``s`` times ``a``'s and
-      ``b``'s diagonal gaining ``s^2 A[a, a] + 2 s A[a, b]``; it clears
-      ``A[v, b]``, so ``v`` is again a leaf of ``a``.  The congruence keeps
-      the rank over every field, so each pair lowers the rank by exactly 2.
-      This is leaf removal (:class:`~frozenrank.randgraph.KSResult` is the
-      one-neighbour case) carried on into the core, with the "oxo" 2 x 2
-      pivot of Duff, Gould, Reid, Scott and Turner (IMA J. Numer. Anal.
-      1991).
-    * **Markowitz.** Structured Gaussian elimination on what is left, where
-      each column also keeps the set of its rows: pivot on a lightest
-      column (from a heap of column weights, with stale entries skipped) in
-      its shortest row, clear that column from its other rows, and drop
-      every entry that cancels to 0.
-    * **Dense.** Once the nonzeros of the active block fill more than
-      :data:`SPARSE_FILL` of its area, the block goes to the dense kernel.
+    Each pivot is a congruence.  Order the symmetric ``A`` as ``[[P, B^T],
+    [B, C]]``, with ``P`` a nonsingular principal block on the index set
+    ``S``.  The invertible ``E = [[I, 0], [-B P^-1, I]]`` gives ``E A E^T =
+    [[P, 0], [0, C - B P^-1 B^T]]``, so over every field the rank of ``A``
+    is ``|S|`` plus the rank of the symmetric ``C - B P^-1 B^T``.  A pivot on
+    a vertex ``v`` takes one of two blocks; ``u`` is row ``v`` outside
+    ``S``, and ``k``, ``l`` range outside ``S``.
 
-    A matrix that dense to begin with goes to the dense kernel whole and
-    builds no dicts.
+    * **1 x 1.** ``v`` has a diagonal entry ``d``: ``S = {v}``, ``A[k, l]
+      -= u_k u_l / d``, and the pivot adds 1 to the rank.
+    * **2 x 2.** ``v`` has none: ``S = {v, a}`` for a neighbour ``a``, with
+      ``alpha = A[v, a]`` and ``t`` row ``a`` outside ``S``.  The block
+      ``[[0, alpha], [alpha, A[a, a]]]`` has determinant ``-alpha^2`` and
+      inverse ``[[c, 1/alpha], [1/alpha, 0]]``, where ``c = -A[a, a] /
+      alpha^2``, so ``A[k, l] -= c u_k u_l + (u_k t_l + t_k u_l) / alpha``,
+      and the pivot adds 2 to the rank.  At a leaf ``u`` is 0, and ``a``'s
+      row and column just go: this is leaf removal
+      (:class:`~frozenrank.randgraph.KSResult`) carried on into the core.
+      It is the "oxo" pivot of Duff, Gould, Reid, Scott and Turner (IMA J.
+      Numer. Anal. 1991).
     """
     if p == 2:
         bits = [0] * n
@@ -472,63 +466,14 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
             bits[a] |= 1 << (n - 1 - b)
             bits[b] |= 1 << (n - 1 - a)
         return len(_echelon_gf2(bits, n))
-    if 2 * i.size > SPARSE_FILL * n * n:
-        M = field_array(FieldSpec.prime(p), np.zeros((n, n), dtype=np.uint8))
-        M[i, j] = M[j, i] = w
-        return _forward_dense(M, p)[0]
     rows: list[dict] = [{} for _ in range(n)]
     for a, b, v in zip(i.tolist(), j.tolist(), w.tolist()):
         rows[a][b] = rows[b][a] = v
-    rank = _contract(rows, p)
-    nnz = sum(map(len, rows))
-    cols = [set(row) for row in rows]
-    live_rows = live_cols = sum(1 for row in rows if row)
-    heap = [(len(col), c) for c, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    while heap and nnz <= SPARSE_FILL * live_rows * live_cols:
-        weight, c = heapq.heappop(heap)
-        col = cols[c]
-        if len(col) != weight:
-            continue  # stale: the column was pivoted or changed weight since
-        r = min(col, key=lambda s: len(rows[s]))
-        prow, rows[r] = rows[r], {}
-        pivot = prow.pop(c)
-        col.discard(r)
-        for k in prow:
-            cols[k].discard(r)
-        nnz -= len(prow) + 1
-        live_rows -= 1
-        inv = pow(pivot, -1, p) if col else 0
-        for s in col:
-            srow = rows[s]
-            f = srow.pop(c) * inv % p
-            nnz -= 1
-            for k, v in prow.items():
-                old = srow.get(k)
-                if old is None:  # fill-in; f * v is a unit, so never 0
-                    srow[k] = -f * v % p
-                    cols[k].add(s)
-                    nnz += 1
-                elif (x := (old - f * v) % p):
-                    srow[k] = x
-                else:  # cancellation
-                    del srow[k]
-                    cols[k].discard(s)
-                    nnz -= 1
-            if not srow:
-                live_rows -= 1
-        col.clear()
-        live_cols -= 1
-        for k in prow:
-            if cols[k]:
-                heapq.heappush(heap, (len(cols[k]), k))
-            else:
-                live_cols -= 1
-        rank += 1
-    if nnz:
-        left = [s for s in range(n) if rows[s]]
-        pos = {c: t for t, c in enumerate(c for c in range(n) if cols[c])}
-        M = field_array(FieldSpec.prime(p), np.zeros((len(left), len(pos)), dtype=np.uint8))
+    rank = _sparse_pivots(rows, p)
+    left = [s for s in range(n) if rows[s]]
+    if left:
+        pos = {s: t for t, s in enumerate(left)}
+        M = field_array(FieldSpec.prime(p), np.zeros((len(left),) * 2, dtype=np.uint8))
         at, to, val = [], [], []
         for t, s in enumerate(left):
             for k, v in rows[s].items():
@@ -540,59 +485,75 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
     return rank
 
 
-def _contract(rows: list[dict], p: int) -> int:
-    """The contraction phase of :func:`sparse_rank`, in place on its
-    symmetric row dicts: while some vertex ``v`` has no diagonal entry and
-    one or two neighbours, drop ``v`` with its neighbour ``a`` (the one with
-    fewer entries) after folding ``a`` into the other neighbour ``b``, if
-    any.  Returns the rank split off, 2 per pair."""
+def _sparse_pivots(rows: list[dict], p: int) -> int:
+    """The pivots of :func:`sparse_rank`, in place on its symmetric row
+    dicts.  Each pivot is on a vertex ``v`` with the fewest entries (from a
+    heap of row lengths, with stale entries skipped): 1 x 1 on its diagonal
+    entry if it has one, else 2 x 2 with a neighbour ``a`` that has the
+    fewest entries.  Entries that cancel to 0 are deleted.  A vertex with at
+    most 2 entries is always pivoted, any other only while the nonzeros fill
+    at most :data:`SPARSE_FILL` of the live block's area.  Returns the rank
+    split off; the rows left are a symmetric block on the vertices whose
+    rows are not empty."""
+    nnz = sum(map(len, rows))
+    live = sum(1 for row in rows if row)
+    heap = [(len(row), v) for v, row in enumerate(rows) if row]
+    heapq.heapify(heap)
     rank = 0
-    stack = [v for v, row in enumerate(rows) if 0 < len(row) <= 2]
-    while stack:
-        v = stack.pop()
-        row = rows[v]
-        if not 0 < len(row) <= 2 or v in row:
-            continue
-        if len(row) == 1:
-            a, b = *row, None
-        else:
-            a, b = row
-            if len(rows[a]) > len(rows[b]):
-                a, b = b, a
+    while heap:
+        size, v = heapq.heappop(heap)
+        u = rows[v]
+        if len(u) != size:
+            continue  # stale: v was pivoted or changed length since
+        if size > 2 and nnz > SPARSE_FILL * live * live:
+            break
         rows[v] = {}
-        arow, rows[a] = rows[a], {}
-        alpha = arow.pop(v)
-        da = arow.pop(a, 0)
-        rank += 2
-        if b is None:  # a leaf: the rest of a's row and column just go
-            for k in arow:
-                krow = rows[k]
-                del krow[a]
-                if len(krow) <= 2:
-                    stack.append(k)
-            continue
-        s = -row[b] * pow(alpha, -1, p) % p
-        brow = rows[b]
-        del brow[v]
-        ab = arow.pop(b, 0)
-        if ab:
-            del brow[a]
-        for k, x in arow.items():
-            krow = rows[k]
-            del krow[a]
-            # s * x is a unit, so a sum of 0 means A[k, b] was there
-            if y := (krow.get(b, 0) + s * x) % p:
-                krow[b] = brow[k] = y
-            else:
-                del krow[b], brow[k]
-            if len(krow) <= 2:
-                stack.append(k)
-        if y := (brow.get(b, 0) + s * (s * da + 2 * ab)) % p:
-            brow[b] = y
+        if d := u.pop(v, 0):
+            t = {}
+            c, ia = pow(d, -1, p), 0
+            nnz -= size
+            live -= 1
+            rank += 1
         else:
-            brow.pop(b, None)
-        if len(brow) <= 2:
-            stack.append(b)
+            a = min(u, key=lambda k: len(rows[k]))
+            t, rows[a] = rows[a], {}
+            nnz -= size + len(t)
+            alpha = u.pop(a)
+            ia = pow(alpha, -1, p) if u else 0  # a leaf needs no update
+            del t[v]
+            c = -t.pop(a, 0) * ia * ia % p
+            live -= 2
+            rank += 2
+        # A[k, l] -= x_k u_l + y_k t_l with x = c u + t / alpha, y = u / alpha
+        # (1 x 1: x = u / d, y = 0).  Only a row k in u has y_k != 0; a row off
+        # u changes only in the columns of u, and takes those entries from the
+        # rows of u, by symmetry.
+        ucols = [(l, ul, t.pop(l, 0), len(rows[l])) for l, ul in u.items()]
+        cols = ucols + [(l, 0, tl, len(rows[l])) for l, tl in t.items()]
+        for k, uk, tk, _ in ucols:
+            krow = rows[k]
+            x = (c * uk + ia * tk) % p
+            y = ia * uk % p
+            for l, ul, tl, _ in cols:
+                if z := (krow.get(l, 0) - x * ul - y * tl) % p:
+                    krow[l] = z
+                    if not ul:
+                        rows[l][k] = z
+                else:
+                    krow.pop(l, None)
+                    if not ul:
+                        rows[l].pop(k, None)
+        for k, uk, tk, before in cols:
+            krow = rows[k]
+            if uk:
+                del krow[v]
+            if tk:
+                del krow[a]
+            nnz += len(krow) - before
+            if not krow:
+                live -= 1
+            elif len(krow) != before:
+                heapq.heappush(heap, (len(krow), k))
     return rank
 
 

@@ -399,9 +399,9 @@ class KSResult:
 
     Rank identity: over any field and for any nonzero weights,
     ``rank(A(G)) = 2 * len(removed_pairs) + rank(A(core))``.  Removing a
-    leaf with its neighbour lowers the rank by exactly 2: it is the
-    one-neighbour case of the contraction rule that
-    :func:`frozenrank.exactla.sparse_rank` states and proves.  Isolated
+    leaf with its neighbour lowers the rank by exactly 2: it is the leaf
+    case of the 2 x 2 pivot that :func:`frozenrank.exactla.sparse_rank`
+    states and proves.  Isolated
     vertices are zero rows.  Equivalently,
     ``nul(A(G)) = isolated_count + nul(A(core))``.
     """

@@ -98,7 +98,7 @@ def _row_span(A: Matrix) -> np.ndarray:
     place = p ** np.arange(n, dtype=np.int64)
     scalars = np.arange(p, dtype=np.int64)[:, None]
     span = np.zeros((1, n), dtype=np.int64)
-    for row in np.array(A.to_values(), dtype=np.int64).reshape(A.m, n):
+    for row in A._a.astype(np.int64):
         cand = ((span[:, None, :] + scalars * row) % p).reshape(len(span) * p, n)
         span = cand[np.unique(cand @ place, return_index=True)[1]]
     return span

@@ -819,8 +819,8 @@ def sparse_graphs(draw):
 @st.composite
 def triangle_graphs(draw):
     """Graphs over F3 or F5 made of planted triangles, some sharing a vertex
-    or an edge, plus pendant edges: the contraction makes diagonal entries,
-    and at small p they and the fill it adds cancel often."""
+    or an edge, plus pendant edges: the 2 x 2 pivots make diagonal entries,
+    and at small p they and the fill the pivots add cancel often."""
     p = draw(st.sampled_from((3, 5)))
     n = draw(st.integers(3, 60))
     vertex = st.integers(0, n - 1)
@@ -877,13 +877,12 @@ def test_sparse_rank_when_fill_in_cancels(p):
 
 
 def test_sparse_rank_of_a_dense_core_skips_the_sparse_phase(monkeypatch):
-    # K_12 fills 11/12 of its area, above SPARSE_FILL: one dense elimination,
-    # with no dict rows and no column heap built first
+    # K_12 fills 11/12 of its area, above SPARSE_FILL, and has no vertex of
+    # degree 2 or less: no pivot is taken, and it goes to one 12 x 12 block
     p = 5
     edges = [(i, j, 1 + (i + j) % (p - 1)) for i in range(12) for j in range(i + 1, 12)]
     want = _adjacency_rank(12, edges, p)
     shapes = _count_blocks(monkeypatch)
-    monkeypatch.setattr(exactla, "heapq", None)
     assert _sparse_rank(12, edges, p) == want
     assert shapes == [(12, 12)]
 
@@ -892,9 +891,8 @@ def test_sparse_rank_of_a_dense_core_skips_the_sparse_phase(monkeypatch):
 def test_sparse_rank_crosses_to_the_dense_block_midway(monkeypatch, p):
     # a Hamiltonian cycle and a random perfect matching (3/n of the area)
     # leave degree 2 only at the ends of the one to three matching edges
-    # that repeat a cycle edge, so little is contracted: the rest is
-    # pivoted sparsely until its active block is dense enough, then that
-    # smaller block goes dense
+    # that repeat a cycle edge: pivots of degree 3 and up are taken until
+    # the live block is dense enough, then that smaller block goes dense
     n = 300
     stream = Stream(p + 1)
     cycle, match = list(range(n)), list(range(n))
@@ -913,8 +911,9 @@ def test_sparse_rank_crosses_to_the_dense_block_midway(monkeypatch, p):
 @pytest.mark.parametrize("p", SPARSE_PRIMES[1:3])
 def test_sparse_rank_contracts_a_sparse_random_graph_whole(monkeypatch, p):
     # mean degree 3 on 300 vertices, the input that crossed to a dense block
-    # before the contraction phase: over F3 and F5 these draws contract to
-    # nothing (at 2^31 - 1 the draw leaves a 7-vertex block, which is dense)
+    # before degree-2 vertices were pivoted 2 x 2: over F3 and F5 these draws
+    # pivot to nothing (at 2^31 - 1 the draw leaves a 7-vertex block, which
+    # is dense)
     n = 300
     stream = Stream(p + 1)
     edges = [(i, j, 1 + stream.randbelow(p - 1)) for i in range(n)
@@ -925,10 +924,10 @@ def test_sparse_rank_contracts_a_sparse_random_graph_whole(monkeypatch, p):
     assert shapes == []
 
 
-# ------------------------------------------------- the contraction phase
-# exactla._contract splits off 2 x 2 blocks by congruence: the rank it
-# returns plus the rank of the rows it leaves is the rank of the rows it was
-# given, diagonals included.
+# ------------------------------------------------- the sparse pivots
+# exactla._sparse_pivots splits 1 x 1 and 2 x 2 blocks off by congruence: the
+# rank it returns plus the rank of the rows it leaves is the rank of the rows
+# it was given, diagonals included.
 
 
 def _rows_rank(rows, p):
@@ -940,11 +939,11 @@ def _rows_rank(rows, p):
     return exactla._forward_dense(M, p)[0]
 
 
-def _check_contract(rows, p):
-    """Contract a copy of ``rows`` and check the rank split; returns the
+def _check_pivots(rows, p):
+    """Pivot on a copy of ``rows`` and check the rank split; returns the
     rows left."""
     left = [dict(row) for row in rows]
-    split = exactla._contract(left, p)
+    split = exactla._sparse_pivots(left, p)
     assert split + _rows_rank(left, p) == _rows_rank(rows, p)
     assert all(left[c][r] == v for r, row in enumerate(left) for c, v in row.items())
     return left
@@ -960,17 +959,19 @@ def _symmetric_rows(n, entries):
 
 
 @pytest.mark.parametrize("p,rank", [(2, 2), (3, 3), (2147483647, 3)])
-def test_sparse_rank_of_a_triangle_keeps_the_diagonal_it_makes(p, rank):
-    # contracting a vertex of K_3 drops it with one neighbour and leaves the
-    # other with a diagonal entry -2 * A[a, b] * A[v, b] / A[v, a], so the
-    # rank is 2 + 1 over an odd field, as det A(K_3) = 2.  Ten isolated
-    # vertices keep the matrix sparse enough for the sparse phases.
+def test_sparse_rank_of_a_triangle_keeps_the_diagonal_it_makes(monkeypatch, p, rank):
+    # a 2 x 2 pivot on a vertex of K_3 and one neighbour leaves the other
+    # with a diagonal entry -2 * A[a, b] * A[v, b] / A[v, a], and a 1 x 1
+    # pivot takes it: the rank is 2 + 1 over an odd field, as det A(K_3) = 2,
+    # and no block is left for the dense kernel.  Ten isolated vertices keep
+    # the matrix sparse.
     edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
-    assert _sparse_rank(13, edges, p) == _adjacency_rank(13, edges, p) == rank
+    want = _adjacency_rank(13, edges, p)
+    shapes = _count_blocks(monkeypatch)
+    assert _sparse_rank(13, edges, p) == want == rank
+    assert shapes == []
     if p > 2:
-        left = _check_contract(_symmetric_rows(3, edges), p)
-        assert [(r, *row.items()) for r, row in enumerate(left) if row] in \
-            [[(r, (r, p - 2))] for r in range(3)]
+        assert _check_pivots(_symmetric_rows(3, edges), p) == [{}, {}, {}]
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
@@ -984,7 +985,7 @@ def test_sparse_rank_of_a_triangle_with_a_pendant_path(p):
         for e in (edges, weighted):
             assert _sparse_rank(n, e, p) == _adjacency_rank(n, e, p)
             if p > 2:
-                _check_contract(_symmetric_rows(n, e), p)
+                _check_pivots(_symmetric_rows(n, e), p)
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
@@ -995,20 +996,34 @@ def test_contract_a_leaf_whose_neighbour_carries_a_diagonal(p):
         w = [1 + stream.randbelow(p - 1) for _ in range(5)]
         rows = _symmetric_rows(4, [(0, 1, w[0]), (1, 1, w[1]), (1, 2, w[2]),
                                    (1, 3, w[3]), (2, 3, w[4])])
-        left = _check_contract(rows, p)
+        left = _check_pivots(rows, p)
         assert left[0] == left[1] == {}
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
 def test_contract_folds_a_neighbour_with_a_diagonal_into_the_other(p):
-    # vertex 0 has neighbours 1 (with a diagonal) and 2, and 1 and 2 are
-    # joined: 2 gains entries and a diagonal, which may cancel
+    # the first pivot is on vertex 0 (no leaf, and the lowest of the two
+    # vertices with 2 entries) and its lighter neighbour 1, which has a
+    # diagonal and is joined to 0's other neighbour 2: 2 gains 1's entries
+    # and a change of its own diagonal through c = -A[1, 1] / A[0, 1]^2,
+    # which may cancel
     stream = Stream(p + 1)
     for _ in range(40):
-        w = [1 + stream.randbelow(p - 1) for _ in range(7)]
-        _check_contract(_symmetric_rows(5, [(0, 1, w[0]), (0, 2, w[1]), (1, 1, w[2]),
-                                            (1, 2, w[3]), (1, 3, w[4]), (2, 3, w[5]),
-                                            (1, 4, w[6])]), p)
+        w = [1 + stream.randbelow(p - 1) for _ in range(9)]
+        _check_pivots(_symmetric_rows(5, [(0, 1, w[0]), (0, 2, w[1]), (1, 1, w[2]),
+                                          (1, 2, w[3]), (1, 3, w[4]), (2, 2, w[5]),
+                                          (2, 3, w[6]), (2, 4, w[7]), (3, 4, w[8])]), p)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES[1:])
+def test_a_1x1_pivot_divides_by_its_diagonal_entry(p):
+    # w w^T / d with w = (d, x) has rank 1: a 1 x 1 pivot on either diagonal
+    # entry leaves the other at x^2 / d - x^2 / d = 0
+    stream = Stream(p + 2)
+    for _ in range(20):
+        d, x = (1 + stream.randbelow(p - 1) for _ in range(2))
+        rows = _symmetric_rows(2, [(0, 0, d), (0, 1, x), (1, 1, x * x * pow(d, -1, p) % p)])
+        assert _check_pivots(rows, p) == [{}, {}]
 
 
 @st.composite
@@ -1025,7 +1040,7 @@ def symmetric_rows(draw):
 @given(symmetric_rows())
 def test_contract_keeps_the_rank(case):
     rows, p = case
-    _check_contract(rows, p)
+    _check_pivots(rows, p)
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
