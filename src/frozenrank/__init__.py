@@ -23,10 +23,9 @@ from .perturb import CoupledFamilies, PerturbationFamily, PerturbationSpec, cano
 from .randgraph import (
     CouplingSource,
     Graph,
-    KSResult,
+    LeafRemoval,
     WeightTemplate,
     karp_sipser,
-    nullity_invariance_check,
     sample_T,
     sample_graph,
 )

@@ -119,9 +119,9 @@ def _cmd_ks(args) -> int:
             "n": G.n,
             "edges": G.edge_count,
             "isolated_count": ks.isolated_count,
-            "core_size": len(ks.core_vertices),
-            "core_vertices": list(ks.core_vertices),
-            "removed_pairs": [list(p) for p in ks.removed_pairs],
+            "core_size": ks.core_vertices.size,
+            "core_vertices": ks.core_vertices.tolist(),
+            "removed_pairs": ks.removed_pairs.tolist(),
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
@@ -139,7 +139,7 @@ def _cmd_ks(args) -> int:
         trial_seed = derive_trial_seed(args.seed, index)
         s = trial_support(trial_seed, args.n, args.d)
         return [index, trial_seed, args.n, args.d,
-                s.isolated_count, s.core_vertices.size, s.removed_pair_count]
+                s.isolated_count, s.core_vertices.size, len(s.removed_pairs)]
 
     columns = ["trial_index", "derived_seed", "n", "d",
                "ks_isolated", "ks_core_size", "removed_pair_count"]

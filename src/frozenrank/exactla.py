@@ -49,8 +49,9 @@ the free columns.  One dense kernel eliminates over F_p, and over Q
 exact: nothing is eliminated on Fractions.  Entries are plain values, read
 back as Python ints or ``Fraction`` objects.
 
-A sparse symmetric matrix given by its edges, such as a leaf-removal core,
-is ranked without a :class:`Matrix`.  Over F_p, :func:`sparse_rank` splits
+A sparse symmetric matrix given by its edges, such as the core of a
+:class:`~frozenrank.randgraph.LeafRemoval`, is ranked without a
+:class:`Matrix`.  Over F_p, :func:`sparse_rank` splits
 symmetric 1 x 1 and 2 x 2 pivots off it, fewest entries first, which carries
 leaf removal on into it, and hands only the block they leave to the dense
 kernel.  :func:`rational_rank` gives the exact rank over Q, of any size,
@@ -456,7 +457,7 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
       alpha^2``, so ``A[k, l] -= c u_k u_l + (u_k t_l + t_k u_l) / alpha``,
       and the pivot adds 2 to the rank.  At a leaf ``u`` is 0, and ``a``'s
       row and column just go: this is leaf removal
-      (:class:`~frozenrank.randgraph.KSResult`) carried on into the core.
+      (:class:`~frozenrank.randgraph.LeafRemoval`) carried on into the core.
       It is the "oxo" pivot of Duff, Gould, Reid, Scott and Turner (IMA J.
       Numer. Anal. 1991).
     """

@@ -7,11 +7,12 @@ the perturbation families, so no two random sources ever share a stream.
 The edge and weight split is stated once, in :func:`_coupling` and
 :func:`_weight_template`; the rest in :func:`_run_trial`, the one trial
 function of both rank and census runs.  The edge support depends only on
-``(trial_seed, n, d)``, so every trial takes the support's leaf removal
-from a memo shared by every field, template and run kind of the process
-(:func:`trial_support`) and ranks the core's arrays weighed by its
-template; a census trial also samples the whole weighted graph, which the
-census relabels and whose support a memo miss leaf-removes.  Records are
+``(trial_seed, n, d)``, so every trial takes the support's
+:class:`~frozenrank.randgraph.LeafRemoval` from a memo shared by every
+field, template and run kind of the process (:func:`trial_support`) and
+ranks the core's arrays weighed by its template; a census trial also
+samples the whole weighted graph, which the census relabels and whose
+support a memo miss leaf-removes.  Records are
 ordered by trial index, which makes the CSV output byte-identical across
 reruns and worker counts.  Wall-clock timings are kept on the in-memory
 records only, never serialized.
@@ -53,6 +54,7 @@ from .prf import (
 )
 from .randgraph import (
     CouplingSource,
+    LeafRemoval,
     WeightTemplate,
     available_cpus,
     leaf_removal,
@@ -122,6 +124,10 @@ class ExperimentConfig:
             raise ValueError("census runs require pert_P")
         if self.n > DENSE_CAP:
             raise ResourceCapError(f"n={self.n} exceeds the dense-matrix cap {DENSE_CAP}")
+        # each theta is at most P, and a perturbation block is theta x n
+        if self.pert_P is not None and self.pert_P > DENSE_CAP:
+            raise ResourceCapError(f"pert_P={self.pert_P} exceeds the dense-matrix cap "
+                                   f"{DENSE_CAP}")
 
     @property
     def field_spec(self) -> FieldSpec:
@@ -148,8 +154,10 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One Monte Carlo draw; ``rank + nullity = n`` and the leaf-removal
-    upper bound ``rank/n <= 1 - ks_isolated/n`` hold exactly by construction."""
+    """One Monte Carlo draw; ``rank + nullity = n``, the leaf-removal upper
+    bound ``rank/n <= 1 - ks_isolated/n`` and, over F2, an even rank (the
+    adjacency of a simple graph is alternating there) hold exactly by
+    construction."""
 
     trial_index: int
     derived_seed: int
@@ -171,6 +179,8 @@ class TrialRecord:
             raise ValueError("rank + nullity must equal n")
         if self.rank > self.n - self.ks_isolated:
             raise ValueError("leaf-removal upper bound violated; exact arithmetic bug")
+        if self.rank % 2 and FieldSpec.parse_label(self.field).is_gf2:
+            raise ValueError("odd rank over F2; exact arithmetic bug")
 
     @property
     def group(self) -> str:
@@ -295,35 +305,21 @@ def _weight_template(trial_seed: int, n: int, field: FieldSpec, template: str) -
     return WeightTemplate(field, n, template, derive_seed(trial_seed, 0, TAG_WEIGHTS))
 
 
-@dataclass(frozen=True, eq=False)
-class TrialSupport:
-    """What a rank needs of a trial's edge support: the leaf-removal counts
-    and the core's edges, read-only.  Core edge ``k`` joins core vertices
-    ``core_i[k] < core_j[k]``, which are vertices
-    ``core_vertices[core_i[k]] < core_vertices[core_j[k]]`` of the trial's
-    graph."""
-
-    isolated_count: int
-    removed_pair_count: int
-    core_vertices: np.ndarray
-    core_i: np.ndarray
-    core_j: np.ndarray
-
-
 # core edges the support memo may hold over all its entries (an entry with
-# no core counts as one).  One trial at n=2000, d=3 leaves a core of about
-# 650-1100 edges out of about 3000 support edges, and its ids fit in uint16:
-# two endpoints a core edge and fewer core vertices than core edges make
-# under 6 bytes a core edge, about 5 KB an entry.  So the budget keeps the
-# last 30-50 such supports in about 0.2 MB
+# no core counts as one).  One trial at n=2000, d=3 leaves a core of up to
+# about 1500 edges and 450-920 removed pairs out of about 3000 support
+# edges, all in uint16: two endpoints and a support index a core edge,
+# fewer core vertices than core edges and 4 bytes a removed pair make
+# 4-12 KB an entry.  So the budget keeps the last 30-50 such supports in
+# about 0.35 MB
 _MEMO_EDGES = 1 << 15
 
 
 class _SupportMemo:
-    """The :class:`TrialSupport` of each ``(trial_seed, n, d)``, least
-    recently used first, holding at most ``_MEMO_EDGES`` core edges; a
-    support larger than that is never stored.  A miss samples outside the
-    lock, so threads sample at the same time."""
+    """The :class:`~frozenrank.randgraph.LeafRemoval` of each support
+    ``(trial_seed, n, d)``, least recently used first, holding at most
+    ``_MEMO_EDGES`` core edges; a support larger than that is never stored.
+    A miss samples outside the lock, so threads sample at the same time."""
 
     def __init__(self):
         self.entries: OrderedDict = OrderedDict()
@@ -334,10 +330,10 @@ class _SupportMemo:
             os.register_at_fork(after_in_child=self._after_fork)
 
     @staticmethod
-    def _cost(support: TrialSupport) -> int:
+    def _cost(support: LeafRemoval) -> int:
         return support.core_i.size + 1
 
-    def get(self, key: tuple, compute) -> TrialSupport:
+    def get(self, key: tuple, compute) -> LeafRemoval:
         with self._lock:
             found = self.entries.get(key)
             if found is not None:
@@ -368,22 +364,17 @@ _supports = _SupportMemo()
 
 
 def trial_support(trial_seed: int, n: int, d: float,
-                  edges: tuple | None = None) -> TrialSupport:
-    """The edge support that the coupling stream of ``trial_seed`` gives on
-    ``n`` vertices at mean degree ``d``, the same for every field and
-    template, and its leaf removal in the least unsigned type that holds a
-    vertex id, computed once per process while the memo keeps it.  ``edges``
-    is that support's ``(i, j)`` when the caller has sampled it already, as a
-    census trial has: a miss then leaf-removes it rather than sampling again."""
+                  edges: tuple | None = None) -> LeafRemoval:
+    """The :func:`~frozenrank.randgraph.leaf_removal` of the edge support
+    that the coupling stream of ``trial_seed`` gives on ``n`` vertices at
+    mean degree ``d``, the same for every field and template, computed once
+    per process while the memo keeps it.  ``edges`` is that support's
+    ``(i, j)`` when the caller has sampled it already, as a census trial
+    has: a miss then leaf-removes it rather than sampling again."""
 
-    def compute() -> TrialSupport:
+    def compute() -> LeafRemoval:
         i, j = sample_support(n, d / n, _coupling(trial_seed)) if edges is None else edges
-        lr = leaf_removal(n, i, j)
-        arrays = tuple(a.astype(np.min_scalar_type(n))
-                       for a in (lr.core_vertices, lr.core_i, lr.core_j))
-        for a in arrays:
-            a.flags.writeable = False
-        return TrialSupport(lr.isolated_count, len(lr.removed_pairs), *arrays)
+        return leaf_removal(n, i, j)
 
     return _supports.get((trial_seed, n, d), compute)
 
@@ -393,7 +384,7 @@ def _rank_of_core(field: FieldSpec, n: int, i: np.ndarray, j: np.ndarray,
     """Exact rank over ``field`` of the leaf-removal core on ``n`` vertices
     with edges ``(i, j)`` weighted ``w``, without a
     :class:`~frozenrank.exactla.Matrix`; the rank identity of
-    :class:`~frozenrank.randgraph.KSResult` gives the whole graph's.  A
+    :class:`~frozenrank.randgraph.LeafRemoval` gives the whole graph's.  A
     prime-field core goes to :func:`~frozenrank.exactla.sparse_rank`, a
     rational core of any size to :func:`~frozenrank.exactla.rational_rank`:
     a sparse rank modulo a prime, certified exact when full, else the rank
@@ -427,7 +418,7 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     # a weight is a pure function of the template's seed and the edge's
     # original endpoints, so these are the whole weighted graph's on the core
     v, core_i, core_j = support.core_vertices, support.core_i, support.core_j
-    rank = 2 * support.removed_pair_count + _rank_of_core(
+    rank = 2 * len(support.removed_pairs) + _rank_of_core(
         template.field, v.size, core_i, core_j, template.weights(v[core_i], v[core_j]))
     return TrialRecord(
         trial_index=index,

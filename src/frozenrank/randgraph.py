@@ -11,10 +11,11 @@ sampled edges from a symmetric :class:`WeightTemplate` with nonzero entries;
 the weights and the field decorate the support and never change it.  The
 dense adjacency (:meth:`Graph.adjacency`) and the relabelled principal block
 (:func:`sample_T`) are then built from that :class:`Graph`.  Leaf removal
-(:func:`leaf_removal`) reads only the support, so a core can be weighted
-after it is found, on its own edges; :func:`karp_sipser` does so for a
-whole :class:`Graph`.  Edges stay arrays from the sampler through leaf
-removal to the core that is ranked.
+(:func:`leaf_removal`, or :func:`karp_sipser` of a :class:`Graph`) reads
+only the support, and its one record, :class:`LeafRemoval`, states the
+vertex count and the rank identity; a core is weighted after it is found,
+on its own edges.  Edges stay arrays from the sampler through leaf removal
+to the core that is ranked.
 """
 
 from __future__ import annotations
@@ -388,42 +389,33 @@ def sample_T(G: Graph, n: int, perm_seed: int = 0) -> Matrix:
 # ------------------------------------------------------------- leaf removal
 
 
-@dataclass(frozen=True)
-class KSResult:
-    """Outcome of exhaustive leaf removal.
+@dataclass(frozen=True, eq=False)
+class LeafRemoval:
+    """Exhaustive leaf removal of an edge support on ``n`` vertices, as
+    :func:`leaf_removal` gives it.  Every array is read-only and held in the
+    least unsigned type that fits: vertex ids sized by ``n``, ``kept`` by the
+    support's edge count.
 
-    ``core_vertices`` are original vertex ids (min degree two in ``core``,
-    which is reindexed compactly in that order); every vertex is accounted
-    for: ``isolated_count + len(core_vertices) + 2 * len(removed_pairs)``
-    equals ``n``.
+    ``removed_pairs`` has one ``(leaf, neighbour)`` row per removed pair, in
+    the order they were removed.  ``core_vertices`` are the original ids of
+    the core's vertices (minimum degree two), ascending; the core numbers
+    them ``0, 1, ...`` in that order.  Core edge ``k`` joins core vertices
+    ``core_i[k] < core_j[k]`` and is edge ``kept[k]`` of the support, so a
+    weight array ``w`` of the support gives the core's weights as
+    ``w[kept]``.  Every vertex is accounted for: ``isolated_count +
+    core_vertices.size + 2 * len(removed_pairs)`` equals ``n``.
 
     Rank identity: over any field and for any nonzero weights,
     ``rank(A(G)) = 2 * len(removed_pairs) + rank(A(core))``.  Removing a
     leaf with its neighbour lowers the rank by exactly 2: it is the leaf
     case of the 2 x 2 pivot that :func:`frozenrank.exactla.sparse_rank`
-    states and proves.  Isolated
-    vertices are zero rows.  Equivalently,
+    states and proves.  Isolated vertices are zero rows.  Equivalently,
     ``nul(A(G)) = isolated_count + nul(A(core))``.
     """
 
     isolated_count: int
-    core: Graph
-    core_vertices: tuple
-    removed_pairs: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class LeafRemoval:
-    """Exhaustive leaf removal of an edge support, as :func:`leaf_removal`
-    gives it: the counts of :class:`KSResult`, the core's vertices as
-    original ids in ascending order, and the core's edges.  Core edge ``k``
-    joins core vertices ``core_i[k] < core_j[k]`` and is edge ``kept[k]`` of
-    the support, so a weight array of the support gives the core's weights
-    as ``w[kept]``."""
-
-    isolated_count: int
     core_vertices: np.ndarray
-    removed_pairs: tuple
+    removed_pairs: np.ndarray
     core_i: np.ndarray
     core_j: np.ndarray
     kept: np.ndarray
@@ -458,7 +450,7 @@ def leaf_removal(n: int, i: np.ndarray, j: np.ndarray) -> LeafRemoval:
     heap = np.flatnonzero(degree == 1).tolist()  # ascending: a heap
     nbrs, start, deg, xor = nbr.tolist(), start.tolist(), degree.tolist(), xor.tolist()
     alive = [True] * n
-    pairs = []
+    pairs = []  # leaf, neighbour, leaf, neighbour, ...
     while heap:
         v = heapq.heappop(heap)
         if not alive[v] or deg[v] != 1:
@@ -471,7 +463,7 @@ def leaf_removal(n: int, i: np.ndarray, j: np.ndarray) -> LeafRemoval:
                 xor[x] ^= u
                 if deg[x] == 1:
                     heapq.heappush(heap, x)
-        pairs.append((v, u))
+        pairs += v, u
 
     left, deg = np.array(alive, dtype=bool), np.array(deg)
     in_core = left & (deg > 0)
@@ -479,44 +471,30 @@ def leaf_removal(n: int, i: np.ndarray, j: np.ndarray) -> LeafRemoval:
     if np.any(deg[in_core] < 2):
         raise AssertionError("leaf removal left a low-degree core vertex")
     live = int(np.count_nonzero(left))
-    if live + 2 * len(pairs) != n:
+    if live + len(pairs) != n:
         raise AssertionError("leaf removal lost vertices")
     index = np.cumsum(in_core) - 1
     kept = np.flatnonzero(in_core[i] & in_core[j])
     a, b = index[i[kept]], index[j[kept]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     by_lo = np.argsort(lo, kind="stable")
-    return LeafRemoval(
+    vertex = np.min_scalar_type(n)
+    lr = LeafRemoval(
         isolated_count=live - core_vertices.size,
-        core_vertices=core_vertices,
-        removed_pairs=tuple(pairs),
-        core_i=lo[by_lo],
-        core_j=hi[by_lo],
-        kept=kept[by_lo],
+        core_vertices=core_vertices.astype(vertex),
+        removed_pairs=np.array(pairs, dtype=vertex).reshape(-1, 2),
+        core_i=lo[by_lo].astype(vertex),
+        core_j=hi[by_lo].astype(vertex),
+        kept=kept[by_lo].astype(np.min_scalar_type(i.size)),
     )
+    for arr in (lr.core_vertices, lr.removed_pairs, lr.core_i, lr.core_j, lr.kept):
+        arr.flags.writeable = False
+    return lr
 
 
-def karp_sipser(G: Graph) -> KSResult:
-    """:func:`leaf_removal` of ``G``'s support, with the core weighted by
-    ``G``'s weights on the core's edges."""
-    lr = leaf_removal(G.n, G.i, G.j)
-    return KSResult(
-        isolated_count=lr.isolated_count,
-        core=Graph(lr.core_vertices.size, G.field, lr.core_i, lr.core_j, G.w[lr.kept]),
-        core_vertices=tuple(lr.core_vertices.tolist()),
-        removed_pairs=lr.removed_pairs,
-    )
-
-
-def nullity_invariance_check(G: Graph) -> bool:
-    """Exact check of the rank identity of :class:`KSResult`, in its
-    nullity form, against a dense elimination of the whole adjacency, which
-    refuses an oversized graph first.
-    """
-    lhs = G.adjacency().nullity()
-    ks = karp_sipser(G)
-    rhs = ks.isolated_count + (ks.core.adjacency().nullity() if ks.core.n else 0)
-    return lhs == rhs
+def karp_sipser(G: Graph) -> LeafRemoval:
+    """:func:`leaf_removal` of ``G``'s support."""
+    return leaf_removal(G.n, G.i, G.j)
 
 
 # ------------------------------------------------------------- text format

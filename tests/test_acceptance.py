@@ -26,6 +26,7 @@ from frozenrank.verify import (
     rank_by_row_space_enumeration,
 )
 from test_harness import _census_matrix
+from test_randgraph import core_graph
 
 E = math.e
 FIGURE = {
@@ -251,8 +252,9 @@ def test_criterion_11_nullity_invariance():
         template = WeightTemplate(field, n, kind, seed=prf(55, trial, 1))
         G = sample_graph(n, d / n, template, CouplingSource(prf(55, trial, 2)))
         ks = karp_sipser(G)
+        core = core_graph(G)
         lhs = G.adjacency().nullity()
-        rhs = ks.isolated_count + (ks.core.adjacency().nullity() if ks.core.n else 0)
+        rhs = ks.isolated_count + (core.adjacency().nullity() if core.n else 0)
         nul_checks += 1
         if lhs != rhs:
             failures += 1

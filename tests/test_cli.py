@@ -8,7 +8,7 @@ import pytest
 
 from frozenrank import harness
 from frozenrank.cli import main
-from frozenrank.exactla import Matrix, format_matrix
+from frozenrank.exactla import DENSE_CAP, Matrix, format_matrix
 from frozenrank.field import FieldSpec
 from frozenrank.randgraph import karp_sipser
 from test_harness import trial_graph
@@ -348,6 +348,11 @@ def test_census_caps(capsys):
                  "--trials", "1"]) == 3
     assert main(["census", "--n", "70", "--d", "2", "--field", "Q", "--P", "0",
                  "--trials", "1"]) == 2  # a bad P is a usage error
+    # no theta exceeds the cap: a larger P is refused before any sampling
+    harness.ExperimentConfig(n=3, d=1.0, field="F2", trials=1, master_seed=0,
+                             pert_P=DENSE_CAP, census=True)
+    assert main(["census", "--n", "3", "--d", "1", "--P", str(DENSE_CAP + 1),
+                 "--trials", "1"]) == 3
 
 
 def test_verify_suite(capsys):

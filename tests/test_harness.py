@@ -33,6 +33,7 @@ from frozenrank.field import RATIONAL_POOL, FieldSpec
 from frozenrank.harness import (
     CSV_SCHEMA_TAG,
     ExperimentConfig,
+    TrialRecord,
     _rank_of_core,
     _run_trial,
     records_to_csv,
@@ -43,7 +44,16 @@ from frozenrank.harness import (
 )
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from frozenrank.prf import TAG_PERM, TAG_THETA, TAG_TRIAL, Stream, derive_seed
-from frozenrank.randgraph import Graph, karp_sipser, sample_graph, sample_T
+from frozenrank.randgraph import (
+    Graph,
+    LeafRemoval,
+    karp_sipser,
+    leaf_removal,
+    sample_graph,
+    sample_support,
+    sample_T,
+)
+from test_randgraph import core_graph
 from test_rational_matrix import fraction_frozen_set, fraction_rref, sparse_rows
 
 
@@ -200,6 +210,21 @@ def test_upper_bound_in_every_record():
         assert r.rank + r.nullity == r.n
 
 
+def test_record_refuses_exact_arithmetic_bugs():
+    # over F2 the adjacency of a simple graph is alternating, so its rank is even
+    common = dict(trial_index=0, derived_seed=0, n=10, d=2.0, template="allones",
+                  normalized_rank=0.5, ks_isolated=2, ks_core_size=0)
+    TrialRecord(field="F2", rank=6, nullity=4, **common)
+    TrialRecord(field="Fp:3", rank=5, nullity=5, **common)
+    for field in ("F2", "Fp:2"):
+        with pytest.raises(ValueError, match="odd rank over F2"):
+            TrialRecord(field=field, rank=5, nullity=5, **common)
+    with pytest.raises(ValueError, match="upper bound"):
+        TrialRecord(field="Fp:3", rank=9, nullity=1, **common)
+    with pytest.raises(ValueError, match="rank \\+ nullity"):
+        TrialRecord(field="Fp:3", rank=5, nullity=4, **common)
+
+
 def test_same_support_across_fields():
     # the coupling seed is field-independent, so leaf-removal statistics of
     # paired runs agree trial by trial, each run sampling its own supports
@@ -230,12 +255,14 @@ def _counted_calls(monkeypatch, *names, module=harness) -> dict:
     return calls
 
 
-def _support_fields(s: harness.TrialSupport) -> tuple:
-    return (s.isolated_count, s.removed_pair_count, s.core_vertices.tolist(),
-            s.core_i.tolist(), s.core_j.tolist())
+_ARRAYS = ("core_vertices", "removed_pairs", "core_i", "core_j", "kept")
 
 
-def _trial_support(master_seed: int, index: int, n: int, d: float) -> harness.TrialSupport:
+def _support_fields(s: LeafRemoval) -> tuple:
+    return (s.isolated_count,) + tuple(getattr(s, name).tolist() for name in _ARRAYS)
+
+
+def _trial_support(master_seed: int, index: int, n: int, d: float) -> LeafRemoval:
     return harness.trial_support(harness.derive_trial_seed(master_seed, index), n, d)
 
 
@@ -387,9 +414,28 @@ def test_memo_never_stores_a_support_above_its_budget():
 
 def test_memo_entries_are_read_only():
     support = _trial_support(3, 0, 300, 3.0)
-    for a in (support.core_vertices, support.core_i, support.core_j):
+    for name in _ARRAYS:
         with pytest.raises(ValueError):
-            a[0] = 0
+            getattr(support, name)[0] = 0
+
+
+@pytest.mark.parametrize("n,d", [(1, 0.0), (200, 3.0), (300, 3.0), (2000, 3.0),
+                                 (400, 100.0)])
+def test_memo_entry_is_the_supports_leaf_removal(n, d):
+    # the memo holds leaf_removal's record itself: field by field the same,
+    # with vertex ids in the least unsigned type for n and support indices in
+    # the least for the support's edge count (test_memo_entries_are_read_only
+    # writes to each array); a hit returns that object
+    trial_seed = harness.derive_trial_seed(4, 1)
+    i, j = sample_support(n, d / n, harness._coupling(trial_seed))
+    want = leaf_removal(n, i, j)
+    got = harness.trial_support(trial_seed, n, d)
+    assert _support_fields(got) == _support_fields(want)
+    vertex, index = np.min_scalar_type(n), np.min_scalar_type(i.size)
+    for name in _ARRAYS:
+        assert getattr(got, name).dtype == (index if name == "kept" else vertex)
+    assert got.removed_pairs.shape == (len(got.removed_pairs), 2)
+    assert harness.trial_support(trial_seed, n, d) is got
 
 
 def test_threads_on_different_seeds_write_the_sequential_csvs():
@@ -494,19 +540,16 @@ def test_core_weighted_on_its_edges_is_the_graphs_core(field):
     for index in range(3):
         trial_seed, G = trial_graph(cfg.master_seed, index, cfg.n, cfg.d, cfg.field_spec,
                                     cfg.template)
-        ks = karp_sipser(G)
+        core = core_graph(G)
         assert trial_seed == harness.derive_trial_seed(cfg.master_seed, index)
         support = harness.trial_support(trial_seed, cfg.n, cfg.d)
-        assert (support.isolated_count, support.removed_pair_count,
-                tuple(support.core_vertices.tolist())) == \
-            (ks.isolated_count, len(ks.removed_pairs), ks.core_vertices)
+        assert _support_fields(support) == _support_fields(karp_sipser(G))
         v, core_i, core_j = support.core_vertices, support.core_i, support.core_j
         template = harness._weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template)
         w = template.weights(v[core_i], v[core_j])
-        for got, want in ((core_i, ks.core.i), (core_j, ks.core.j), (w, ks.core.w)):
+        for got, want in ((core_i, core.i), (core_j, core.j), (w, core.w)):
             assert np.array_equal(got, want)
-        assert _rank_of_core(cfg.field_spec, v.size, core_i, core_j, w) == \
-            _dense_rank(ks.core)
+        assert _rank_of_core(cfg.field_spec, v.size, core_i, core_j, w) == _dense_rank(core)
 
 
 def test_rational_rank_paths():
@@ -758,7 +801,7 @@ def test_rational_core_rank_matches_exact_oracle(template):
                            master_seed=7)
     for index in range(cfg.trials):
         G = _trial_graph(cfg, index)
-        core = karp_sipser(G).core
+        core = core_graph(G)
         assert core.n > 64
         # full rank at the first prime: one elimination settles it
         assert rational_rank(core.n, core.i, core.j, core.w) == \
@@ -781,9 +824,9 @@ def _route(G: Graph) -> RationalRank:
     """The rational route on ``G``, which must be its own leaf-removal core,
     checked against exact elimination of the whole graph."""
     ks = karp_sipser(G)
-    assert ks.core_vertices == tuple(range(G.n))
+    assert ks.core_vertices.tolist() == list(range(G.n))
     got = rational_rank(G.n, G.i, G.j, G.w)
-    core = ks.core
+    core = core_graph(G)
     assert _rank_of_core(core.field, core.n, core.i, core.j, core.w) == got.rank == \
         _dense_rank(G)
     return got
@@ -930,5 +973,5 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
         # prime field the only dense array is the block the sparse phase
         # leaves, smaller than the core, unless the core is dense already
         assert built == []
-        if field != "Q" and 2 * ks.core.edge_count <= exactla.SPARSE_FILL * core ** 2:
+        if field != "Q" and 2 * ks.core_i.size <= exactla.SPARSE_FILL * core ** 2:
             assert all(rows < core for rows in blocks)

@@ -25,8 +25,9 @@ from frozenrank.exactla import Matrix, block, field_array, format_matrix, parse_
 from frozenrank.field import FieldSpec
 from frozenrank.perturb import CoupledFamilies, PerturbationSpec, canonical_perturb
 from frozenrank.prf import Stream
-from frozenrank.randgraph import CouplingSource, Graph, WeightTemplate, karp_sipser, sample_graph
+from frozenrank.randgraph import CouplingSource, Graph, WeightTemplate, sample_graph
 from frozenrank.verify import random_matrix
+from test_randgraph import core_graph
 
 Q = FieldSpec.rationals()
 BIG = FieldSpec.prime(2**31 - 1)
@@ -99,7 +100,7 @@ def _q_cores():
         seed += 1
         n = 40 + 10 * (seed % 12)
         template = WeightTemplate(Q, n, "random" if seed % 4 else "allones", seed)
-        core = karp_sipser(sample_graph(n, 2.9 / n, template, CouplingSource(seed))).core
+        core = core_graph(sample_graph(n, 2.9 / n, template, CouplingSource(seed)))
         if 0 < core.n <= 64:
             cores.append(core.adjacency())
     return cores
