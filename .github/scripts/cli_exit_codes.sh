@@ -38,6 +38,9 @@ cmp "$tmp/census_base.csv" "$tmp/cli.out"
 # a process pool forked after the parent has sampled: no sampler thread may outlive its call
 expect 0 simulate --n 300 --d 3 --trials 4 --workers 2
 expect 0 census --field Q --n 100 --d 2 --P 8 --trials 1
+# the widest census array, [B^T | E_k], over both large fields
+expect 0 census --field Fp:2147483647 --template random --n 2000 --d 2 --P 8 --trials 1
+expect 0 census --field Q --template random --n 300 --d 2 --P 8 --trials 1
 expect 3 census --field Q --n 5000 --d 2 --P 8 --trials 1
 # each theta is at most P, so a P above the dense cap is refused before sampling
 expect 3 census --n 30 --d 2 --P 100000000000 --trials 1

@@ -150,14 +150,15 @@ def _cmd_ks(args) -> int:
 def _cmd_classify(args) -> int:
     with open(args.matrix, encoding="utf-8") as fp:
         A = parse_matrix(fp.read())
-    types = variable_types(A)
+    # the kernel support sets the rank too, so A is eliminated once for both
+    frozen, types = frozen_set(A), variable_types(A)
     payload = {
         "m": A.m,
         "n": A.n,
         "field": A.field.label(),
         "rank": A.rank(),
         "nullity": A.nullity(),
-        "frozen_columns": list(frozen_set(A)),
+        "frozen_columns": list(frozen),
         "types": {str(i): t for i, t in enumerate(types)},
     }
     if types:

@@ -17,12 +17,16 @@ Terminology used throughout (0-based column indices everywhere):
   - ``U``: not frozen in the matrix, firmly frozen in the transpose,
   - ``V``: firmly frozen in the matrix, not frozen in the transpose.
 
-  When ``i`` is frozen in both ``A`` and ``A^T``, the system
-  ``y^T A = e_i^T`` has solutions and they all share one ``y_i``: two
-  differ by a left-kernel vector, which is 0 at ``i`` because ``i`` is
-  frozen in ``A^T``.  Deleting row ``i`` keeps ``i`` frozen exactly when
-  some solution has ``y_i = 0``, so ``i`` is ``Y`` when ``y_i = 0`` and
-  ``X`` otherwise.
+  One RREF ``R`` of ``[A^T | E_k]``, with ``e_i`` in column ``m + i`` for
+  each variable ``i < k``, types all ``k``.  Its left block, the RREF of
+  ``A^T``, gives ``F(A^T)`` as :meth:`Matrix._reduce` reads a kernel
+  support.  ``i`` is in ``F(A)`` exactly when ``A^T y = e_i`` is
+  consistent: when no row of ``R`` with a zero left part is nonzero in
+  column ``m + i``.  For ``i`` frozen on both sides, solutions differ by
+  left-kernel vectors, 0 at ``i``, so share the ``y_i`` in column
+  ``m + i`` of the row pivoting on ``i``.  Deleting row ``i`` keeps ``i``
+  frozen exactly when some solution has ``y_i = 0``: ``i`` is ``Y`` when
+  ``y_i = 0`` and ``X`` otherwise.
 
 * Let ``K`` be the ``n x nullity`` matrix whose columns are a kernel basis,
   and ``K_C`` its rows in a column set ``C``.  The row space is the
@@ -40,7 +44,7 @@ asking twice in a row about one row-deleted matrix eliminates it once.
 Every matrix is one numpy array
 (:func:`field_array`): canonical residues over F_p, ``Fraction`` objects in
 a ``dtype=object`` array over Q.  Every F2 question (rank, kernel support,
-kernel rows and bases, the census solve) runs on rows held as Python ints,
+kernel rows and bases, the census) runs on rows held as Python ints,
 one bit per column, with XOR as row addition.  Over F_p (p > 2) and Q every
 question but the F_p rank, which eliminates forward only, reads one reduced
 form, :func:`_reduced`: the pivot columns of the RREF and its pivot rows on
@@ -393,7 +397,7 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
             M[piv] = M[r]
             M[r] = tmp
         inv = pow(int(M[r, c]), -1, p)
-        M[r, c:] = (M[r, c:] * wide(inv)) % p
+        M[r, c:] = M[r, c:].astype(wide, copy=False) * inv % p
         _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p, wide)
         pivots.append(c)
         r += 1
@@ -930,63 +934,58 @@ def variable_types(A: Matrix, census_size: int | None = None) -> tuple[str, ...]
     """Types of variables ``0..census_size-1``, as :func:`classify_variable`
     gives them; ``census_size`` defaults to ``min(m, n)``.
 
-    Cost: three eliminations, whatever the census size.  The kernel
-    supports of ``A`` and ``A^T`` give the frozen memberships.  A variable
-    frozen on neither side is ``Z``; one frozen on one side only is firmly
-    frozen there (frailness is transpose-symmetric), so ``V`` or ``U``.
-    The set ``S`` of variables frozen on both sides is typed by the
-    ``y_i`` of the module docstring, from one RREF of ``[A^T | E_S]``.
+    Cost: one elimination, of ``[A^T | E_k]`` (module docstring).
     """
-    k = min(A.m, A.n) if census_size is None else census_size
-    if not 0 <= k <= min(A.m, A.n):
-        raise ValueError(f"census size {k} outside [0, min(m, n) = {min(A.m, A.n)}]")
-    sup_a = A.kernel_support()
-    sup_at = A.transpose().kernel_support()
-    types = []
-    for i in range(k):
-        fa = i not in sup_a
-        fat = i not in sup_at
-        types.append(("Y" if fat else "V") if fa else ("U" if fat else "Z"))
-    # frozen on both sides: Y unless the solve finds it frail
-    both = [i for i in range(k) if types[i] == "Y"]
-    for i, frail in zip(both, _frail_flags(A, both)):
-        if frail:
-            types[i] = "X"
-    return tuple(types)
-
-
-def _frail_flags(A: Matrix, S: list[int]) -> list[bool]:
-    """``y_i != 0`` for each ``i`` of ``S`` (frozen in ``A`` and in ``A^T``):
-    whether ``i`` is frail, by the identity in the module docstring.
-
-    One RREF of the augmented system ``[A^T | E_S]`` solves
-    ``A^T y = e_i`` for every ``i`` at once; ``y_i`` sits in the row
-    pivoting on column ``i``, in the column of ``e_i``.  The system is
-    consistent, so no pivot may fall inside the ``E_S`` block.
-    """
-    if not S:
-        return []
-    m, n, s = A.m, A.n, len(S)
-    # built once, the largest array of a census; over F_p it is reduced in
-    # place
-    aug = field_array(A.field, np.zeros((n, m + s), dtype=np.uint8))
+    m, n = A.m, A.n
+    k = min(m, n) if census_size is None else census_size
+    if not 0 <= k <= min(m, n):
+        raise ValueError(f"census size {k} outside [0, min(m, n) = {min(m, n)}]")
+    if not k:
+        return ()
+    # the census's largest array, reduced in place over F_p
+    aug = field_array(A.field, np.zeros((n, m + k), dtype=np.uint8))
     aug[:, :m] = A._a.T
-    aug[S, m + np.arange(s)] = A.field.one()
+    aug[range(k), range(m, m + k)] = A.field.one()
     if A.field.is_gf2:
-        pivots, R = _rref_gf2(_int_rows(aug), m + s)
-
-        def y(r, t):  # column m + t of an int row is its bit s - 1 - t
-            return R[r] >> (s - 1 - t) & 1
+        flags = _census_flags_gf2(*_rref_gf2(_int_rows(aug), m + k), m, k)
     else:
-        pivots, R = _reduced(A.field, aug)
+        flags = _census_flags(*_reduced(A.field, aug), m, k)
+    # frozen on one side only is firmly frozen
+    return tuple(("X" if frail else "Y") if fa and fat else "V" if fa else "U" if fat else "Z"
+                 for fa, fat, frail in flags)
 
-        def y(r, t):  # the columns of E_S are the last s free columns
-            return R[r, R.shape[1] - s + t]
-    if pivots and pivots[-1] >= m:
-        raise AssertionError("[A^T | E_S] is inconsistent; exact arithmetic bug")
-    row_of = {c: r for r, c in enumerate(pivots)}
-    # a free column i would mean y_i = 0; frozen in A^T, i is always a pivot
-    return [i in row_of and bool(y(row_of[i], t)) for t, i in enumerate(S)]
+
+def _census_flags_gf2(pivots: list[int], R: list[int], m: int, k: int) -> list[tuple]:
+    """``(i in F(A), i in F(A^T), y_i != 0)`` for each ``i < k``, read off
+    the F2 RREF of ``[A^T | E_k]`` as int rows (column ``m + i`` is bit
+    ``k - 1 - i``)."""
+    hit = 0  # columns hit by a row with a zero left part
+    for x in R:
+        if not x >> k:
+            hit |= x
+    row_of = dict(zip(pivots, R))
+    out = []
+    for i in range(k):
+        x, bit = row_of.get(i, 0), 1 << (k - 1 - i)
+        # in F(A^T): the row's left part is its pivot bit alone
+        out.append((not hit & bit, x >> k == 1 << (m - 1 - i), bool(x & bit)))
+    return out
+
+
+def _census_flags(pivots: list[int], block: np.ndarray, m: int, k: int) -> list[tuple]:
+    """The flags of :func:`_census_flags_gf2`, read off the reduced form
+    ``(pivots, block)`` of ``[A^T | E_k]`` (:func:`_reduced`)."""
+    r = sum(c < m for c in pivots)  # the pivots and free columns of A^T come first
+    zero_t = np.count_nonzero(block[:r, :m - r], axis=1) == 0
+    hit = np.count_nonzero(block[r:], axis=0) > 0
+    col = {c: t for t, c in enumerate(_free_columns(pivots, m + k))}
+    row_of = {c: t for t, c in enumerate(pivots)}
+    out = []
+    for i in range(k):
+        c, t = col.get(m + i), row_of.get(i)  # c is None: m + i is a pivot
+        out.append((c is not None and not hit[c], t is not None and bool(zero_t[t]),
+                    c is not None and t is not None and bool(block[t, c])))
+    return out
 
 
 def type_census(A: Matrix, census_size: int | None = None) -> TypeProfile:
@@ -996,13 +995,12 @@ def type_census(A: Matrix, census_size: int | None = None) -> TypeProfile:
     explicitly when ``A`` carries perturbation rows/columns so the
     artificial unit rows and columns stay outside the census.
 
-    Cost: the three eliminations of :func:`variable_types`, whatever
-    the census size.
+    Cost: one elimination (:func:`variable_types`).
     """
-    k = min(A.m, A.n) if census_size is None else census_size
-    if k <= 0:
+    types = variable_types(A, census_size)
+    if not types:
         raise ValueError("census range is empty")
-    return TypeProfile.tally(variable_types(A, k))
+    return TypeProfile.tally(types)
 
 
 def symmetric_removal_rank_drop(A: Matrix, i: int) -> int:

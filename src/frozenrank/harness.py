@@ -410,9 +410,9 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
         pert_base = trial_seed if cfg.pert_seed is None else \
             derive_trial_seed(cfg.pert_seed, index)
         pert = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
-        T = sample_T(G, cfg.n, perm_seed=derive_seed(trial_seed, 0, TAG_PERM))
-        perturbed = canonical_perturb(T, pert, CoupledFamilies.from_seed(pert_base))
-        profile = type_census(perturbed, census_size=cfg.n)
+        B = canonical_perturb(sample_T(G, cfg.n, derive_seed(trial_seed, 0, TAG_PERM)), pert,
+                              CoupledFamilies.from_seed(pert_base))
+        profile = type_census(B, census_size=cfg.n)
         theta = (pert.theta_r, pert.theta_c)
     support = trial_support(trial_seed, cfg.n, cfg.d, edges)
     # a weight is a pure function of the template's seed and the edge's

@@ -296,8 +296,13 @@ def test_census_of_rectangular_matrix():
     # column 1 is not frozen in A but frozen in A^T, whose columns are independent (U)
     A = Matrix.from_rows(F2, [[1, 0, 0], [0, 1, 1]])
     assert variable_types(A) == ("X", "U")
-    for A in (A, A.transpose(), Matrix.from_rows(F5, [[1, 2, 0, 1], [0, 1, 4, 0]])):
-        assert variable_types(A) == tuple(classify_variable(A, i) for i in range(min(A.m, A.n)))
+    # every census size, 0 included, and matrices with no rows or no columns
+    B = Matrix.from_rows(Q, [[Fraction(1, 2), 0, 0, 1, 0], [0, 1, 1, 0, 0], [0, -3, -3, 0, 0],
+                             [1, 0, 0, 2, 0]])
+    for A in (A, A.transpose(), Matrix.from_rows(F5, [[1, 2, 0, 1], [0, 1, 4, 0]]), B,
+              B.transpose(), Matrix.zeros(F2, 0, 3), Matrix.zeros(F5, 4, 0), Matrix.zeros(Q, 0, 0)):
+        for k in range(min(A.m, A.n) + 1):
+            assert variable_types(A, k) == tuple(classify_variable(A, i) for i in range(k))
 
 
 def test_transpose_is_memoised_both_ways():
@@ -386,28 +391,35 @@ def _count_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [F2, F5, Q])
-def test_census_runs_at_most_three_eliminations(monkeypatch, field):
+def test_census_runs_one_elimination(monkeypatch, field):
+    # every variable of I is frozen on both sides and frail, and the edge's
+    # are complete; nothing is frozen in the last matrix but column 0 of A^T
+    inputs = [
+        Matrix.identity(field, 40),
+        block([[edge2(field), Matrix.zeros(field, 2, 38)],
+               [Matrix.zeros(field, 38, 2), Matrix.identity(field, 38)]]),
+        Matrix.from_rows(field, [[1, 0, 0], [0, 1, 1], [0, 0, 0]]),
+        Matrix.from_rows(field, [[1, 1, 0], [0, 0, 0]]),
+    ]
     calls = _count_eliminations(monkeypatch)
-    # every variable is frozen on both sides: I's are frail, the edge's
-    # complete; a symmetric matrix is its own transpose, so two eliminations
-    prof = type_census(Matrix.identity(field, 40))
-    assert prof.count_x == 40 and len(calls) == 2
-    calls.clear()
-    prof = type_census(block([[edge2(field), Matrix.zeros(field, 2, 38)],
-                              [Matrix.zeros(field, 38, 2), Matrix.identity(field, 38)]]))
-    assert (prof.count_y, prof.count_x) == (2, 38) and len(calls) == 2
-    calls.clear()
-    # A, A^T and [A^T | E_S] when A is not symmetric
-    prof = type_census(Matrix.from_rows(field, [[1, 0, 0], [0, 1, 1], [0, 0, 0]]))
-    assert (prof.count_x, prof.count_u, prof.count_z) == (1, 1, 1) and len(calls) == 3
 
+    def refused(*args):
+        raise AssertionError("the census reads no kernel support and no transpose")
 
-def test_census_without_doubly_frozen_variables_skips_the_solve(monkeypatch):
-    calls = _count_eliminations(monkeypatch)
-    A = Matrix.from_rows(F3, [[1, 1, 0], [0, 0, 0]])  # nothing frozen in A
-    assert variable_types(A) == ("U", "Z")
-    assert len(calls) == 2
-    assert variable_types(A) == tuple(classify_variable(A, i) for i in range(2))
+    monkeypatch.setattr(Matrix, "kernel_support", refused)
+    monkeypatch.setattr(Matrix, "transpose", refused)
+    counts = []
+    for A in inputs:
+        calls.clear()
+        prof = type_census(A)
+        counts.append((prof.count_x, prof.count_y, prof.count_z, prof.count_u, prof.count_v))
+        assert len(calls) == 1
+    assert counts == [(40, 0, 0, 0, 0), (38, 2, 0, 0, 0), (1, 0, 1, 1, 0), (0, 0, 1, 1, 0)]
+    calls.clear()
+    assert variable_types(inputs[0], 0) == () and calls == []
+    monkeypatch.undo()
+    A = inputs[-1]
+    assert variable_types(A) == ("U", "Z") == tuple(classify_variable(A, i) for i in range(2))
 
 
 def test_type_profile_validates():
@@ -609,11 +621,12 @@ def test_gf2_kernel_basis_runs_no_dense_kernel(monkeypatch):
 def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     import numpy as np
 
-    from frozenrank.exactla import _forward_dense, _frail_flags, _rref_dense
+    from frozenrank.exactla import (_census_flags, _census_flags_gf2, _forward_dense, _int_rows,
+                                    _rref_dense, _rref_gf2)
 
     rng = np.random.default_rng(61)
     sizes = (0, 1, 7, 8, 9, 63, 64, 65, 130)
-    flags = []
+    frail = []
     for percent, m, n in itertools.product((50, 3), sizes, sizes):
         arr = (rng.random((m, n)) < percent / 100).astype(np.uint8)
         A = Matrix._from_array(F2, arr)
@@ -622,18 +635,19 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
         assert basis == _dense_kernel_basis(arr, 2)
         union = {j for v in basis for j, x in enumerate(v) if x}
         assert A.kernel_support() == union
-        # y_i read off the dense RREF of the same [A^T | E_S]
-        sup_at = A.transpose().kernel_support()
-        S = [i for i in range(min(m, n)) if i not in union and i not in sup_at]
-        aug = np.zeros((n, m + len(S)), dtype=np.uint8)
+        # the census flags of the int rows against those read off the dense
+        # RREF of the same [A^T | E_k]
+        k = min(m, n)
+        aug = np.zeros((n, m + k), dtype=np.uint8)
         aug[:, :m] = arr.T
-        aug[S, m + np.arange(len(S))] = 1
-        _, pivots, R = _rref_dense(aug, 2)
-        row_of = {c: r for r, c in enumerate(pivots)}
-        expect = [bool(R[row_of[i], m + t]) for t, i in enumerate(S)]
-        assert _frail_flags(A, S) == expect
-        flags += expect
-    assert True in flags and False in flags
+        aug[range(k), range(m, m + k)] = 1
+        got = _census_flags_gf2(*_rref_gf2(_int_rows(aug), m + k), m, k)
+        rank, pivots, R = _rref_dense(aug, 2)
+        free = [j for j in range(m + k) if j not in pivots]
+        assert got == _census_flags(pivots, R[:rank][:, free], m, k)
+        assert [fa for fa, _, _ in got] == [i not in union for i in range(k)]
+        frail += [y for fa, fat, y in got if fa and fat]
+    assert True in frail and False in frail
 
 
 # ------------------------------------------- the lift's uint32 residues
