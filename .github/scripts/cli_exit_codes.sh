@@ -57,6 +57,9 @@ expect 2 simulate --n 20 --d 100 --trials 1
 expect 0 simulate --n 40 --d 40 --trials 2
 expect 0 analytic --d-min 0 --d-max 5 --step 0.5
 expect 0 analytic --d-min 36 --d-max 40 --step 1
+# the integral identity far past d = e, where its quadrature needs the most panels
+expect 0 analytic --d-min 100 --d-max 1000 --step 450
+expect 0 verify --suite analytic
 expect 2 ks --n 20 --d 100 --trials 1
 # the edge support does not depend on the field or the template
 expect 0 ks --n 2000 --d 3 --trials 3

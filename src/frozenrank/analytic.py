@@ -31,9 +31,9 @@ and ``gamma_hi = d*(1 - alpha_star_lo)``.
 
 All computation is double precision; the acceptance tolerances (1e-6 to
 1e-9) sit far above rounding noise for these well-scaled functions.  Roots
-come from :func:`brentq`, a transcription of scipy's, so importing this
-module loads no scipy; only :func:`integral_identity_residual` loads
-``scipy.integrate``, on its first call.
+come from :func:`brentq`, a transcription of scipy's, and the integral
+identity from a Gauss-Legendre rule on numpy's nodes, so this module never
+loads scipy; the tests hold both to scipy as the oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ _BRENT_XTOL = 1e-15
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 _QUAD_EPSABS = 1e-8
+_GL_POINTS = 20  # exact on polynomials of degree <= 39 per panel
+_GL_MAX_PANELS = 256
 
 
 def brentq(f, a: float, b: float) -> float:
@@ -271,29 +273,41 @@ def min_R(d: float) -> float:
     return solve_point(d).min_R
 
 
+def _gauss_legendre(f, a: float, b: float, panels: int) -> float:
+    """The Gauss-Legendre rule for ``f`` on ``panels`` equal panels of ``[a, b]``."""
+    import numpy as np
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_GL_POINTS)
+    half = (b - a) / (2 * panels)
+    t = a + half * (np.arange(1, 2 * panels, 2)[:, None] + nodes)
+    return half * float(np.tile(weights, panels) @ [f(x) for x in t.ravel().tolist()])
+
+
+def _integrate(f, a: float, b: float) -> float:
+    """The integral of ``f`` over ``[a, b]``: the rule on 1, 2, 4, ... panels until two
+    successive totals agree within ``_QUAD_EPSABS``, at most ``_GL_MAX_PANELS``."""
+    panels, total = 1, _gauss_legendre(f, a, b, 1)
+    while panels < _GL_MAX_PANELS:
+        panels *= 2
+        prev, total = total, _gauss_legendre(f, a, b, panels)
+        if abs(total - prev) <= _QUAD_EPSABS:
+            return total
+    raise RuntimeError(f"no quadrature agreement on [{a}, {b}] at {panels} panels")
+
+
 def integral_identity_residual(d: float) -> float:
-    """|quadrature of h_t(alpha_star_hi(t)) over [0, d]  -  d*R(d, alpha_star_hi(d))|.
-
-    Adaptive Gauss-Kronrod quadrature with absolute target 1e-8; the
-    integration range is split at t = e, where the largest zero has a
-    derivative kink.  ``scipy.integrate`` is imported here, on first use.
-    """
-    from scipy.integrate import quad
-
+    """|integral of h_t(alpha_star_hi(t)) over [0, d]  -  d*R(d, alpha_star_hi(d))|,
+    integrated over [0, min(d, e)] and, past e, under t = e + s**2, which
+    removes the square-root kink of the largest zero at t = e."""
     d = _validate_d(d)
-    if d == 0.0:
-        return 0.0
 
     def integrand(t: float) -> float:
-        return h(t, alpha_star_hi(t)) if t > 0.0 else 0.0
+        return h(t, alpha_star_hi(t))
 
+    total = _integrate(integrand, 0.0, min(d, E))
     if d > E:
-        total = (
-            quad(integrand, 0.0, E, epsabs=_QUAD_EPSABS, limit=200)[0]
-            + quad(integrand, E, d, epsabs=_QUAD_EPSABS, limit=200)[0]
-        )
-    else:
-        total = quad(integrand, 0.0, d, epsabs=_QUAD_EPSABS, limit=200)[0]
+        total += _integrate(lambda s: 2.0 * s * integrand(E + s * s), 0.0, math.sqrt(d - E))
     return abs(total - d * R(d, alpha_star_hi(d)))
 
 

@@ -28,7 +28,6 @@ import statistics
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
@@ -438,9 +437,10 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     )
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
+def _worker_pool(workers: int):
     """A pool of ``workers`` processes that share the CPUs out once: each
     samples on ``max(1, cpus // workers)`` threads, not on every CPU."""
+    from concurrent.futures import ProcessPoolExecutor  # a costly import no 1-worker run needs
     return ProcessPoolExecutor(max_workers=workers, initializer=set_sampler_threads,
                                initargs=(max(1, available_cpus() // workers),))
 

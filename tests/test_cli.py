@@ -371,3 +371,33 @@ def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["transcend"])
     assert exc.value.code == 2
+
+
+def test_commands_run_with_scipy_unimportable(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import frozenrank
+
+    # None in sys.modules makes every `import scipy...` raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from frozenrank.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "runs = [['analytic', '--d-min', '0', '--d-max', '5', '--step', '2.5'],\n"
+        "        ['verify', '--suite', 'analytic'],\n"
+        "        ['simulate', '--n', '60', '--d', '2', '--trials', '2'],\n"
+        "        ['census', '--n', '60', '--d', '2', '--P', '8', '--trials', '2']]\n"
+        "for i, argv in enumerate(runs):\n"
+        "    assert main(argv + ['--out', f'{out}/{i}.out']) == 0, argv\n"
+        "print('ok')\n"
+    )
+    src = str(Path(frozenrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout.endswith("ok\n"), done.stderr
+    assert all((tmp_path / f"{i}.out").stat().st_size > 0 for i in range(4))
