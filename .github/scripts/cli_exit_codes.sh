@@ -60,6 +60,7 @@ expect 0 analytic --d-min 36 --d-max 40 --step 1
 # the integral identity far past d = e, where its quadrature needs the most panels
 expect 0 analytic --d-min 100 --d-max 1000 --step 450
 expect 0 verify --suite analytic
+expect 0 verify --suite all
 expect 2 ks --n 20 --d 100 --trials 1
 # the edge support does not depend on the field or the template
 expect 0 ks --n 2000 --d 3 --trials 3

@@ -55,6 +55,10 @@ _BRENT_MAXITER = 100
 _QUAD_EPSABS = 1e-8
 _GL_POINTS = 20  # exact on polynomials of degree <= 39 per panel
 _GL_MAX_PANELS = 256
+# entries kept by each root cache: one verify analytic suite fills 242, and
+# every quadrature node of the integral identity adds one, so a long sweep
+# would otherwise grow them without bound (73,605 each over 1,205 degrees)
+_ROOT_CACHE_SIZE = 4096
 
 
 def brentq(f, a: float, b: float) -> float:
@@ -175,14 +179,14 @@ def _validate_d(d: float) -> float:
     return d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def _alpha_zero(d: float) -> float:
     if d == 0.0:
         return 0.0
     return brentq(lambda a: Xi(d, a), 0.0, 1.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def _alpha_roots(d: float) -> tuple[float, float, float]:
     """(alpha_star_lo, alpha_zero, alpha_star_hi), ordered."""
     if d == 0.0:

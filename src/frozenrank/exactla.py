@@ -388,17 +388,19 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
     for c in range(n):
         if r == m:
             break
-        hits = np.nonzero(M[r:, c])[0]
+        hits = r + np.nonzero(M[r:, c])[0]
         if hits.size == 0:
             continue
-        piv = r + int(hits[0])
+        piv = int(hits[0])
         if piv != r:
-            tmp = M[piv].copy()
-            M[piv] = M[r]
-            M[r] = tmp
+            M[[r, piv]] = M[[piv, r]]
         inv = pow(int(M[r, c]), -1, p)
-        M[r, c:] = M[r, c:].astype(wide, copy=False) * inv % p
-        _eliminate(M, r + 1 + np.nonzero(M[r + 1:, c])[0], r, c, p, wide)
+        if inv != 1:
+            M[r, c:] = M[r, c:].astype(wide, copy=False) * inv % p
+        # the row swapped down to piv was zero in column c, so the rows left
+        # to clear are the other hits
+        if hits.size > 1:
+            _eliminate(M, hits[1:], r, c, p, wide)
         pivots.append(c)
         r += 1
     return r, pivots
@@ -410,7 +412,9 @@ def _rref_dense(M: np.ndarray, p: int):
     wide = _WIDE.get(M.dtype, M.dtype.type)
     for i in range(r - 1, -1, -1):
         c = pivots[i]
-        _eliminate(M, np.nonzero(M[:i, c])[0], i, c, p, wide)
+        rows = np.nonzero(M[:i, c])[0]
+        if rows.size:
+            _eliminate(M, rows, i, c, p, wide)
     return r, pivots, M
 
 
@@ -422,11 +426,10 @@ _WIDE = {np.dtype(np.uint32): np.int64}
 
 
 def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int, wide) -> None:
-    """Clear column ``c`` of ``rows`` with the normalized pivot row ``r``,
-    taking products in the scalar type ``wide``."""
-    if rows.size:
-        f = M[rows, c].astype(wide, copy=False)[:, None]
-        M[rows, c:] = (M[rows, c:] - f * M[r, c:][None, :]) % p
+    """Clear column ``c`` of the nonempty ``rows`` with the normalized pivot
+    row ``r``, taking products in the scalar type ``wide``."""
+    f = M[rows, c].astype(wide, copy=False)[:, None]
+    M[rows, c:] = (M[rows, c:] - f * M[r, c:][None, :]) % p
 
 
 # ------------------------------------------------- sparse rank from edges

@@ -29,8 +29,10 @@ from .prf import (
     to_uint64,
 )
 
-# seed-by-level cells per prf_array call in indices_over_seeds: enough to
-# amortise numpy's per-call cost, few enough that temporaries stay at 0.5 MB
+# level-by-seed cells per prf_array call in indices_over_seeds: enough to
+# amortise numpy's per-call cost, few enough that temporaries stay at 0.5 MB.
+# The grid is level-major, (n1, seeds), so each elementwise loop runs along
+# the seeds, not along the few levels a verify check asks about
 _PICK_CELLS = 1 << 16
 
 
@@ -69,14 +71,14 @@ def indices_over_seeds(family_seeds, k, n1: int) -> np.ndarray:
         raise ValueError("n1 must be >= 1")
     seeds, ks = np.broadcast_arrays(to_uint64(family_seeds), to_uint64(k))
     flat, flat_k = seeds.reshape(-1), ks.reshape(-1)
-    levels = np.arange(1, n1 + 1, dtype=np.uint64)
+    levels = np.arange(1, n1 + 1, dtype=np.uint64)[:, None]
     out = np.empty(flat.shape, dtype=np.int64)
     step = max(1, _PICK_CELLS // n1)
     for s0 in range(0, flat.size, step):
         part = slice(s0, s0 + step)
-        hit = prf_array(flat[part, None], flat_k[part, None], levels) % levels == levels - 1
-        # level 1 always hits, so argmax over the reversed levels finds the last
-        out[part] = n1 - 1 - np.argmax(hit[:, ::-1], axis=1)
+        hit = prf_array(flat[None, part], flat_k[None, part], levels) % levels == levels - 1
+        # level 1 always hits, at index 0, so the largest hit index is the last
+        out[part] = (hit * (levels - 1)).max(axis=0)
     return out.reshape(seeds.shape)
 
 

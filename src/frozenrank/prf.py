@@ -135,19 +135,34 @@ def derive_seed(seed: int, index: int, tag: int) -> int:
 
 
 class Stream:
-    """Sequential 64-bit stream over the PRF (counter mode).
+    """Sequential 64-bit stream over the PRF (counter mode): value ``k`` is
+    ``prf(seed, k)``, and ``_counter`` is the number of values consumed.
 
-    Used where a sampling order exists (shuffles, rejection sampling).
+    Used where a sampling order exists (shuffles, rejection sampling).  The
+    values are computed in blocks, by one :func:`prf_array` call each, whose
+    sizes double from ``_BLOCK_FIRST`` up to ``_BLOCK_MAX``: a stream of a
+    few draws pays for one small call, a long one about one call per 1024.
     """
+
+    _BLOCK_FIRST = 8
+    _BLOCK_MAX = 1024
 
     def __init__(self, seed: int):
         self._seed = seed & _M64
         self._counter = 0
+        self._base = 0  # the counter of _block[0]
+        self._block: list[int] = []
 
     def next64(self) -> int:
-        v = prf(self._seed, self._counter)
-        self._counter += 1
-        return v
+        k = self._counter
+        self._counter = k + 1
+        try:
+            return self._block[k - self._base]
+        except IndexError:
+            size = min(self._BLOCK_MAX, max(self._BLOCK_FIRST, 2 * len(self._block)))
+            self._block = prf_array(self._seed, np.arange(k, k + size, dtype=np.uint64)).tolist()
+            self._base = k
+            return self._block[0]
 
     def randbelow(self, n: int) -> int:
         """Exactly uniform integer in [0, n) via rejection sampling."""

@@ -366,6 +366,26 @@ def test_integral_raises_at_the_panel_cap():
     assert len(calls) == 20 * (1 + 2 + 4 + 8 + 16 + 32 + 64 + 128 + 256)
 
 
+def test_root_caches_stay_bounded_and_keep_the_analytic_suite_warm():
+    from frozenrank.verify import run_analytic_suite
+
+    caches = (an._alpha_zero, an._alpha_roots)
+    # every quadrature node past e is a new degree to both caches, about 60
+    # per residual here: the sweep asks for more than either cache holds
+    before = [c.cache_info().misses for c in caches]
+    for k in range(120):
+        an.integral_identity_residual(3.0 + 0.25 * k)
+    for cache, misses in zip(caches, before):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.misses - misses > info.maxsize
+        assert info.currsize <= info.maxsize
+    # one suite run fits in the caches, so a second one in the process misses nothing
+    run_analytic_suite()
+    misses = [c.cache_info().misses for c in caches]
+    run_analytic_suite()
+    assert [c.cache_info().misses for c in caches] == misses
+
+
 def test_importing_frozenrank_loads_no_scipy_solver():
     import os
     import subprocess

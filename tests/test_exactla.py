@@ -672,6 +672,75 @@ def test_dense_kernel_on_uint32_residues_matches_int64(p):
         assert got[2].dtype == np.uint32 and np.array_equal(got[2], want[2])
 
 
+def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[list[int], list]:
+    """Pivot columns and RREF mod p of ``rows``, by Gauss-Jordan elimination
+    on Python ints: the literal reference for the dense kernel.  ``seen``
+    collects which kinds of pivot step ran: "swap", "unit", "scaled"."""
+    R = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            seen.add("swap")
+            R[r], R[piv] = R[piv], R[r]
+        seen.add("unit" if R[r][c] == 1 else "scaled")
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return pivots, R
+
+
+def _dense_kernel_cases(p: int):
+    """Arrays of residues mod p: a swap at the first pivot, pivots that are 1
+    and that are not, zero columns, rank-deficient rows and empty shapes."""
+    q = p - 1
+    yield [[0, 1, 2], [2, 1, 0], [2, 2, 2]]  # swap, then a pivot of 2
+    yield [[1, 0, 2, 1], [2, 0, 1, 2], [0, 0, 0, 0], [1, 0, 2, 1]]  # zero column
+    yield [[q, q], [1, q]]
+    yield [[0, 0, 0], [0, 0, q], [0, 0, 1]]
+    yield [[0] * 4] * 3
+    yield [[q]]
+    yield np.zeros((0, 3), dtype=np.int64)
+    yield np.zeros((3, 0), dtype=np.int64)
+    rng = np.random.default_rng(p % 1000)
+    for m, n, percent in ((5, 5, 60), (6, 9, 40), (9, 6, 50), (12, 12, 25), (20, 30, 15)):
+        a = np.where(rng.random((m, n)) < percent / 100, rng.integers(1, p, (m, n)), 0)
+        a[rng.random((m, n)) < 0.2] = q  # its square overflows 32 bits at p = 2^31 - 1
+        a[:, n // 2] = 0
+        a[-1] = (a[0] + 2 * a[1]) % p  # rank deficient
+        yield a
+
+
+# int32 storage holds the product of two residues only for p <= 46340
+@pytest.mark.parametrize("dtype,p", [(np.int32, 3)] + [
+    (dtype, p) for dtype in (np.int64, np.uint32) for p in (3, 65537, 2147483647)])
+def test_dense_kernel_matches_literal_gauss_jordan(dtype, p):
+    seen = set()
+    for case in _dense_kernel_cases(p):
+        arr = np.array(case, dtype=dtype)
+        m, n = arr.shape
+        want_pivots, want = _gauss_jordan(arr.tolist(), n, p, seen)
+        rank, pivots, R = exactla._rref_dense(arr.copy(), p)
+        assert (rank, pivots) == (len(want_pivots), want_pivots)
+        assert R.dtype == dtype and R.tolist() == want
+        # forward elimination: the same pivots, a row echelon form of the
+        # same row space whose pivot entries are 1
+        F = arr.copy()
+        assert exactla._forward_dense(F, p) == (rank, pivots)
+        for i, c in enumerate(pivots):
+            assert F[i, c] == 1 and not F[i + 1:, c].any() and not F[i, :c].any()
+        assert not F[rank:].any()
+        assert _gauss_jordan(F.tolist(), n, p, set())[1] == want
+    assert seen == {"swap", "unit", "scaled"}
+
+
 @pytest.mark.parametrize("p", (7, 2147483647))
 def test_reduced_block_is_the_rrefs_free_columns(p):
     # _reduced moves the free columns left within the reduced array, 256 rows

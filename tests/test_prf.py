@@ -163,3 +163,49 @@ def test_shuffle_is_a_permutation_and_deterministic():
     again = list(range(20))
     Stream(8).shuffle(again)
     assert again == items
+
+
+class _LiteralStream:
+    """Counter mode by its definition: value ``k`` is ``prf(seed, k)``,
+    computed one at a time."""
+
+    def __init__(self, seed):
+        self.seed, self.counter = seed, 0
+
+    def next64(self):
+        self.counter += 1
+        return prf(self.seed, self.counter - 1)
+
+    def randbelow(self, n):
+        limit = 2**64 - 2**64 % n
+        while (v := self.next64()) >= limit:
+            pass
+        return v % n
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("seed", (0, 9, 2**64 - 1))
+def test_stream_is_counter_mode_across_its_blocks(seed):
+    # blocks of 8, 16, ..., 1024 values end at 8, 24, ..., 1016 and 2040, so
+    # 3000 values cross every boundary, one between two 1024-value blocks too;
+    # randbelow(2**63 + 1) rejects about half its draws, so it often reads
+    # past the end of a block
+    stream, literal = Stream(seed), _LiteralStream(seed)
+    step = 0
+    while literal.counter < 3000:
+        if step % 3 == 0:
+            assert stream.next64() == literal.next64()
+        elif step % 3 == 1:
+            assert stream.randbelow(2**63 + 1) == literal.randbelow(2**63 + 1)
+        else:
+            got, want = list(range(2 + step % 9)), list(range(2 + step % 9))
+            stream.shuffle(got)
+            literal.shuffle(want)
+            assert got == want
+        assert stream._counter == literal.counter
+        step += 1
+    assert len(stream._block) == Stream._BLOCK_MAX
