@@ -97,4 +97,28 @@ printf '3 2 F2\n0 1 1\n1 0 1\n' > "$tmp/revdup.txt"
 expect 2 ks --graph "$tmp/revdup.txt"
 python3 -c 'print("65 65 Q"); print(("0 " * 65 + "\n") * 65, end="")' > "$tmp/q65.txt"
 expect 0 classify --matrix "$tmp/q65.txt"
+# a dense 48 x 48 matrix with no zero entry and a repeated row, whose
+# eliminations clear whole row ranges at once, and the same matrix with its
+# rows reversed: the same rank and frozen columns
+for field in Fp:3 Fp:2147483647; do
+  for order in 1 -1; do
+    python3 -c 'import sys
+p, order = int(sys.argv[1][3:]), int(sys.argv[2])
+x, rows = 1, []
+for i in range(47):
+    row = []
+    for j in range(48):
+        x = (x * 1103515245 + 12345) % 2**31
+        row.append(str(1 + (x >> 16) % (p - 1)))
+    rows.append(" ".join(row))
+rows.append(rows[0])
+print("48 48", sys.argv[1])
+print("\n".join(rows[::order]))' "$field" "$order" > "$tmp/dense.txt"
+    expect 0 classify --matrix "$tmp/dense.txt"
+    python3 -c 'import json, sys
+d = json.load(open(sys.argv[1]))
+print(d["rank"], d["frozen_columns"])' "$tmp/cli.out" > "$tmp/dense_$order.txt"
+  done
+  cmp "$tmp/dense_1.txt" "$tmp/dense_-1.txt"
+done
 echo "CLI exit codes as expected"

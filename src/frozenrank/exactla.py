@@ -219,7 +219,7 @@ class Matrix:
             return kept[1]
         keep_r = [i for i in range(self.m) if i not in rset]
         keep_c = [j for j in range(self.n) if j not in cset]
-        out = Matrix._from_array(self.field, self._a[np.ix_(keep_r, keep_c)])
+        out = Matrix._from_array(self.field, self._a.take(keep_r, 0).take(keep_c, 1))
         self._removed = (key, out)
         return out
 
@@ -375,32 +375,47 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 
 
 # ------------------------------------------------------ F_p dense kernel
-# ``M`` is a writable array in the storage of field_array over F_p.
+# ``M`` is a writable array in the storage of field_array over F_p.  A pivot
+# clears its column on the rows that hold an entry there: on the slice of a
+# whole row range (below the pivot, or above it in back substitution) when
+# every row of the range does, which gathers and scatters nothing, else on an
+# index array of those rows.  Rows are swapped and pivot rows normalised by
+# basic indexing, and products are taken in place unless the storage dtype is
+# a key of _WIDE.
 
 
 def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
     """In-place forward elimination with normalized pivot rows.  ``M``'s
     dtype holds the product of two residues, or is a key of ``_WIDE``."""
     m, n = M.shape
-    wide = _WIDE.get(M.dtype, M.dtype.type)
+    wide = _WIDE.get(M.dtype)
     r = 0
     pivots: list[int] = []
     for c in range(n):
         if r == m:
             break
-        hits = r + np.nonzero(M[r:, c])[0]
+        hits = M[r:, c].nonzero()[0]
         if hits.size == 0:
             continue
-        piv = int(hits[0])
+        # rows r.. are zero left of column c, so only columns c.. move
+        piv = r + int(hits[0])
         if piv != r:
-            M[[r, piv]] = M[[piv, r]]
+            row = M[r, c:].copy()
+            M[r, c:] = M[piv, c:]
+            M[piv, c:] = row
         inv = pow(int(M[r, c]), -1, p)
         if inv != 1:
-            M[r, c:] = M[r, c:].astype(wide, copy=False) * inv % p
+            if wide is None:
+                row = M[r, c:]
+                row *= inv
+                row %= p
+            else:
+                M[r, c:] = M[r, c:].astype(wide) * inv % p
         # the row swapped down to piv was zero in column c, so the rows left
-        # to clear are the other hits
+        # to clear are the other hits: the slice r + 1.. when every row is one
         if hits.size > 1:
-            _eliminate(M, hits[1:], r, c, p, wide)
+            _eliminate(M, slice(r + 1, m) if hits.size == m - r else r + hits[1:],
+                       r, c, p, wide)
         pivots.append(c)
         r += 1
     return r, pivots
@@ -409,12 +424,12 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
 def _rref_dense(M: np.ndarray, p: int):
     """In-place RREF; returns (rank, pivots, M)."""
     r, pivots = _forward_dense(M, p)
-    wide = _WIDE.get(M.dtype, M.dtype.type)
+    wide = _WIDE.get(M.dtype)
     for i in range(r - 1, -1, -1):
         c = pivots[i]
-        rows = np.nonzero(M[:i, c])[0]
+        rows = M[:i, c].nonzero()[0]
         if rows.size:
-            _eliminate(M, rows, i, c, p, wide)
+            _eliminate(M, slice(0, i) if rows.size == i else rows, i, c, p, wide)
     return r, pivots, M
 
 
@@ -425,11 +440,20 @@ def _rref_dense(M: np.ndarray, p: int):
 _WIDE = {np.dtype(np.uint32): np.int64}
 
 
-def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int, wide) -> None:
-    """Clear column ``c`` of the nonempty ``rows`` with the normalized pivot
-    row ``r``, taking products in the scalar type ``wide``."""
-    f = M[rows, c].astype(wide, copy=False)[:, None]
-    M[rows, c:] = (M[rows, c:] - f * M[r, c:][None, :]) % p
+def _eliminate(M: np.ndarray, rows, r: int, c: int, p: int, wide) -> None:
+    """Clear column ``c`` of the nonempty ``rows`` (a slice or an index
+    array) with the normalized pivot row ``r``.  Products are taken in the
+    scalar type ``wide`` when there is one, else in place in the storage
+    dtype: on a view of a slice, or on a copy of an index array's rows that
+    is written back."""
+    if wide is not None:
+        M[rows, c:] = (M[rows, c:] - M[rows, c:c + 1].astype(wide) * M[r, c:]) % p
+        return
+    block = M[rows, c:]  # a view of a slice, a copy of an index array
+    block -= block[:, :1] * M[r, c:]
+    block %= p
+    if not isinstance(rows, slice):
+        M[rows, c:] = block
 
 
 # ------------------------------------------------- sparse rank from edges
@@ -797,17 +821,73 @@ def proper_relations(A: Matrix, ell: int) -> list[tuple[int, ...]]:
 
     One elimination gives the kernel rows ``K``; a candidate ``I`` is kept
     when its unfrozen part ``core`` is nonempty and ``K_core`` is dependent
-    (the identity in the module docstring).  The literal routes, row-space
+    (the identity in the module docstring).  The candidates are walked as a
+    depth-first search over their prefixes, each prefix carrying an echelon
+    basis of its core's rows of ``K``, so that a new column costs one
+    reduction against that basis; a frozen column (a zero row) leaves it as
+    it is.  A superset of a dependent core is dependent, so once a column's
+    row reduces to zero every completion of the prefix is a relation and is
+    listed without further work.  The search visits the prefixes in
+    ascending order and lists completions by ``itertools.combinations``, so
+    the output is in the order of ``combinations(range(n), ell)``, as when
+    each candidate was ranked on its own.  The literal routes, row-space
     enumeration and remove-and-rank, are oracles in :mod:`frozenrank.verify`.
     """
     if ell < 1:
         raise ValueError("relation size must be >= 1")
     K = _kernel_rows(A)
-    out = []
-    for combo in itertools.combinations(range(A.n), ell):
-        core = [j for j in combo if j in A._ksup]
-        if core and _rank_of_rows(A, K, core) < len(core):
-            out.append(combo)
+    n, support, p = A.n, A._ksup, A.field.p
+    if A.field.is_gf2:
+        # an int XOR basis: each row is reduced by the rows before it, so it
+        # is zero on their pivot bits, and reducing in order clears them all
+        def reduced(x, basis):
+            for bit, b in basis:
+                if x & bit:
+                    x ^= b
+            return x
+
+        def entry(x):
+            return x & -x, x
+    else:
+        # residue or Fraction lists, each row 1 at its pivot position; a row
+        # that reduces to zero comes back as None
+        K = K.tolist()
+
+        def reduced(x, basis):
+            for c, b in basis:
+                f = x[c]
+                if f:
+                    x = ([a - f * e for a, e in zip(x, b)] if p is None
+                         else [(a - f * e) % p for a, e in zip(x, b)])
+            return x if any(x) else None
+
+        def entry(x):
+            c = next(c for c, a in enumerate(x) if a)
+            if p is None:
+                return c, [a / x[c] for a in x]
+            inv = pow(x[c], -1, p)
+            return c, [a * inv % p for a in x]
+
+    out: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...], start: int, basis: list) -> None:
+        left = ell - len(prefix) - 1  # columns still to pick after this one
+        for j in range(start, n - left):
+            if j not in support:
+                if left:
+                    walk(prefix + (j,), j + 1, basis)
+                # else the core is the prefix's, independent
+                continue
+            x = reduced(K[j], basis)
+            if not x:
+                out.extend(prefix + (j,) + rest
+                           for rest in itertools.combinations(range(j + 1, n), left))
+            elif left:
+                basis.append(entry(x))
+                walk(prefix + (j,), j + 1, basis)
+                basis.pop()
+
+    walk((), 0, [])
     return out
 
 
@@ -1028,7 +1108,7 @@ def relabelled(A: Matrix, perm) -> Matrix:
     inv = [0] * A.n
     for i, t in enumerate(perm):
         inv[t] = i
-    return Matrix._from_array(A.field, A._a[np.ix_(inv, inv)])
+    return Matrix._from_array(A.field, A._a.take(inv, 0).take(inv, 1))
 
 
 def block(grid: list[list[Matrix]]) -> Matrix:

@@ -224,6 +224,45 @@ def test_proper_relations_of_perturbed_symmetric_matrices():
         assert proper_relations(A, 2) == proper_relations_by_enumeration(A, 2)
 
 
+def _proper_relations_per_candidate(A, ell):
+    """The reference for proper_relations: one rank of the core's kernel
+    rows per candidate, in itertools.combinations order."""
+    K = exactla._kernel_rows(A)
+    out = []
+    for combo in itertools.combinations(range(A.n), ell):
+        core = [j for j in combo if j in A.kernel_support()]
+        if core and exactla._rank_of_rows(A, K, core) < len(core):
+            out.append(combo)
+    return out
+
+
+def test_proper_relations_match_the_per_candidate_reference():
+    # the prefix search against ranking each candidate's core on its own, at
+    # every size 1..min(n, 6): the perturb suite's symmetric 14 x 14 F2
+    # matrices and their perturbations, F3 and F5 up to 8 x 10, Q up to 5 x 6
+    stream = Stream(107)
+    cases = [Matrix.zeros(F3, 4, 7), Matrix.identity(F2, 7), Matrix.identity(Q, 5),
+             Matrix.from_rows(F5, [[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [0, 0, 0, 2]]),
+             Matrix.from_rows(F2, [[1] * 8]), Matrix.zeros(F2, 0, 6)]
+    for k in range(4):
+        A = random_matrix(stream, F2, 14, 14, density_percent=20, symmetric=True)
+        spec = PerturbationSpec.draw(8, prf(99, 6, k))
+        cases += [A, canonical_perturb(A, spec, CoupledFamilies.from_seed(prf(99, 7, k)))]
+    for field, shapes in ((F3, (8, 10)), (F5, (8, 10)), (Q, (5, 6))):
+        for _ in range(25):
+            m, n = 1 + stream.randbelow(shapes[0]), 1 + stream.randbelow(shapes[1])
+            cases.append(random_matrix(stream, field, m, n,
+                                       density_percent=10 + stream.randbelow(80)))
+    frozen_all = relations = 0
+    for A in cases:
+        frozen_all += A.n > 0 and not A.kernel_support()
+        for ell in range(1, min(A.n, 6) + 1):
+            found = proper_relations(A, ell)
+            assert found == _proper_relations_per_candidate(A, ell), (A.to_values(), ell)
+            relations += len(found)
+    assert frozen_all >= 3 and relations > 1000
+
+
 def test_is_relation_matches_remove_and_rank():
     stream = Stream(12)
     for field in (F2, F3, Q):
@@ -672,12 +711,40 @@ def test_dense_kernel_on_uint32_residues_matches_int64(p):
         assert got[2].dtype == np.uint32 and np.array_equal(got[2], want[2])
 
 
-def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[list[int], list]:
-    """Pivot columns and RREF mod p of ``rows``, by Gauss-Jordan elimination
-    on Python ints: the literal reference for the dense kernel.  ``seen``
-    collects which kinds of pivot step ran: "swap", "unit", "scaled"."""
+def _clear_route(R: list[list[int]], rows: range, c: int) -> str | None:
+    """The rows of ``rows`` to clear in column ``c``, as the dense kernel
+    takes them: "slice" when every one is nonzero there, "rows" when only
+    some are, None when none is."""
+    hits = sum(1 for i in rows if R[i][c])
+    return None if hits == 0 else "slice" if hits == len(rows) else "rows"
+
+
+def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[list[int], list, list]:
+    """Pivot columns, RREF and forward form mod p of ``rows``, by Gauss-Jordan
+    elimination on Python ints in the dense kernel's two phases: forward
+    elimination with normalized pivot rows, then back substitution from the
+    last pivot.  The literal reference for the dense kernel.  ``seen``
+    collects which kinds of pivot step ran: "swap", "unit", "scaled", each
+    phase's route for clearing a column ("slice below", "rows below",
+    "slice above", "rows above"), and "switch" when one pivot of a phase
+    clears by a slice and the next by rows, or the other way round."""
     R = [[x % p for x in row] for row in rows]
     pivots = []
+
+    def clear(i: int, c: int, rows: range, phase: str, last: list) -> None:
+        route = _clear_route(R, rows, c)
+        if route is None:
+            return
+        seen.add(f"{route} {phase}")
+        if last and last[0] != route:
+            seen.add("switch")
+        last[:] = [route]
+        for k in rows:
+            f = R[k][c]
+            if f:
+                R[k] = [(x - f * y) % p for x, y in zip(R[k], R[i])]
+
+    last: list = []
     for c in range(n):
         r = len(pivots)
         piv = next((i for i in range(r, len(R)) if R[i][c]), None)
@@ -689,17 +756,21 @@ def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[lis
         seen.add("unit" if R[r][c] == 1 else "scaled")
         inv = pow(R[r][c], -1, p)
         R[r] = [x * inv % p for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        clear(r, c, range(r + 1, len(R)), "below", last)
         pivots.append(c)
-    return pivots, R
+    forward = [row[:] for row in R]
+    last = []
+    for i in reversed(range(len(pivots))):
+        clear(i, pivots[i], range(i), "above", last)
+    return pivots, R, forward
 
 
 def _dense_kernel_cases(p: int):
     """Arrays of residues mod p: a swap at the first pivot, pivots that are 1
-    and that are not, zero columns, rank-deficient rows and empty shapes."""
+    and that are not, zero columns, rank-deficient rows, empty shapes, and
+    arrays with no zero entry, whose columns are cleared by slices of rows
+    in both phases, some switching to index arrays from one pivot to the
+    next."""
     q = p - 1
     yield [[0, 1, 2], [2, 1, 0], [2, 2, 2]]  # swap, then a pivot of 2
     yield [[1, 0, 2, 1], [2, 0, 1, 2], [0, 0, 0, 0], [1, 0, 2, 1]]  # zero column
@@ -709,12 +780,19 @@ def _dense_kernel_cases(p: int):
     yield [[q]]
     yield np.zeros((0, 3), dtype=np.int64)
     yield np.zeros((3, 0), dtype=np.int64)
+    # a slice below the first pivot; at the second a swap and an index array
+    # (rows 2 and 3 hit, row 1 not); a slice again at the third
+    yield [[1, 1, 1, 1], [1, 1, 2, 1], [1, 2, 1, 2], [2, 1, 1, 1]]
     rng = np.random.default_rng(p % 1000)
     for m, n, percent in ((5, 5, 60), (6, 9, 40), (9, 6, 50), (12, 12, 25), (20, 30, 15)):
         a = np.where(rng.random((m, n)) < percent / 100, rng.integers(1, p, (m, n)), 0)
         a[rng.random((m, n)) < 0.2] = q  # its square overflows 32 bits at p = 2^31 - 1
         a[:, n // 2] = 0
         a[-1] = (a[0] + 2 * a[1]) % p  # rank deficient
+        yield a
+    for m, n in ((2, 2), (3, 5), (6, 6), (8, 5), (7, 12)):
+        a = rng.integers(1, p, (m, n))
+        a[rng.random((m, n)) < 0.2] = q
         yield a
 
 
@@ -725,20 +803,15 @@ def test_dense_kernel_matches_literal_gauss_jordan(dtype, p):
     seen = set()
     for case in _dense_kernel_cases(p):
         arr = np.array(case, dtype=dtype)
-        m, n = arr.shape
-        want_pivots, want = _gauss_jordan(arr.tolist(), n, p, seen)
+        want_pivots, want, want_forward = _gauss_jordan(arr.tolist(), arr.shape[1], p, seen)
         rank, pivots, R = exactla._rref_dense(arr.copy(), p)
         assert (rank, pivots) == (len(want_pivots), want_pivots)
         assert R.dtype == dtype and R.tolist() == want
-        # forward elimination: the same pivots, a row echelon form of the
-        # same row space whose pivot entries are 1
         F = arr.copy()
         assert exactla._forward_dense(F, p) == (rank, pivots)
-        for i, c in enumerate(pivots):
-            assert F[i, c] == 1 and not F[i + 1:, c].any() and not F[i, :c].any()
-        assert not F[rank:].any()
-        assert _gauss_jordan(F.tolist(), n, p, set())[1] == want
-    assert seen == {"swap", "unit", "scaled"}
+        assert F.dtype == dtype and F.tolist() == want_forward
+    assert seen == {"swap", "unit", "scaled", "slice below", "rows below",
+                    "slice above", "rows above", "switch"}
 
 
 @pytest.mark.parametrize("p", (7, 2147483647))
