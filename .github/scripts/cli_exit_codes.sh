@@ -121,4 +121,30 @@ print(d["rank"], d["frozen_columns"])' "$tmp/cli.out" > "$tmp/dense_$order.txt"
   done
   cmp "$tmp/dense_1.txt" "$tmp/dense_-1.txt"
 done
+# a 6 x 6 matrix with a dependent row, which the dense kernel eliminates on
+# Python-int rows, and the same matrix with 12 zero rows appended, whose 108
+# cells (above exactla.ROW_LOOP_CELLS) take the numpy loop: zero rows change
+# neither the rank nor the frozen columns
+for field in Fp:3 Fp:2147483647; do
+  for zeros in 0 12; do
+    python3 -c 'import sys
+p, zeros = int(sys.argv[1][3:]), int(sys.argv[2])
+x, rows = 7, []
+for i in range(5):
+    row = []
+    for j in range(6):
+        x = (x * 1103515245 + 12345) % 2**31
+        row.append((x >> 16) % p if (x >> 8) % 2 else 0)
+    rows.append(row)
+rows.append([(a + b) % p for a, b in zip(rows[0], rows[1])])
+rows += [[0] * 6] * zeros
+print(len(rows), 6, sys.argv[1])
+print("\n".join(" ".join(map(str, row)) for row in rows))' "$field" "$zeros" > "$tmp/small.txt"
+    expect 0 classify --matrix "$tmp/small.txt"
+    python3 -c 'import json, sys
+d = json.load(open(sys.argv[1]))
+print(d["rank"], d["frozen_columns"])' "$tmp/cli.out" > "$tmp/small_$zeros.txt"
+  done
+  cmp "$tmp/small_0.txt" "$tmp/small_12.txt"
+done
 echo "CLI exit codes as expected"

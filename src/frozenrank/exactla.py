@@ -50,8 +50,12 @@ question but the F_p rank, which eliminates forward only, reads one reduced
 form, :func:`_reduced`: the pivot columns of the RREF and its pivot rows on
 the free columns.  One dense kernel eliminates over F_p, and over Q
 :func:`_rational_rref` lifts that form from it modulo primes, certified
-exact: nothing is eliminated on Fractions.  Entries are plain values, read
-back as Python ints or ``Fraction`` objects.
+exact: nothing is eliminated on Fractions.  The kernel runs an array of at
+most :data:`ROW_LOOP_CELLS` cells on Python-int rows, as F2 rows are held:
+on so small an array numpy's fixed cost per call outweighs a pivot's
+arithmetic.  Larger arrays take a numpy loop with the same pivots and
+result.  Entries are plain values, read back as Python ints or ``Fraction``
+objects.
 
 A sparse symmetric matrix given by its edges, such as the core of a
 :class:`~frozenrank.randgraph.LeafRemoval`, is ranked without a
@@ -375,18 +379,35 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 
 
 # ------------------------------------------------------ F_p dense kernel
-# ``M`` is a writable array in the storage of field_array over F_p.  A pivot
-# clears its column on the rows that hold an entry there: on the slice of a
-# whole row range (below the pivot, or above it in back substitution) when
-# every row of the range does, which gathers and scatters nothing, else on an
-# index array of those rows.  Rows are swapped and pivot rows normalised by
-# basic indexing, and products are taken in place unless the storage dtype is
-# a key of _WIDE.
+# ``M`` is a writable array in the storage of field_array over F_p.  An array
+# of at most ROW_LOOP_CELLS cells runs on Python-int rows (_row_loop):
+# there a pivot costs a few list operations, where the numpy loop below pays
+# several calls of fixed overhead per pivot, and the verify suites eliminate
+# thousands of such arrays.  Both routes take the same pivots and leave the
+# same forward form and RREF.  In the numpy loop a pivot clears its column on
+# the rows that hold an entry there: on the slice of a whole row range (below
+# the pivot, or above it in back substitution) when every row of the range
+# does, which gathers and scatters nothing, else on an index array of those
+# rows.  Rows are swapped and pivot rows normalised by basic indexing, and
+# products are taken in place unless the storage dtype is a key of _WIDE.
+
+# Largest array, in cells, that the dense kernel eliminates on Python-int
+# rows.  Per RREF (numpy loop -> rows, 200 random arrays, best of 7, on a
+# 2-vCPU x86-64 host): at p = 3 the rows win at every size timed, 10 x 10 at
+# 50% density 102 -> 37 us and 24 x 24 306 -> 199 us.  At p = 2^31 - 1,
+# whose products are multi-digit Python ints, 10 x 10 at 50% takes 115 -> 74
+# us, but with no zero entry 10 x 10 ties (106 -> 100 us; forward only, 66 ->
+# 91 us) and larger arrays lose (12 x 12 123 -> 147 us, 8 x 16 83 -> 148 us).
+# The verify suites' arrays have at most 100 cells, a trial's dense blocks
+# 625 or more.
+ROW_LOOP_CELLS = 100
 
 
 def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
     """In-place forward elimination with normalized pivot rows.  ``M``'s
     dtype holds the product of two residues, or is a key of ``_WIDE``."""
+    if M.size <= ROW_LOOP_CELLS:
+        return _row_loop(M, p, back=False)
     m, n = M.shape
     wide = _WIDE.get(M.dtype)
     r = 0
@@ -423,6 +444,8 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
 
 def _rref_dense(M: np.ndarray, p: int):
     """In-place RREF; returns (rank, pivots, M)."""
+    if M.size <= ROW_LOOP_CELLS:
+        return (*_row_loop(M, p, back=True), M)
     r, pivots = _forward_dense(M, p)
     wide = _WIDE.get(M.dtype)
     for i in range(r - 1, -1, -1):
@@ -431,6 +454,51 @@ def _rref_dense(M: np.ndarray, p: int):
         if rows.size:
             _eliminate(M, slice(0, i) if rows.size == i else rows, i, c, p, wide)
     return r, pivots, M
+
+
+def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int]]:
+    """The dense kernel on ``M.tolist()``, written back into ``M`` in its
+    dtype: forward elimination by the numpy loop's pivot rule (columns in
+    order, the first nonzero row at or below the next pivot row, swap,
+    normalise, clear below), then back substitution from the last pivot when
+    ``back``.  Returns (rank, pivots)."""
+    m, n = M.shape
+    R = M.tolist()
+
+    def clear(rows, c: int, row: list) -> None:
+        # the pivot row is zero left of column c
+        nz = [(j, row[j]) for j in range(c, n) if row[j]]
+        for i in rows:
+            Ri = R[i]
+            if f := Ri[c]:
+                for j, y in nz:
+                    Ri[j] = (Ri[j] - f * y) % p
+
+    r = 0
+    pivots: list[int] = []
+    for c in range(n):
+        if r == m:
+            break
+        for piv in range(r, m):
+            if R[piv][c]:
+                break
+        else:
+            continue
+        row = R[piv]
+        R[piv] = R[r]  # zero in column c, as are the rows between r and piv
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row = [x * inv % p for x in row]
+        R[r] = row
+        clear(range(piv + 1, m), c, row)
+        pivots.append(c)
+        r += 1
+    if back:
+        for i in range(r - 1, -1, -1):
+            clear(range(i), pivots[i], R[i])
+    if R:  # a 0 x n array takes no assignment from []
+        M[:] = R
+    return r, pivots
 
 
 # the dtype that products of residues are taken in, for a storage dtype that

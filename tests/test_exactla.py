@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frozenrank import exactla, harness
 from frozenrank.errors import ResourceCapError
@@ -767,10 +767,10 @@ def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[lis
 
 def _dense_kernel_cases(p: int):
     """Arrays of residues mod p: a swap at the first pivot, pivots that are 1
-    and that are not, zero columns, rank-deficient rows, empty shapes, and
+    and that are not, zero columns, rank-deficient rows, empty shapes,
     arrays with no zero entry, whose columns are cleared by slices of rows
     in both phases, some switching to index arrays from one pivot to the
-    next."""
+    next, and arrays on both sides of ``exactla.ROW_LOOP_CELLS``."""
     q = p - 1
     yield [[0, 1, 2], [2, 1, 0], [2, 2, 2]]  # swap, then a pivot of 2
     yield [[1, 0, 2, 1], [2, 0, 1, 2], [0, 0, 0, 0], [1, 0, 2, 1]]  # zero column
@@ -794,24 +794,90 @@ def _dense_kernel_cases(p: int):
         a = rng.integers(1, p, (m, n))
         a[rng.random((m, n)) < 0.2] = q
         yield a
+    # exactly ROW_LOOP_CELLS cells, and one row more
+    m, n = exactla.ROW_LOOP_CELLS // 10, 10
+    for rows in (m, m + 1):
+        a = np.where(rng.random((rows, n)) < 0.5, rng.integers(1, p, (rows, n)), 0)
+        a[-1] = (a[0] + a[1]) % p
+        yield a
 
 
 # int32 storage holds the product of two residues only for p <= 46340
 @pytest.mark.parametrize("dtype,p", [(np.int32, 3)] + [
     (dtype, p) for dtype in (np.int64, np.uint32) for p in (3, 65537, 2147483647)])
-def test_dense_kernel_matches_literal_gauss_jordan(dtype, p):
+def test_dense_kernel_matches_literal_gauss_jordan(monkeypatch, dtype, p):
+    # every case through the numpy loop (cut -1), the row loop (a cut above
+    # every case) and the real cut, whose route is recorded
     seen = set()
-    for case in _dense_kernel_cases(p):
-        arr = np.array(case, dtype=dtype)
-        want_pivots, want, want_forward = _gauss_jordan(arr.tolist(), arr.shape[1], p, seen)
-        rank, pivots, R = exactla._rref_dense(arr.copy(), p)
-        assert (rank, pivots) == (len(want_pivots), want_pivots)
-        assert R.dtype == dtype and R.tolist() == want
-        F = arr.copy()
-        assert exactla._forward_dense(F, p) == (rank, pivots)
-        assert F.dtype == dtype and F.tolist() == want_forward
+    cases = [np.array(case, dtype=dtype) for case in _dense_kernel_cases(p)]
+    wants = [_gauss_jordan(arr.tolist(), arr.shape[1], p, seen) for arr in cases]
     assert seen == {"swap", "unit", "scaled", "slice below", "rows below",
                     "slice above", "rows above", "switch"}
+    assert exactla.ROW_LOOP_CELLS in [arr.size for arr in cases]  # the boundary is covered
+    on_rows = []
+    rows = exactla._row_loop
+
+    def recorded(M, p, back):
+        on_rows.append((M.size, back))
+        return rows(M, p, back)
+
+    monkeypatch.setattr(exactla, "_row_loop", recorded)
+    for cut in (-1, max(arr.size for arr in cases), exactla.ROW_LOOP_CELLS):
+        monkeypatch.setattr(exactla, "ROW_LOOP_CELLS", cut)
+        for arr, (want_pivots, want, want_forward) in zip(cases, wants):
+            on_rows.clear()
+            rank, pivots, R = exactla._rref_dense(arr.copy(), p)
+            assert (rank, pivots) == (len(want_pivots), want_pivots)
+            assert R.dtype == dtype and R.tolist() == want
+            F = arr.copy()
+            assert exactla._forward_dense(F, p) == (rank, pivots)
+            assert F.dtype == dtype and F.tolist() == want_forward
+            assert on_rows == ([(arr.size, True), (arr.size, False)] if arr.size <= cut else [])
+
+
+_STORAGE = [(p, dtype) for p in (3, 5, 65537, 2147483647)
+            for dtype in (np.int32, np.int64, np.uint32) if dtype != np.int32 or p <= 46340]
+
+
+@st.composite
+def residue_arrays(draw):
+    """``(p, array)``: residues mod p in a storage dtype that the dense kernel
+    takes, of up to about twice ``exactla.ROW_LOOP_CELLS`` cells, with
+    entries 1 and p - 1 (whose square overflows 32 bits) drawn often, and
+    a last row repeating a multiple of the first."""
+    p, dtype = draw(st.sampled_from(_STORAGE))
+    m = draw(st.integers(0, 20))
+    n = draw(st.integers(0, min(20, 2 * exactla.ROW_LOOP_CELLS // max(m, 1))))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    a = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=np.int64).reshape(m, n)
+    if m > 1 and draw(st.booleans()):
+        a[-1] = a[0] * draw(st.integers(0, p - 1)) % p
+    return p, a.astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_arrays())
+@example((3, np.zeros((0, 7), dtype=np.int32)))
+@example((65537, np.zeros((9, 0), dtype=np.int64)))
+@example((5, np.zeros((6, 8), dtype=np.uint32)))
+@example((2147483647, np.zeros((12, 15), dtype=np.uint32)))
+@example((2147483647, np.full((5, 4), 2147483646, dtype=np.uint32)))
+def test_dense_kernel_routes_agree(case):
+    # the numpy loop (cut -1) and the row loop (a cut of the array's size)
+    # leave the same rank, pivots, forward form and RREF, in the same dtype
+    p, arr = case
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cut in (-1, arr.size):
+            mp.setattr(exactla, "ROW_LOOP_CELLS", cut)
+            F, R = arr.copy(), arr.copy()
+            forward = exactla._forward_dense(F, p)
+            rank, pivots, out = exactla._rref_dense(R, p)
+            assert out is R and forward == (rank, pivots)
+            assert F.dtype == R.dtype == arr.dtype
+            got.append((rank, pivots, F.tolist(), R.tolist()))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("p", (7, 2147483647))

@@ -134,14 +134,17 @@ def test_chi2_critical_value_is_scipys():
 
 def _count_eliminations(monkeypatch):
     """Counts every elimination of a matrix: over F2 and over F3, each
-    rank, kernel support and RREF runs one of these two kernels once."""
+    rank, kernel support and RREF runs one of these two kernels once.  Over
+    F3 the dense kernel runs on Python-int rows: the matrices counted are at
+    most 7 x 7, within ``exactla.ROW_LOOP_CELLS``."""
+    assert 7 * 7 <= exactla.ROW_LOOP_CELLS
     calls = []
-    for name in ("_forward_dense", "_echelon_gf2"):
+    for name in ("_row_loop", "_echelon_gf2"):
         kernel = getattr(exactla, name)
 
-        def counted(*args, _kernel=kernel):
+        def counted(*args, _kernel=kernel, **kwargs):
             calls.append(_kernel)
-            return _kernel(*args)
+            return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(exactla, name, counted)
     return calls
