@@ -28,8 +28,8 @@ expect 2 census --n 30 --d 2 --P 8 --trials 1 --pert-seed -1
 expect 0 simulate --n 30 --d 2 --trials 1 --seed 18446744073709551615
 # no more workers than trials: one trial runs in this process, with no pool
 expect 0 simulate --n 60 --d 2 --trials 1 --workers 4
-# a census CSV's first eleven columns are the simulate CSV, each run in its
-# own process and so from a cold support memo
+# a census CSV's first eleven columns are the simulate CSV: a census trial
+# leaf-removes the graph it samples, a simulate trial the support alone
 flags="--n 300 --d 3 --trials 3 --field Fp:2147483647 --template random"
 expect 0 census $flags --P 8
 cut -d, -f1-11 "$tmp/cli.out" > "$tmp/census_base.csv"
@@ -68,17 +68,20 @@ mv "$tmp/cli.out" "$tmp/ks_f2.csv"
 expect 0 ks --n 2000 --d 3 --trials 3 --field Q --template random
 cmp "$tmp/ks_f2.csv" "$tmp/cli.out"
 # ks and simulate, each in its own process, derive every trial's seed and
-# support alike: the same seed columns and the same leaf-removal counts
-flags="--n 300 --d 3 --trials 3 --seed 5"
-expect 0 ks $flags
-mv "$tmp/cli.out" "$tmp/ks.csv"
-expect 0 simulate $flags
-cut -d, -f1-4 "$tmp/ks.csv" > "$tmp/ks_seeds.csv"
-cut -d, -f1-4 "$tmp/cli.out" > "$tmp/simulate_seeds.csv"
-cmp "$tmp/ks_seeds.csv" "$tmp/simulate_seeds.csv"
-cut -d, -f5,6 "$tmp/ks.csv" > "$tmp/ks_counts.csv"
-cut -d, -f10,11 "$tmp/cli.out" > "$tmp/simulate_counts.csv"
-cmp "$tmp/ks_counts.csv" "$tmp/simulate_counts.csv"
+# support alike: the same seed columns and the same leaf-removal counts, for
+# supports the memo holds (n * d at most 2^14) and for larger ones, which it
+# computes on every call
+for flags in "--n 300 --d 3 --trials 3 --seed 5" "--n 4096 --d 5 --trials 2 --seed 5"; do
+  expect 0 ks $flags
+  mv "$tmp/cli.out" "$tmp/ks.csv"
+  expect 0 simulate $flags
+  cut -d, -f1-4 "$tmp/ks.csv" > "$tmp/ks_seeds.csv"
+  cut -d, -f1-4 "$tmp/cli.out" > "$tmp/simulate_seeds.csv"
+  cmp "$tmp/ks_seeds.csv" "$tmp/simulate_seeds.csv"
+  cut -d, -f5,6 "$tmp/ks.csv" > "$tmp/ks_counts.csv"
+  cut -d, -f10,11 "$tmp/cli.out" > "$tmp/simulate_counts.csv"
+  cmp "$tmp/ks_counts.csv" "$tmp/simulate_counts.csv"
+done
 printf '3 3 Fp:3\n0 1 0\n1 0 2\n0 2 0\n' > "$tmp/f3.txt"
 expect 0 classify --matrix "$tmp/f3.txt"
 printf '3 3 Q\n0 1/2 0\n1/2 0 -3/4\n0 -3/4 0\n' > "$tmp/q3.txt"

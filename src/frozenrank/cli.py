@@ -29,7 +29,7 @@ from .harness import (
     tagged_csv,
     trial_support,
 )
-from .randgraph import karp_sipser, parse_graph
+from .randgraph import TEMPLATE_KINDS, karp_sipser, parse_graph
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default="F2", help='"F2", "Fp:<p>" or "Q"')
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--template", choices=("allones", "random"), default="allones")
+        p.add_argument("--template", choices=TEMPLATE_KINDS, default="allones")
         p.add_argument("--workers", type=int, default=1)
         if with_P:
             p.add_argument("--P", "--pert-P", dest="P", type=int,
@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="F2")
-    p.add_argument("--template", choices=("allones", "random"), default="allones")
+    p.add_argument("--template", choices=TEMPLATE_KINDS, default="allones")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ks)
 

@@ -7,15 +7,15 @@ the perturbation families, so no two random sources ever share a stream.
 The edge and weight split is stated once, in :func:`_coupling` and
 :func:`_weight_template`; the rest in :func:`_run_trial`, the one trial
 function of both rank and census runs.  The edge support depends only on
-``(trial_seed, n, d)``, so every trial takes the support's
-:class:`~frozenrank.randgraph.LeafRemoval` from a memo shared by every
-field, template and run kind of the process (:func:`trial_support`) and
-ranks the core's arrays weighed by its template; a census trial also
-samples the whole weighted graph, which the census relabels and whose
-support a memo miss leaf-removes.  Records are
-ordered by trial index, which makes the CSV output byte-identical across
-reruns and worker counts.  Wall-clock timings are kept on the in-memory
-records only, never serialized.
+``(trial_seed, n, d)``, so a rank trial takes the support's
+:class:`~frozenrank.randgraph.LeafRemoval` from :func:`trial_support`, which
+keeps the last few small supports for every field and template of the
+process.  A census trial samples the whole weighted graph, which the census
+relabels, and leaf-removes that graph's support itself.  Either ranks the
+core's arrays weighed by its template.  Records are ordered by trial index,
+which makes the CSV output byte-identical across reruns and worker counts.
+Wall-clock timings are kept on the in-memory records only, never
+serialized.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import statistics
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +50,12 @@ from .prf import (
     derive_seed,
 )
 from .randgraph import (
+    TEMPLATE_KINDS,
     CouplingSource,
     LeafRemoval,
     WeightTemplate,
     available_cpus,
+    karp_sipser,
     leaf_removal,
     sample_T,
     sample_graph,
@@ -64,8 +64,6 @@ from .randgraph import (
 )
 
 CSV_SCHEMA_TAG = "#frozenrank-v1"
-
-_TEMPLATE_KINDS = ("allones", "random")
 
 # value types accepted for each annotation of ExperimentConfig ("X | None"
 # also accepts None); bool is an int subclass, so it is kept apart
@@ -114,8 +112,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.template not in _TEMPLATE_KINDS:
-            raise ValueError(f"template must be one of {_TEMPLATE_KINDS}")
+        if self.template not in TEMPLATE_KINDS:
+            raise ValueError(f"template must be one of {TEMPLATE_KINDS}")
         FieldSpec.parse_label(self.field)  # raises on bad label
         if self.pert_P is not None and self.pert_P < 1:
             raise ValueError("pert_P must be >= 1")
@@ -304,78 +302,30 @@ def _weight_template(trial_seed: int, n: int, field: FieldSpec, template: str) -
     return WeightTemplate(field, n, template, derive_seed(trial_seed, 0, TAG_WEIGHTS))
 
 
-# core edges the support memo may hold over all its entries (an entry with
-# no core counts as one).  One trial at n=2000, d=3 leaves a core of up to
-# about 1500 edges and 450-920 removed pairs out of about 3000 support
-# edges, all in uint16: two endpoints and a support index a core edge,
-# fewer core vertices than core edges and 4 bytes a removed pair make
-# 4-12 KB an entry.  So the budget keeps the last 30-50 such supports in
-# about 0.35 MB
-_MEMO_EDGES = 1 << 15
+# the support memo keeps the leaf removals of the last _MEMO_ENTRIES
+# supports whose n * d is at most _MEMO_ND.  A support has about n * d / 2
+# edges, so at the bound an entry takes up to about 54 KB (two uint16
+# endpoints and a uint16 support index a core edge) and a full memo about
+# 3.5 MB; a trial at n = 2000, d = 3 keeps 4-12 KB.  Without the bound a
+# support at d = n would keep tens of MB an entry
+_MEMO_ENTRIES = 64
+_MEMO_ND = 1 << 14
 
 
-class _SupportMemo:
-    """The :class:`~frozenrank.randgraph.LeafRemoval` of each support
-    ``(trial_seed, n, d)``, least recently used first, holding at most
-    ``_MEMO_EDGES`` core edges; a support larger than that is never stored.
-    A miss samples outside the lock, so threads sample at the same time."""
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.edges = 0
-        self._lock = threading.Lock()
-        # a child forked while another thread held the lock would wait forever
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._after_fork)
-
-    @staticmethod
-    def _cost(support: LeafRemoval) -> int:
-        return support.core_i.size + 1
-
-    def get(self, key: tuple, compute) -> LeafRemoval:
-        with self._lock:
-            found = self.entries.get(key)
-            if found is not None:
-                self.entries.move_to_end(key)
-                return found
-        support = compute()
-        cost = self._cost(support)
-        if cost <= _MEMO_EDGES:
-            with self._lock:
-                if key not in self.entries:
-                    self.entries[key] = support
-                    self.edges += cost
-                while self.edges > _MEMO_EDGES:
-                    self.edges -= self._cost(self.entries.popitem(last=False)[1])
-        return support
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.edges = 0
-
-    def _after_fork(self) -> None:
-        self._lock = threading.Lock()
-        self.edges = sum(map(self._cost, self.entries.values()))
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _leaf_removal_of(trial_seed: int, n: int, d: float) -> LeafRemoval:
+    return leaf_removal(n, *sample_support(n, d / n, _coupling(trial_seed)))
 
 
-_supports = _SupportMemo()
-
-
-def trial_support(trial_seed: int, n: int, d: float,
-                  edges: tuple | None = None) -> LeafRemoval:
+def trial_support(trial_seed: int, n: int, d: float) -> LeafRemoval:
     """The :func:`~frozenrank.randgraph.leaf_removal` of the edge support
     that the coupling stream of ``trial_seed`` gives on ``n`` vertices at
-    mean degree ``d``, the same for every field and template, computed once
-    per process while the memo keeps it.  ``edges`` is that support's
-    ``(i, j)`` when the caller has sampled it already, as a census trial
-    has: a miss then leaf-removes it rather than sampling again."""
-
-    def compute() -> LeafRemoval:
-        i, j = sample_support(n, d / n, _coupling(trial_seed)) if edges is None else edges
-        return leaf_removal(n, i, j)
-
-    return _supports.get((trial_seed, n, d), compute)
+    mean degree ``d``, the same for every field and template.  A support
+    with ``n * d`` at most ``_MEMO_ND`` is computed once per process while
+    the memo keeps it, one of its last ``_MEMO_ENTRIES``."""
+    if n * d <= _MEMO_ND:
+        return _leaf_removal_of(trial_seed, n, d)
+    return _leaf_removal_of.__wrapped__(trial_seed, n, d)
 
 
 def _rank_of_core(field: FieldSpec, n: int, i: np.ndarray, j: np.ndarray,
@@ -395,17 +345,18 @@ def _rank_of_core(field: FieldSpec, n: int, i: np.ndarray, j: np.ndarray,
 
 def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     """One trial: the support's leaf removal, then the weighted core's rank.
-    A census run first samples the whole weighted graph, and adds the type
-    census of the perturbed, relabelled matrix T."""
+    A census run samples the whole weighted graph, leaf-removes that graph's
+    support and adds the type census of the perturbed, relabelled matrix T;
+    a rank run takes the leaf removal from :func:`trial_support`."""
     start = time.perf_counter()
     trial_seed = derive_trial_seed(cfg.master_seed, index)
     template = _weight_template(trial_seed, cfg.n, cfg.field_spec, cfg.template)
-    profile = theta = edges = None
+    profile = theta = None
     if cfg.census:
         G = sample_graph(cfg.n, cfg.d / cfg.n, template, _coupling(trial_seed))
         # T is G relabelled at full size, and rank and leaf-removal statistics
         # are relabelling-invariant, so G's support gives both for T too
-        edges = G.i, G.j
+        support = karp_sipser(G)
         pert_base = trial_seed if cfg.pert_seed is None else \
             derive_trial_seed(cfg.pert_seed, index)
         pert = PerturbationSpec.draw(cfg.pert_P, derive_seed(pert_base, 0, TAG_THETA))
@@ -413,7 +364,8 @@ def _run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
                               CoupledFamilies.from_seed(pert_base))
         profile = type_census(B, census_size=cfg.n)
         theta = (pert.theta_r, pert.theta_c)
-    support = trial_support(trial_seed, cfg.n, cfg.d, edges)
+    else:
+        support = trial_support(trial_seed, cfg.n, cfg.d)
     # a weight is a pure function of the template's seed and the edge's
     # original endpoints, so these are the whole weighted graph's on the core
     v, core_i, core_j = support.core_vertices, support.core_i, support.core_j

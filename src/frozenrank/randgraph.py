@@ -35,6 +35,8 @@ from .prf import Stream, mix64_below, prf, prf_array
 
 _TWO64 = float(1 << 64)
 
+TEMPLATE_KINDS = ("allones", "random")
+
 
 @dataclass(frozen=True)
 class CouplingSource:
@@ -60,11 +62,11 @@ class WeightTemplate:
 
     field: FieldSpec
     n: int
-    kind: str = "allones"  # "allones" | "random"
+    kind: str = "allones"  # one of TEMPLATE_KINDS
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("allones", "random"):
+        if self.kind not in TEMPLATE_KINDS:
             raise ValueError(f"unknown template kind {self.kind!r}")
 
     def entry(self, i: int, j: int) -> int | Fraction:

@@ -9,6 +9,6 @@ from frozenrank import harness
 def _fresh_support_memo():
     """Each test starts and ends with an empty support memo, so a test that
     monkeypatches the sampler leaves no entry behind for the next one."""
-    harness._supports.clear()
+    harness._leaf_removal_of.cache_clear()
     yield
-    harness._supports.clear()
+    harness._leaf_removal_of.cache_clear()

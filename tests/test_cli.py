@@ -106,7 +106,7 @@ def test_census_base_columns_are_the_simulate_csv(capsys, field, template, n):
     for order in (("simulate", "census"), ("census", "simulate")):
         out = {}
         for command in order:
-            harness._supports.clear()
+            harness._leaf_removal_of.cache_clear()
             assert main([command] + args + extra[command]) == 0
             out[command] = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         width = len(out["simulate"][1])
@@ -165,7 +165,7 @@ def test_ks_matches_simulate(capsys):
     args = ["--n", "300", "--d", "2.5", "--trials", "3", "--seed", "4"]
 
     def rows(cmd):
-        harness._supports.clear()  # each subcommand samples its own supports
+        harness._leaf_removal_of.cache_clear()  # each subcommand samples its own supports
         assert main([cmd] + args) == 0
         text = capsys.readouterr().out.split("\n", 1)[1]
         return [(r["trial_index"], r["ks_isolated"], r["ks_core_size"])
@@ -179,7 +179,7 @@ def test_ks_is_the_same_over_every_field_and_template(capsys):
     args = ["ks", "--n", "300", "--d", "3", "--trials", "3", "--seed", "2"]
     outs = []
     for extra in ([], ["--field", "Q", "--template", "random"], ["--field", "Fp:5"]):
-        harness._supports.clear()
+        harness._leaf_removal_of.cache_clear()
         assert main(args + extra) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2]

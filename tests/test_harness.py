@@ -230,7 +230,7 @@ def test_same_support_across_fields():
     # paired runs agree trial by trial, each run sampling its own supports
     base, _ = run_experiment(small_cfg(field="F2"))
     for field, template in (("Fp:3", "allones"), ("Fp:5", "random"), ("Q", "random")):
-        harness._supports.clear()
+        harness._leaf_removal_of.cache_clear()
         other, _ = run_experiment(small_cfg(field=field, template=template))
         for a, b in zip(base, other):
             assert (a.ks_isolated, a.ks_core_size) == (b.ks_isolated, b.ks_core_size)
@@ -272,7 +272,7 @@ def _trial_support(master_seed: int, index: int, n: int, d: float) -> LeafRemova
 def test_warm_memo_writes_the_cold_csv(monkeypatch, field, template):
     cfg = small_cfg(n=300, d=3.0, field=field, template=template, trials=5)
     cold = records_to_csv(run_experiment(cfg)[0])
-    harness._supports.clear()
+    harness._leaf_removal_of.cache_clear()
     run_experiment(replace(cfg, field="Fp:3", template="random"))  # another field warms it
     calls = _counted_calls(monkeypatch, "sample_support")
     # a support is checked once, when it is sampled: a warm trial ranks the
@@ -284,23 +284,26 @@ def test_warm_memo_writes_the_cold_csv(monkeypatch, field, template):
 
 @pytest.mark.parametrize("field,template", [("F2", "allones"), ("Fp:2147483647", "random"),
                                             ("Q", "random")])
-def test_census_and_simulate_share_the_memo_both_ways(monkeypatch, field, template):
+def test_census_trial_leaf_removes_its_own_sample(monkeypatch, field, template):
+    # a census trial leaf-removes the graph it has sampled, once, and neither
+    # samples a support nor reads or fills the memo, cold or warm
     cfg = small_cfg(n=150, d=3.0, field=field, template=template, trials=4, pert_P=8)
-    cold_simulate = records_to_csv(run_experiment(cfg)[0])
-    harness._supports.clear()
-    cold_census = records_to_csv(run_census(cfg)[0])
-    names = ("sample_support", "leaf_removal", "sample_graph")
-    # census, then simulate: every support is a hit
-    calls = _counted_calls(monkeypatch, *names)
-    assert records_to_csv(run_experiment(cfg)[0]) == cold_simulate
-    assert calls == {name: [] for name in names}
-    # simulate, then census: the census samples its weighted graphs only
-    harness._supports.clear()
+    cold = records_to_csv(run_census(cfg)[0])
     run_experiment(cfg)
-    calls = _counted_calls(monkeypatch, *names)
-    assert records_to_csv(run_census(cfg)[0]) == cold_census
-    assert {name: len(c) for name, c in calls.items()} == \
-        {"sample_support": 0, "leaf_removal": 0, "sample_graph": cfg.trials}
+    held = harness._leaf_removal_of.cache_info()
+    graphs, calls = [], _counted_calls(monkeypatch, "sample_support", "karp_sipser")
+    real = harness.sample_graph
+
+    def sampled(*args):
+        graphs.append(real(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(harness, "sample_graph", sampled)
+    assert records_to_csv(run_census(cfg)[0]) == cold
+    assert calls["sample_support"] == []
+    assert [args[0] for args in calls["karp_sipser"]] == graphs
+    assert len(graphs) == cfg.trials
+    assert harness._leaf_removal_of.cache_info() == held
 
 
 # sha256 of records_to_csv(run_census(...)) at master seed 0, P = 8, 3 trials
@@ -320,7 +323,7 @@ def test_census_csv_bytes_are_pinned(field, template, n, d, digest, warm):
     cfg = ExperimentConfig(n=n, d=d, field=field, template=template, trials=3,
                            master_seed=0, pert_P=8)
     if warm:
-        run_experiment(cfg)  # the census reads each support from the memo
+        run_experiment(cfg)  # fills the memo, which the census does not read
     text = records_to_csv(run_census(cfg)[0])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -384,32 +387,42 @@ def test_memo_key_names_every_input_of_the_support(change):
     base = dict(master_seed=7, index=1, n=250, d=3.0)
     first = _trial_support(**base)
     warm = _trial_support(**{**base, **change})
-    harness._supports.clear()
+    harness._leaf_removal_of.cache_clear()
     cold = _trial_support(**{**base, **change})
     assert _support_fields(warm) == _support_fields(cold) != _support_fields(first)
 
 
 def test_memo_keeps_the_most_recently_used_within_its_budget(monkeypatch):
-    monkeypatch.setattr(harness, "_MEMO_EDGES", 700)
-    memo, used = harness._supports, []
-    for index in (0, 1, 2, 3, 0, 4, 5, 1, 6, 7, 2, 8, 8, 3):
-        key = (harness.derive_trial_seed(5, index), 400, 3.0)
-        support = harness.trial_support(*key)
-        assert support.core_i.size + 1 <= harness._MEMO_EDGES  # so it is stored
+    # an LRU of _MEMO_ENTRIES entries: a lookup samples exactly when the key
+    # is not among the last _MEMO_ENTRIES distinct keys used
+    size = harness._MEMO_ENTRIES
+    calls = _counted_calls(monkeypatch, "sample_support")
+    used = []
+    for index in [*range(size + 6), size + 5, 10, 0, 5, size + 6, 6, size + 5, 3]:
+        key = (harness.derive_trial_seed(5, index), 60, 3.0)
+        sampled = len(calls["sample_support"])
+        harness.trial_support(*key)
+        assert len(calls["sample_support"]) - sampled == (key not in used[-size:])
         used = [k for k in used if k != key] + [key]
-        held = list(memo.entries)
-        assert held == used[len(used) - len(held):]
-        assert memo.edges == sum(e.core_i.size + 1 for e in memo.entries.values()) <= 700
-    assert len(held) < len(used)  # some were evicted
+        assert harness._leaf_removal_of.cache_info().currsize == min(len(used), size)
+    assert len(used) > size  # some were evicted
 
 
-def test_memo_never_stores_a_support_above_its_budget():
-    _trial_support(0, 0, 300, 3.0)
-    held = list(harness._supports.entries)
-    big = _trial_support(0, 0, 4096, 200.0)
-    assert big.core_i.size > harness._MEMO_EDGES
-    assert list(harness._supports.entries) == held
-    assert harness._supports.edges <= harness._MEMO_EDGES
+def test_memo_never_stores_a_support_above_its_budget(monkeypatch):
+    # a support is held when n * d is at most _MEMO_ND, and one just above
+    # is computed on every call and never held
+    n = 2048
+    at = harness._MEMO_ND / n
+    above = float(np.nextafter(at, np.inf))
+    assert n * above > harness._MEMO_ND
+    calls = _counted_calls(monkeypatch, "sample_support")
+    for d, held in ((at - 0.5, 1), (at, 2), (above, 2), (above, 2), (at, 2)):
+        support = harness.trial_support(0, n, d)
+        assert _support_fields(support) == \
+            _support_fields(leaf_removal(n, *sample_support(n, d / n, harness._coupling(0))))
+        assert harness._leaf_removal_of.cache_info().currsize == held
+    assert [args[1] for args in calls["sample_support"]] == \
+        [(at - 0.5) / n, at / n, above / n, above / n]
 
 
 def test_memo_entries_are_read_only():
@@ -435,7 +448,8 @@ def test_memo_entry_is_the_supports_leaf_removal(n, d):
     for name in _ARRAYS:
         assert getattr(got, name).dtype == (index if name == "kept" else vertex)
     assert got.removed_pairs.shape == (len(got.removed_pairs), 2)
-    assert harness.trial_support(trial_seed, n, d) is got
+    # a support above the memo's bound (n = 400, d = 100) is computed again
+    assert (harness.trial_support(trial_seed, n, d) is got) == (n * d <= harness._MEMO_ND)
 
 
 def test_threads_on_different_seeds_write_the_sequential_csvs():
@@ -443,7 +457,7 @@ def test_threads_on_different_seeds_write_the_sequential_csvs():
             for f, t, seed in (("F2", "allones", 1), ("Q", "random", 2),
                                ("Fp:5", "random", 1), ("Fp:2147483647", "random", 3))]
     sequential = [records_to_csv(run_experiment(cfg)[0]) for cfg in cfgs]
-    harness._supports.clear()
+    harness._leaf_removal_of.cache_clear()
     start = threading.Barrier(len(cfgs))
     got = [None] * len(cfgs)
 
@@ -465,17 +479,18 @@ def test_threads_on_different_seeds_write_the_sequential_csvs():
     assert got == sequential
 
 
-def test_memo_under_contending_threads(monkeypatch):
-    # eight threads on overlapping keys, with a budget of a few entries: every
-    # lookup gives the cold support, and the count of stored edges stays exact
-    keys = [(harness.derive_trial_seed(9, index), 300, 3.0) for index in range(12)]
+def test_memo_under_contending_threads():
+    # eight threads on more keys than the memo holds, so entries are evicted
+    # while others are read: every lookup gives the cold support, and every
+    # lookup is counted once, as a hit or a miss
+    keys = [(harness.derive_trial_seed(9, index), 60, 3.0)
+            for index in range(harness._MEMO_ENTRIES + 16)]
     cold = {key: _support_fields(harness.trial_support(*key)) for key in keys}
-    harness._supports.clear()
-    monkeypatch.setattr(harness, "_MEMO_EDGES", 500)
-    memo, wrong = harness._supports, []
+    harness._leaf_removal_of.cache_clear()
+    wrong, rounds = [], 60
 
     def run(k: int) -> None:
-        for r in range(60):
+        for r in range(rounds):
             key = keys[(k * 5 + r * (k + 1)) % len(keys)]
             if _support_fields(harness.trial_support(*key)) != cold[key]:
                 wrong.append(key)
@@ -492,25 +507,45 @@ def test_memo_under_contending_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert memo.edges == sum(e.core_i.size + 1 for e in memo.entries.values()) <= 500
+    info = harness._leaf_removal_of.cache_info()
+    assert info.hits + info.misses == len(threads) * rounds
+    assert info.currsize == harness._MEMO_ENTRIES
 
 
-_FORK_WHILE_LOCKED = """
+_FORK_INSIDE_A_MISS = """
+import threading
 from frozenrank import harness
-with harness._supports._lock:  # as if another thread were inside the memo
-    with harness._worker_pool(2) as pool:
-        core = pool.submit(harness.trial_support, 1, 100, 3.0).result().core_vertices
+real, inside, release = harness.sample_support, threading.Event(), threading.Event()
+
+def blocking(n, p, coupling):
+    if n == 200:  # only the parent's other thread asks for n = 200
+        inside.set()
+        release.wait()
+    return real(n, p, coupling)
+
+harness.sample_support = blocking
+miss = threading.Thread(target=harness.trial_support, args=(2, 200, 3.0))
+miss.start()
+assert inside.wait(30)
+with harness._worker_pool(2) as pool:
+    core = pool.submit(harness.trial_support, 1, 100, 3.0).result().core_vertices
+release.set()
+miss.join(30)
+assert not miss.is_alive()
+harness.sample_support = real
+harness._leaf_removal_of.cache_clear()
 assert core.tolist() == harness.trial_support(1, 100, 3.0).core_vertices.tolist()
 print("same")
 """
 
 
-def test_pool_forked_while_the_memo_is_locked():
-    # a forked worker gets a fresh lock; with the parent's held copy it would
-    # wait forever, hence the timeout, after which the child's process group
-    # is killed
+def test_pool_forked_while_a_thread_is_inside_a_miss():
+    # a worker forked while another thread of the parent is computing a
+    # memo entry must compute its own support rather than wait for that
+    # thread, which does not exist in the child; a hang ends at the
+    # timeout, after which the child's process group is killed
     src = str(Path(__file__).resolve().parents[1] / "src")
-    with subprocess.Popen([sys.executable, "-c", _FORK_WHILE_LOCKED],
+    with subprocess.Popen([sys.executable, "-c", _FORK_INSIDE_A_MISS],
                           env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
         try:
@@ -523,10 +558,22 @@ def test_pool_forked_while_the_memo_is_locked():
     assert out.strip() == "same"
 
 
+def test_trials_pass_samples_each_support_once(monkeypatch):
+    # the benchmark's trials pass on one master seed: the F_p and Q groups
+    # take their supports from the F2 group's, 6 samples for 9 trials
+    calls = _counted_calls(monkeypatch, "sample_support")
+    for field, template, trials in (("F2", "allones", 6), ("Fp:2147483647", "random", 2),
+                                    ("Q", "random", 1)):
+        run_experiment(ExperimentConfig(n=2000, d=3.0, field=field, template=template,
+                                        trials=trials, master_seed=17))
+    assert len(calls["sample_support"]) == 6
+    assert harness._leaf_removal_of.cache_info().hits == 3
+
+
 def test_pool_after_a_warm_memo_writes_the_same_bytes():
     cfg = small_cfg(field="Fp:5", template="random")
     cold = records_to_csv(run_experiment(cfg)[0])
-    harness._supports.clear()
+    harness._leaf_removal_of.cache_clear()
     run_experiment(small_cfg())  # F2 warms every index before the pool forks
     assert records_to_csv(run_experiment(replace(cfg, workers=2))[0]) == cold
 
