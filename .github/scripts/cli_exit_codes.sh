@@ -18,6 +18,10 @@ expect() {
 
 expect 0 simulate --n 60 --d 2 --trials 2
 test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
+# "Fp:2" names F2: the CSV prints the canonical label, so the bytes are F2's
+mv "$tmp/cli.out" "$tmp/f2.csv"
+expect 0 simulate --field Fp:2 --n 60 --d 2 --trials 2
+cmp "$tmp/f2.csv" "$tmp/cli.out"
 expect 0 census --n 60 --d 2 --P 8 --trials 2
 test "$(head -n 1 "$tmp/cli.out")" = "#frozenrank-v1"
 expect 2 ks --n 60 --d 2 --trials -1
@@ -101,8 +105,8 @@ expect 2 ks --graph "$tmp/revdup.txt"
 python3 -c 'print("65 65 Q"); print(("0 " * 65 + "\n") * 65, end="")' > "$tmp/q65.txt"
 expect 0 classify --matrix "$tmp/q65.txt"
 # a dense 48 x 48 matrix with no zero entry and a repeated row, whose
-# eliminations clear whole row ranges at once, and the same matrix with its
-# rows reversed: the same rank and frozen columns
+# eliminations clear every row below or above each pivot, and the same
+# matrix with its rows reversed: the same rank and frozen columns
 for field in Fp:3 Fp:2147483647; do
   for order in 1 -1; do
     python3 -c 'import sys

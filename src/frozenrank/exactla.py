@@ -48,14 +48,15 @@ kernel rows and bases, the census) runs on rows held as Python ints,
 one bit per column, with XOR as row addition.  Over F_p (p > 2) and Q every
 question but the F_p rank, which eliminates forward only, reads one reduced
 form, :func:`_reduced`: the pivot columns of the RREF and its pivot rows on
-the free columns.  One dense kernel eliminates over F_p, and over Q
-:func:`_rational_rref` lifts that form from it modulo primes, certified
-exact: nothing is eliminated on Fractions.  The kernel runs an array of at
-most :data:`ROW_LOOP_CELLS` cells on Python-int rows, as F2 rows are held:
-on so small an array numpy's fixed cost per call outweighs a pivot's
-arithmetic.  Larger arrays take a numpy loop with the same pivots and
-result.  Entries are plain values, read back as Python ints or ``Fraction``
-objects.
+the free columns.  One dense kernel, :func:`_dense_kernel`, eliminates over
+F_p, and over Q :func:`_rational_rref` lifts that form from it modulo
+primes, certified exact: nothing is eliminated on Fractions.  The kernel
+runs an array of at most :data:`ROW_LOOP_CELLS` cells on Python-int rows,
+as F2 rows are held: on so small an array numpy's fixed cost per call
+outweighs a pivot's arithmetic.  Larger arrays take a numpy loop, which
+clears each column on an index array of the rows that hold an entry there,
+with the same pivots and result.  Entries are plain values, read back as
+Python ints or ``Fraction`` objects.
 
 A sparse symmetric matrix given by its edges, such as the core of a
 :class:`~frozenrank.randgraph.LeafRemoval`, is ranked without a
@@ -247,7 +248,7 @@ class Matrix:
             elif self.field.kind == "rationals":
                 self._reduce()
             else:
-                self._rank = _forward_dense(self._a.copy(), self.field.p)[0]
+                self._rank = _dense_kernel(self._a, self.field.p, back=False)[0]
         return self._rank
 
     def nullity(self) -> int:
@@ -299,13 +300,8 @@ def _vector_values(field: FieldSpec, vec, expect_len: int) -> list:
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
-    """Whether ``a`` is square and equals its transpose, compared 64 rows
-    at a time from the last, so that a perturbed matrix, whose unit rows
-    and columns come last, is told apart after one block (over Q each
-    comparison is a Python-level ``Fraction.__eq__``)."""
-    m, n = a.shape
-    return m == n and all(np.array_equal(a[k:k + 64], a[:, k:k + 64].T)
-                          for k in reversed(range(0, n, 64)))
+    """Whether ``a`` is square and equals its transpose."""
+    return a.shape[0] == a.shape[1] and np.array_equal(a, a.T)
 
 
 def _free_columns(pivots: list[int], n: int) -> list[int]:
@@ -379,17 +375,17 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 
 
 # ------------------------------------------------------ F_p dense kernel
-# ``M`` is a writable array in the storage of field_array over F_p.  An array
-# of at most ROW_LOOP_CELLS cells runs on Python-int rows (_row_loop):
-# there a pivot costs a few list operations, where the numpy loop below pays
-# several calls of fixed overhead per pivot, and the verify suites eliminate
-# thousands of such arrays.  Both routes take the same pivots and leave the
-# same forward form and RREF.  In the numpy loop a pivot clears its column on
-# the rows that hold an entry there: on the slice of a whole row range (below
-# the pivot, or above it in back substitution) when every row of the range
-# does, which gathers and scatters nothing, else on an index array of those
-# rows.  Rows are swapped and pivot rows normalised by basic indexing, and
-# products are taken in place unless the storage dtype is a key of _WIDE.
+# One entry, _dense_kernel, eliminates an array ``M`` in the storage of
+# field_array over F_p, forward only or on to the RREF.  An array of at most
+# ROW_LOOP_CELLS cells runs on Python-int rows (_row_loop): there a pivot
+# costs a few list operations, where the numpy loop pays several calls of
+# fixed overhead per pivot, and the verify suites eliminate thousands of such
+# arrays.  Both routes take the same pivots and leave the same forward form
+# and RREF.  In the numpy loop a pivot clears its column on an index array of
+# the rows that hold an entry there (below the pivot, or above it in back
+# substitution).  Rows are swapped and pivot rows normalised by basic
+# indexing, and products are taken in place unless the storage dtype is a
+# key of _WIDE.
 
 # Largest array, in cells, that the dense kernel eliminates on Python-int
 # rows.  Per RREF (numpy loop -> rows, 200 random arrays, best of 7, on a
@@ -403,11 +399,16 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 ROW_LOOP_CELLS = 100
 
 
-def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """In-place forward elimination with normalized pivot rows.  ``M``'s
-    dtype holds the product of two residues, or is a key of ``_WIDE``."""
+def _dense_kernel(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int], np.ndarray]:
+    """Forward elimination with normalized pivot rows, then back
+    substitution to the RREF when ``back``; returns (rank, pivots, the
+    eliminated array).  A writable ``M`` is eliminated in place, a read-only
+    one in a copy.  ``M``'s dtype holds the product of two residues, or is a
+    key of ``_WIDE``."""
+    if not M.flags.writeable:
+        M = M.copy()
     if M.size <= ROW_LOOP_CELLS:
-        return _row_loop(M, p, back=False)
+        return (*_row_loop(M, p, back), M)
     m, n = M.shape
     wide = _WIDE.get(M.dtype)
     r = 0
@@ -433,26 +434,17 @@ def _forward_dense(M: np.ndarray, p: int) -> tuple[int, list[int]]:
             else:
                 M[r, c:] = M[r, c:].astype(wide) * inv % p
         # the row swapped down to piv was zero in column c, so the rows left
-        # to clear are the other hits: the slice r + 1.. when every row is one
+        # to clear are the other hits
         if hits.size > 1:
-            _eliminate(M, slice(r + 1, m) if hits.size == m - r else r + hits[1:],
-                       r, c, p, wide)
+            _eliminate(M, r + hits[1:], r, c, p, wide)
         pivots.append(c)
         r += 1
-    return r, pivots
-
-
-def _rref_dense(M: np.ndarray, p: int):
-    """In-place RREF; returns (rank, pivots, M)."""
-    if M.size <= ROW_LOOP_CELLS:
-        return (*_row_loop(M, p, back=True), M)
-    r, pivots = _forward_dense(M, p)
-    wide = _WIDE.get(M.dtype)
-    for i in range(r - 1, -1, -1):
-        c = pivots[i]
-        rows = M[:i, c].nonzero()[0]
-        if rows.size:
-            _eliminate(M, slice(0, i) if rows.size == i else rows, i, c, p, wide)
+    if back:
+        for i in range(r - 1, -1, -1):
+            c = pivots[i]
+            rows = M[:i, c].nonzero()[0]
+            if rows.size:
+                _eliminate(M, rows, i, c, p, wide)
     return r, pivots, M
 
 
@@ -508,20 +500,18 @@ def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int]]:
 _WIDE = {np.dtype(np.uint32): np.int64}
 
 
-def _eliminate(M: np.ndarray, rows, r: int, c: int, p: int, wide) -> None:
-    """Clear column ``c`` of the nonempty ``rows`` (a slice or an index
-    array) with the normalized pivot row ``r``.  Products are taken in the
-    scalar type ``wide`` when there is one, else in place in the storage
-    dtype: on a view of a slice, or on a copy of an index array's rows that
-    is written back."""
+def _eliminate(M: np.ndarray, rows: np.ndarray, r: int, c: int, p: int, wide) -> None:
+    """Clear column ``c`` of the nonempty index array ``rows`` with the
+    normalized pivot row ``r``.  Products are taken in the scalar type
+    ``wide`` when there is one, else in place in the storage dtype, on a
+    copy of the rows that is written back."""
     if wide is not None:
         M[rows, c:] = (M[rows, c:] - M[rows, c:c + 1].astype(wide) * M[r, c:]) % p
         return
-    block = M[rows, c:]  # a view of a slice, a copy of an index array
+    block = M[rows, c:]
     block -= block[:, :1] * M[r, c:]
     block %= p
-    if not isinstance(rows, slice):
-        M[rows, c:] = block
+    M[rows, c:] = block
 
 
 # ------------------------------------------------- sparse rank from edges
@@ -581,7 +571,7 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
                 to.append(pos[k])
                 val.append(v)
         M[at, to] = val
-        rank += _forward_dense(M, p)[0]
+        rank += _dense_kernel(M, p, back=False)[0]
     return rank
 
 
@@ -668,7 +658,7 @@ def _reduced(field: FieldSpec, a: np.ndarray) -> tuple[list[int], np.ndarray]:
     if field.kind == "rationals":
         i, j = np.nonzero(a)
         return _rational_rref(*a.shape, i, j, a[i, j])[:2]
-    rank, pivots, M = _rref_dense(a if a.flags.writeable else a.copy(), field.p)
+    rank, pivots, M = _dense_kernel(a, field.p, back=True)
     free = _free_columns(pivots, M.shape[1])
     # the free columns move left within M, 256 rows at a time, so the block is
     # a view: a copy would add up to M's size to a census's peak memory
@@ -793,7 +783,7 @@ def _rational_rref(m: int, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
         primes.append(p)
         M = np.zeros((m, n), dtype=np.uint32)  # every prime is below 2^31
         M[i, j] = [x % p for x in cleared]
-        rank, pivots, M = _rref_dense(M, p)
+        rank, pivots, M = _dense_kernel(M, p, back=True)
         if rank < best:
             continue
         residues = M[:rank, _free_columns(pivots, n)].astype(object)

@@ -114,7 +114,9 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.template not in TEMPLATE_KINDS:
             raise ValueError(f"template must be one of {TEMPLATE_KINDS}")
-        FieldSpec.parse_label(self.field)  # raises on bad label
+        # raises on a bad label; an equivalent one is stored canonical, as the
+        # CSV and the group key print it
+        object.__setattr__(self, "field", FieldSpec.parse_label(self.field).label())
         if self.pert_P is not None and self.pert_P < 1:
             raise ValueError("pert_P must be >= 1")
         if self.census and self.pert_P is None:

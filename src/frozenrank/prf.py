@@ -165,9 +165,10 @@ class Stream:
             return self._block[0]
 
     def randbelow(self, n: int) -> int:
-        """Exactly uniform integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
+        """Exactly uniform integer in [0, n), for ``1 <= n <= 2**64``, via
+        rejection sampling on 64-bit values."""
+        if not 1 <= n <= _M64 + 1:
+            raise ValueError(f"randbelow requires 1 <= n <= 2**64, got {n}")
         limit = _M64 + 1 - ((_M64 + 1) % n)
         while True:
             v = self.next64()

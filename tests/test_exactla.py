@@ -393,13 +393,13 @@ def test_remove_keeps_its_latest_result():
 
 def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypatch):
     inputs = []
-    kernel = exactla._rref_dense
+    kernel = exactla._dense_kernel
 
-    def counted(M, p):
+    def counted(M, p, back):
         inputs.append(M.copy())
-        return kernel(M, p)
+        return kernel(M, p, back)
 
-    monkeypatch.setattr(exactla, "_rref_dense", counted)
+    monkeypatch.setattr(exactla, "_dense_kernel", counted)
     n = 6
     A = random_matrix(Stream(5), F3, n, n)
     assert A != A.transpose()
@@ -418,12 +418,12 @@ def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypa
 
 def _count_eliminations(monkeypatch):
     calls = []
-    for name in ("_rref_gf2", "_rref_dense"):
+    for name in ("_rref_gf2", "_dense_kernel"):
         kernel = getattr(exactla, name)
 
-        def counted(*args, _kernel=kernel):
+        def counted(*args, _kernel=kernel, **kwargs):
             calls.append(_kernel)
-            return _kernel(*args)
+            return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(exactla, name, counted)
     return calls
@@ -631,7 +631,7 @@ def _dense_kernel_basis(arr: np.ndarray, p: int) -> list[list[int]]:
     """Kernel basis over F_p read off the dense RREF, one vector per free
     column in ascending order: the oracle for the int-row F2 basis."""
     m, n = arr.shape
-    rank, pivots, R = exactla._rref_dense(arr.astype(np.int64), p)
+    rank, pivots, R = exactla._dense_kernel(arr.astype(np.int64), p, back=True)
     basis = []
     for f in (j for j in range(n) if j not in pivots):
         v = [0] * n
@@ -643,25 +643,19 @@ def _dense_kernel_basis(arr: np.ndarray, p: int) -> list[list[int]]:
 
 
 def test_gf2_kernel_basis_runs_no_dense_kernel(monkeypatch):
-    calls = []
-    for name in ("_rref_dense", "_forward_dense"):
-        kernel = getattr(exactla, name)
+    def refused(*args, **kwargs):
+        raise AssertionError("an F2 kernel basis runs on int rows")
 
-        def counted(*args, _kernel=kernel, _name=name):
-            calls.append(_name)
-            return _kernel(*args)
-
-        monkeypatch.setattr(exactla, name, counted)
+    monkeypatch.setattr(exactla, "_dense_kernel", refused)
     A = random_matrix(Stream(9), F2, 12, 17, density_percent=30)
     assert len(A.kernel_basis()) == A.nullity() > 0
-    assert calls == []
 
 
 def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     import numpy as np
 
-    from frozenrank.exactla import (_census_flags, _census_flags_gf2, _forward_dense, _int_rows,
-                                    _rref_dense, _rref_gf2)
+    from frozenrank.exactla import (_census_flags, _census_flags_gf2, _dense_kernel, _int_rows,
+                                    _rref_gf2)
 
     rng = np.random.default_rng(61)
     sizes = (0, 1, 7, 8, 9, 63, 64, 65, 130)
@@ -669,7 +663,7 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     for percent, m, n in itertools.product((50, 3), sizes, sizes):
         arr = (rng.random((m, n)) < percent / 100).astype(np.uint8)
         A = Matrix._from_array(F2, arr)
-        assert A.rank() == _forward_dense(arr.copy(), 2)[0]
+        assert A.rank() == _dense_kernel(arr, 2, back=False)[0]
         basis = A.kernel_basis()
         assert basis == _dense_kernel_basis(arr, 2)
         union = {j for v in basis for j, x in enumerate(v) if x}
@@ -681,7 +675,7 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
         aug[:, :m] = arr.T
         aug[range(k), range(m, m + k)] = 1
         got = _census_flags_gf2(*_rref_gf2(_int_rows(aug), m + k), m, k)
-        rank, pivots, R = _rref_dense(aug, 2)
+        rank, pivots, R = _dense_kernel(aug, 2, back=True)
         free = [j for j in range(m + k) if j not in pivots]
         assert got == _census_flags(pivots, R[:rank][:, free], m, k)
         assert [fa for fa, _, _ in got] == [i not in union for i in range(k)]
@@ -698,25 +692,17 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
 def test_dense_kernel_on_uint32_residues_matches_int64(p):
     import numpy as np
 
-    from frozenrank.exactla import _rref_dense
+    from frozenrank.exactla import _dense_kernel
 
     rng = np.random.default_rng(p % 1000)
     for m, n, percent in ((1, 1, 100), (2, 3, 100), (7, 9, 60), (40, 40, 10), (33, 20, 30)):
         arr = np.where(rng.random((m, n)) < percent / 100, rng.integers(1, p, (m, n)), 0)
         arr[rng.random((m, n)) < 0.2] = p - 1  # its square overflows 32 bits
         arr[-1] = arr[0]  # rank deficient when m > 1
-        want = _rref_dense(arr.astype(np.int64), p)
-        got = _rref_dense(arr.astype(np.uint32), p)
+        want = _dense_kernel(arr.astype(np.int64), p, back=True)
+        got = _dense_kernel(arr.astype(np.uint32), p, back=True)
         assert got[:2] == want[:2]
         assert got[2].dtype == np.uint32 and np.array_equal(got[2], want[2])
-
-
-def _clear_route(R: list[list[int]], rows: range, c: int) -> str | None:
-    """The rows of ``rows`` to clear in column ``c``, as the dense kernel
-    takes them: "slice" when every one is nonzero there, "rows" when only
-    some are, None when none is."""
-    hits = sum(1 for i in rows if R[i][c])
-    return None if hits == 0 else "slice" if hits == len(rows) else "rows"
 
 
 def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[list[int], list, list]:
@@ -724,27 +710,16 @@ def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[lis
     elimination on Python ints in the dense kernel's two phases: forward
     elimination with normalized pivot rows, then back substitution from the
     last pivot.  The literal reference for the dense kernel.  ``seen``
-    collects which kinds of pivot step ran: "swap", "unit", "scaled", each
-    phase's route for clearing a column ("slice below", "rows below",
-    "slice above", "rows above"), and "switch" when one pivot of a phase
-    clears by a slice and the next by rows, or the other way round."""
+    collects which kinds of pivot step ran: "swap", "unit", "scaled"."""
     R = [[x % p for x in row] for row in rows]
     pivots = []
 
-    def clear(i: int, c: int, rows: range, phase: str, last: list) -> None:
-        route = _clear_route(R, rows, c)
-        if route is None:
-            return
-        seen.add(f"{route} {phase}")
-        if last and last[0] != route:
-            seen.add("switch")
-        last[:] = [route]
+    def clear(i: int, c: int, rows: range) -> None:
         for k in rows:
             f = R[k][c]
             if f:
                 R[k] = [(x - f * y) % p for x, y in zip(R[k], R[i])]
 
-    last: list = []
     for c in range(n):
         r = len(pivots)
         piv = next((i for i in range(r, len(R)) if R[i][c]), None)
@@ -756,21 +731,19 @@ def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[lis
         seen.add("unit" if R[r][c] == 1 else "scaled")
         inv = pow(R[r][c], -1, p)
         R[r] = [x * inv % p for x in R[r]]
-        clear(r, c, range(r + 1, len(R)), "below", last)
+        clear(r, c, range(r + 1, len(R)))
         pivots.append(c)
     forward = [row[:] for row in R]
-    last = []
     for i in reversed(range(len(pivots))):
-        clear(i, pivots[i], range(i), "above", last)
+        clear(i, pivots[i], range(i))
     return pivots, R, forward
 
 
 def _dense_kernel_cases(p: int):
     """Arrays of residues mod p: a swap at the first pivot, pivots that are 1
     and that are not, zero columns, rank-deficient rows, empty shapes,
-    arrays with no zero entry, whose columns are cleared by slices of rows
-    in both phases, some switching to index arrays from one pivot to the
-    next, and arrays on both sides of ``exactla.ROW_LOOP_CELLS``."""
+    arrays with no zero entry, whose every row is cleared at each pivot of
+    both phases, and arrays on both sides of ``exactla.ROW_LOOP_CELLS``."""
     q = p - 1
     yield [[0, 1, 2], [2, 1, 0], [2, 2, 2]]  # swap, then a pivot of 2
     yield [[1, 0, 2, 1], [2, 0, 1, 2], [0, 0, 0, 0], [1, 0, 2, 1]]  # zero column
@@ -780,8 +753,8 @@ def _dense_kernel_cases(p: int):
     yield [[q]]
     yield np.zeros((0, 3), dtype=np.int64)
     yield np.zeros((3, 0), dtype=np.int64)
-    # a slice below the first pivot; at the second a swap and an index array
-    # (rows 2 and 3 hit, row 1 not); a slice again at the third
+    # every row hit below the first pivot; at the second a swap, with rows 2
+    # and 3 hit and row 1 not; every row hit again at the third
     yield [[1, 1, 1, 1], [1, 1, 2, 1], [1, 2, 1, 2], [2, 1, 1, 1]]
     rng = np.random.default_rng(p % 1000)
     for m, n, percent in ((5, 5, 60), (6, 9, 40), (9, 6, 50), (12, 12, 25), (20, 30, 15)):
@@ -811,8 +784,7 @@ def test_dense_kernel_matches_literal_gauss_jordan(monkeypatch, dtype, p):
     seen = set()
     cases = [np.array(case, dtype=dtype) for case in _dense_kernel_cases(p)]
     wants = [_gauss_jordan(arr.tolist(), arr.shape[1], p, seen) for arr in cases]
-    assert seen == {"swap", "unit", "scaled", "slice below", "rows below",
-                    "slice above", "rows above", "switch"}
+    assert seen == {"swap", "unit", "scaled"}
     assert exactla.ROW_LOOP_CELLS in [arr.size for arr in cases]  # the boundary is covered
     on_rows = []
     rows = exactla._row_loop
@@ -826,11 +798,11 @@ def test_dense_kernel_matches_literal_gauss_jordan(monkeypatch, dtype, p):
         monkeypatch.setattr(exactla, "ROW_LOOP_CELLS", cut)
         for arr, (want_pivots, want, want_forward) in zip(cases, wants):
             on_rows.clear()
-            rank, pivots, R = exactla._rref_dense(arr.copy(), p)
+            R, F = arr.copy(), arr.copy()
+            rank, pivots, out = exactla._dense_kernel(R, p, back=True)
             assert (rank, pivots) == (len(want_pivots), want_pivots)
-            assert R.dtype == dtype and R.tolist() == want
-            F = arr.copy()
-            assert exactla._forward_dense(F, p) == (rank, pivots)
+            assert out is R and R.dtype == dtype and R.tolist() == want
+            assert exactla._dense_kernel(F, p, back=False) == (rank, pivots, F)
             assert F.dtype == dtype and F.tolist() == want_forward
             assert on_rows == ([(arr.size, True), (arr.size, False)] if arr.size <= cut else [])
 
@@ -872,12 +844,38 @@ def test_dense_kernel_routes_agree(case):
         for cut in (-1, arr.size):
             mp.setattr(exactla, "ROW_LOOP_CELLS", cut)
             F, R = arr.copy(), arr.copy()
-            forward = exactla._forward_dense(F, p)
-            rank, pivots, out = exactla._rref_dense(R, p)
-            assert out is R and forward == (rank, pivots)
+            forward = exactla._dense_kernel(F, p, back=False)
+            rank, pivots, out = exactla._dense_kernel(R, p, back=True)
+            assert out is R and forward == (rank, pivots, F)
             assert F.dtype == R.dtype == arr.dtype
             got.append((rank, pivots, F.tolist(), R.tolist()))
     assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("back", (False, True))
+@pytest.mark.parametrize("dtype,p", [(np.int32, 3), (np.int64, 2147483647),
+                                     (np.uint32, 2147483647)])
+def test_dense_kernel_reduces_a_read_only_array_in_a_copy(dtype, p, back):
+    # at and one row above ROW_LOOP_CELLS, on a read-only array and on its
+    # transposed view, as a Matrix and its transpose hold them: the input is
+    # left as it was, and the result is that of a writable copy, which the
+    # kernel reduces in place
+    rng = np.random.default_rng(p % 1000 + back)
+    m, n = exactla.ROW_LOOP_CELLS // 10, 10
+    for rows in (m, m + 1):
+        a = np.where(rng.random((rows, n)) < 0.5, rng.integers(1, p, (rows, n)), 0)
+        a[-1] = (a[0] + a[1]) % p
+        a = a.astype(dtype)
+        a.setflags(write=False)
+        for given in (a, a.T):
+            before = given.copy()
+            writable = given.copy()
+            want = exactla._dense_kernel(writable, p, back)
+            got = exactla._dense_kernel(given, p, back)
+            assert want[2] is writable and got[2] is not given
+            assert got[:2] == want[:2] and got[2].dtype == dtype
+            assert np.array_equal(got[2], want[2])
+            assert not given.flags.writeable and np.array_equal(given, before)
 
 
 @pytest.mark.parametrize("p", (7, 2147483647))
@@ -892,7 +890,7 @@ def test_reduced_block_is_the_rrefs_free_columns(p):
                                               rng.integers(1, p, (300, 330)), 0))
     arr[-1] = arr[0]
     arr[:, 5] = 0
-    rank, pivots, R = exactla._rref_dense(arr.copy(), p)
+    rank, pivots, R = exactla._dense_kernel(arr.copy(), p, back=True)
     free = [j for j in range(330) if j not in pivots]
     assert rank == 299 and 5 in free
     arr.setflags(write=False)
@@ -904,13 +902,13 @@ def test_rational_lift_reduces_uint32_residues(monkeypatch):
     import numpy as np
 
     dtypes = []
-    rref = exactla._rref_dense
+    kernel = exactla._dense_kernel
 
-    def spy(M, p):
+    def spy(M, p, back):
         dtypes.append(M.dtype)
-        return rref(M, p)
+        return kernel(M, p, back)
 
-    monkeypatch.setattr(exactla, "_rref_dense", spy)
+    monkeypatch.setattr(exactla, "_dense_kernel", spy)
     # the path on three vertices has rank 2, so its rank is lifted
     w = np.array([Fraction(3, 7), Fraction(-5, 2)], dtype=object)
     got = exactla.rational_rank(3, np.array([0, 1]), np.array([1, 2]), w)
@@ -1011,15 +1009,15 @@ def _sparse_rank(n, edges, p):
 
 
 def _count_blocks(monkeypatch):
-    """Shapes of the arrays _forward_dense eliminates from now on."""
+    """Shapes of the arrays the dense kernel eliminates from now on."""
     shapes = []
-    dense = exactla._forward_dense
+    dense = exactla._dense_kernel
 
-    def counted(M, p):
+    def counted(M, p, back):
         shapes.append(M.shape)
-        return dense(M, p)
+        return dense(M, p, back)
 
-    monkeypatch.setattr(exactla, "_forward_dense", counted)
+    monkeypatch.setattr(exactla, "_dense_kernel", counted)
     return shapes
 
 
@@ -1158,7 +1156,7 @@ def _rows_rank(rows, p):
     for r, row in enumerate(rows):
         for c, v in row.items():
             M[r, c] = v
-    return exactla._forward_dense(M, p)[0]
+    return exactla._dense_kernel(M, p, back=False)[0]
 
 
 def _check_pivots(rows, p):
@@ -1310,7 +1308,7 @@ def test_sparse_rank_of_trial_cores_matches_the_dense_kernel(field):
         M = exactla.field_array(spec, np.zeros((v.size, v.size), dtype=np.uint8))
         M[i, j] = M[j, i] = w
         assert exactla.sparse_rank(v.size, i, j, w, spec.p) == \
-            exactla._forward_dense(M, spec.p)[0]
+            exactla._dense_kernel(M, spec.p, back=False)[0]
 
 
 def test_sparse_rank_gf2_rows_across_word_boundaries():

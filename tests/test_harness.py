@@ -225,6 +225,20 @@ def test_record_refuses_exact_arithmetic_bugs():
         TrialRecord(field="Fp:3", rank=5, nullity=4, **common)
 
 
+def test_equivalent_field_labels_give_one_csv_and_one_group():
+    # "Fp:2" and " F2" name F2: the config stores the canonical label, so the
+    # CSV's field column and the summary's group key read "F2"
+    texts, groups = set(), set()
+    for label in ("Fp:2", " F2", "F2"):
+        cfg = small_cfg(field=label, trials=2, d=2.0)
+        assert cfg.field == "F2" and cfg.group == "F2+allones"
+        records, summary = run_experiment(cfg)
+        texts.add(records_to_csv(records))
+        groups |= set(summary.groups)
+    assert len(texts) == 1 and groups == {"F2+allones"}
+    assert ExperimentConfig(n=10, d=1.0, field="Fp:07", trials=1, master_seed=0).field == "Fp:7"
+
+
 def test_same_support_across_fields():
     # the coupling seed is field-independent, so leaf-removal statistics of
     # paired runs agree trial by trial, each run sampling its own supports
@@ -817,7 +831,7 @@ def _dense_rank(G: Graph) -> int:
     leaf-removal and rational routes."""
     if G.field.kind == "rationals":
         return len(fraction_rref(sparse_rows(_dense_array(G).tolist()), G.n)[0])
-    return exactla._forward_dense(_dense_array(G), G.field.p)[0]
+    return exactla._dense_kernel(_dense_array(G), G.field.p, back=False)[0]
 
 
 # d < 1 and d = 1 leave an empty core; at d = 5 the core holds most vertices
@@ -942,14 +956,14 @@ def test_rational_rank_ranks_one_prime_then_lifts(monkeypatch, heavy):
     # once, in one dense array
     ranked = _sparse_primes(monkeypatch)
     reduced = []
-    rref = exactla._rref_dense
+    kernel = exactla._dense_kernel
 
-    def counted(M, p):
-        assert M.shape == (68, 68)
+    def counted(M, p, back):
+        assert M.shape == (68, 68) and back
         reduced.append(p)
-        return rref(M, p)
+        return kernel(M, p, back)
 
-    monkeypatch.setattr(exactla, "_rref_dense", counted)
+    monkeypatch.setattr(exactla, "_dense_kernel", counted)
     weights = [1] * 68
     weights[1] = weights[2] = heavy
     G = _cycle(weights)
@@ -1000,13 +1014,13 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
 
     monkeypatch.setattr(exactla.Matrix, "__init__", recorded)
     blocks = []
-    dense = exactla._forward_dense
+    dense = exactla._dense_kernel
 
-    def block(M, p):
+    def block(M, p, back):
         blocks.append(M.shape[0])
-        return dense(M, p)
+        return dense(M, p, back)
 
-    monkeypatch.setattr(exactla, "_forward_dense", block)
+    monkeypatch.setattr(exactla, "_dense_kernel", block)
     for d in (0.5, 3.0, 5.0):
         cfg = ExperimentConfig(n=150, d=d, field=field, template="random", trials=1,
                                master_seed=3)

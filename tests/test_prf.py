@@ -156,6 +156,19 @@ def test_randbelow_exact_range():
         stream.randbelow(0)
 
 
+def test_randbelow_takes_n_up_to_2_to_the_64():
+    # 2**64 takes every 64-bit value as drawn; above it no 64-bit value is
+    # below the rejection limit, so the draw raises instead of looping
+    from frozenrank.perturb import PerturbationSpec
+
+    stream = Stream(3)
+    assert stream.randbelow(2**64) == Stream(3).next64()
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        stream.randbelow(2**64 + 1)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        PerturbationSpec.draw(2**64 + 1, 0)
+
+
 def test_shuffle_is_a_permutation_and_deterministic():
     items = list(range(20))
     Stream(8).shuffle(items)
