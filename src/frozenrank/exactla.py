@@ -53,9 +53,10 @@ F_p, and over Q :func:`_rational_rref` lifts that form from it modulo
 primes, certified exact: nothing is eliminated on Fractions.  The kernel
 runs an array of at most :data:`ROW_LOOP_CELLS` cells on Python-int rows,
 as F2 rows are held: on so small an array numpy's fixed cost per call
-outweighs a pivot's arithmetic.  Larger arrays take a numpy loop, which
-clears each column on an index array of the rows that hold an entry there,
-with the same pivots and result.  Entries are plain values, read back as
+outweighs a pivot's arithmetic, so the rank and the reduced form are read
+off those rows, not written back into an array first.  Larger arrays take
+a numpy loop, which clears each column on an index array of the rows that
+hold an entry there, with the same pivots and result.  Entries are plain values, read back as
 Python ints or ``Fraction`` objects.
 
 A sparse symmetric matrix given by its edges, such as the core of a
@@ -248,7 +249,7 @@ class Matrix:
             elif self.field.kind == "rationals":
                 self._reduce()
             else:
-                self._rank = _dense_kernel(self._a, self.field.p, back=False)[0]
+                self._rank = _dense_kernel(self._a, self.field.p, back=False, rows=True)[0]
         return self._rank
 
     def nullity(self) -> int:
@@ -282,10 +283,9 @@ class Matrix:
         ``K``: every free column, and each pivot column whose reduced row is
         nonzero on the free columns."""
         pivots, block = _reduced(self.field, self._a)
-        support = np.ones(self.n, dtype=bool)
-        support[pivots] = np.count_nonzero(block, axis=1) > 0
         self._rank = len(pivots)
-        self._ksup = frozenset(np.flatnonzero(support).tolist())
+        self._ksup = frozenset(_free_columns(pivots, self.n)).union(
+            itertools.compress(pivots, block.any(axis=1).tolist()))
         return pivots, block
 
 
@@ -381,7 +381,9 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 # costs a few list operations, where the numpy loop pays several calls of
 # fixed overhead per pivot, and the verify suites eliminate thousands of such
 # arrays.  Both routes take the same pivots and leave the same forward form
-# and RREF.  In the numpy loop a pivot clears its column on an index array of
+# and RREF.  A caller that reads the eliminated rows, or only the rank, takes
+# the row loop's lists as they are, with no copy of the array and no write-back
+# into it.  In the numpy loop a pivot clears its column on an index array of
 # the rows that hold an entry there (below the pivot, or above it in back
 # substitution).  Rows are swapped and pivot rows normalised by basic
 # indexing, and products are taken in place unless the storage dtype is a
@@ -399,16 +401,29 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 ROW_LOOP_CELLS = 100
 
 
-def _dense_kernel(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int], np.ndarray]:
+def _dense_kernel(M: np.ndarray, p: int, back: bool,
+                  rows: bool = False) -> tuple[int, list[int], np.ndarray | list]:
     """Forward elimination with normalized pivot rows, then back
     substitution to the RREF when ``back``; returns (rank, pivots, the
     eliminated array).  A writable ``M`` is eliminated in place, a read-only
     one in a copy.  ``M``'s dtype holds the product of two residues, or is a
-    key of ``_WIDE``."""
+    key of ``_WIDE``.
+
+    With ``rows``, an array of at most :data:`ROW_LOOP_CELLS` cells is left
+    as it is, neither copied nor written back, and the eliminated form comes
+    back as :func:`_row_loop`'s lists of Python ints: for the callers that
+    read it off those lists, or read only the rank."""
+    if M.size <= ROW_LOOP_CELLS:
+        rank, pivots, R = _row_loop(M, p, back)
+        if rows:
+            return rank, pivots, R
+        if not M.flags.writeable:
+            M = M.copy()
+        if R:  # a 0 x n array takes no assignment from []
+            M[:] = R
+        return rank, pivots, M
     if not M.flags.writeable:
         M = M.copy()
-    if M.size <= ROW_LOOP_CELLS:
-        return (*_row_loop(M, p, back), M)
     m, n = M.shape
     wide = _WIDE.get(M.dtype)
     r = 0
@@ -448,12 +463,12 @@ def _dense_kernel(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int], np
     return r, pivots, M
 
 
-def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int]]:
-    """The dense kernel on ``M.tolist()``, written back into ``M`` in its
-    dtype: forward elimination by the numpy loop's pivot rule (columns in
-    order, the first nonzero row at or below the next pivot row, swap,
-    normalise, clear below), then back substitution from the last pivot when
-    ``back``.  Returns (rank, pivots)."""
+def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int], list[list[int]]]:
+    """The dense kernel on ``M.tolist()``, ``M`` left as it is: forward
+    elimination by the numpy loop's pivot rule (columns in order, the first
+    nonzero row at or below the next pivot row, swap, normalise, clear
+    below), then back substitution from the last pivot when ``back``.
+    Returns (rank, pivots, the eliminated rows)."""
     m, n = M.shape
     R = M.tolist()
 
@@ -488,9 +503,7 @@ def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int]]:
     if back:
         for i in range(r - 1, -1, -1):
             clear(range(i), pivots[i], R[i])
-    if R:  # a 0 x n array takes no assignment from []
-        M[:] = R
-    return r, pivots
+    return r, pivots, R
 
 
 # the dtype that products of residues are taken in, for a storage dtype that
@@ -571,7 +584,7 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
                 to.append(pos[k])
                 val.append(v)
         M[at, to] = val
-        rank += _dense_kernel(M, p, back=False)[0]
+        rank += _dense_kernel(M, p, back=False, rows=True)[0]
     return rank
 
 
@@ -653,13 +666,18 @@ def _sparse_pivots(rows: list[dict], p: int) -> int:
 def _reduced(field: FieldSpec, a: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The RREF ``R`` of the array ``a`` over F_p (p > 2) or Q as ``(pivots,
     block)``: R's pivot columns and its pivot rows on the free columns.  Over
-    F_p a writable ``a`` is reduced in place, a read-only one in a copy; over
-    Q :func:`_rational_rref` lifts R from ``a``'s nonzeros."""
+    F_p an array of at most :data:`ROW_LOOP_CELLS` cells is left as it is,
+    and the block built in one array from the row loop's lists; a larger
+    one is reduced in place if writable, else in a copy.  Over Q
+    :func:`_rational_rref` lifts R from ``a``'s nonzeros."""
     if field.kind == "rationals":
         i, j = np.nonzero(a)
         return _rational_rref(*a.shape, i, j, a[i, j])[:2]
-    rank, pivots, M = _dense_kernel(a, field.p, back=True)
-    free = _free_columns(pivots, M.shape[1])
+    rank, pivots, M = _dense_kernel(a, field.p, back=True, rows=True)
+    free = _free_columns(pivots, a.shape[1])
+    if isinstance(M, list):  # the row loop's lists
+        return pivots, np.array([[row[j] for j in free] for row in M[:rank]],
+                                dtype=a.dtype).reshape(rank, len(free))
     # the free columns move left within M, 256 rows at a time, so the block is
     # a view: a copy would add up to M's size to a census's peak memory
     for r in range(0, rank, 256):

@@ -24,14 +24,14 @@ from .prf import (
     TAG_ROW_FAMILY,
     Stream,
     derive_seed,
+    mix64_array,
     prf,
     prf_array,
-    to_uint64,
 )
 
-# level-by-seed cells per prf_array call in indices_over_seeds: enough to
+# level-by-seed cells per mix64_array call in indices_over_seeds: enough to
 # amortise numpy's per-call cost, few enough that temporaries stay at 0.5 MB.
-# The grid is level-major, (n1, seeds), so each elementwise loop runs along
+# The grid is level-major, (n1 - 1, seeds), so each elementwise loop runs along
 # the seeds, not along the few levels a verify check asks about
 _PICK_CELLS = 1 << 16
 
@@ -66,20 +66,25 @@ def indices_over_seeds(family_seeds, k, n1: int) -> np.ndarray:
     and row ``k`` (each an int or an array; they broadcast together), as
     int64 of the broadcast shape: the last level ``<= n1`` whose pick
     ``u(k, level)`` is the level itself, minus one.  This is the one
-    implementation of the pick; ``u`` stays the literal definition."""
+    implementation of the pick; ``u`` stays the literal definition.
+
+    ``h = prf(seed, k)`` is mixed once, broadcast, and the pick at each
+    level is one more round: ``prf(seed, k, level) = mix64(h ^ level)``.
+    Level 1 always hits, at index 0, so only levels 2..n1 are mixed."""
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
-    seeds, ks = np.broadcast_arrays(to_uint64(family_seeds), to_uint64(k))
-    flat, flat_k = seeds.reshape(-1), ks.reshape(-1)
-    levels = np.arange(1, n1 + 1, dtype=np.uint64)[:, None]
-    out = np.empty(flat.shape, dtype=np.int64)
-    step = max(1, _PICK_CELLS // n1)
+    # the picks are written over h (flat is a view of it unless h is not in
+    # C order), so the call holds one array of the result's size
+    h = prf_array(family_seeds, k)
+    flat = h.reshape(-1)
+    levels = np.arange(2, n1 + 1, dtype=np.uint64)[:, None]
+    step = max(1, _PICK_CELLS // max(1, n1 - 1))
     for s0 in range(0, flat.size, step):
         part = slice(s0, s0 + step)
-        hit = prf_array(flat[None, part], flat_k[None, part], levels) % levels == levels - 1
-        # level 1 always hits, at index 0, so the largest hit index is the last
-        out[part] = (hit * (levels - 1)).max(axis=0)
-    return out.reshape(seeds.shape)
+        hit = mix64_array(flat[None, part] ^ levels) % levels == levels - 1
+        # the largest hit index is the last; level 1 always hits, at 0
+        flat[part] = (hit * (levels - 1)).max(axis=0, initial=0)
+    return flat.view(np.int64).reshape(h.shape)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ function mixed over numpy arrays.  It takes a seed and any number of words,
 each a Python int or an array, broadcasts them together, and runs each
 mixing round over the broadcast shape of the arguments mixed so far, so a
 block of rows against a run of columns costs one mixing round per pair.
+Each word is one round, ``prf(seed, *words, w) = mix64(prf(seed, *words) ^
+w)``, so :func:`mix64_array` carries a stored ``prf_array`` on by one word.
 Where only the values below a cut are wanted, :func:`mix64_below` skips
 the last round of the entries that :func:`last_round_bound` rules out.
 """
@@ -60,9 +62,9 @@ def prf_array(seed, *words) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         h = (np.asarray(mix64(seed & _M64), dtype=np.uint64) if isinstance(seed, int)
-             else _mix64_array(to_uint64(seed)))
+             else mix64_array(to_uint64(seed)))
         for w in words:
-            h = _mix64_array(h ^ to_uint64(w))
+            h = mix64_array(h ^ to_uint64(w))
     return h
 
 
@@ -75,10 +77,12 @@ def to_uint64(x) -> np.ndarray:
     return np.asarray(x).astype(np.uint64, copy=False)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise, on a new array; ``x`` is left as
-    it is.  The rounds run in place on that copy, with one scratch array
-    for the shifts."""
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of each entry of the uint64 array ``x``, on a new
+    array; ``x`` is left as it is.  The rounds run in place on that copy,
+    with one scratch array for the shifts.  Products wrap mod 2^64; numpy
+    warns of that only for a 0-d ``x``, which :func:`prf_array` mixes under
+    ``np.errstate(over="ignore")``."""
     x = np.asarray(np.add(x, np.uint64(_C1), dtype=np.uint64))
     t = np.empty_like(x)
     _rounds_before_last(x, t)
@@ -142,6 +146,8 @@ class Stream:
     values are computed in blocks, by one :func:`prf_array` call each, whose
     sizes double from ``_BLOCK_FIRST`` up to ``_BLOCK_MAX``: a stream of a
     few draws pays for one small call, a long one about one call per 1024.
+    A draw reads the next value of ``_block``, a list of Python ints, off one
+    iterator over it, so that it costs one ``next`` and a counter increment.
     """
 
     _BLOCK_FIRST = 8
@@ -150,30 +156,34 @@ class Stream:
     def __init__(self, seed: int):
         self._seed = seed & _M64
         self._counter = 0
-        self._base = 0  # the counter of _block[0]
         self._block: list[int] = []
+        self._values = iter(self._block)
 
     def next64(self) -> int:
-        k = self._counter
-        self._counter = k + 1
+        self._counter += 1
         try:
-            return self._block[k - self._base]
-        except IndexError:
+            return next(self._values)
+        except StopIteration:
+            k = self._counter - 1
             size = min(self._BLOCK_MAX, max(self._BLOCK_FIRST, 2 * len(self._block)))
             self._block = prf_array(self._seed, np.arange(k, k + size, dtype=np.uint64)).tolist()
-            self._base = k
-            return self._block[0]
+            self._values = iter(self._block)
+            return next(self._values)
 
     def randbelow(self, n: int) -> int:
         """Exactly uniform integer in [0, n), for ``1 <= n <= 2**64``, via
-        rejection sampling on 64-bit values."""
+        rejection sampling on 64-bit values: ``v`` is kept when it is below
+        ``limit = 2**64 - 2**64 % n``, a multiple of ``n``.  As ``2**64 % n <
+        n``, every ``v <= 2**64 - 1 - n`` is below it, so the limit is only
+        computed for a ``v`` above that, rare unless ``n`` is near 2**64."""
         if not 1 <= n <= _M64 + 1:
             raise ValueError(f"randbelow requires 1 <= n <= 2**64, got {n}")
-        limit = _M64 + 1 - ((_M64 + 1) % n)
-        while True:
-            v = self.next64()
-            if v < limit:
-                return v % n
+        v = self.next64()
+        if v > _M64 - n:
+            limit = _M64 + 1 - ((_M64 + 1) % n)
+            while v >= limit:
+                v = self.next64()
+        return v % n
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -392,14 +392,19 @@ def test_remove_keeps_its_latest_result():
 
 
 def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypatch):
-    inputs = []
-    kernel = exactla._dense_kernel
+    inputs, routes = [], []
+    kernel, row_loop = exactla._dense_kernel, exactla._row_loop
 
-    def counted(M, p, back):
+    def counted(M, p, back, **kwargs):
         inputs.append(M.copy())
-        return kernel(M, p, back)
+        return kernel(M, p, back, **kwargs)
+
+    def recorded(M, p, back):
+        routes.append((M.shape, back))
+        return row_loop(M, p, back)
 
     monkeypatch.setattr(exactla, "_dense_kernel", counted)
+    monkeypatch.setattr(exactla, "_row_loop", recorded)
     n = 6
     A = random_matrix(Stream(5), F3, n, n)
     assert A != A.transpose()
@@ -414,6 +419,9 @@ def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypa
     # the rest are A and A^T with row i deleted: each keeps its latest
     # remove, so the second call eliminates neither again
     assert len(inputs) == 2 + 2 * n
+    # every one is an RREF on Python-int rows, 36 cells or 30
+    assert routes == [(M.shape, True) for M in inputs]
+    assert all(M.size <= exactla.ROW_LOOP_CELLS for M in inputs)
 
 
 def _count_eliminations(monkeypatch):
@@ -804,7 +812,18 @@ def test_dense_kernel_matches_literal_gauss_jordan(monkeypatch, dtype, p):
             assert out is R and R.dtype == dtype and R.tolist() == want
             assert exactla._dense_kernel(F, p, back=False) == (rank, pivots, F)
             assert F.dtype == dtype and F.tolist() == want_forward
-            assert on_rows == ([(arr.size, True), (arr.size, False)] if arr.size <= cut else [])
+            # with rows, the row loop hands back its lists and leaves the
+            # array as it was; the numpy loop eliminates the array in place
+            for back, form in ((True, want), (False, want_forward)):
+                given = arr.copy()
+                got = exactla._dense_kernel(given, p, back, rows=True)
+                assert got[:2] == (rank, pivots)
+                if arr.size <= cut:
+                    assert got[2] == form and np.array_equal(given, arr)
+                else:
+                    assert got[2] is given and given.tolist() == form
+            routes = [(arr.size, True), (arr.size, False)] * 2
+            assert on_rows == (routes if arr.size <= cut else [])
 
 
 _STORAGE = [(p, dtype) for p in (3, 5, 65537, 2147483647)
@@ -849,6 +868,9 @@ def test_dense_kernel_routes_agree(case):
             assert out is R and forward == (rank, pivots, F)
             assert F.dtype == R.dtype == arr.dtype
             got.append((rank, pivots, F.tolist(), R.tolist()))
+            # the rows a caller reads off the row loop are the array's
+            rows = exactla._dense_kernel(arr.copy(), p, back=True, rows=True)[2]
+            assert (rows if cut == arr.size else rows.tolist()) == R.tolist()
     assert got[0] == got[1]
 
 
@@ -876,6 +898,53 @@ def test_dense_kernel_reduces_a_read_only_array_in_a_copy(dtype, p, back):
             assert got[:2] == want[:2] and got[2].dtype == dtype
             assert np.array_equal(got[2], want[2])
             assert not given.flags.writeable and np.array_equal(given, before)
+
+
+def _small_matrices(p: int, dtype):
+    """Arrays of residues mod p in ``dtype``, of at most
+    ``exactla.ROW_LOOP_CELLS`` cells: empty shapes, all-zero and full-rank
+    arrays, and random ones, some rank deficient."""
+    rng = np.random.default_rng(p % 1000 + np.dtype(dtype).itemsize)
+    yield np.zeros((0, 5), dtype=dtype)
+    yield np.zeros((4, 0), dtype=dtype)
+    yield np.zeros((3, 4), dtype=dtype)
+    yield np.eye(6, dtype=dtype)
+    full = np.triu(rng.integers(1, p, (7, 7))) % p
+    yield full.astype(dtype)  # upper triangular, nonzero diagonal
+    yield full[:, ::-1].T.astype(dtype)
+    for m, n in ((1, 1), (2, 5), (5, 2), (5, 6), (6, 5), (7, 7), (10, 10), (4, 25), (25, 4)):
+        for percent in (30, 70):
+            a = np.where(rng.random((m, n)) < percent / 100, rng.integers(1, p, (m, n)), 0)
+            a[rng.random((m, n)) < 0.2] = p - 1
+            if m > 2 and percent == 70:
+                a[-1] = (a[0] + a[1]) % p
+            yield a.astype(dtype)
+
+
+# a Matrix holds F_p residues in its field's storage dtype; int64 also holds
+# the products at p = 3 and 5, so the kernel takes it there too (the uint32
+# residues are the rational lift's alone, never a Matrix's)
+@pytest.mark.parametrize("p,dtype", [(p, dtype) for p, dtype in _STORAGE if dtype != np.uint32])
+def test_small_matrices_answer_alike_on_rows_and_on_the_numpy_loop(monkeypatch, p, dtype):
+    # every question a Matrix answers from an array of at most ROW_LOOP_CELLS
+    # cells, on the row loop's lists and with ROW_LOOP_CELLS at -1 (the numpy
+    # loop) as the oracle; each side asks its own Matrix, so no cache is shared
+    field = FieldSpec.prime(p)
+    assert exactla.field_array(field, [[1]]).dtype == dtype or dtype == np.int64
+
+    def answers(arr):
+        A = Matrix._from_array(field, arr.copy())
+        k = min(A.m, A.n)
+        got = [A.rank(), A.kernel_support(), A.kernel_basis(), frozen_set(A)]
+        got += [classify_variable(A, i) for i in range(k)]
+        return got + [type_census(A)] if k else got
+
+    for arr in _small_matrices(p, dtype):
+        assert arr.size <= exactla.ROW_LOOP_CELLS
+        on_rows = answers(arr)
+        monkeypatch.setattr(exactla, "ROW_LOOP_CELLS", -1)
+        assert answers(arr) == on_rows, arr.tolist()
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("p", (7, 2147483647))
@@ -1013,9 +1082,9 @@ def _count_blocks(monkeypatch):
     shapes = []
     dense = exactla._dense_kernel
 
-    def counted(M, p, back):
+    def counted(M, p, back, **kwargs):
         shapes.append(M.shape)
-        return dense(M, p, back)
+        return dense(M, p, back, **kwargs)
 
     monkeypatch.setattr(exactla, "_dense_kernel", counted)
     return shapes

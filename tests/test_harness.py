@@ -1016,9 +1016,9 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
     blocks = []
     dense = exactla._dense_kernel
 
-    def block(M, p, back):
+    def block(M, p, back, **kwargs):
         blocks.append(M.shape[0])
-        return dense(M, p, back)
+        return dense(M, p, back, **kwargs)
 
     monkeypatch.setattr(exactla, "_dense_kernel", block)
     for d in (0.5, 3.0, 5.0):

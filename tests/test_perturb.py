@@ -56,13 +56,15 @@ def test_scalar_vector_index_agreement(monkeypatch):
         for n1 in (1, 2, 5, 12, 40):
             literal = [_literal_index(fam, k, n1) for fam in fams]
             assert [fam.index(k, n1) for fam in fams[:30]] == literal[:30]
-            # a 50-cell budget splits the seeds into blocks of 50 // n1
+            # a 50-cell budget splits the seeds into blocks of 50 // (n1 - 1)
             for cells in budgets:
                 monkeypatch.setattr(perturb, "_PICK_CELLS", cells)
                 assert indices_over_seeds(seeds, k, n1).tolist() == literal
     grid = seeds.reshape(20, 15)
     assert np.array_equal(indices_over_seeds(grid, 4, 12),
                           indices_over_seeds(seeds, 4, 12).reshape(20, 15))
+    # a transposed grid, whose hashes come back in Fortran order
+    assert np.array_equal(indices_over_seeds(grid.T, 4, 12), indices_over_seeds(grid, 4, 12).T)
     # k broadcasts with the seeds: a seeds x k grid, as one array of k and as
     # one row of k per seed, against the scalar u at every budget
     ks = np.arange(6)
@@ -74,6 +76,43 @@ def test_scalar_vector_index_agreement(monkeypatch):
             assert indices_over_seeds(seeds[:40, None], np.tile(ks, (40, 1)), n1).tolist() \
                 == literal
     assert indices_over_seeds(int(seeds[0]), ks, 12).tolist() == literal[0]
+
+
+def test_pick_matches_the_literal_index_at_its_edges(monkeypatch):
+    # levels 1 and 2 alone; an int seed with an int k, negative and beyond 64
+    # bits, read mod 2^64 as prf reads them, through the 0-d result of
+    # PerturbationFamily.index; an int64 array of k with negatives; and the
+    # census's shape, 8 rows at n1 = 2000, with budgets that split the seeds
+    # into uneven blocks
+    seeds = prf_array(2, np.arange(23))
+    fams = [PerturbationFamily(int(s)) for s in seeds]
+    for n1 in (1, 2):
+        for k in (0, 3, -1, 2**64 + 3):
+            literal = [_literal_index(fam, k, n1) for fam in fams]
+            for cells in (perturb._PICK_CELLS, 5, 1):
+                monkeypatch.setattr(perturb, "_PICK_CELLS", cells)
+                assert indices_over_seeds(seeds, k, n1).tolist() == literal
+    monkeypatch.undo()
+    for seed in (0, 5, -7, 2**64 - 1, 2**70 + 11):
+        fam = PerturbationFamily(seed)
+        for k in (0, 4, -2, 2**66 + 1):
+            for n1 in (1, 2, 3, 9, 40):
+                got = indices_over_seeds(seed, k, n1)
+                assert got.shape == () and got.dtype == np.int64
+                assert fam.index(k, n1) == int(got) == _literal_index(fam, k, n1)
+                assert fam.index(k, n1) == PerturbationFamily(seed % 2**64).index(k % 2**64, n1)
+    ks = np.array([-3, -1, 0, 2, 2**62, -(2**63)], dtype=np.int64)
+    for n1 in (2, 7, 30):
+        literal = [[_literal_index(fam, int(k), n1) for k in ks] for fam in fams[:5]]
+        for cells in (perturb._PICK_CELLS, 4 * (n1 - 1)):
+            monkeypatch.setattr(perturb, "_PICK_CELLS", cells)
+            assert indices_over_seeds(seeds[:5, None], ks, n1).tolist() == literal
+    fam = fams[0]
+    rows = np.arange(8)
+    literal = [_literal_index(fam, k, 2000) for k in range(8)]
+    for cells in (perturb._PICK_CELLS, 3 * 1999, 1):  # blocks 8; 3, 3, 2; 1 each
+        monkeypatch.setattr(perturb, "_PICK_CELLS", cells)
+        assert indices_over_seeds(fam.seed, rows, 2000).tolist() == literal
 
 
 def test_index_rejects_empty_range():

@@ -8,7 +8,7 @@ from frozenrank.prf import (
     _C2,
     _C3,
     Stream,
-    _mix64_array,
+    mix64_array,
     derive_seed,
     last_round_bound,
     mix64,
@@ -93,7 +93,7 @@ def test_mix64_array_leaves_its_input():
     x = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
     before = x.copy()
     with np.errstate(over="ignore"):
-        mixed = _mix64_array(x)
+        mixed = mix64_array(x)
     assert [int(v) for v in mixed] == [mix64(int(v)) for v in before]
     assert np.array_equal(x, before)
 
@@ -221,4 +221,29 @@ def test_stream_is_counter_mode_across_its_blocks(seed):
             assert got == want
         assert stream._counter == literal.counter
         step += 1
+    assert len(stream._block) == Stream._BLOCK_MAX
+
+
+# randbelow(n) takes a value v at once when v <= 2**64 - 1 - n, and else
+# against the exact limit 2**64 - 2**64 % n; these bounds reach both sides:
+# at 3 * 2**62 a quarter of the values are rejected, and at 2**64 - 1 nearly
+# every value is checked against the exact limit
+_RANDBELOW_BOUNDS = (1, 2, 3, 2**32 + 1, 3 * 2**62, 2**64 - 1, 2**64)
+
+
+@pytest.mark.parametrize("seed", (0, 9, 2**64 - 1))
+def test_randbelow_matches_the_literal_stream_on_both_sides_of_its_fast_bound(seed):
+    # 2100 values cross every block boundary, up to the one at 2040
+    stream, literal = Stream(seed), _LiteralStream(seed)
+    seen = set()
+    while literal.counter < 2100:
+        for n in _RANDBELOW_BOUNDS:
+            start = literal.counter
+            assert stream.randbelow(n) == literal.randbelow(n)
+            assert stream._counter == literal.counter
+            for k in range(start, literal.counter):
+                v = prf(seed, k)
+                seen.add("fast" if v <= 2**64 - 1 - n else
+                         "exact" if v < 2**64 - 2**64 % n else "rejected")
+    assert seen == {"fast", "exact", "rejected"}
     assert len(stream._block) == Stream._BLOCK_MAX
