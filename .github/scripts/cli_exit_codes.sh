@@ -63,6 +63,11 @@ expect 0 analytic --d-min 0 --d-max 5 --step 0.5
 expect 0 analytic --d-min 36 --d-max 40 --step 1
 # the integral identity far past d = e, where its quadrature needs the most panels
 expect 0 analytic --d-min 100 --d-max 1000 --step 450
+# a non-finite bound or step is refused, and so is a grid of too many points,
+# before any point is evaluated
+expect 2 analytic --d-min 0 --d-max 1 --step nan
+expect 2 analytic --d-min 0 --d-max inf --step 1
+expect 3 analytic --d-min 0 --d-max 1 --step 1e-300
 expect 0 verify --suite analytic
 expect 0 verify --suite all
 expect 2 ks --n 20 --d 100 --trials 1
@@ -96,6 +101,11 @@ printf '7 5 F2\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n4 5 1\n' > "$tmp/graph.txt"
 expect 0 ks --graph "$tmp/graph.txt"
 printf '7 5 Q\n0 1 1/2\n1 2 -3\n2 3 2/3\n0 3 1\n4 5 -1/7\n' > "$tmp/qgraph.txt"
 expect 0 ks --graph "$tmp/qgraph.txt"
+# more vertices than the sampler and leaf removal take: refused before
+# their arrays of n entries are allocated
+expect 3 ks --n 100000000 --d 0 --trials 1
+printf '1000000000 1 F2\n0 1 1\n' > "$tmp/huge.txt"
+expect 3 ks --graph "$tmp/huge.txt"
 printf '3 2 Fp:3\n0 1 1\n1 2 0\n' > "$tmp/zero.txt"
 expect 2 ks --graph "$tmp/zero.txt"
 printf '3 2 F2\n0 1 1\n1 3 1\n' > "$tmp/range.txt"

@@ -180,18 +180,11 @@ def _validate_d(d: float) -> float:
 
 
 @lru_cache(maxsize=_ROOT_CACHE_SIZE)
-def _alpha_zero(d: float) -> float:
-    if d == 0.0:
-        return 0.0
-    return brentq(lambda a: Xi(d, a), 0.0, 1.0)
-
-
-@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def _alpha_roots(d: float) -> tuple[float, float, float]:
     """(alpha_star_lo, alpha_zero, alpha_star_hi), ordered."""
     if d == 0.0:
         return (0.0, 0.0, 0.0)
-    a0 = _alpha_zero(d)
+    a0 = brentq(lambda a: Xi(d, a), 0.0, 1.0)
     if d <= E + DEGENERATE_WINDOW:
         # G is strictly increasing up to d = e (and numerically degenerate
         # just beyond): single zero, shared with Xi.
@@ -222,7 +215,7 @@ def alpha_star_lo(d: float) -> float:
     return _alpha_roots(_validate_d(d))[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def ks_fixed_point(d: float) -> tuple[float, float]:
     """Leaf-removal constants ``(gamma_lo, gamma_hi)``.
 
@@ -246,7 +239,7 @@ def ks_fixed_point(d: float) -> tuple[float, float]:
         return 1.0 - mp(x) * d * math.exp(-x)
 
     if abs(d - E) <= DEGENERATE_WINDOW:
-        gamma = d * (1.0 - _alpha_zero(d))
+        gamma = d * (1.0 - _alpha_roots(d)[1])  # alpha_zero
     elif d < E:
         # g' has minimum 1 - d/e > 0 at x = ln d: strictly increasing g
         gamma = brentq(g, 0.0, d)

@@ -49,15 +49,17 @@ one bit per column, with XOR as row addition.  Over F_p (p > 2) and Q every
 question but the F_p rank, which eliminates forward only, reads one reduced
 form, :func:`_reduced`: the pivot columns of the RREF and its pivot rows on
 the free columns.  One dense kernel, :func:`_dense_kernel`, eliminates over
-F_p, and over Q :func:`_rational_rref` lifts that form from it modulo
-primes, certified exact: nothing is eliminated on Fractions.  The kernel
-runs an array of at most :data:`ROW_LOOP_CELLS` cells on Python-int rows,
-as F2 rows are held: on so small an array numpy's fixed cost per call
-outweighs a pivot's arithmetic, so the rank and the reduced form are read
-off those rows, not written back into an array first.  Larger arrays take
-a numpy loop, which clears each column on an index array of the rows that
-hold an entry there, with the same pivots and result.  Entries are plain values, read back as
-Python ints or ``Fraction`` objects.
+F_p and returns the pivots and the eliminated rows; :func:`_reduced` is the
+one reader that turns them into that form, and over Q
+:func:`_rational_rref` lifts the form from it modulo primes, certified
+exact: nothing is eliminated on Fractions.  The kernel runs an array of at
+most :data:`ROW_LOOP_CELLS` cells on Python-int rows, as F2 rows are held,
+and returns those rows, the array neither copied nor written: on so small
+an array numpy's fixed cost per call outweighs a pivot's arithmetic.
+Larger arrays take a numpy loop, which clears each column on an index
+array of the rows that hold an entry there, with the same pivots and
+result.  Entries are plain values, read back as Python ints or
+``Fraction`` objects.
 
 A sparse symmetric matrix given by its edges, such as the core of a
 :class:`~frozenrank.randgraph.LeafRemoval`, is ranked without a
@@ -249,7 +251,7 @@ class Matrix:
             elif self.field.kind == "rationals":
                 self._reduce()
             else:
-                self._rank = _dense_kernel(self._a, self.field.p, back=False, rows=True)[0]
+                self._rank = len(_dense_kernel(self._a, self.field.p, back=False)[0])
         return self._rank
 
     def nullity(self) -> int:
@@ -381,13 +383,13 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 # costs a few list operations, where the numpy loop pays several calls of
 # fixed overhead per pivot, and the verify suites eliminate thousands of such
 # arrays.  Both routes take the same pivots and leave the same forward form
-# and RREF.  A caller that reads the eliminated rows, or only the rank, takes
-# the row loop's lists as they are, with no copy of the array and no write-back
-# into it.  In the numpy loop a pivot clears its column on an index array of
-# the rows that hold an entry there (below the pivot, or above it in back
-# substitution).  Rows are swapped and pivot rows normalised by basic
-# indexing, and products are taken in place unless the storage dtype is a
-# key of _WIDE.
+# and RREF: the row loop as lists of Python ints, with no copy of the array
+# and nothing written into it, the numpy loop as an array.  Callers read the
+# rank as the number of pivots, and the RREF through _reduced.  In the numpy
+# loop a pivot clears its column on an index array of the rows that hold an
+# entry there (below the pivot, or above it in back substitution).  Rows are
+# swapped and pivot rows normalised by basic indexing, and products are taken
+# in place unless the storage dtype is a key of _WIDE.
 
 # Largest array, in cells, that the dense kernel eliminates on Python-int
 # rows.  Per RREF (numpy loop -> rows, 200 random arrays, best of 7, on a
@@ -401,27 +403,18 @@ def _rref_gf2(rows: list[int], n: int) -> tuple[list[int], list[int]]:
 ROW_LOOP_CELLS = 100
 
 
-def _dense_kernel(M: np.ndarray, p: int, back: bool,
-                  rows: bool = False) -> tuple[int, list[int], np.ndarray | list]:
+def _dense_kernel(M: np.ndarray, p: int, back: bool) -> tuple[list[int], np.ndarray | list]:
     """Forward elimination with normalized pivot rows, then back
-    substitution to the RREF when ``back``; returns (rank, pivots, the
-    eliminated array).  A writable ``M`` is eliminated in place, a read-only
-    one in a copy.  ``M``'s dtype holds the product of two residues, or is a
+    substitution to the RREF when ``back``; returns (pivots, the eliminated
+    rows ``R``).  ``M``'s dtype holds the product of two residues, or is a
     key of ``_WIDE``.
 
-    With ``rows``, an array of at most :data:`ROW_LOOP_CELLS` cells is left
-    as it is, neither copied nor written back, and the eliminated form comes
-    back as :func:`_row_loop`'s lists of Python ints: for the callers that
-    read it off those lists, or read only the rank."""
+    An array of at most :data:`ROW_LOOP_CELLS` cells is left as it is,
+    neither copied nor written, and ``R`` is :func:`_row_loop`'s lists of
+    Python ints.  A larger one is eliminated in the numpy loop, in place if
+    writable, else in a copy, and ``R`` is that array."""
     if M.size <= ROW_LOOP_CELLS:
-        rank, pivots, R = _row_loop(M, p, back)
-        if rows:
-            return rank, pivots, R
-        if not M.flags.writeable:
-            M = M.copy()
-        if R:  # a 0 x n array takes no assignment from []
-            M[:] = R
-        return rank, pivots, M
+        return _row_loop(M, p, back)
     if not M.flags.writeable:
         M = M.copy()
     m, n = M.shape
@@ -460,15 +453,15 @@ def _dense_kernel(M: np.ndarray, p: int, back: bool,
             rows = M[:i, c].nonzero()[0]
             if rows.size:
                 _eliminate(M, rows, i, c, p, wide)
-    return r, pivots, M
+    return pivots, M
 
 
-def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int], list[list[int]]]:
+def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[list[int], list[list[int]]]:
     """The dense kernel on ``M.tolist()``, ``M`` left as it is: forward
     elimination by the numpy loop's pivot rule (columns in order, the first
     nonzero row at or below the next pivot row, swap, normalise, clear
     below), then back substitution from the last pivot when ``back``.
-    Returns (rank, pivots, the eliminated rows)."""
+    Returns (pivots, the eliminated rows)."""
     m, n = M.shape
     R = M.tolist()
 
@@ -503,7 +496,7 @@ def _row_loop(M: np.ndarray, p: int, back: bool) -> tuple[int, list[int], list[l
     if back:
         for i in range(r - 1, -1, -1):
             clear(range(i), pivots[i], R[i])
-    return r, pivots, R
+    return pivots, R
 
 
 # the dtype that products of residues are taken in, for a storage dtype that
@@ -584,7 +577,7 @@ def sparse_rank(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, p: int) -> 
                 to.append(pos[k])
                 val.append(v)
         M[at, to] = val
-        rank += _dense_kernel(M, p, back=False, rows=True)[0]
+        rank += len(_dense_kernel(M, p, back=False)[0])
     return rank
 
 
@@ -666,24 +659,25 @@ def _sparse_pivots(rows: list[dict], p: int) -> int:
 def _reduced(field: FieldSpec, a: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The RREF ``R`` of the array ``a`` over F_p (p > 2) or Q as ``(pivots,
     block)``: R's pivot columns and its pivot rows on the free columns.  Over
-    F_p an array of at most :data:`ROW_LOOP_CELLS` cells is left as it is,
-    and the block built in one array from the row loop's lists; a larger
-    one is reduced in place if writable, else in a copy.  Over Q
-    :func:`_rational_rref` lifts R from ``a``'s nonzeros."""
+    F_p this is the one reader of a :func:`_dense_kernel` result, and the
+    block is in ``a``'s dtype: built in one array from the row loop's lists,
+    or moved within the numpy loop's array, which is ``a`` itself when
+    ``a`` is writable.  Over Q :func:`_rational_rref` lifts R from ``a``'s
+    nonzeros."""
     if field.kind == "rationals":
         i, j = np.nonzero(a)
         return _rational_rref(*a.shape, i, j, a[i, j])[:2]
-    rank, pivots, M = _dense_kernel(a, field.p, back=True, rows=True)
-    free = _free_columns(pivots, a.shape[1])
-    if isinstance(M, list):  # the row loop's lists
-        return pivots, np.array([[row[j] for j in free] for row in M[:rank]],
+    pivots, R = _dense_kernel(a, field.p, back=True)
+    rank, free = len(pivots), _free_columns(pivots, a.shape[1])
+    if isinstance(R, list):  # the row loop's lists
+        return pivots, np.array([[row[j] for j in free] for row in R[:rank]],
                                 dtype=a.dtype).reshape(rank, len(free))
-    # the free columns move left within M, 256 rows at a time, so the block is
-    # a view: a copy would add up to M's size to a census's peak memory
+    # the free columns move left within R, 256 rows at a time, so the block is
+    # a view: a copy would add up to R's size to a census's peak memory
     for r in range(0, rank, 256):
         rows = slice(r, min(r + 256, rank))
-        M[rows, :len(free)] = np.take(M[rows], free, axis=1)
-    return pivots, M[:rank, :len(free)]
+        R[rows, :len(free)] = np.take(R[rows], free, axis=1)
+    return pivots, R[:rank, :len(free)]
 
 
 def _kernel_rows(A: Matrix):
@@ -776,7 +770,7 @@ def _rational_rref(m: int, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     object array of Fractions) and the primes reduced modulo, in order.
 
     Each row's denominators are cleared (row scaling keeps the RREF), and
-    the integer matrix is reduced to its RREF by the dense kernel modulo
+    the integer matrix is reduced to its RREF by :func:`_reduced` modulo
     each prime of :func:`_primes_descending`: rank_p <= rank_Q, as reduction
     modulo p is a ring map.  The pivot rows of the latest run of primes that
     share the best rank and pivots are combined by CRT, reconstructed
@@ -801,10 +795,11 @@ def _rational_rref(m: int, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
         primes.append(p)
         M = np.zeros((m, n), dtype=np.uint32)  # every prime is below 2^31
         M[i, j] = [x % p for x in cleared]
-        rank, pivots, M = _dense_kernel(M, p, back=True)
+        pivots, residues = _reduced(FieldSpec.prime(p), M)
+        rank = len(pivots)
         if rank < best:
             continue
-        residues = M[:rank, _free_columns(pivots, n)].astype(object)
+        residues = residues.astype(object)
         if rank == best and pivots == lift_pivots:
             lift = lift + modulus * ((residues - lift) * pow(modulus, -1, p) % p)
             modulus *= p

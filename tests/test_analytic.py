@@ -175,6 +175,15 @@ def test_ks_fixed_point_boundary():
     assert abs(lo - 1.0) < 1e-9 and abs(hi - 1.0) < 1e-9
 
 
+def test_ks_fixed_point_window_reads_the_xi_zero():
+    # inside the degenerate window the triple root is d * (1 - alpha_zero),
+    # alpha_zero being the zero of Xi that _alpha_roots caches
+    for d in (E - an.DEGENERATE_WINDOW / 2, E - 1e-9, E, E + 1e-9, E + an.DEGENERATE_WINDOW / 2):
+        zero = an.brentq(lambda a: an.Xi(d, a), 0.0, 1.0)
+        assert an.ks_fixed_point(d) == (d * (1.0 - zero), d * math.exp(-d * (1.0 - zero)))
+        assert an._alpha_roots(d) == (zero, zero, zero)
+
+
 def test_integral_identity():
     assert an.integral_identity_residual(0.0) == 0.0
     assert an.integral_identity_residual(1.0) <= 1e-6
@@ -243,7 +252,7 @@ def _outcome(solver, *args, **kw):
 
 
 def _clear_root_caches():
-    for cached in (an._alpha_zero, an._alpha_roots, an.ks_fixed_point):
+    for cached in (an._alpha_roots, an.ks_fixed_point):
         cached.cache_clear()
 
 
@@ -369,16 +378,19 @@ def test_integral_raises_at_the_panel_cap():
 def test_root_caches_stay_bounded_and_keep_the_analytic_suite_warm():
     from frozenrank.verify import run_analytic_suite
 
-    caches = (an._alpha_zero, an._alpha_roots)
-    # every quadrature node past e is a new degree to both caches, about 60
-    # per residual here: the sweep asks for more than either cache holds
+    caches = (an._alpha_roots, an.ks_fixed_point)
+    # every quadrature node past e is a new degree to the alpha roots, about
+    # 60 per residual here, and the gamma sweep visits more degrees than the
+    # bound: each asks for more than its cache holds
     before = [c.cache_info().misses for c in caches]
     for k in range(120):
         an.integral_identity_residual(3.0 + 0.25 * k)
+    for k in range(an._ROOT_CACHE_SIZE + 100):
+        an.ks_fixed_point(0.5 + k / 100)
     for cache, misses in zip(caches, before):
         info = cache.cache_info()
-        assert info.maxsize is not None and info.misses - misses > info.maxsize
-        assert info.currsize <= info.maxsize
+        assert info.maxsize == an._ROOT_CACHE_SIZE and info.misses - misses > info.maxsize
+        assert info.currsize <= an._ROOT_CACHE_SIZE
     # one suite run fits in the caches, so a second one in the process misses nothing
     run_analytic_suite()
     misses = [c.cache_info().misses for c in caches]

@@ -42,6 +42,64 @@ def test_analytic_bad_step():
     assert main(["analytic", "--d-min", "0", "--d-max", "1", "--step", "0"]) == 2
 
 
+def _old_frange(lo: float, hi: float, step: float) -> list[float]:
+    """The grid rule as it stood before grids were counted and capped: the
+    oracle for every grid that both accept."""
+    if step <= 0:
+        raise ValueError("--step must be positive")
+    if hi < lo:
+        raise ValueError("--d-max must be at least --d-min")
+    values = []
+    k = 0
+    while True:
+        d = lo + k * step
+        if d > hi + 1e-12:
+            break
+        values.append(round(d, 12))
+        k += 1
+    return values
+
+
+def test_analytic_grid_matches_the_uncapped_rule():
+    import random
+
+    from frozenrank.cli import ANALYTIC_GRID_CAP, _frange
+
+    # the grids of the CLI script and README, steps that do not divide the
+    # span, ends that floating-point steps miss by a rounding, and the cap
+    grids = [(0, 5, 0.5), (36, 40, 1), (100, 1000, 450), (0, 5, 0.1), (0, 3, 1), (1, 1, 1),
+             (0, 1, 0.3), (0.1, 0.7, 0.2), (0, 1, 0.1), (2.5, 2.5, 0.01), (0, 9.999, 0.001),
+             (0, ANALYTIC_GRID_CAP - 1, 1)]
+    rng = random.Random(36)
+    for _ in range(300):
+        lo = rng.choice((0.0, rng.uniform(0, 50), float(rng.randrange(20))))
+        step = rng.choice((rng.uniform(1e-3, 5), rng.randrange(1, 10) / 10, 10.0 ** -rng.randrange(4)))
+        grids.append((lo, lo + rng.uniform(0, min(100, 5000 * step)), step))
+    for grid in grids:
+        assert _frange(*map(float, grid)) == _old_frange(*map(float, grid)), grid
+    assert len(_frange(0.0, ANALYTIC_GRID_CAP - 1.0, 1.0)) == ANALYTIC_GRID_CAP
+
+
+@pytest.mark.parametrize("flags, code", [
+    (("--step", "nan"), 2), (("--d-max", "inf"), 2), (("--d-min", "nan"), 2),
+    (("--d-min", "-inf"), 2), (("--step", "inf"), 2), (("--step", "1e-300"), 3),
+    (("--d-max", "1e308", "--step", "1"), 3), (("--d-max", "10000", "--step", "1"), 3),
+    (("--d-min", "1e300", "--d-max", "1e300", "--step", "1"), 3)])
+def test_analytic_refuses_a_grid_before_it_evaluates_a_point(monkeypatch, capsys, flags, code):
+    # a non-finite bound or step is a usage error, and a grid above the cap
+    # is a resource cap, both before a single point is solved
+    from frozenrank import analytic
+
+    def refused(d):
+        raise AssertionError("a refused grid evaluates no point")
+
+    monkeypatch.setattr(analytic, "solve_point", refused)
+    args = dict(zip(("--d-min", "--d-max", "--step"), ("0", "1", "0.5")))
+    args.update(zip(flags[::2], flags[1::2]))
+    assert main(["analytic", *(f"{flag}={value}" for flag, value in args.items())]) == code
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_flags_and_config_agree(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     assert main(["simulate", "--n", "60", "--d", "2", "--field", "F2",
@@ -240,6 +298,23 @@ def test_ks_refuses_a_bad_graph_file(tmp_path, capsys, text):
     gfile.write_text(text)
     assert main(["ks", "--graph", str(gfile)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["ks", "--n", str(10 ** 12), "--d", "0", "--trials", "1"], None),
+    (["ks", "--graph"], f"{10 ** 12} 1 F2\n0 1 1\n"),
+    (["ks", "--graph"], f"{2 ** 33} 2 F2\n{2 ** 31} {2 ** 31 + 5} 1\n0 {2 ** 31 + 5} 1\n"),
+], ids=["sampled", "graph-file", "graph-beyond-int64-keys"])
+def test_ks_refuses_too_many_vertices_as_a_resource_cap(tmp_path, capsys, argv, text):
+    # 10^12 vertices: a route that reached its first array of n entries
+    # would fail that allocation at once, not exit 3
+    if text is not None:
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(text)
+        argv = argv + [str(gfile)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "resource cap" in captured.err
 
 
 def test_ks_refuses_a_negative_graph_size(tmp_path, capsys):

@@ -395,9 +395,9 @@ def test_classifying_every_variable_eliminates_A_and_its_transpose_once(monkeypa
     inputs, routes = [], []
     kernel, row_loop = exactla._dense_kernel, exactla._row_loop
 
-    def counted(M, p, back, **kwargs):
+    def counted(M, p, back):
         inputs.append(M.copy())
-        return kernel(M, p, back, **kwargs)
+        return kernel(M, p, back)
 
     def recorded(M, p, back):
         routes.append((M.shape, back))
@@ -635,17 +635,24 @@ def test_parse_matrix_errors():
 # p = 2 across byte and 64-bit boundaries, on empty shapes included.
 
 
+def _rows(R) -> list[list[int]]:
+    """The eliminated rows of a dense-kernel result as lists of ints: the row
+    loop's lists as they are, the numpy loop's array by ``tolist``."""
+    return R if isinstance(R, list) else R.tolist()
+
+
 def _dense_kernel_basis(arr: np.ndarray, p: int) -> list[list[int]]:
     """Kernel basis over F_p read off the dense RREF, one vector per free
     column in ascending order: the oracle for the int-row F2 basis."""
     m, n = arr.shape
-    rank, pivots, R = exactla._dense_kernel(arr.astype(np.int64), p, back=True)
+    pivots, R = exactla._dense_kernel(arr.astype(np.int64), p, back=True)
+    R = _rows(R)
     basis = []
     for f in (j for j in range(n) if j not in pivots):
         v = [0] * n
         v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = int(-R[r, f] % p)
+            v[c] = -R[r][f] % p
         basis.append(v)
     return basis
 
@@ -671,7 +678,7 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
     for percent, m, n in itertools.product((50, 3), sizes, sizes):
         arr = (rng.random((m, n)) < percent / 100).astype(np.uint8)
         A = Matrix._from_array(F2, arr)
-        assert A.rank() == _dense_kernel(arr, 2, back=False)[0]
+        assert A.rank() == len(_dense_kernel(arr, 2, back=False)[0])
         basis = A.kernel_basis()
         assert basis == _dense_kernel_basis(arr, 2)
         union = {j for v in basis for j, x in enumerate(v) if x}
@@ -683,9 +690,11 @@ def test_gf2_int_rows_match_dense_kernel_at_byte_boundaries():
         aug[:, :m] = arr.T
         aug[range(k), range(m, m + k)] = 1
         got = _census_flags_gf2(*_rref_gf2(_int_rows(aug), m + k), m, k)
-        rank, pivots, R = _dense_kernel(aug, 2, back=True)
+        pivots, R = _dense_kernel(aug, 2, back=True)
         free = [j for j in range(m + k) if j not in pivots]
-        assert got == _census_flags(pivots, R[:rank][:, free], m, k)
+        block = np.array([[row[j] for j in free] for row in _rows(R)[:len(pivots)]],
+                         dtype=np.uint8).reshape(len(pivots), len(free))
+        assert got == _census_flags(pivots, block, m, k)
         assert [fa for fa, _, _ in got] == [i not in union for i in range(k)]
         frail += [y for fa, fat, y in got if fa and fat]
     assert True in frail and False in frail
@@ -707,10 +716,14 @@ def test_dense_kernel_on_uint32_residues_matches_int64(p):
         arr = np.where(rng.random((m, n)) < percent / 100, rng.integers(1, p, (m, n)), 0)
         arr[rng.random((m, n)) < 0.2] = p - 1  # its square overflows 32 bits
         arr[-1] = arr[0]  # rank deficient when m > 1
-        want = _dense_kernel(arr.astype(np.int64), p, back=True)
-        got = _dense_kernel(arr.astype(np.uint32), p, back=True)
-        assert got[:2] == want[:2]
-        assert got[2].dtype == np.uint32 and np.array_equal(got[2], want[2])
+        want_pivots, want = _dense_kernel(arr.astype(np.int64), p, back=True)
+        given = arr.astype(np.uint32)
+        pivots, got = _dense_kernel(given, p, back=True)
+        assert pivots == want_pivots
+        if given.size <= exactla.ROW_LOOP_CELLS:  # the row loop's lists of ints
+            assert got == want
+        else:
+            assert got is given and got.dtype == np.uint32 and np.array_equal(got, want)
 
 
 def _gauss_jordan(rows: list[list[int]], n: int, p: int, seen: set) -> tuple[list[int], list, list]:
@@ -806,23 +819,23 @@ def test_dense_kernel_matches_literal_gauss_jordan(monkeypatch, dtype, p):
         monkeypatch.setattr(exactla, "ROW_LOOP_CELLS", cut)
         for arr, (want_pivots, want, want_forward) in zip(cases, wants):
             on_rows.clear()
-            R, F = arr.copy(), arr.copy()
-            rank, pivots, out = exactla._dense_kernel(R, p, back=True)
-            assert (rank, pivots) == (len(want_pivots), want_pivots)
-            assert out is R and R.dtype == dtype and R.tolist() == want
-            assert exactla._dense_kernel(F, p, back=False) == (rank, pivots, F)
-            assert F.dtype == dtype and F.tolist() == want_forward
-            # with rows, the row loop hands back its lists and leaves the
-            # array as it was; the numpy loop eliminates the array in place
             for back, form in ((True, want), (False, want_forward)):
-                given = arr.copy()
-                got = exactla._dense_kernel(given, p, back, rows=True)
-                assert got[:2] == (rank, pivots)
-                if arr.size <= cut:
-                    assert got[2] == form and np.array_equal(given, arr)
-                else:
-                    assert got[2] is given and given.tolist() == form
-            routes = [(arr.size, True), (arr.size, False)] * 2
+                for writable in (True, False):
+                    given = arr.copy()
+                    given.setflags(write=writable)
+                    pivots, R = exactla._dense_kernel(given, p, back)
+                    assert pivots == want_pivots
+                    if arr.size <= cut:
+                        # the row loop's lists; the array is left byte for byte
+                        assert R == form and given.tobytes() == arr.tobytes()
+                    else:
+                        # the numpy loop's array: the given one if writable,
+                        # else a copy, with the given one left as it was
+                        assert (R is given) == writable and R.dtype == dtype
+                        assert R.tolist() == form
+                        if not writable:
+                            assert given.tobytes() == arr.tobytes()
+            routes = [(arr.size, True)] * 2 + [(arr.size, False)] * 2
             assert on_rows == (routes if arr.size <= cut else [])
 
 
@@ -856,21 +869,22 @@ def residue_arrays(draw):
 @example((2147483647, np.full((5, 4), 2147483646, dtype=np.uint32)))
 def test_dense_kernel_routes_agree(case):
     # the numpy loop (cut -1) and the row loop (a cut of the array's size)
-    # leave the same rank, pivots, forward form and RREF, in the same dtype
+    # take the same pivots and leave the same forward form and RREF: the
+    # numpy loop in the given array, the row loop in lists, the array untouched
     p, arr = case
     got = []
     with pytest.MonkeyPatch.context() as mp:
         for cut in (-1, arr.size):
             mp.setattr(exactla, "ROW_LOOP_CELLS", cut)
             F, R = arr.copy(), arr.copy()
-            forward = exactla._dense_kernel(F, p, back=False)
-            rank, pivots, out = exactla._dense_kernel(R, p, back=True)
-            assert out is R and forward == (rank, pivots, F)
-            assert F.dtype == R.dtype == arr.dtype
-            got.append((rank, pivots, F.tolist(), R.tolist()))
-            # the rows a caller reads off the row loop are the array's
-            rows = exactla._dense_kernel(arr.copy(), p, back=True, rows=True)[2]
-            assert (rows if cut == arr.size else rows.tolist()) == R.tolist()
+            pivots, forward = exactla._dense_kernel(F, p, back=False)
+            reduced_pivots, reduced = exactla._dense_kernel(R, p, back=True)
+            assert reduced_pivots == pivots
+            if cut == -1:
+                assert forward is F and reduced is R and F.dtype == R.dtype == arr.dtype
+            else:
+                assert F.tobytes() == R.tobytes() == arr.tobytes()
+            got.append((pivots, _rows(forward), _rows(reduced)))
     assert got[0] == got[1]
 
 
@@ -880,8 +894,10 @@ def test_dense_kernel_routes_agree(case):
 def test_dense_kernel_reduces_a_read_only_array_in_a_copy(dtype, p, back):
     # at and one row above ROW_LOOP_CELLS, on a read-only array and on its
     # transposed view, as a Matrix and its transpose hold them: the input is
-    # left as it was, and the result is that of a writable copy, which the
-    # kernel reduces in place
+    # left as it was, and the result is that of a writable copy.  At the cut
+    # both come back as the row loop's lists, the copy untouched too; above
+    # it the kernel reduces the copy in place and the read-only input in a
+    # copy of its own
     rng = np.random.default_rng(p % 1000 + back)
     m, n = exactla.ROW_LOOP_CELLS // 10, 10
     for rows in (m, m + 1):
@@ -892,11 +908,15 @@ def test_dense_kernel_reduces_a_read_only_array_in_a_copy(dtype, p, back):
         for given in (a, a.T):
             before = given.copy()
             writable = given.copy()
-            want = exactla._dense_kernel(writable, p, back)
-            got = exactla._dense_kernel(given, p, back)
-            assert want[2] is writable and got[2] is not given
-            assert got[:2] == want[:2] and got[2].dtype == dtype
-            assert np.array_equal(got[2], want[2])
+            want_pivots, want = exactla._dense_kernel(writable, p, back)
+            pivots, got = exactla._dense_kernel(given, p, back)
+            assert pivots == want_pivots
+            if given.size <= exactla.ROW_LOOP_CELLS:
+                assert isinstance(got, list) and got == want
+                assert np.array_equal(writable, before)
+            else:
+                assert want is writable and got is not given and got.dtype == dtype
+                assert np.array_equal(got, want)
             assert not given.flags.writeable and np.array_equal(given, before)
 
 
@@ -959,7 +979,8 @@ def test_reduced_block_is_the_rrefs_free_columns(p):
                                               rng.integers(1, p, (300, 330)), 0))
     arr[-1] = arr[0]
     arr[:, 5] = 0
-    rank, pivots, R = exactla._dense_kernel(arr.copy(), p, back=True)
+    pivots, R = exactla._dense_kernel(arr.copy(), p, back=True)
+    rank = len(pivots)
     free = [j for j in range(330) if j not in pivots]
     assert rank == 299 and 5 in free
     arr.setflags(write=False)
@@ -1082,9 +1103,9 @@ def _count_blocks(monkeypatch):
     shapes = []
     dense = exactla._dense_kernel
 
-    def counted(M, p, back, **kwargs):
+    def counted(M, p, back):
         shapes.append(M.shape)
-        return dense(M, p, back, **kwargs)
+        return dense(M, p, back)
 
     monkeypatch.setattr(exactla, "_dense_kernel", counted)
     return shapes
@@ -1225,7 +1246,7 @@ def _rows_rank(rows, p):
     for r, row in enumerate(rows):
         for c, v in row.items():
             M[r, c] = v
-    return exactla._dense_kernel(M, p, back=False)[0]
+    return len(exactla._dense_kernel(M, p, back=False)[0])
 
 
 def _check_pivots(rows, p):
@@ -1377,7 +1398,7 @@ def test_sparse_rank_of_trial_cores_matches_the_dense_kernel(field):
         M = exactla.field_array(spec, np.zeros((v.size, v.size), dtype=np.uint8))
         M[i, j] = M[j, i] = w
         assert exactla.sparse_rank(v.size, i, j, w, spec.p) == \
-            exactla._dense_kernel(M, spec.p, back=False)[0]
+            len(exactla._dense_kernel(M, spec.p, back=False)[0])
 
 
 def test_sparse_rank_gf2_rows_across_word_boundaries():

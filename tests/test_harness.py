@@ -831,7 +831,7 @@ def _dense_rank(G: Graph) -> int:
     leaf-removal and rational routes."""
     if G.field.kind == "rationals":
         return len(fraction_rref(sparse_rows(_dense_array(G).tolist()), G.n)[0])
-    return exactla._dense_kernel(_dense_array(G), G.field.p, back=False)[0]
+    return len(exactla._dense_kernel(_dense_array(G), G.field.p, back=False)[0])
 
 
 # d < 1 and d = 1 leave an empty core; at d = 5 the core holds most vertices
@@ -1016,9 +1016,9 @@ def test_trial_builds_no_matrix_beyond_the_core(monkeypatch, field):
     blocks = []
     dense = exactla._dense_kernel
 
-    def block(M, p, back, **kwargs):
+    def block(M, p, back):
         blocks.append(M.shape[0])
-        return dense(M, p, back, **kwargs)
+        return dense(M, p, back)
 
     monkeypatch.setattr(exactla, "_dense_kernel", block)
     for d in (0.5, 3.0, 5.0):

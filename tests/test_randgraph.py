@@ -622,6 +622,38 @@ def test_graph_validation():
         parse_graph("2 1 F2\n0 1\n")
 
 
+def test_graph_tells_pairs_apart_beyond_int64_keys():
+    # with n = 2^33, lo * n + hi wraps int64: (2^31, 2^31 + 5) and
+    # (0, 2^31 + 5) would share one key
+    n, a, b = 2 ** 33, 2 ** 31, 2 ** 31 + 5
+    text = f"{n} 2 F2\n{a} {b} 1\n0 {b} 1\n"
+    G = parse_graph(text)
+    assert G.edges == ((a, b, 1), (0, b, 1))
+    # a real repeat is still named, the first one in edge order
+    for edges, first in ((((a, b, 1), (0, b, 1), (b, 0, 1), (b, a, 1)), (0, b)),
+                         (((0, b, 1), (a, b, 1), (b, a, 1), (0, b, 1)), (a, b))):
+        with pytest.raises(ValueError, match=rf"^duplicate edge \({first[0]}, {first[1]}\)$"):
+            Graph.from_edges(n, F2, edges)
+
+
+def test_vertex_cap_is_checked_before_any_array_of_n_entries():
+    # 10^12 vertices: a route that reached an array of n entries would fail
+    # its allocation at once, not raise the cap
+    assert randgraph.VERTEX_CAP >= 10 ** 5  # the largest n sampled so far
+    empty = np.zeros(0, dtype=np.int64)
+    for n in (10 ** 12, randgraph.VERTEX_CAP + 1):
+        with pytest.raises(ResourceCapError, match="vertices above the cap"):
+            randgraph.sample_edges(n, 0.0, CouplingSource(0))
+        with pytest.raises(ResourceCapError, match="vertices above the cap"):
+            sample_support(n, 0.0, CouplingSource(0))
+        with pytest.raises(ResourceCapError, match="vertices above the cap"):
+            leaf_removal(n, empty, empty)
+    with pytest.raises(ResourceCapError):
+        karp_sipser(Graph.from_edges(2 ** 33, F2, ((0, 1, 1),)))
+    lr = leaf_removal(randgraph.VERTEX_CAP, np.array([0]), np.array([1]))
+    assert (lr.isolated_count, len(lr.removed_pairs)) == (randgraph.VERTEX_CAP - 2, 1)
+
+
 @pytest.mark.parametrize("w", (3, 4, -1, 0, Fraction(1, 2), Fraction(3, 1), 1.0))
 def test_graph_refuses_non_canonical_prime_weights(w):
     # a weight of p is 0 in F_p, and any weight outside [1, p) would break the
